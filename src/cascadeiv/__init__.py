@@ -54,6 +54,7 @@ from .mechanism import (
     simulate_iv_dataset,
     simulate_run,
     slot_expansion_oracle,
+    slot_expansion_oracles,
 )
 from .market import MarketConfig, market_oracle
 from .synth import SynthConfig, generate_population, scenario_three_program

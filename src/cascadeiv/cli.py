@@ -35,7 +35,12 @@ from .estimator import (
     partial_out,
 )
 from .fixtures import fixture_checks
-from .mechanism import MechanismConfig, balance_check, simulate_run, slot_expansion_oracle
+from .mechanism import (
+    MechanismConfig,
+    balance_check,
+    simulate_run,
+    slot_expansion_oracles,
+)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -144,16 +149,17 @@ def cmd_verify(args) -> int:
     mech = MechanismConfig(capacities=capacities, lottery_seed=args.seed)
     run = simulate_run(pop, mech, reps=args.reps, master_seed=args.seed)
     est = estimate_all(run.dataset)
+    oracle_reps = args.reps if args.oracle_reps is None else args.oracle_reps
+    oracles = slot_expansion_oracles(
+        pop, mech, range(1, pop.n_programs + 1), reps=oracle_reps, master_seed=args.seed
+    )
     out = _out_dir(args)
     lines = []
     worst = 0.0
     with open(out / "verify.csv", "w", newline="") as fh:
         fh.write(iomod.provenance_line("verify", args.seed) + "\n")
         fh.write("program,oracle,oracle_se,beta,beta_se,z\n")
-        for k in range(1, pop.n_programs + 1):
-            orc = slot_expansion_oracle(
-                pop, mech, k, reps=args.oracle_reps or args.reps, master_seed=args.seed
-            )
+        for k, orc in enumerate(oracles, start=1):
             if orc.undersubscribed:
                 lines.append(f"program {k}: undersubscribed, oracle 0 (skipped)")
                 fh.write(

@@ -126,6 +126,21 @@ class NoPivotalVariation(NumericalError):
     """No program was oversubscribed, so the lottery identifies nothing."""
 
 
+class UnresolvedPriorityTie(NumericalError):
+    """Tied priorities straddle a cutoff, so raising it rejects nobody.
+
+    The clearing needs strict priorities; without this error the cutoff
+    sweep would repeat the same state forever.
+    """
+
+    def __init__(self, programs):
+        self.programs = [int(p) for p in programs]
+        super().__init__(
+            f"programs {self.programs} are over capacity but their cutoffs "
+            "reject nobody: tied priorities straddle the cutoff"
+        )
+
+
 class InfeasibleComplierTargets(DataError):
     """Requested complier shares cannot be realized by the generator."""
 

@@ -1,17 +1,21 @@
 """Ranked-queue admission with lottery tie-breaking, and the slot oracle.
 
 Programs fill fixed capacities from ranked queues with strict priority
-(merit bracket, then an independent per-program lottery draw). Clearing is
-computed as the minimal market-clearing cutoff vector, raised iteratively
-from below; this yields the applicant-optimal stable matching, identical to
+(merit bracket, then an independent per-program lottery draw). Every
+applicant takes one seat at most. Clearing is computed as the minimal
+market-clearing cutoff vector, raised sweep by sweep from below; this
+yields the applicant-optimal stable matching, identical to
 applicant-proposing deferred acceptance under the same strict priorities.
+Cutoffs only rise (Azevedo & Leshno 2016), so each sweep re-scans only the
+applicants its raises rejected.
 
 A program's pivotal group is the set of applicants who reached it in the
 proposal order and whose merit equals the cutoff bracket; among them,
 admission is decided purely by the lottery. Their normalized lottery ranks
-are the instruments, and rerunning the clearing with one extra slot is the
-brute-force measurement of the slot-expansion effect the 2SLS coefficients
-are supposed to equal.
+are the instruments. The slot oracle clears each replication's baseline
+market once and then re-runs the cutoff sweep on the same lottery draws
+with one extra slot at each program in turn: the brute-force measurement
+of the slot-expansion effect the 2SLS coefficients are supposed to equal.
 """
 
 from __future__ import annotations
@@ -22,7 +26,12 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .data import Dataset
-from .errors import DataError, NoPivotalProgramWarning, NoPivotalVariation
+from .errors import (
+    DataError,
+    NoPivotalProgramWarning,
+    NoPivotalVariation,
+    UnresolvedPriorityTie,
+)
 from .seeds import derive_seed
 
 __all__ = [
@@ -38,6 +47,7 @@ __all__ = [
     "simulate_iv_dataset",
     "simulate_run",
     "slot_expansion_oracle",
+    "slot_expansion_oracles",
     "balance_check",
     "find_blocking_pairs",
     "realized_outcomes",
@@ -113,7 +123,6 @@ class Population:
 class MechanismConfig:
     capacities: tuple
     lottery_seed: int
-    mutually_exclusive: bool = True
 
     def __post_init__(self):
         caps = tuple(int(c) for c in self.capacities)
@@ -130,8 +139,8 @@ class AllocationResult:
     ``cutoffs[k]`` is (merit bracket, lottery draw) of the last admit for
     programs that admitted anyone. ``pivotal_groups[k]`` lists the members
     of program k's lottery margin and ``luck[k]`` their normalized ranks.
-    ``admitted`` is the (N, K) admission indicator matrix (one-hot rows
-    under mutually exclusive assignment).
+    ``admitted`` is the (N, K) admission indicator matrix, one-hot on
+    admitted rows.
     """
 
     assignment: np.ndarray
@@ -193,103 +202,134 @@ def _pivotal_groups(
     return groups, luck
 
 
+def _slot_priorities(pop: Population, draws: np.ndarray):
+    """The (N, K) priority matrix and the priority at each listed slot of
+    the (N, L) preference matrix (-inf at padding)."""
+    priority = pop.merit[:, None].astype(float) + draws
+    prefs = pop.pref_array()
+    pr_slot = np.where(
+        prefs > 0,
+        np.take_along_axis(priority, np.maximum(prefs - 1, 0), axis=1),
+        -np.inf,
+    )
+    return priority, pr_slot
+
+
+def _sweep(
+    prefs: np.ndarray,
+    pr_slot: np.ndarray,
+    caps: np.ndarray,
+    events: list | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Minimal market-clearing cutoffs, raised from below.
+
+    Each sweep counts every applicant at their first listed program whose
+    cutoff they clear, and raises the cutoff of each over-capacity program
+    to the priority that leaves exactly its capacity at or above it.
+    Cutoffs only rise, so an applicant whose program did not reject them
+    keeps it; only the rejected walk on down their lists, from the next
+    listed program. Every sweep must reject someone: a sweep that rejects
+    nobody while a program is over capacity would repeat forever, which
+    happens only when tied priorities straddle the cutoff, and raises
+    ``UnresolvedPriorityTie``. So there are at most as many sweeps as
+    listed slots.
+
+    Returns the cutoffs (-inf where never over capacity), each applicant's
+    program (0 = outside option) and the preference position where their
+    scan stopped (the last listed one if they hold no seat). ``events``,
+    when a list, receives one record per applicant who moves, numbered by
+    the sweep that sees the move.
+    """
+    n, width = prefs.shape
+    k = caps.shape[0]
+    lengths = (prefs > 0).sum(axis=1)
+    end = np.arange(n) * width + lengths  # flat index one past each list
+    prog_at, pr_at = prefs.ravel(), pr_slot.ravel()
+    pos = np.zeros(n, dtype=np.int64)
+    demand = prefs[:, 0].copy()
+    held = pr_slot[:, 0].copy()  # priority at the current program
+    cutoffs = np.full(k, -np.inf)
+    sweep = 0
+    while True:
+        counts = np.bincount(demand, minlength=k + 1)[1:]
+        over = np.flatnonzero(counts > caps)
+        if over.size == 0:
+            return cutoffs, demand, pos
+        for kk in over:
+            excess = counts[kk] - caps[kk]
+            cutoffs[kk] = np.partition(held[demand == kk + 1], excess)[excess]
+        rej = np.flatnonzero(held < np.concatenate(([-np.inf], cutoffs))[demand])
+        if rej.size == 0:
+            raise UnresolvedPriorityTie(over + 1)
+        moved_from = demand[rej]
+        # one listed slot per pass, until each rejected applicant clears a
+        # cutoff or runs past the end of their list
+        walk, at = rej, rej * width + pos[rej] + 1
+        while walk.size:
+            done = at >= end[walk]
+            out = walk[done]
+            demand[out] = 0
+            held[out] = -np.inf
+            pos[out] = lengths[out] - 1
+            walk, at = walk[~done], at[~done]
+            prog, pr = prog_at[at], pr_at[at]
+            ok = pr >= cutoffs[prog - 1]
+            got = walk[ok]
+            demand[got] = prog[ok]
+            held[got] = pr[ok]
+            pos[got] = at[ok] - got * width
+            walk, at = walk[~ok], at[~ok] + 1
+        sweep += 1
+        if events is not None:
+            moves = zip(rej.tolist(), moved_from.tolist(), demand[rej].tolist())
+            for i, src, dst in moves:
+                events.append(
+                    {
+                        "round": sweep,
+                        "program_from": src,
+                        "program_to": dst,
+                        "applicant": i,
+                    }
+                )
+
+
+def _admission_matrix(assignment: np.ndarray, k: int) -> np.ndarray:
+    """(N, K) one-hot admission indicators of an assignment vector."""
+    admitted = np.zeros((assignment.shape[0], k), dtype=bool)
+    pos = np.flatnonzero(assignment > 0)
+    admitted[pos, assignment[pos] - 1] = True
+    return admitted
+
+
 def run_clearing(
     pop: Population, cfg: MechanismConfig, log_events: bool = False
 ) -> AllocationResult:
     """Clear the market for one lottery draw.
 
-    Deterministic given ``cfg.lottery_seed``. Under mutually exclusive
-    assignment this computes the applicant-optimal stable matching for the
-    strict priority (merit bracket, per-program lottery draw); the
-    non-exclusive mode (experimental) lets every program admit its top
-    capacity among all applicants who listed it.
+    Deterministic given ``cfg.lottery_seed``. Computes the
+    applicant-optimal stable matching for the strict priority (merit
+    bracket, per-program lottery draw), each applicant holding one seat at
+    most. Raises ``UnresolvedPriorityTie`` if two priorities tie exactly
+    across a cutoff.
     """
     n, k = pop.n, pop.n_programs
     caps = np.asarray(cfg.capacities, dtype=np.int64)
     if caps.shape != (k,):
         raise DataError(f"expected {k} capacities, got {caps.shape[0]}")
     draws = np.random.default_rng(cfg.lottery_seed).random((n, k))
-    priority = pop.merit[:, None].astype(float) + draws
+    priority, pr_slot = _slot_priorities(pop, draws)
     prefs = pop.pref_array()
-    has_pref = prefs > 0
-    pref_ix = np.maximum(prefs - 1, 0)
-    pr_slot = np.where(
-        has_pref, np.take_along_axis(priority, pref_ix, axis=1), -np.inf
-    )
     events: list = []
-
-    if cfg.mutually_exclusive:
-        cutoffs = np.full(k, -np.inf)
-        prev_demand = None
-        sweep = 0
-        while True:
-            eligible = has_pref & (pr_slot >= cutoffs[pref_ix])
-            any_el = eligible.any(axis=1)
-            first = np.argmax(eligible, axis=1)
-            demand = np.where(
-                any_el, np.take_along_axis(prefs, first[:, None], axis=1).ravel(), 0
-            )
-            if log_events and prev_demand is not None:
-                for i in np.flatnonzero(prev_demand != demand):
-                    events.append(
-                        {
-                            "round": sweep,
-                            "program_from": int(prev_demand[i]),
-                            "program_to": int(demand[i]),
-                            "applicant": int(i),
-                        }
-                    )
-            changed = False
-            for kk in range(k):
-                members = demand == kk + 1
-                cnt = int(members.sum())
-                if cnt > caps[kk]:
-                    pr_k = priority[members, kk]
-                    cutoffs[kk] = np.partition(pr_k, cnt - caps[kk])[cnt - caps[kk]]
-                    changed = True
-            if not changed:
-                break
-            prev_demand = demand
-            sweep += 1
-        assignment = demand
-        admitted = np.zeros((n, k), dtype=bool)
-        pos = np.flatnonzero(assignment > 0)
-        admitted[pos, assignment[pos] - 1] = True
-        oversubscribed = cutoffs > -np.inf
-        # proposal prefix: every listed program up to the first eligible one
-        eligible = has_pref & (pr_slot >= cutoffs[pref_ix])
-        any_el = eligible.any(axis=1)
-        first = np.argmax(eligible, axis=1)
-        lengths = has_pref.sum(axis=1)
-        last_pos = np.where(any_el, first, np.maximum(lengths - 1, 0))
-        posmask = has_pref & (np.arange(prefs.shape[1]) <= last_pos[:, None])
-        reached = np.zeros((n, k), dtype=bool)
-        ii, ll = np.nonzero(posmask)
-        reached[ii, prefs[ii, ll] - 1] = True
-    else:
-        # experimental: applicants hold every admission they win
-        admitted = np.zeros((n, k), dtype=bool)
-        listed = np.zeros((n, k), dtype=bool)
-        ii, ll = np.nonzero(has_pref)
-        listed[ii, prefs[ii, ll] - 1] = True
-        cutoffs = np.full(k, -np.inf)
-        oversubscribed = np.zeros(k, dtype=bool)
-        for kk in range(k):
-            cand = np.flatnonzero(listed[:, kk])
-            if cand.size <= caps[kk]:
-                admitted[cand, kk] = True
-                continue
-            pr_k = priority[cand, kk]
-            cutoffs[kk] = np.partition(pr_k, cand.size - caps[kk])[
-                cand.size - caps[kk]
-            ]
-            admitted[cand[pr_k >= cutoffs[kk]], kk] = True
-            oversubscribed[kk] = True
-        reached = listed
-        assignment = np.zeros(n, dtype=np.int64)
-        for pos in range(prefs.shape[1] - 1, -1, -1):
-            got = has_pref[:, pos] & admitted[np.arange(n), pref_ix[:, pos]]
-            assignment = np.where(got, prefs[:, pos], assignment)
+    cutoffs, assignment, pos = _sweep(
+        prefs, pr_slot, caps, events if log_events else None
+    )
+    admitted = _admission_matrix(assignment, k)
+    oversubscribed = cutoffs > -np.inf
+    # proposal prefix: every listed program up to where the scan stopped
+    posmask = (prefs > 0) & (np.arange(prefs.shape[1]) <= pos[:, None])
+    reached = np.zeros((n, k), dtype=bool)
+    ii, ll = np.nonzero(posmask)
+    reached[ii, prefs[ii, ll] - 1] = True
 
     cutoff_repr = {}
     for kk in range(k):
@@ -458,6 +498,60 @@ class OracleResult:
     per_rep: np.ndarray
 
 
+def slot_expansion_oracles(
+    pop: Population,
+    cfg: MechanismConfig,
+    programs,
+    reps: int,
+    master_seed: int,
+) -> list[OracleResult]:
+    """Average change in total outcomes from one extra slot, per program.
+
+    Per replication, clears the market once at the baseline capacities
+    with seed ``derive_seed(master_seed, rep)``, then, on the same lottery
+    draws, re-runs the cutoff sweep with capacity k raised by one for each
+    program k in ``programs`` that the baseline oversubscribed. The effect
+    is the change in realized outcomes summed over the whole population
+    (outside option included, so terminal entrants of the reallocation
+    chain count). A program that is never oversubscribed gets 0 with
+    ``undersubscribed`` set: its marginal slot admits no one. Results come
+    in the order of ``programs``.
+    """
+    programs = [int(k) for k in programs]
+    for k in programs:
+        if not 1 <= k <= pop.n_programs:
+            raise DataError(f"program id {k} out of range 1..{pop.n_programs}")
+    if reps < 1:
+        raise DataError("reps must be >= 1")
+    caps = np.asarray(cfg.capacities, dtype=np.int64)
+    prefs = pop.pref_array()
+    deltas = np.zeros((len(programs), reps))
+    oversub_any = np.zeros(len(programs), dtype=bool)
+    for r in range(reps):
+        base = run_clearing(pop, replace(cfg, lottery_seed=derive_seed(master_seed, r)))
+        todo = [j for j, k in enumerate(programs) if base.oversubscribed[k - 1]]
+        if not todo:
+            continue
+        oversub_any[todo] = True
+        _, pr_slot = _slot_priorities(pop, base.draws)
+        base_total = realized_outcomes(pop, base.admitted).sum()
+        for j in todo:
+            caps_plus = caps.copy()
+            caps_plus[programs[j] - 1] += 1
+            _, assignment, _ = _sweep(prefs, pr_slot, caps_plus)
+            expanded = _admission_matrix(assignment, pop.n_programs)
+            deltas[j, r] = realized_outcomes(pop, expanded).sum() - base_total
+    return [
+        OracleResult(
+            value=float(d.mean()) if oversub else 0.0,
+            mc_se=float(d.std(ddof=1) / np.sqrt(reps)) if reps > 1 else 0.0,
+            undersubscribed=not oversub,
+            per_rep=d,
+        )
+        for d, oversub in zip(deltas, oversub_any)
+    ]
+
+
 def slot_expansion_oracle(
     pop: Population,
     cfg: MechanismConfig,
@@ -465,49 +559,8 @@ def slot_expansion_oracle(
     reps: int,
     master_seed: int,
 ) -> OracleResult:
-    """Average change in total outcomes from one extra slot at program k.
-
-    Per replication, clears the market at the baseline capacities and again
-    with capacity k raised by one, holding the lottery draws fixed, and
-    sums realized outcomes over the whole population (outside option
-    included, so terminal entrants of the reallocation chain count). If
-    program k is never oversubscribed the marginal slot admits no one and
-    the oracle is 0 with ``undersubscribed`` set.
-    """
-    if not 1 <= k <= pop.n_programs:
-        raise DataError(f"program id {k} out of range 1..{pop.n_programs}")
-    if reps < 1:
-        raise DataError("reps must be >= 1")
-    caps = list(cfg.capacities)
-    caps_plus = list(caps)
-    caps_plus[k - 1] += 1
-    deltas = np.zeros(reps)
-    oversub_any = False
-    for r in range(reps):
-        seed_r = derive_seed(master_seed, r)
-        base = run_clearing(pop, replace(cfg, lottery_seed=seed_r))
-        if not base.oversubscribed[k - 1]:
-            continue
-        oversub_any = True
-        expanded = run_clearing(
-            pop,
-            MechanismConfig(
-                capacities=tuple(caps_plus),
-                lottery_seed=seed_r,
-                mutually_exclusive=cfg.mutually_exclusive,
-            ),
-        )
-        deltas[r] = realized_outcomes(pop, expanded.admitted).sum() - (
-            realized_outcomes(pop, base.admitted).sum()
-        )
-    value = float(deltas.mean())
-    mc_se = float(deltas.std(ddof=1) / np.sqrt(reps)) if reps > 1 else 0.0
-    return OracleResult(
-        value=value if oversub_any else 0.0,
-        mc_se=mc_se,
-        undersubscribed=not oversub_any,
-        per_rep=deltas,
-    )
+    """``slot_expansion_oracles`` for the single program ``k``."""
+    return slot_expansion_oracles(pop, cfg, (k,), reps, master_seed)[0]
 
 
 # ---------------------------------------------------------------------------

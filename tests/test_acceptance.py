@@ -33,6 +33,7 @@ from cascadeiv import (
     simulate_iv_dataset,
     simulate_run,
     slot_expansion_oracle,
+    slot_expansion_oracles,
 )
 from cascadeiv.errors import DivergentCascade
 from cascadeiv.estimator import FirstStage, cluster_bootstrap
@@ -167,8 +168,10 @@ def test_criterion_3_simulator_identity_at_desk_scale():
         mech = MechanismConfig(capacities=caps, lottery_seed=0)
         data = simulate_iv_dataset(pop, mech, reps=reps, master_seed=101)
         est = estimate_all(data)
-        for k in range(1, cfg.k + 1):
-            orc = slot_expansion_oracle(pop, mech, k, reps=reps, master_seed=101)
+        oracles = slot_expansion_oracles(
+            pop, mech, range(1, cfg.k + 1), reps=reps, master_seed=101
+        )
+        for k, orc in enumerate(oracles, start=1):
             assert not orc.undersubscribed
             comb = float(np.hypot(est.se_beta[k - 1], orc.mc_se))
             z = abs(orc.value - est.beta[k - 1]) / comb
@@ -203,8 +206,8 @@ def test_criterion_4_homogeneous_collapse():
         data = simulate_iv_dataset(pop, mech, reps=120, master_seed=7)
         est = estimate_all(data)
         offdiags.append(float(np.max(np.abs(fit_first_stage(data).offdiag))))
-        for k in (1, 2, 3):
-            orc = slot_expansion_oracle(pop, mech, k, reps=120, master_seed=7)
+        oracles = slot_expansion_oracles(pop, mech, (1, 2, 3), reps=120, master_seed=7)
+        for k, orc in zip((1, 2, 3), oracles):
             gap = abs(orc.value - delta[k - 1])
             worst_oracle = max(worst_oracle, gap / max(3 * orc.mc_se, 1e-9))
             worst_beta_z = max(

@@ -99,6 +99,15 @@ def test_verify_command_reports_agreement(tmp_path, config_path, capsys):
         [float(v) for v in fields if v]  # every populated cell is numeric
 
 
+def test_verify_zero_oracle_reps_is_a_data_error(tmp_path, config_path, capsys):
+    code = run(["verify", "--config", config_path, "--seed", 5, "--reps", 3,
+                "--oracle-reps", 0, "--out", tmp_path / "out"])
+    assert code == 3
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"]["code"] == "DataError"
+    assert "reps must be >= 1" in err["error"]["message"]
+
+
 def test_bootstrap_command(tmp_path, capsys):
     d = bernoulli_iv_data(31, n=600, k=2)
     write_dataset_csv(tmp_path / "d.csv", d, "test", 0)

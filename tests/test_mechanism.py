@@ -1,5 +1,10 @@
+import itertools
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from cascadeiv import (
@@ -13,9 +18,22 @@ from cascadeiv import (
     simulate_iv_dataset,
     simulate_run,
     slot_expansion_oracle,
+    slot_expansion_oracles,
 )
-from cascadeiv.errors import DataError, NoPivotalVariation
-from cascadeiv.mechanism import find_blocking_pairs, pooled_luck
+from cascadeiv.errors import (
+    DataError,
+    NoPivotalVariation,
+    NumericalError,
+    UnresolvedPriorityTie,
+)
+from cascadeiv.mechanism import (
+    _pivotal_groups,
+    _sweep,
+    find_blocking_pairs,
+    pooled_luck,
+    realized_outcomes,
+)
+from cascadeiv.seeds import derive_seed
 
 
 def small_pop(merits, prefs, gains=None, k=None):
@@ -282,20 +300,6 @@ def test_balance_predetermined_attributes_near_zero():
     assert np.all(np.abs(res.coef) < 3.5 * res.se)
 
 
-# ---------------------------------------------------------------------------
-# non-exclusive mode (experimental)
-# ---------------------------------------------------------------------------
-
-
-def test_non_exclusive_mode_respects_capacity():
-    pop = small_pop([5, 4, 4, 4, 3], [(1, 2)] * 5, k=2)
-    cfg = MechanismConfig(capacities=(2, 2), lottery_seed=0, mutually_exclusive=False)
-    res = run_clearing(pop, cfg)
-    assert np.all(res.admitted.sum(axis=0) <= 2)
-    # overlapping admissions allowed
-    assert res.admitted.sum() >= 2
-
-
 def test_config_validation():
     with pytest.raises(DataError):
         MechanismConfig(capacities=(0, 2), lottery_seed=1)
@@ -304,3 +308,226 @@ def test_config_validation():
         run_clearing(pop, MechanismConfig(capacities=(1, 1), lottery_seed=0))
     with pytest.raises(DataError):
         slot_expansion_oracle(pop, MechanismConfig(capacities=(1,), lottery_seed=0), 2, 1, 0)
+
+
+# ---------------------------------------------------------------------------
+# reference paths: full-recompute sweep, brute-force stable matchings,
+# brute-force oracle
+# ---------------------------------------------------------------------------
+
+
+def reference_clearing(pop, cfg, log_events=False):
+    """Full-recompute clearing: every sweep re-derives every applicant's
+    first eligible choice from scratch."""
+    n, k = pop.n, pop.n_programs
+    caps = np.asarray(cfg.capacities, dtype=np.int64)
+    draws = np.random.default_rng(cfg.lottery_seed).random((n, k))
+    priority = pop.merit[:, None].astype(float) + draws
+    prefs = pop.pref_array()
+    has_pref = prefs > 0
+    pref_ix = np.maximum(prefs - 1, 0)
+    pr_slot = np.where(
+        has_pref, np.take_along_axis(priority, pref_ix, axis=1), -np.inf
+    )
+    events = []
+    cutoffs = np.full(k, -np.inf)
+    prev_demand = None
+    sweep = 0
+    while True:
+        eligible = has_pref & (pr_slot >= cutoffs[pref_ix])
+        any_el = eligible.any(axis=1)
+        first = np.argmax(eligible, axis=1)
+        demand = np.where(
+            any_el, np.take_along_axis(prefs, first[:, None], axis=1).ravel(), 0
+        )
+        if log_events and prev_demand is not None:
+            for i in np.flatnonzero(prev_demand != demand):
+                events.append(
+                    {
+                        "round": sweep,
+                        "program_from": int(prev_demand[i]),
+                        "program_to": int(demand[i]),
+                        "applicant": int(i),
+                    }
+                )
+        changed = False
+        for kk in range(k):
+            members = demand == kk + 1
+            cnt = int(members.sum())
+            if cnt > caps[kk]:
+                pr_k = priority[members, kk]
+                cutoffs[kk] = np.partition(pr_k, cnt - caps[kk])[cnt - caps[kk]]
+                changed = True
+        if not changed:
+            break
+        prev_demand = demand
+        sweep += 1
+    admitted = np.zeros((n, k), dtype=bool)
+    pos = np.flatnonzero(demand > 0)
+    admitted[pos, demand[pos] - 1] = True
+    oversubscribed = cutoffs > -np.inf
+    eligible = has_pref & (pr_slot >= cutoffs[pref_ix])
+    any_el = eligible.any(axis=1)
+    first = np.argmax(eligible, axis=1)
+    lengths = has_pref.sum(axis=1)
+    last_pos = np.where(any_el, first, np.maximum(lengths - 1, 0))
+    posmask = has_pref & (np.arange(prefs.shape[1]) <= last_pos[:, None])
+    reached = np.zeros((n, k), dtype=bool)
+    ii, ll = np.nonzero(posmask)
+    reached[ii, prefs[ii, ll] - 1] = True
+    cutoff_repr = {}
+    for kk in range(k):
+        adm = np.flatnonzero(admitted[:, kk])
+        if adm.size:
+            p_last = priority[adm, kk].min()
+            cutoff_repr[kk + 1] = (int(np.floor(p_last)), float(p_last % 1.0))
+    groups, luck = _pivotal_groups(
+        pop.merit, priority, reached, admitted, oversubscribed, draws
+    )
+    return dict(
+        assignment=demand, admitted=admitted, cutoffs=cutoff_repr,
+        reached=reached, pivotal_groups=groups, luck=luck, events=events,
+    )
+
+
+def stable_matchings(pop, caps, priority):
+    """Every stable matching, by enumerating all individually rational ones."""
+    k = pop.n_programs
+    for mu in itertools.product(*[(0,) + pl for pl in pop.prefs]):
+        mu = np.asarray(mu)
+        if np.any(np.bincount(mu, minlength=k + 1)[1:] > caps):
+            continue
+        blocked = False
+        for i, pl in enumerate(pop.prefs):
+            for p in pl:
+                if p == mu[i]:
+                    break
+                holders = priority[mu == p, p - 1]
+                if holders.size < caps[p - 1] or holders.min() < priority[i, p - 1]:
+                    blocked = True
+                    break
+            if blocked:
+                break
+        if not blocked:
+            yield mu
+
+
+def brute_force_oracle(pop, cfg, k, reps, master_seed):
+    """Two full clearings per replication: baseline and capacity k + 1."""
+    per_rep = np.zeros(reps)
+    oversub = False
+    plus = list(cfg.capacities)
+    plus[k - 1] += 1
+    for r in range(reps):
+        seed_r = derive_seed(master_seed, r)
+        base = run_clearing(pop, replace(cfg, lottery_seed=seed_r))
+        if not base.oversubscribed[k - 1]:
+            continue
+        oversub = True
+        exp = run_clearing(pop, replace(cfg, capacities=tuple(plus), lottery_seed=seed_r))
+        per_rep[r] = realized_outcomes(pop, exp.admitted).sum() - (
+            realized_outcomes(pop, base.admitted).sum()
+        )
+    return per_rep, not oversub
+
+
+@st.composite
+def tiny_markets(draw):
+    """n <= 6, K <= 3, merits from three brackets (ties), lists of any length."""
+    k = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 6))
+    merits = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+    prefs = []
+    for _ in range(n):
+        order = draw(st.permutations(range(1, k + 1)))
+        prefs.append(tuple(order[: draw(st.integers(0, k))]))
+    caps = tuple(draw(st.lists(st.integers(1, n), min_size=k, max_size=k)))
+    seed = draw(st.integers(0, 2**32 - 1))
+    po = np.random.default_rng(seed).standard_normal((n, k + 1))
+    pop = Population(merit=np.asarray(merits, dtype=np.int64), prefs=prefs, po=po)
+    return pop, MechanismConfig(capacities=caps, lottery_seed=seed)
+
+
+@settings(max_examples=200, deadline=None)
+@given(tiny_markets())
+def test_clearing_matches_full_recompute_reference(market):
+    pop, cfg = market
+    res = run_clearing(pop, cfg, log_events=True)
+    ref = reference_clearing(pop, cfg, log_events=True)
+    assert np.array_equal(res.assignment, ref["assignment"])
+    assert np.array_equal(res.admitted, ref["admitted"])
+    assert np.array_equal(res.reached, ref["reached"])
+    assert res.cutoffs == ref["cutoffs"]
+    assert res.events == ref["events"]
+    assert res.pivotal_groups.keys() == ref["pivotal_groups"].keys()
+    for prog, members in ref["pivotal_groups"].items():
+        assert np.array_equal(res.pivotal_groups[prog], members)
+        assert np.array_equal(res.luck[prog], ref["luck"][prog])
+
+
+@settings(max_examples=100, deadline=None)
+@given(tiny_markets())
+def test_clearing_is_applicant_optimal_by_enumeration(market):
+    pop, cfg = market
+    res = run_clearing(pop, cfg)
+    priority = pop.merit[:, None] + res.draws
+    caps = np.asarray(cfg.capacities)
+    stable = list(stable_matchings(pop, caps, priority))
+    assert any(np.array_equal(mu, res.assignment) for mu in stable)
+
+    def rank(i, prog):
+        return pop.prefs[i].index(prog) if prog else len(pop.prefs[i])
+
+    for mu in stable:
+        for i in range(pop.n):
+            assert rank(i, res.assignment[i]) <= rank(i, mu[i])
+
+
+@settings(max_examples=60, deadline=None)
+@given(tiny_markets(), st.integers(1, 3))
+def test_all_programs_oracle_matches_brute_force(market, reps):
+    pop, cfg = market
+    programs = range(1, pop.n_programs + 1)
+    got = slot_expansion_oracles(pop, cfg, programs, reps, master_seed=cfg.lottery_seed)
+    for k, orc in zip(programs, got):
+        per_rep, under = brute_force_oracle(pop, cfg, k, reps, cfg.lottery_seed)
+        assert np.array_equal(orc.per_rep, per_rep)
+        assert orc.undersubscribed == under
+
+
+@pytest.mark.parametrize("reps", [1, 4])
+def test_all_programs_oracle_mixed_subscription(reps):
+    # program 1 is oversubscribed in every draw, program 3 never is
+    pop = homogeneous_pop(300, 3, np.array([0.2, -0.1, 0.3]), seed=12)
+    cfg = MechanismConfig(capacities=(20, 60, 400), lottery_seed=0)
+    got = slot_expansion_oracles(pop, cfg, (3, 1, 2), reps=reps, master_seed=8)
+    assert [o.undersubscribed for o in got] == [True, False, False]
+    for k, orc in zip((3, 1, 2), got):
+        per_rep, under = brute_force_oracle(pop, cfg, k, reps, 8)
+        assert np.array_equal(orc.per_rep, per_rep)
+        assert orc.undersubscribed == under
+        single = slot_expansion_oracle(pop, cfg, k, reps=reps, master_seed=8)
+        assert np.array_equal(single.per_rep, orc.per_rep)
+        assert (single.value, single.mc_se) == (orc.value, orc.mc_se)
+    assert got[0].value == 0.0
+    if reps == 1:
+        assert all(o.mc_se == 0.0 for o in got)
+
+
+def test_sweep_raises_on_tied_priorities_at_the_cutoff():
+    # one seat; two applicants tie exactly above a third: raising the
+    # cutoff to the tied value rejects the third, then nobody
+    prefs = np.array([[1], [1], [1]])
+    pr_slot = np.array([[4.5], [4.5], [4.1]])
+    with pytest.raises(UnresolvedPriorityTie) as exc:
+        _sweep(prefs, pr_slot, np.array([1]))
+    assert exc.value.programs == [1]
+    assert isinstance(exc.value, NumericalError)
+    # the same queue with the tie broken clears in one raise
+    events = []
+    cutoffs, demand, _ = _sweep(
+        prefs, np.array([[4.5], [4.6], [4.1]]), np.array([1]), events
+    )
+    assert list(demand) == [0, 1, 0]
+    assert cutoffs[0] == 4.6
+    assert [(e["round"], e["applicant"]) for e in events] == [(1, 0), (1, 2)]
