@@ -48,7 +48,6 @@ from .mechanism import (
     OracleResult,
     Population,
     balance_check,
-    identify_pivotal_groups,
     luck_variable,
     run_clearing,
     simulate_iv_dataset,

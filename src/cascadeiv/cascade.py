@@ -24,15 +24,13 @@ from .errors import (
     DataError,
     DivergentCascade,
     EmptyGroupWarning,
-    IllConditionedWarning,
     LengthMismatch,
     MaxRoundsExceeded,
     NonpositiveDiagonal,
-    SingularFirstStage,
     ZeroComplierMass,
     ZeroDiagonal,
 )
-from .estimator import FirstStage, fit_2sls
+from .estimator import FirstStage, _solve_first_stage, fit_2sls
 
 __all__ = [
     "CascadeSolution",
@@ -47,10 +45,6 @@ __all__ = [
     "block_weights",
     "three_program_beta2",
 ]
-
-COND_WARN = 1e8
-COND_CEILING = 1e12
-
 
 @dataclass(frozen=True)
 class CascadeSolution:
@@ -166,36 +160,15 @@ def spectral_radius(m: np.ndarray, iters: int = 200, seed: int = 0) -> float:
 def cascade_solve(fs: FirstStage, rf: np.ndarray) -> CascadeSolution:
     """Solve (I - M) T = W exactly, i.e. T = solve(Pi', RF).
 
-    Refuses when cond(Pi') exceeds the 1e12 ceiling and warns above 1e8.
-    The residual ||Pi' T - RF||_inf is refined below 1e-10 * ||RF||_inf.
+    The solve is the one ``fit_2sls`` and ``estimate_all`` use, under the
+    same policy: cond(Pi') above 1e12 is refused with SingularFirstStage,
+    above 1e8 warned about with IllConditionedWarning, and the residual
+    ||Pi' T - RF||_inf is refined below 1e-10 * ||RF||_inf.
     """
     rf = np.asarray(rf, dtype=float)
     if rf.shape != (fs.k,):
         raise LengthMismatch("reduced form length does not match the first stage")
-    pi_t = fs.pi.T
-    cond = np.linalg.cond(pi_t)
-    if not np.isfinite(cond) or cond > COND_CEILING:
-        raise SingularFirstStage(cond=float(cond))
-    if cond > COND_WARN:
-        warnings.warn(
-            f"first-stage matrix condition number {cond:.3e} exceeds {COND_WARN:g}",
-            IllConditionedWarning,
-            stacklevel=2,
-        )
-    t = np.linalg.solve(pi_t, rf)
-    scale = np.max(np.abs(rf)) if rf.size else 0.0
-    resid = np.max(np.abs(rf - pi_t @ t), initial=0.0)
-    for _ in range(3):
-        if resid <= 1e-10 * scale:
-            break
-        t = t + np.linalg.solve(pi_t, rf - pi_t @ t)
-        resid = np.max(np.abs(rf - pi_t @ t), initial=0.0)
-    if resid > 1e-10 * scale:
-        warnings.warn(
-            f"residual {resid:.3e} above 1e-10 * ||RF|| after refinement",
-            IllConditionedWarning,
-            stacklevel=2,
-        )
+    t = _solve_first_stage(fs.pi.T, rf)
     vm = VacancyMatrix.from_first_stage(fs)
     wald = rf / fs.diag
     rho = spectral_radius(vm.m)

@@ -1,14 +1,19 @@
 """First stage, reduced form, 2SLS, Wald ratios, and cluster inference.
 
-All fits operate on the control-residualized system: controls are partialled
-out of the outcome, treatments, and instruments before any moment condition
-is solved, so estimates with a full control matrix coincide with estimates on
-the partialled data (Frisch-Waugh). The system is just identified (one
-instrument per treatment), for which the 2SLS coefficients satisfy
+Every estimate comes from one numerical path. The controls are partialled
+out of the outcome, treatments, and instruments once (Frisch-Waugh), and
+the partialled instruments are factored once with a rank-revealing pivoted
+QR, which gives the projection z (z'z)^-1. The first stage Pi' and the
+reduced form RF are that projection applied to the treatments and the
+outcome, the cluster scores reuse it, and the system is just identified
+(one instrument per treatment), so the 2SLS coefficients and the total
+slot-expansion effects are the same single solve
 
-    beta = solve(Pi', RF)
+    beta = T = solve(Pi', RF)
 
-with Pi the matrix of first-stage coefficients and RF the reduced form.
+under one conditioning policy: cond(Pi') above COND_CEILING is refused
+with SingularFirstStage and above COND_WARN warned about with
+IllConditionedWarning.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ import scipy.linalg
 from .data import Dataset
 from .errors import (
     DataError,
+    IllConditionedWarning,
     RankDeficientControls,
     SingularFirstStage,
     SingularInstrumentGram,
@@ -46,11 +52,12 @@ __all__ = [
     "cluster_robust_se",
     "cluster_bootstrap",
     "first_stage_f",
-    "joint_wald",
     "estimate_all",
 ]
 
 WEAK_DIAGONAL_THRESHOLD = 1e-6
+COND_WARN = 1e8
+COND_CEILING = 1e12
 
 
 @dataclass(frozen=True)
@@ -124,19 +131,25 @@ class BootstrapResult:
 # ---------------------------------------------------------------------------
 
 
+def _pivoted_qr(m: np.ndarray):
+    """Economic pivoted QR of m, ``m[:, piv] == q @ r``, with its numerical rank."""
+    n, p = m.shape
+    q, r, piv = scipy.linalg.qr(m, mode="economic", pivoting=True)
+    rdiag = np.abs(np.diag(r))
+    tol = np.finfo(float).eps * max(n, p) * (rdiag[0] if rdiag.size else 0.0)
+    return q, r, piv, int(np.sum(rdiag > tol))
+
+
 def _control_basis(x: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the control column span; rank-revealing.
 
     Raises RankDeficientControls with the offending (original) column index
     when the controls are linearly dependent.
     """
-    n, p = x.shape
-    q, r, piv = scipy.linalg.qr(x, mode="economic", pivoting=True)
-    rdiag = np.abs(np.diag(r))
-    tol = np.finfo(float).eps * max(n, p) * (rdiag[0] if rdiag.size else 0.0)
-    rank = int(np.sum(rdiag > tol))
-    if rank < p:
-        cond = np.inf if rdiag[rank] == 0 else rdiag[0] / rdiag[rank]
+    q, r, piv, rank = _pivoted_qr(x)
+    if rank < x.shape[1]:
+        top, bad = abs(r[0, 0]), abs(r[rank, rank])
+        cond = np.inf if bad == 0 else top / bad
         raise RankDeficientControls(column=int(piv[rank]), cond=float(cond))
     return q
 
@@ -174,21 +187,82 @@ def _partialled(data: Dataset) -> Dataset:
 # ---------------------------------------------------------------------------
 
 
-def _instrument_gram_solve(z: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """solve (z'z) b = z'rhs via rank-revealing QR of z."""
-    n, k = z.shape
-    q, r, piv = scipy.linalg.qr(z, mode="economic", pivoting=True)
-    rdiag = np.abs(np.diag(r))
-    tol = np.finfo(float).eps * max(n, k) * (rdiag[0] if rdiag.size else 0.0)
-    if int(np.sum(rdiag > tol)) < k:
+@dataclass(frozen=True)
+class _Fit:
+    """The partialled system and what one QR of its instruments gives.
+
+    ``proj`` is z (z'z)^-1, so ``pi_t`` (Pi', row k holding instrument k's
+    coefficients for every treatment) is proj'a and ``rf`` is proj'y.
+    """
+
+    data: Dataset
+    proj: np.ndarray
+    pi_t: np.ndarray
+    rf: np.ndarray
+
+
+def _fit(data: Dataset) -> _Fit:
+    d = _partialled(data)
+    q, r, piv, rank = _pivoted_qr(d.z)
+    if rank < d.n_treatments:
         raise SingularInstrumentGram(
             "instrument Gram matrix is rank deficient after partialling "
-            f"(offending instrument column {int(piv[int(np.sum(rdiag > tol))]) + 1})"
+            f"(offending instrument column {int(piv[rank]) + 1})"
         )
-    coef_piv = scipy.linalg.solve_triangular(r, q.T @ rhs)
-    coef = np.empty_like(coef_piv)
-    coef[piv] = coef_piv
-    return coef
+    # z[:, piv] = QR, so z (z'z)^-1 = Q R^-T with its columns un-pivoted
+    proj_t = np.empty((d.n_treatments, d.n_obs))
+    proj_t[piv] = scipy.linalg.solve_triangular(r, q.T)
+    return _Fit(d, proj_t.T, proj_t @ d.a, proj_t @ d.y)
+
+
+def _solve_first_stage(pi_t: np.ndarray, rf: np.ndarray) -> np.ndarray:
+    """T = solve(Pi', RF) under the package's one conditioning policy.
+
+    Refuses with SingularFirstStage when cond(Pi') exceeds COND_CEILING and
+    warns with IllConditionedWarning above COND_WARN. The residual
+    ||Pi' T - RF||_inf is refined below 1e-10 * ||RF||_inf.
+    """
+    cond = np.linalg.cond(pi_t)
+    if not np.isfinite(cond) or cond > COND_CEILING:
+        raise SingularFirstStage(cond=float(cond))
+    if cond > COND_WARN:
+        warnings.warn(
+            f"first-stage matrix condition number {cond:.3e} exceeds {COND_WARN:g}",
+            IllConditionedWarning,
+            stacklevel=3,
+        )
+    t = np.linalg.solve(pi_t, rf)
+    scale = np.max(np.abs(rf)) if rf.size else 0.0
+    resid = np.max(np.abs(rf - pi_t @ t), initial=0.0)
+    for _ in range(3):
+        if resid <= 1e-10 * scale:
+            break
+        t = t + np.linalg.solve(pi_t, rf - pi_t @ t)
+        resid = np.max(np.abs(rf - pi_t @ t), initial=0.0)
+    if resid > 1e-10 * scale:
+        warnings.warn(
+            f"residual {resid:.3e} above 1e-10 * ||RF|| after refinement",
+            IllConditionedWarning,
+            stacklevel=3,
+        )
+    return t
+
+
+def _first_stage(f: _Fit, weak_threshold: float = WEAK_DIAGONAL_THRESHOLD) -> FirstStage:
+    """The fit's FirstStage, warning about weak own-instrument coefficients."""
+    d = f.data
+    if d.n_obs <= d.n_treatments + d.n_controls:
+        raise DataError("need N > K + p observations to fit the first stage")
+    fs = FirstStage(f.pi_t.T)
+    weak = np.flatnonzero(np.abs(fs.diag) < weak_threshold)
+    if weak.size:
+        warnings.warn(
+            f"own-instrument first-stage coefficients below {weak_threshold:g} "
+            f"for treatments {[int(k) + 1 for k in weak]}",
+            WeakDiagonalWarning,
+            stacklevel=3,
+        )
+    return fs
 
 
 def fit_first_stage(
@@ -200,40 +274,23 @@ def fit_first_stage(
     below ``weak_threshold`` in absolute value, signalling a relevance
     failure in the population.
     """
-    d = _partialled(data)
-    if d.n_obs <= d.n_treatments + d.n_controls:
-        raise DataError("need N > K + p observations to fit the first stage")
-    coef = _instrument_gram_solve(d.z, d.a)  # coef[k, j]: Z_k on A_j
-    pi = coef.T
-    weak = np.flatnonzero(np.abs(np.diag(pi)) < weak_threshold)
-    if weak.size:
-        warnings.warn(
-            f"own-instrument first-stage coefficients below {weak_threshold:g} "
-            f"for treatments {[int(k) + 1 for k in weak]}",
-            WeakDiagonalWarning,
-            stacklevel=2,
-        )
-    return FirstStage(pi)
+    return _first_stage(_fit(data), weak_threshold)
 
 
 def fit_reduced_form(data: Dataset) -> np.ndarray:
     """Joint regression of the outcome on all instruments (plus controls)."""
-    d = _partialled(data)
-    return _instrument_gram_solve(d.z, d.y)
+    return _fit(data).rf
 
 
 def fit_2sls(data: Dataset) -> np.ndarray:
-    """Just-identified 2SLS coefficients.
+    """Just-identified 2SLS coefficients, beta = solve(Pi', RF).
 
-    Solves the moment conditions z'(y - a beta) = 0 on the partialled
-    system, which coincides with solve(Pi', RF) from the same data.
+    On the partialled system this solves the moment conditions
+    z'(y - a beta) = 0. cond(Pi') above COND_CEILING is refused and above
+    COND_WARN warned about.
     """
-    d = _partialled(data)
-    za = d.z.T @ d.a
-    cond = np.linalg.cond(za)
-    if not np.isfinite(cond) or cond > 1e14:
-        raise SingularFirstStage(cond=float(cond))
-    return np.linalg.solve(za, d.z.T @ d.y)
+    f = _fit(data)
+    return _solve_first_stage(f.pi_t, f.rf)
 
 
 def wald_ratios(rf: np.ndarray, fs: FirstStage) -> np.ndarray:
@@ -253,67 +310,26 @@ def wald_ratios(rf: np.ndarray, fs: FirstStage) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _small_sample_factor(n: int, g: int, k_params: int) -> float:
-    return (g / (g - 1)) * ((n - 1) / (n - k_params))
+def _scores(f: _Fit, beta: np.ndarray, which) -> dict[str, np.ndarray]:
+    """Per-observation influence of the estimates named in ``which``.
 
-
-def _cluster_sum(scores: np.ndarray, codes: np.ndarray, g: int) -> np.ndarray:
-    out = np.zeros((g, scores.shape[1]))
-    np.add.at(out, codes, scores)
+    The beta and rf scores are always returned; the wald and delta ones
+    (delta-method influence of RF_k / pi_kk) only when asked for, since they
+    need a nonzero first-stage diagonal.
+    """
+    d, proj = f.data, f.proj
+    out = {
+        "beta": np.linalg.solve(f.pi_t, ((d.y - d.a @ beta)[:, None] * proj).T).T,
+        "rf": (d.y - d.z @ f.rf)[:, None] * proj,
+    }
+    if "wald" in which or "delta" in which:
+        diag = np.diag(f.pi_t)
+        if np.any(diag == 0.0):
+            raise ZeroDiagonal(int(np.flatnonzero(diag == 0.0)[0]))
+        s_pikk = proj * (d.a - d.z @ f.pi_t)  # column k: influence of pi_kk
+        out["wald"] = out["rf"] / diag - (f.rf / diag**2) * s_pikk
+        out["delta"] = out["beta"] - out["wald"]
     return out
-
-
-@dataclass(frozen=True)
-class _Scores:
-    """Per-observation influence contributions for the fitted quantities."""
-
-    beta: np.ndarray
-    rf: np.ndarray
-    zero_diag: int | None
-    wald: np.ndarray | None
-    delta: np.ndarray | None
-
-    def get(self, which: str) -> np.ndarray:
-        out = getattr(self, which)
-        if out is None:
-            raise ZeroDiagonal(self.zero_diag or 0)
-        return out
-
-
-def _influence(data: Dataset) -> _Scores:
-    d = _partialled(data)
-    z, a, y = d.z, d.a, d.y
-    zz = z.T @ z
-    za = z.T @ a
-    try:
-        zz_inv = np.linalg.inv(zz)
-    except np.linalg.LinAlgError as exc:
-        raise SingularInstrumentGram(str(exc)) from exc
-    cond = np.linalg.cond(za)
-    if not np.isfinite(cond) or cond > 1e14:
-        raise SingularFirstStage(cond=float(cond))
-    za_inv = np.linalg.inv(za)
-
-    pi_t = zz_inv @ za  # Pi'
-    rf = zz_inv @ (z.T @ y)
-    beta = za_inv @ (z.T @ y)
-    diag = np.diag(pi_t.T).copy()
-
-    proj = z @ zz_inv  # rows: z_i' (z'z)^-1
-    e_iv = y - a @ beta
-    e_rf = y - z @ rf
-    u_fs = a - z @ pi_t  # first-stage residuals, column j for treatment j
-
-    s_beta = (e_iv[:, None] * z) @ za_inv.T
-    s_rf = e_rf[:, None] * proj
-    if np.any(diag == 0.0):
-        zero_k = int(np.flatnonzero(diag == 0.0)[0])
-        return _Scores(beta=s_beta, rf=s_rf, zero_diag=zero_k, wald=None, delta=None)
-    s_pikk = proj * u_fs  # column k: influence of pi_kk
-    s_wald = s_rf / diag - (rf / diag**2) * s_pikk
-    return _Scores(
-        beta=s_beta, rf=s_rf, zero_diag=None, wald=s_wald, delta=s_beta - s_wald
-    )
 
 
 def _sandwich(
@@ -323,19 +339,24 @@ def _sandwich(
     k_params: int,
     factor: float | None = None,
 ) -> np.ndarray:
+    """Cluster-summed score outer product times ``factor``.
+
+    The default factor is G/(G-1) * (N-1)/(N-k_params).
+    """
     g = int(codes.max()) + 1
     if g < 2:
         raise TooFewClusters("cluster-robust inference needs >= 2 clusters")
-    psi = _cluster_sum(scores, codes, g)
+    psi = np.zeros((g, scores.shape[1]))
+    np.add.at(psi, codes, scores)
     if factor is None:
-        factor = _small_sample_factor(n, g, k_params)
+        factor = (g / (g - 1)) * ((n - 1) / (n - k_params))
     return psi.T @ psi * factor
 
 
 def cluster_robust_se(
     data: Dataset, which: str = "beta", small_sample_factor: float | None = None
 ) -> np.ndarray:
-    """Cluster sandwich standard errors for ``beta``, ``rf``, or ``wald``.
+    """Cluster sandwich standard errors for ``beta``, ``rf``, ``wald`` or ``delta``.
 
     Scores are summed within clusters; the conventional small-sample
     factor G/(G-1) * (N-1)/(N-K-p) is applied unless an explicit
@@ -351,22 +372,12 @@ def cluster_vcov(
     """Full cluster-robust covariance matrix for the chosen estimates."""
     if which not in ("beta", "rf", "wald", "delta"):
         raise DataError(f"unknown standard-error target {which!r}")
-    sc = _influence(data)
-    codes = data.cluster_codes()
+    f = _fit(data)
+    scores = _scores(f, _solve_first_stage(f.pi_t, f.rf), (which,))
     k_params = data.n_treatments + data.n_controls
     return _sandwich(
-        sc.get(which), codes, data.n_obs, k_params, factor=small_sample_factor
+        scores[which], data.cluster_codes(), data.n_obs, k_params, small_sample_factor
     )
-
-
-def joint_wald(estimates: np.ndarray, vcov: np.ndarray) -> float:
-    """Wald statistic b' V^-1 b (chi-squared with len(b) dof under the null)."""
-    estimates = np.asarray(estimates, dtype=float)
-    try:
-        solved = np.linalg.solve(vcov, estimates)
-    except np.linalg.LinAlgError:
-        solved = np.linalg.pinv(vcov) @ estimates
-    return float(estimates @ solved)
 
 
 def first_stage_f(data: Dataset) -> np.ndarray:
@@ -375,14 +386,12 @@ def first_stage_f(data: Dataset) -> np.ndarray:
     Classic (homoskedastic) F over the partialled system, reported as a
     relevance diagnostic alongside the weak-diagonal check.
     """
-    d = _partialled(data)
-    z, a = d.z, d.a
-    n, k = z.shape
-    zz_inv = np.linalg.inv(z.T @ z)
-    pi_t = zz_inv @ (z.T @ a)
-    u = a - z @ pi_t
+    f = _fit(data)
+    d = f.data
+    n, k = d.z.shape
+    u = d.a - d.z @ f.pi_t
     rss = (u**2).sum(axis=0)
-    tss = ((a - a.mean(axis=0)) ** 2).sum(axis=0)
+    tss = ((d.a - d.a.mean(axis=0)) ** 2).sum(axis=0)
     dof = n - k - d.n_controls
     with np.errstate(divide="ignore", invalid="ignore"):
         out = np.where(rss > 0, ((tss - rss) / k) / (rss / dof), np.inf)
@@ -399,13 +408,13 @@ def _stat_beta(d: Dataset) -> np.ndarray:
 
 
 def _stat_wald(d: Dataset) -> np.ndarray:
-    dp = _partialled(d)
-    return wald_ratios(fit_reduced_form(dp), fit_first_stage(dp))
+    f = _fit(d)
+    return wald_ratios(f.rf, _first_stage(f))
 
 
 def _stat_cascade_delta(d: Dataset) -> np.ndarray:
-    dp = _partialled(d)
-    return fit_2sls(dp) - wald_ratios(fit_reduced_form(dp), fit_first_stage(dp))
+    f = _fit(d)
+    return _solve_first_stage(f.pi_t, f.rf) - wald_ratios(f.rf, _first_stage(f))
 
 
 def _stat_conditional_entrant(d: Dataset, levels=None) -> np.ndarray:
@@ -423,12 +432,8 @@ def _stat_conditional_entrant(d: Dataset, levels=None) -> np.ndarray:
         if rows.size == 0:
             # a bootstrap draw can lose a whole group; count it as a failure
             raise DataError(f"group level {lev!r} absent from this sample")
-        subp = _partialled(d.take(rows))
-        parts.append(
-            conditional_entrant_effect(
-                fit_reduced_form(subp), fit_first_stage(subp), beta_full
-            )
-        )
+        f = _fit(d.take(rows))
+        parts.append(conditional_entrant_effect(f.rf, _first_stage(f), beta_full))
     if len(parts) == 2:
         parts.append(parts[0] - parts[1])
     return np.concatenate(parts)
@@ -538,29 +543,31 @@ def cluster_bootstrap(
 
 
 def estimate_all(data: Dataset) -> EstimateSet:
-    """Fit everything on one dataset and package it as an EstimateSet."""
-    from .cascade import cascade_solve
+    """Fit everything on one dataset and package it as an EstimateSet.
 
-    d = _partialled(data)
-    fs = fit_first_stage(d)
-    rf = fit_reduced_form(d)
-    beta = fit_2sls(d)
-    wald = wald_ratios(rf, fs)
-    solution = cascade_solve(fs, rf)
-    cascade_t = solution.T
-    delta = cascade_t - wald
-    se_beta = cluster_robust_se(d, "beta")
-    se_wald = cluster_robust_se(d, "wald")
-    se_delta = cluster_robust_se(d, "delta")
+    One fit and one solve: ``cascade_T`` is the same solve(Pi', RF) as
+    ``beta``, and the three standard-error vectors share one score pass.
+    """
+    f = _fit(data)
+    fs = _first_stage(f)
+    beta = _solve_first_stage(f.pi_t, f.rf)
+    wald = wald_ratios(f.rf, fs)
+    scores = _scores(f, beta, ("beta", "wald", "delta"))
+    codes = data.cluster_codes()
+    k_params = data.n_treatments + data.n_controls
+
+    def se(which):
+        return np.sqrt(np.diag(_sandwich(scores[which], codes, data.n_obs, k_params)))
+
     return EstimateSet(
         beta=beta,
-        rf=rf,
+        rf=f.rf,
         wald=wald,
-        cascade_T=cascade_t,
-        cascade_delta=delta,
-        se_beta=se_beta,
-        se_wald=se_wald,
-        se_delta=se_delta,
+        cascade_T=beta,
+        cascade_delta=beta - wald,
+        se_beta=se("beta"),
+        se_wald=se("wald"),
+        se_delta=se("delta"),
         n_obs=data.n_obs,
-        n_clusters=data.n_clusters,
+        n_clusters=int(codes.max()) + 1,
     )

@@ -26,6 +26,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .data import Dataset
+from .estimator import _sandwich
 from .errors import (
     DataError,
     NoPivotalProgramWarning,
@@ -42,7 +43,6 @@ __all__ = [
     "OracleResult",
     "BalanceResult",
     "run_clearing",
-    "identify_pivotal_groups",
     "luck_variable",
     "simulate_iv_dataset",
     "simulate_run",
@@ -353,11 +353,6 @@ def run_clearing(
     )
 
 
-def identify_pivotal_groups(result: AllocationResult) -> dict:
-    """Pivotal groups with sizes, {program id: (member indices, n_g)}."""
-    return {k: (idx, idx.size) for k, idx in result.pivotal_groups.items()}
-
-
 def realized_outcomes(pop: Population, admitted: np.ndarray) -> np.ndarray:
     """Observed outcomes under an admission matrix (additive in programs)."""
     gains = pop.po[:, 1:] - pop.po[:, [0]]
@@ -618,10 +613,7 @@ def balance_check(data: Dataset, covariates: np.ndarray, names=None) -> BalanceR
     scores = lt[:, None] * resid / sll
     codes = data.cluster_codes()
     g = int(codes.max()) + 1
-    psi = np.zeros((g, m))
-    np.add.at(psi, codes, scores)
-    c = (g / (g - 1)) * ((data.n_obs - 1) / (data.n_obs - 2))
-    v = psi.T @ psi * c
+    v = _sandwich(scores, codes, data.n_obs, k_params=2)
     se = np.sqrt(np.diag(v))
     with np.errstate(divide="ignore", invalid="ignore"):
         tstat = np.where(se > 0, coefs / se, 0.0)

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from cascadeiv.cli import main
-from cascadeiv.io import write_dataset_csv, write_matrix_csv
+from cascadeiv import Dataset
+from cascadeiv.io import write_covariates_csv, write_dataset_csv, write_matrix_csv
 
 from conftest import bernoulli_iv_data
 
@@ -135,6 +136,32 @@ def test_balance_command(tmp_path, config_path, capsys):
     assert "joint F(" in stdout
     for line in (out / "balance.csv").read_text().splitlines()[2:]:
         [float(v) for v in line.split(",")[1:] if v]
+
+
+def _last_error(capsys):
+    return json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]
+
+
+def test_balance_single_cluster_exits_numerical(tmp_path, capsys):
+    d = bernoulli_iv_data(32, n=300, k=2)
+    one = Dataset(y=d.y, a=d.a, z=d.z, x=d.x, cluster=np.zeros(d.n_obs, dtype=int))
+    write_dataset_csv(tmp_path / "d.csv", one, "test", 0)
+    write_covariates_csv(tmp_path / "c.csv", {"attr": np.linspace(0.0, 1.0, d.n_obs)})
+    for argv in (["estimate"], ["balance", "--covariates", tmp_path / "c.csv"]):
+        code = run([*argv, "--data", tmp_path / "d.csv", "--out", tmp_path / "out"])
+        assert code == 4
+        assert _last_error(capsys)["code"] == "TooFewClusters"
+
+
+def test_estimate_singular_first_stage_exits_numerical(tmp_path, capsys):
+    d = bernoulli_iv_data(33, n=600, k=2)
+    a = d.a.copy()
+    a[:, 1] = a[:, 0]  # two treatments, one first-stage column: Pi' singular
+    write_dataset_csv(tmp_path / "d.csv", Dataset(y=d.y, a=a, z=d.z, x=d.x,
+                                                  cluster=d.cluster), "test", 0)
+    code = run(["estimate", "--data", tmp_path / "d.csv", "--out", tmp_path / "out"])
+    assert code == 4
+    assert _last_error(capsys)["code"] == "SingularFirstStage"
 
 
 def test_fixtures_command(capsys):

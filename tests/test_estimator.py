@@ -15,7 +15,9 @@ from cascadeiv import (
 )
 from cascadeiv.errors import (
     DataError,
+    IllConditionedWarning,
     RankDeficientControls,
+    SingularFirstStage,
     SingularInstrumentGram,
     StatisticFailedInReplication,
     TooFewClusters,
@@ -186,9 +188,8 @@ def test_2sls_recovers_noiseless_beta():
 def test_just_identified_equivalence(k):
     d = bernoulli_iv_data(100 + k, n=2000 + 200 * k, k=k, pi=default_pi(k))
     dp = partial_out(d)
-    beta = fit_2sls(dp)
-    via_solve = np.linalg.solve(fit_first_stage(dp).pi.T, fit_reduced_form(dp))
-    assert_allclose(beta, via_solve, rtol=1e-8, atol=1e-12)
+    moments = np.linalg.solve(dp.z.T @ dp.a, dp.z.T @ dp.y)
+    assert_allclose(fit_2sls(dp), moments, rtol=1e-8, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -389,8 +390,104 @@ def test_bootstrap_cascade_delta_vs_fresh_data_dispersion():
 def test_estimate_all_internal_consistency():
     d = bernoulli_iv_data(71, n=4000, k=3, group_share=0.5)
     est = estimate_all(d)
+    dp = partial_out(d)
+    moments = np.linalg.solve(dp.z.T @ dp.a, dp.z.T @ dp.y)
+    assert_allclose(est.beta, moments, rtol=1e-8, atol=1e-12)
+    assert np.array_equal(est.cascade_T, est.beta)
     assert_allclose(est.cascade_delta, est.cascade_T - est.wald, atol=1e-14)
-    assert_allclose(est.cascade_T, est.beta, atol=1e-9)
     assert est.n_obs == 4000
     assert np.all(est.se_beta > 0)
     assert np.all(est.se_wald > 0)
+
+
+# ---------------------------------------------------------------------------
+# independent references
+# ---------------------------------------------------------------------------
+
+
+def _correlated_instrument_data(seed):
+    """Instruments correlated with each other and with the extra controls."""
+    d = bernoulli_iv_data(seed, n=3000, k=3, x_extra=2, n_clusters=30)
+    mix = np.array([[1.0, 0.6, 0.3], [0.2, 1.0, 0.5], [0.4, 0.1, 1.0]])
+    z = d.z @ mix + 0.4 * d.x[:, 1:2]
+    return Dataset(y=d.y, a=d.a, z=z, x=d.x, cluster=d.cluster)
+
+
+def _cluster_se(scores, cluster, n, k_params):
+    ids = np.unique(cluster)
+    psi = np.array([scores[cluster == c].sum(axis=0) for c in ids])
+    g = ids.size
+    factor = (g / (g - 1)) * ((n - 1) / (n - k_params))
+    return np.sqrt(np.diag(psi.T @ psi) * factor)
+
+
+def test_fits_and_standard_errors_match_unpartialled_reference():
+    # OLS and 2SLS on the full design [x, z], no partialling; influence
+    # functions (W'W)^-1 w_i e_i and (W'X)^-1 w_i e_i, delta method for
+    # the Wald ratios
+    d = _correlated_instrument_data(81)
+    n, k, p = d.n_obs, d.n_treatments, d.x.shape[1]
+    w = np.column_stack([d.x, d.z])
+    coef = np.linalg.lstsq(w, np.column_stack([d.a, d.y]), rcond=None)[0]
+    pi, rf = coef[p:, :k].T, coef[p:, k]
+    resid = np.column_stack([d.a, d.y]) - w @ coef
+    ols_rows = np.linalg.solve(w.T @ w, w.T)[p:]  # z rows of (W'W)^-1 W'
+    s_rf = (ols_rows * resid[:, k]).T
+    s_pikk = np.column_stack([ols_rows[j] * resid[:, j] for j in range(k)])
+    diag = np.diag(pi)
+    s_wald = s_rf / diag - (rf / diag**2) * s_pikk
+    xw = np.column_stack([d.x, d.a])
+    theta = np.linalg.solve(w.T @ xw, w.T @ d.y)
+    s_beta = (np.linalg.solve(w.T @ xw, w.T * (d.y - xw @ theta))[p:]).T
+    se_wald = _cluster_se(s_wald, d.cluster, n, k + p)
+    se_delta = _cluster_se(s_beta - s_wald, d.cluster, n, k + p)
+
+    assert np.max(np.abs(pi - np.diag(diag))) > 0.01  # cross effects matter
+    assert_allclose(fit_first_stage(d).pi, pi, rtol=1e-10)
+    assert_allclose(fit_reduced_form(d), rf, rtol=1e-10)
+    assert_allclose(wald_ratios(fit_reduced_form(d), fit_first_stage(d)),
+                    rf / diag, rtol=1e-10)
+    assert_allclose(cluster_robust_se(d, "wald"), se_wald, rtol=1e-10)
+    assert_allclose(cluster_robust_se(d, "delta"), se_delta, rtol=1e-10)
+    est = estimate_all(d)
+    assert_allclose(est.beta, theta[p:], rtol=1e-10)
+    assert_allclose(est.se_beta, _cluster_se(s_beta, d.cluster, n, k + p), rtol=1e-10)
+    assert_allclose(est.se_wald, se_wald, rtol=1e-10)
+    assert_allclose(est.se_delta, se_delta, rtol=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# one conditioning policy for every solve of Pi'
+# ---------------------------------------------------------------------------
+
+
+def _first_stage_with_condition(cond):
+    """Noiseless continuous treatments a = 0.5 + z B, so Pi' = B, cond(B) ~ cond."""
+    rng = np.random.default_rng(91)
+    n = 2000
+    z = rng.random((n, 2))
+    b = np.array([[1.0, 1.0], [1.0, 1.0 + 4.0 / cond]])
+    a = 0.5 + z @ b
+    y = a @ np.array([0.3, -0.2]) + rng.standard_normal(n)
+    return Dataset(y=y, a=a, z=z, x=np.ones((n, 1)), cluster=rng.integers(0, 20, n),
+                   binary_treatments=False)
+
+
+ESTIMATORS = [fit_2sls, cluster_robust_se, estimate_all]
+
+
+@pytest.mark.parametrize("estimator", ESTIMATORS)
+def test_ill_conditioned_first_stage_warns_and_returns(estimator):
+    d = _first_stage_with_condition(1e10)
+    assert 1e8 < np.linalg.cond(fit_first_stage(d).pi) <= 1e12
+    with pytest.warns(IllConditionedWarning):
+        out = estimator(d)
+    assert out is not None
+
+
+@pytest.mark.parametrize("estimator", ESTIMATORS)
+def test_first_stage_above_condition_ceiling_refused(estimator):
+    d = _first_stage_with_condition(1e13)
+    assert np.linalg.cond(fit_first_stage(d).pi) > 1e12
+    with pytest.raises(SingularFirstStage):
+        estimator(d)

@@ -12,7 +12,6 @@ from cascadeiv import (
     Population,
     balance_check,
     estimate_all,
-    identify_pivotal_groups,
     luck_variable,
     run_clearing,
     simulate_iv_dataset,
@@ -24,6 +23,7 @@ from cascadeiv.errors import (
     DataError,
     NoPivotalVariation,
     NumericalError,
+    TooFewClusters,
     UnresolvedPriorityTie,
 )
 from cascadeiv.mechanism import (
@@ -113,10 +113,7 @@ def test_clearing_deterministic():
 def test_pivotal_group_constructed_tie():
     pop = small_pop([5, 5, 4, 4, 4, 3], [(1,)] * 6)
     res = run_clearing(pop, MechanismConfig(capacities=(3,), lottery_seed=1))
-    groups = identify_pivotal_groups(res)
-    members, n_g = groups[1]
-    assert sorted(members) == [2, 3, 4]
-    assert n_g == 3
+    assert sorted(res.pivotal_groups[1]) == [2, 3, 4]
     assert res.cutoffs[1][0] == 4
 
 
@@ -291,6 +288,13 @@ def test_balance_luck_on_itself_is_one():
     lk = pooled_luck(run.dataset)
     res = balance_check(run.dataset, lk[:, None], ["luck"])
     assert abs(res.coef[0] - 1.0) < 1e-10
+
+
+def test_balance_single_cluster_is_too_few_clusters():
+    run = _sim_with_covariates(23)
+    one = replace(run.dataset, cluster=np.zeros(run.dataset.n_obs, dtype=int))
+    with pytest.raises(TooFewClusters):
+        balance_check(one, run.covariates["attr"][:, None], ["attr"])
 
 
 def test_balance_predetermined_attributes_near_zero():
