@@ -84,21 +84,25 @@ class Dataset:
         if not np.all(np.isfinite(self.y)) or not np.all(np.isfinite(self.x)):
             raise DataError("y and x must be finite")
         if self.binary_treatments and not self.partialled:
-            vals = np.unique(self.a)
-            if not np.all(np.isin(vals, (0.0, 1.0))):
+            if not np.all((self.a == 0.0) | (self.a == 1.0)):
                 raise DataError("treatment indicators must be 0/1")
         # exactly one nonzero constant column
-        spans = np.ptp(self.x, axis=0)
-        const_cols = np.flatnonzero((spans == 0) & (self.x[0] != 0))
+        constant = (self.x == self.x[0]).all(axis=0)
+        const_cols = np.flatnonzero(constant & (self.x[0] != 0))
         if const_cols.size != 1:
             raise DataError(
                 f"x must contain exactly one nonzero constant column; "
                 f"found {const_cols.size}"
             )
-        if self.cluster.dtype.kind in ("U", "S", "O"):
-            bad = np.array([c is None or str(c) == "" for c in self.cluster])
-            if bad.size and bad.any():
-                raise DataError("every cluster id must be nonempty")
+        kind = self.cluster.dtype.kind
+        if kind in "US":
+            empty = np.char.str_len(self.cluster) == 0
+        elif kind == "O":
+            empty = (self.cluster == None) | (self.cluster == "")  # noqa: E711
+        else:
+            empty = np.False_
+        if empty.any():
+            raise DataError("every cluster id must be nonempty")
 
     # -- sizes ------------------------------------------------------------
 

@@ -5,12 +5,17 @@ thousands separators; configs and error payloads are JSON; event logs are
 JSON lines. Every output CSV starts with a provenance comment line
 (``# cascadeiv <version> command=<cmd> seed=<seed>``) so reruns are
 byte-comparable.
+
+Tables are written a column at a time (``repr`` of every float, ``str`` of
+every id or label) and read by numpy's C text reader, with the same bytes
+and values as formatting and parsing row by row with the ``csv`` module.
 """
 
 from __future__ import annotations
 
 import csv
 import io as _io
+import itertools
 import json
 import re
 
@@ -21,6 +26,12 @@ from .errors import ParseError, SchemaError
 from .estimator import EstimateSet
 
 DATASET_COLUMNS = "y, a_1..a_K, z_1..z_K, x_*, cluster, optional group"
+
+# Rows formatted per write: bounds the strings alive at once
+WRITE_BLOCK_ROWS = 8192
+
+# numpy's text reader, splitting fields the way csv.reader does
+_CSV_READ = dict(delimiter=",", quotechar='"', comments=None, ndmin=2)
 
 
 def fmt_float(v: float) -> str:
@@ -38,6 +49,32 @@ def provenance_line(command: str, seed: int | None) -> str:
 # ---------------------------------------------------------------------------
 
 
+def _float_cells(col) -> list[str]:
+    """``fmt_float`` of every entry of a float64 column."""
+    return list(map(repr, col.tolist()))
+
+
+def _str_cells(col) -> list[str]:
+    """``str`` of every entry of an id, label or integer column."""
+    return list(map(str, col))
+
+
+def _write_table(path, command: str, seed, header: list[str], columns: list):
+    """Provenance line, header, then one row per entry of the columns.
+
+    ``columns`` are (column, cells) pairs: ``cells`` formats a block of
+    rows of its column. Rows go out in blocks of ``WRITE_BLOCK_ROWS``.
+    """
+    n = len(columns[0][0])
+    with open(path, "w", newline="") as fh:
+        fh.write(provenance_line(command, seed) + "\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for lo in range(0, n, WRITE_BLOCK_ROWS):
+            block = slice(lo, lo + WRITE_BLOCK_ROWS)
+            writer.writerows(zip(*(cells(col[block]) for col, cells in columns)))
+
+
 def write_dataset_csv(path, data: Dataset, command: str = "write", seed: int | None = None):
     k = data.n_treatments
     p = data.x.shape[1]
@@ -48,23 +85,14 @@ def write_dataset_csv(path, data: Dataset, command: str = "write", seed: int | N
         + [f"x_{j + 1}" for j in range(p)]
         + ["cluster"]
     )
+    columns = [(data.y, _float_cells)]
+    columns += [(block[:, j], _float_cells) for block in (data.a, data.z, data.x)
+                for j in range(block.shape[1])]
+    columns.append((data.cluster, _str_cells))
     if data.group_label is not None:
         header.append("group")
-    with open(path, "w", newline="") as fh:
-        fh.write(provenance_line(command, seed) + "\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for i in range(data.n_obs):
-            row = (
-                [fmt_float(data.y[i])]
-                + [fmt_float(v) for v in data.a[i]]
-                + [fmt_float(v) for v in data.z[i]]
-                + [fmt_float(v) for v in data.x[i]]
-                + [str(data.cluster[i])]
-            )
-            if data.group_label is not None:
-                row.append(str(data.group_label[i]))
-            writer.writerow(row)
+        columns.append((data.group_label, _str_cells))
+    _write_table(path, command, seed, header, columns)
 
 
 def _header_layout(header: list[str]) -> dict:
@@ -107,59 +135,93 @@ def _header_layout(header: list[str]) -> dict:
     return layout
 
 
-def load_dataset_csv(path) -> Dataset:
-    """Read and validate a dataset CSV; K is inferred from the header."""
+def _data_lines(path) -> tuple[list[str], list[int]]:
+    """The lines of a CSV file that are not comments (``#`` first) or blank,
+    with their 1-based file line numbers."""
     with open(path, newline="") as fh:
         lines = fh.readlines()
-    header = None
-    rows = []
-    row_lines = []
-    for lineno, raw in enumerate(lines, start=1):
-        if raw.startswith("#") or not raw.strip():
-            continue
-        parsed = next(csv.reader([raw]))
-        if header is None:
-            header = [h.strip() for h in parsed]
-        else:
-            rows.append(parsed)
-            row_lines.append(lineno)
-    if header is None:
-        raise SchemaError(f"{path}: no header row found")
-    layout = _header_layout(header)
-    k = len(layout["a"])
-    n = len(rows)
-    if n == 0:
-        raise SchemaError(f"{path}: no data rows")
-    y = np.empty(n)
-    a = np.empty((n, k))
-    z = np.empty((n, k))
-    x = np.empty((n, len(layout["x"])))
-    cluster = np.empty(n, dtype=object)
-    group = np.empty(n, dtype=object) if layout["group"] is not None else None
+    linenos = [
+        no for no, ln in enumerate(lines, start=1)
+        if not (ln.startswith("#") or ln.isspace())
+    ]
+    return [lines[no - 1] for no in linenos], linenos
 
-    def fnum(row, pos, lineno):
-        try:
-            return float(row[pos])
-        except ValueError:
-            raise ParseError(
-                f"could not parse {row[pos]!r} in column {header[pos]!r}", lineno
-            ) from None
 
-    for i, (row, lineno) in enumerate(zip(rows, row_lines)):
+def _parse_number(text: str) -> float:
+    """``float`` limited to what numpy's text reader accepts: ASCII only,
+    no digit-group underscores."""
+    body = text.strip()
+    if "_" in body or not body.isascii():
+        raise ValueError(text)
+    return float(body)
+
+
+def _raise_first_bad_row(rows, linenos, header, numeric):
+    """Raise the first ragged row or unparsable number, in file order."""
+    for raw, lineno in zip(rows, linenos):
+        row = next(csv.reader([raw]))
         if len(row) != len(header):
             raise SchemaError(
                 f"line {lineno}: row has {len(row)} fields, header has {len(header)}"
             )
-        y[i] = fnum(row, layout["y"], lineno)
-        for j in range(k):
-            a[i, j] = fnum(row, layout["a"][j + 1], lineno)
-            z[i, j] = fnum(row, layout["z"][j + 1], lineno)
-        for j, pos in enumerate(layout["x"]):
-            x[i, j] = fnum(row, pos, lineno)
-        cluster[i] = row[layout["cluster"]]
-        if group is not None:
-            group[i] = row[layout["group"]]
-    return Dataset(y=y, a=a, z=z, x=x, cluster=cluster, group_label=group)
+        for pos in numeric:
+            try:
+                _parse_number(row[pos])
+            except ValueError:
+                raise ParseError(
+                    f"could not parse {row[pos]!r} in column {header[pos]!r}", lineno
+                ) from None
+
+
+def _read_numbers(rows, linenos, header, numeric, text=()) -> np.ndarray:
+    """(n, len(header)) float matrix of the data rows, in one pass of
+    numpy's reader; the ``text`` columns hold their field lengths.
+
+    Reading every column, not only the numbers, keeps the reader checking
+    that each row has the same field count. On a bad row the file is
+    scanned again in row order, checking the ``numeric`` columns in the
+    order given, to report the first fault with its file line.
+    """
+    try:
+        values = np.loadtxt(
+            rows, dtype=float, converters=dict.fromkeys(text, len), **_CSV_READ
+        )
+    except ValueError as exc:
+        _raise_first_bad_row(rows, linenos, header, numeric)
+        raise ParseError(f"unreadable data rows: {exc}") from None
+    if values.shape[1] != len(header):
+        # every row has the same wrong width: the scan stops at the first
+        _raise_first_bad_row(rows, linenos, header, numeric)
+    return values
+
+
+def load_dataset_csv(path) -> Dataset:
+    """Read and validate a dataset CSV; K is inferred from the header."""
+    rows, linenos = _data_lines(path)
+    if not rows:
+        raise SchemaError(f"{path}: no header row found")
+    header = [h.strip() for h in next(csv.reader(rows[:1]))]
+    layout = _header_layout(header)
+    rows, linenos = rows[1:], linenos[1:]
+    if not rows:
+        raise SchemaError(f"{path}: no data rows")
+    k = len(layout["a"])
+    a_pos = [layout["a"][j + 1] for j in range(k)]
+    z_pos = [layout["z"][j + 1] for j in range(k)]
+    text = [layout["cluster"]]
+    if layout["group"] is not None:
+        text.append(layout["group"])
+    numeric = [layout["y"], *itertools.chain(*zip(a_pos, z_pos)), *layout["x"]]
+    values = _read_numbers(rows, linenos, header, numeric, text)
+    labels = np.loadtxt(rows, dtype=str, usecols=text, **_CSV_READ)
+    return Dataset(
+        y=np.ascontiguousarray(values[:, layout["y"]]),
+        a=np.ascontiguousarray(values[:, a_pos]),
+        z=np.ascontiguousarray(values[:, z_pos]),
+        x=np.ascontiguousarray(values[:, layout["x"]]),
+        cluster=np.ascontiguousarray(labels[:, 0]),
+        group_label=np.ascontiguousarray(labels[:, 1]) if len(text) == 2 else None,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -176,15 +238,11 @@ def write_population_csv(path, pop, command: str = "write", seed=None):
         + [f"po_{j}" for j in range(k + 1)]
         + [f"label_{name}" for name in label_names]
     )
-    with open(path, "w", newline="") as fh:
-        fh.write(provenance_line(command, seed) + "\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for i in range(pop.n):
-            row = [str(int(pop.merit[i])), "|".join(str(p) for p in pop.prefs[i])]
-            row += [fmt_float(v) for v in pop.po[i]]
-            row += [str(pop.labels[name][i]) for name in label_names]
-            writer.writerow(row)
+    prefs = ["|".join(map(str, pl)) for pl in pop.prefs]
+    columns = [(pop.merit, _str_cells), (prefs, _str_cells)]
+    columns += [(pop.po[:, j], _float_cells) for j in range(k + 1)]
+    columns += [(pop.labels[name], _str_cells) for name in label_names]
+    _write_table(path, command, seed, header, columns)
 
 
 def load_population_csv(path):
@@ -231,30 +289,20 @@ def load_population_csv(path):
 
 
 def write_covariates_csv(path, covariates: dict, command: str = "write", seed=None):
-    names = list(covariates)
-    n = len(next(iter(covariates.values())))
-    with open(path, "w", newline="") as fh:
-        fh.write(provenance_line(command, seed) + "\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(names)
-        for i in range(n):
-            writer.writerow([fmt_float(covariates[name][i]) for name in names])
+    columns = [(np.asarray(col, dtype=float), _float_cells) for col in covariates.values()]
+    _write_table(path, command, seed, list(covariates), columns)
 
 
 def load_covariates_csv(path) -> tuple[np.ndarray, tuple]:
-    with open(path, newline="") as fh:
-        lines = [ln for ln in fh.readlines() if not ln.startswith("#") and ln.strip()]
-    if not lines:
+    rows, linenos = _data_lines(path)
+    if not rows:
         raise SchemaError(f"{path}: empty covariates file")
-    reader = csv.reader(lines)
-    names = tuple(h.strip() for h in next(reader))
-    rows = []
-    for lineno, row in enumerate(reader, start=2):
-        try:
-            rows.append([float(v) for v in row])
-        except ValueError:
-            raise ParseError("non-numeric covariate value", lineno) from None
-    return np.asarray(rows), names
+    names = tuple(h.strip() for h in next(csv.reader(rows[:1])))
+    rows, linenos = rows[1:], linenos[1:]
+    if not rows:
+        raise SchemaError(f"{path}: no data rows")
+    values = _read_numbers(rows, linenos, names, range(len(names)))
+    return values, names
 
 
 # ---------------------------------------------------------------------------
@@ -340,10 +388,14 @@ def write_matrix_csv(path, mat: np.ndarray, command: str = "write", seed=None):
 
 
 def load_matrix_csv(path) -> np.ndarray:
-    with open(path, newline="") as fh:
-        lines = [ln for ln in fh.readlines() if not ln.startswith("#") and ln.strip()]
+    lines, linenos = _data_lines(path)
     rows = []
-    for lineno, row in enumerate(csv.reader(lines), start=1):
+    for lineno, row in zip(linenos, csv.reader(lines)):
+        if rows and len(row) != len(rows[0]):
+            raise SchemaError(
+                f"line {lineno}: row has {len(row)} fields, the first row has "
+                f"{len(rows[0])}"
+            )
         try:
             rows.append([float(v) for v in row])
         except ValueError:
@@ -363,10 +415,15 @@ def write_trace_csv(path, rounds: list[np.ndarray], command: str = "cascade", se
             writer.writerow([str(n)] + [fmt_float(v) for v in term])
 
 
-def write_events_jsonl(path, events: list[dict]):
+def write_events_jsonl(path, events: np.ndarray):
+    """One JSON object per record of a structured integer array, keys in
+    sorted order: the bytes of ``json.dumps(record, sort_keys=True)``."""
+    names = sorted(events.dtype.names)
+    line = "{" + ", ".join(f'"{name}": %d' for name in names) + "}\n"
     with open(path, "w") as fh:
-        for ev in events:
-            fh.write(json.dumps(ev, sort_keys=True) + "\n")
+        for lo in range(0, events.size, WRITE_BLOCK_ROWS):
+            block = events[lo : lo + WRITE_BLOCK_ROWS]
+            fh.writelines(map(line.__mod__, zip(*(block[f].tolist() for f in names))))
 
 
 def load_run_config(path) -> dict:

@@ -20,6 +20,7 @@ of the slot-expansion effect the 2SLS coefficients are supposed to equal.
 
 from __future__ import annotations
 
+import itertools
 import warnings
 from dataclasses import dataclass, field, replace
 
@@ -83,27 +84,42 @@ class Population:
         if len(self.prefs) != n:
             raise DataError("prefs must have one list per applicant")
         k = po.shape[1] - 1
-        max_len = 1
-        norm_prefs = []
-        for i, raw in enumerate(self.prefs):
-            pl = tuple(int(p) for p in raw)
-            if len(set(pl)) != len(pl):
-                raise DataError(f"applicant {i} ranks a program twice")
-            for p in pl:
-                if not 1 <= p <= k:
-                    raise DataError(
-                        f"applicant {i} ranks invalid program {p} (K={k})"
-                    )
-            max_len = max(max_len, len(pl))
-            norm_prefs.append(pl)
-        object.__setattr__(self, "prefs", norm_prefs)
+        lengths = np.fromiter(map(len, self.prefs), dtype=np.int64, count=n)
+        flat = np.fromiter(
+            itertools.chain.from_iterable(self.prefs),
+            dtype=np.int64,
+            count=int(lengths.sum()),
+        )
+        width = max(1, int(lengths.max(initial=0)))
+        listed = np.arange(width) < lengths[:, None]
+        pref_arr = np.zeros((n, width), dtype=np.int64)
+        pref_arr[listed] = flat  # row-major order is list order
+        # the first applicant who repeats a program or lists one outside
+        # 1..K; a repeat is reported first when both are the same applicant.
+        # Padding sorts last, so a row's sorted list is its first entries.
+        ranked = np.sort(np.where(listed, pref_arr, np.iinfo(np.int64).max), axis=1)
+        repeat_rows = ((ranked[:, 1:] == ranked[:, :-1]) & listed[:, 1:]).any(axis=1)
+        invalid = listed & ((pref_arr < 1) | (pref_arr > k))
+        invalid_rows = invalid.any(axis=1)
+        first_repeat = int(repeat_rows.argmax()) if repeat_rows.any() else n
+        first_invalid = int(invalid_rows.argmax()) if invalid_rows.any() else n
+        if first_repeat < n and first_repeat <= first_invalid:
+            raise DataError(f"applicant {first_repeat} ranks a program twice")
+        if first_invalid < n:
+            bad = pref_arr[first_invalid][invalid[first_invalid]]
+            raise DataError(
+                f"applicant {first_invalid} ranks invalid program {bad[0]} (K={k})"
+            )
         for name, arr in self.labels.items():
             if np.asarray(arr).shape != (n,):
                 raise DataError(f"label {name!r} must have length N")
-        pref_arr = np.zeros((n, max_len), dtype=np.int64)
-        for i, pl in enumerate(norm_prefs):
-            if pl:
-                pref_arr[i, : len(pl)] = list(pl)
+        ends = np.cumsum(lengths).tolist()
+        values = flat.tolist()
+        object.__setattr__(
+            self,
+            "prefs",
+            [tuple(values[lo:hi]) for lo, hi in zip([0] + ends, ends)],
+        )
         object.__setattr__(self, "_pref_array", pref_arr)
 
     @property
@@ -131,6 +147,19 @@ class MechanismConfig:
         object.__setattr__(self, "capacities", caps)
 
 
+# One record per applicant whose program changed between cutoff sweeps,
+# numbered by the sweep that sees the move; fields in sorted order.
+CLEARING_EVENT_DTYPE = np.dtype(
+    [(name, np.int64) for name in ("applicant", "program_from", "program_to", "round")]
+)
+SIMULATION_EVENT_DTYPE = np.dtype(
+    [
+        (name, np.int64)
+        for name in ("applicant", "program_from", "program_to", "replication", "round")
+    ]
+)
+
+
 @dataclass(frozen=True)
 class AllocationResult:
     """One clearing outcome.
@@ -140,7 +169,8 @@ class AllocationResult:
     programs that admitted anyone. ``pivotal_groups[k]`` lists the members
     of program k's lottery margin and ``luck[k]`` their normalized ranks.
     ``admitted`` is the (N, K) admission indicator matrix, one-hot on
-    admitted rows.
+    admitted rows. ``events`` is the sweep log, a ``CLEARING_EVENT_DTYPE``
+    array (empty unless ``log_events``).
     """
 
     assignment: np.ndarray
@@ -151,7 +181,7 @@ class AllocationResult:
     oversubscribed: np.ndarray
     draws: np.ndarray
     reached: np.ndarray
-    events: list
+    events: np.ndarray
 
 
 def luck_variable(draws: np.ndarray) -> np.ndarray:
@@ -237,8 +267,8 @@ def _sweep(
     Returns the cutoffs (-inf where never over capacity), each applicant's
     program (0 = outside option) and the preference position where their
     scan stopped (the last listed one if they hold no seat). ``events``,
-    when a list, receives one record per applicant who moves, numbered by
-    the sweep that sees the move.
+    when a list, receives one ``CLEARING_EVENT_DTYPE`` array per sweep with
+    a record for each applicant who moved, in applicant order.
     """
     n, width = prefs.shape
     k = caps.shape[0]
@@ -281,16 +311,12 @@ def _sweep(
             walk, at = walk[~ok], at[~ok] + 1
         sweep += 1
         if events is not None:
-            moves = zip(rej.tolist(), moved_from.tolist(), demand[rej].tolist())
-            for i, src, dst in moves:
-                events.append(
-                    {
-                        "round": sweep,
-                        "program_from": src,
-                        "program_to": dst,
-                        "applicant": i,
-                    }
-                )
+            moves = np.empty(rej.size, dtype=CLEARING_EVENT_DTYPE)
+            moves["applicant"] = rej
+            moves["program_from"] = moved_from
+            moves["program_to"] = demand[rej]
+            moves["round"] = sweep
+            events.append(moves)
 
 
 def _admission_matrix(assignment: np.ndarray, k: int) -> np.ndarray:
@@ -319,7 +345,7 @@ def run_clearing(
     draws = np.random.default_rng(cfg.lottery_seed).random((n, k))
     priority, pr_slot = _slot_priorities(pop, draws)
     prefs = pop.pref_array()
-    events: list = []
+    events: list = [np.empty(0, dtype=CLEARING_EVENT_DTYPE)]
     cutoffs, assignment, pos = _sweep(
         prefs, pr_slot, caps, events if log_events else None
     )
@@ -349,7 +375,7 @@ def run_clearing(
         oversubscribed=oversubscribed,
         draws=draws,
         reached=reached,
-        events=events,
+        events=np.concatenate(events),
     )
 
 
@@ -369,7 +395,7 @@ class SimulationOutput:
     dataset: Dataset
     covariates: dict
     covariate_names: tuple
-    events: list
+    events: np.ndarray  # SIMULATION_EVENT_DTYPE, empty unless log_events
 
 
 def simulate_run(
@@ -390,13 +416,15 @@ def simulate_run(
     constant plus applied-at-margin dummies (modal margin as baseline) and
     clusters are (replication, pivotal group). Covariates for balance
     checks (merit, first choice, labels) ride along, aligned row by row.
+    With ``log_events`` the replications' sweep logs are stacked in
+    ``events``, each record tagged with its replication.
     """
     if reps < 1:
         raise DataError("reps must be >= 1")
     k = pop.n_programs
     y_parts, a_parts, z_parts, d_parts = [], [], [], []
     cluster_parts, applicant_parts = [], []
-    events: list = []
+    events: list = [np.empty(0, dtype=SIMULATION_EVENT_DTYPE)]
     seen_pivotal = np.zeros(k, dtype=bool)
     for r in range(reps):
         seed_r = derive_seed(master_seed, r)
@@ -404,7 +432,11 @@ def simulate_run(
             pop, replace(cfg, lottery_seed=seed_r), log_events=log_events
         )
         if log_events:
-            events.extend({"replication": r, **ev} for ev in res.events)
+            moves = np.empty(res.events.size, dtype=SIMULATION_EVENT_DTYPE)
+            for name in CLEARING_EVENT_DTYPE.names:
+                moves[name] = res.events[name]
+            moves["replication"] = r
+            events.append(moves)
         if not res.pivotal_groups:
             continue
         y_all = realized_outcomes(pop, res.admitted)
@@ -450,10 +482,8 @@ def simulate_run(
         y=y, a=a, z=z, x=x, cluster=cluster, group_label=group_label
     )
     covariates = {"merit": pop.merit[applicants].astype(float)}
-    first_choice = np.array(
-        [pop.prefs[i][0] if pop.prefs[i] else 0 for i in applicants], dtype=float
-    )
-    covariates["first_choice"] = first_choice
+    # padding is 0, so an empty list gives first choice 0
+    covariates["first_choice"] = pop.pref_array()[applicants, 0].astype(float)
     for name, arr in pop.labels.items():
         arr = np.asarray(arr)
         if arr.dtype.kind not in "fiub":
@@ -463,7 +493,7 @@ def simulate_run(
         dataset=dataset,
         covariates=covariates,
         covariate_names=tuple(covariates),
-        events=events,
+        events=np.concatenate(events),
     )
 
 

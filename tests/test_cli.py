@@ -153,6 +153,21 @@ def test_balance_single_cluster_exits_numerical(tmp_path, capsys):
         assert _last_error(capsys)["code"] == "TooFewClusters"
 
 
+def test_balance_ragged_covariates_exits_data_error(tmp_path, capsys):
+    d = bernoulli_iv_data(34, n=40, k=2)
+    write_dataset_csv(tmp_path / "d.csv", d, "test", 0)
+    write_covariates_csv(tmp_path / "c.csv", {"attr": np.linspace(0.0, 1.0, d.n_obs)})
+    lines = (tmp_path / "c.csv").read_text().splitlines(keepends=True)
+    lines[5] = "0.5,0.25\n"  # file line 6: two fields under a one-column header
+    (tmp_path / "c.csv").write_text("".join(lines))
+    code = run(["balance", "--data", tmp_path / "d.csv", "--covariates",
+                tmp_path / "c.csv", "--out", tmp_path / "out"])
+    assert code == 3
+    err = _last_error(capsys)
+    assert err["code"] == "SchemaError"
+    assert err["message"].startswith("line 6: ")
+
+
 def test_estimate_singular_first_stage_exits_numerical(tmp_path, capsys):
     d = bernoulli_iv_data(33, n=600, k=2)
     a = d.a.copy()

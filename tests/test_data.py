@@ -52,3 +52,29 @@ def test_empty_cluster_id_rejected():
     cluster[3] = ""
     with pytest.raises(DataError, match="nonempty"):
         Dataset(y=d.y, a=d.a, z=d.z, x=d.x, cluster=cluster)
+
+
+@pytest.mark.parametrize(
+    "empty, dtype",
+    [("", str), ("", object), (None, object), (np.str_(""), object), (b"", bytes)],
+)
+def test_empty_cluster_id_forms_rejected(empty, dtype):
+    d = bernoulli_iv_data(0, n=50, k=2)
+    cluster = np.array([f"c{i % 7}" for i in range(50)], dtype=object)
+    if dtype is bytes:
+        cluster = np.array([c.encode() for c in cluster])
+    cluster[-1] = empty
+    cluster = cluster.astype(dtype)
+    with pytest.raises(DataError, match="every cluster id must be nonempty"):
+        Dataset(y=d.y, a=d.a, z=d.z, x=d.x, cluster=cluster)
+    # the same ids without the empty one are accepted, and so are ids that
+    # only look empty
+    cluster[-1] = cluster[0]
+    Dataset(y=d.y, a=d.a, z=d.z, x=d.x, cluster=cluster)
+    cluster[-1] = " " if dtype is not bytes else b" "
+    Dataset(y=d.y, a=d.a, z=d.z, x=d.x, cluster=cluster)
+
+
+def test_numeric_cluster_ids_accepted():
+    d = bernoulli_iv_data(0, n=50, k=2)
+    Dataset(y=d.y, a=d.a, z=d.z, x=d.x, cluster=np.arange(50) % 5)

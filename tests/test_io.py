@@ -1,20 +1,215 @@
+import csv
+import io
+import json
+import re
+import tempfile
+from pathlib import Path
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from cascadeiv import estimate_all
-from cascadeiv.errors import ParseError, SchemaError
+import cascadeiv.io as iomod
+from cascadeiv import Dataset, estimate_all
+from cascadeiv.errors import DataError, ParseError, SchemaError
 from cascadeiv.io import (
+    WRITE_BLOCK_ROWS,
+    _header_layout,
+    fmt_float,
     load_covariates_csv,
     load_dataset_csv,
     load_matrix_csv,
+    provenance_line,
     write_covariates_csv,
     write_dataset_csv,
     write_estimates_csv,
+    write_events_jsonl,
     write_matrix_csv,
+    write_population_csv,
 )
+from cascadeiv.mechanism import SIMULATION_EVENT_DTYPE, Population
 
 from conftest import bernoulli_iv_data
+
+
+# ---------------------------------------------------------------------------
+# reference paths: the row-by-row writers and loaders the columnar ones
+# replace
+# ---------------------------------------------------------------------------
+
+
+def reference_write_dataset_csv(path, data, command="write", seed=None):
+    k = data.n_treatments
+    p = data.x.shape[1]
+    header = (
+        ["y"]
+        + [f"a_{j + 1}" for j in range(k)]
+        + [f"z_{j + 1}" for j in range(k)]
+        + [f"x_{j + 1}" for j in range(p)]
+        + ["cluster"]
+    )
+    if data.group_label is not None:
+        header.append("group")
+    with open(path, "w", newline="") as fh:
+        fh.write(provenance_line(command, seed) + "\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for i in range(data.n_obs):
+            row = (
+                [fmt_float(data.y[i])]
+                + [fmt_float(v) for v in data.a[i]]
+                + [fmt_float(v) for v in data.z[i]]
+                + [fmt_float(v) for v in data.x[i]]
+                + [str(data.cluster[i])]
+            )
+            if data.group_label is not None:
+                row.append(str(data.group_label[i]))
+            writer.writerow(row)
+
+
+def reference_write_population_csv(path, pop, command="write", seed=None):
+    k = pop.n_programs
+    label_names = sorted(pop.labels)
+    header = (
+        ["merit", "prefs"]
+        + [f"po_{j}" for j in range(k + 1)]
+        + [f"label_{name}" for name in label_names]
+    )
+    with open(path, "w", newline="") as fh:
+        fh.write(provenance_line(command, seed) + "\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for i in range(pop.n):
+            row = [str(int(pop.merit[i])), "|".join(str(p) for p in pop.prefs[i])]
+            row += [fmt_float(v) for v in pop.po[i]]
+            row += [str(pop.labels[name][i]) for name in label_names]
+            writer.writerow(row)
+
+
+def reference_write_covariates_csv(path, covariates, command="write", seed=None):
+    names = list(covariates)
+    n = len(next(iter(covariates.values())))
+    with open(path, "w", newline="") as fh:
+        fh.write(provenance_line(command, seed) + "\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(names)
+        for i in range(n):
+            writer.writerow([fmt_float(covariates[name][i]) for name in names])
+
+
+def reference_write_events_jsonl(path, events):
+    with open(path, "w") as fh:
+        for ev in events:
+            fh.write(json.dumps(ev, sort_keys=True) + "\n")
+
+
+def reference_load_dataset_csv(path):
+    with open(path, newline="") as fh:
+        lines = fh.readlines()
+    header = None
+    rows = []
+    row_lines = []
+    for lineno, raw in enumerate(lines, start=1):
+        if raw.startswith("#") or not raw.strip():
+            continue
+        parsed = next(csv.reader([raw]))
+        if header is None:
+            header = [h.strip() for h in parsed]
+        else:
+            rows.append(parsed)
+            row_lines.append(lineno)
+    if header is None:
+        raise SchemaError(f"{path}: no header row found")
+    layout = _header_layout(header)
+    k = len(layout["a"])
+    n = len(rows)
+    if n == 0:
+        raise SchemaError(f"{path}: no data rows")
+    y = np.empty(n)
+    a = np.empty((n, k))
+    z = np.empty((n, k))
+    x = np.empty((n, len(layout["x"])))
+    cluster = np.empty(n, dtype=object)
+    group = np.empty(n, dtype=object) if layout["group"] is not None else None
+
+    def fnum(row, pos, lineno):
+        try:
+            return float(row[pos])
+        except ValueError:
+            raise ParseError(
+                f"could not parse {row[pos]!r} in column {header[pos]!r}", lineno
+            ) from None
+
+    for i, (row, lineno) in enumerate(zip(rows, row_lines)):
+        if len(row) != len(header):
+            raise SchemaError(
+                f"line {lineno}: row has {len(row)} fields, header has {len(header)}"
+            )
+        y[i] = fnum(row, layout["y"], lineno)
+        for j in range(k):
+            a[i, j] = fnum(row, layout["a"][j + 1], lineno)
+            z[i, j] = fnum(row, layout["z"][j + 1], lineno)
+        for j, pos in enumerate(layout["x"]):
+            x[i, j] = fnum(row, pos, lineno)
+        cluster[i] = row[layout["cluster"]]
+        if group is not None:
+            group[i] = row[layout["group"]]
+    return Dataset(y=y, a=a, z=z, x=x, cluster=cluster, group_label=group)
+
+
+def reference_load_covariates_csv(path):
+    with open(path, newline="") as fh:
+        lines = [ln for ln in fh.readlines() if not ln.startswith("#") and ln.strip()]
+    reader = csv.reader(lines)
+    names = tuple(h.strip() for h in next(reader))
+    return np.asarray([[float(v) for v in row] for row in reader]), names
+
+
+def same_floats(got, want):
+    """Equal shape and bits (tells -0.0 from 0.0)."""
+    got, want = np.asarray(got), np.asarray(want)
+    return got.shape == want.shape and np.ascontiguousarray(got).tobytes() == (
+        np.ascontiguousarray(want).tobytes()
+    )
+
+
+def assert_same_dataset(got, want):
+    for name in ("y", "a", "z", "x"):
+        assert same_floats(getattr(got, name), getattr(want, name)), name
+    assert [str(c) for c in got.cluster] == list(want.cluster)
+    if want.group_label is None:
+        assert got.group_label is None
+    else:
+        assert [str(g) for g in got.group_label] == list(want.group_label)
+
+
+# ids and labels a CSV must quote or keep as they are
+AWKWARD_IDS = [
+    "c,1", 'say "hi"', " lead", "trail ", "#hash", "ünï", "漢字", '"', ",", "a\tb",
+    "plain", "'q'", '""', "0", "-0.0", "x#y",
+]
+AWKWARD_FLOATS = [
+    -0.0, 0.0, 1e-320, 5e-324, 0.1 + 0.2, 1.2345678901234567, -9.876543210987654e-300,
+    1.7976931348623157e308, 2.0**-1074 * 3, 123456789012345678.0, 1e16, 1e-5,
+]
+
+
+def awkward_dataset(n, groups=True):
+    rng = np.random.default_rng(n)
+    y = rng.standard_normal(n)
+    y[: len(AWKWARD_FLOATS)] = AWKWARD_FLOATS[:n]
+    z = rng.random((n, 2))
+    z[:, 1] = -z[:, 1] * 1e-310
+    x = np.column_stack([np.ones(n), rng.standard_normal(n) / 3.0])
+    ids = np.array([AWKWARD_IDS[i % len(AWKWARD_IDS)] for i in range(n)], dtype=object)
+    labels = np.array([AWKWARD_IDS[(3 * i) % len(AWKWARD_IDS)] for i in range(n)])
+    return Dataset(
+        y=y, a=(rng.random((n, 2)) < 0.5).astype(float), z=z, x=x, cluster=ids,
+        group_label=labels if groups else None,
+    )
 
 
 def test_dataset_round_trip_exact(tmp_path):
@@ -137,3 +332,292 @@ def test_population_round_trip(tmp_path):
     assert back.prefs == pop.prefs
     assert np.array_equal(back.po, pop.po)
     assert set(back.labels) == set(pop.labels)
+
+
+# ---------------------------------------------------------------------------
+# columnar writers and loaders against the row-by-row references
+# ---------------------------------------------------------------------------
+
+BLOCK_SIZES = [WRITE_BLOCK_ROWS - 1, WRITE_BLOCK_ROWS, WRITE_BLOCK_ROWS + 1]
+
+
+@pytest.mark.parametrize("n", [2, 17, *BLOCK_SIZES, 2 * WRITE_BLOCK_ROWS])
+def test_dataset_writer_and_loader_match_references(tmp_path, n):
+    d = awkward_dataset(n, groups=n != 17)
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    write_dataset_csv(got, d, "simulate", 7)
+    reference_write_dataset_csv(want, d, "simulate", 7)
+    assert got.read_bytes() == want.read_bytes()
+    back = load_dataset_csv(got)
+    assert_same_dataset(back, reference_load_dataset_csv(want))
+    for name in ("y", "a", "z", "x"):
+        assert same_floats(getattr(back, name), getattr(d, name))
+
+
+@pytest.mark.parametrize("n", [1, 5, *BLOCK_SIZES])
+def test_covariates_writer_and_loader_match_references(tmp_path, n):
+    rng = np.random.default_rng(n)
+    flags = np.resize(np.array(AWKWARD_FLOATS), n)
+    cov = {
+        "merit": rng.integers(0, 5, n),
+        "attr": rng.standard_normal(n) * 1e-300,
+        "flag": list(flags),
+        "c,1": rng.random(n).astype(np.float32),
+    }
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    write_covariates_csv(got, cov, "simulate", 3)
+    reference_write_covariates_csv(want, cov, "simulate", 3)
+    assert got.read_bytes() == want.read_bytes()
+    mat, names = load_covariates_csv(got)
+    ref_mat, ref_names = reference_load_covariates_csv(want)
+    assert names == ref_names == ("merit", "attr", "flag", "c,1")
+    assert same_floats(mat, ref_mat)
+
+
+@pytest.mark.parametrize("n", [1, 9, *BLOCK_SIZES])
+def test_population_writer_matches_reference(tmp_path, n):
+    rng = np.random.default_rng(n)
+    prefs = [tuple(int(p) + 1 for p in rng.permutation(3)[: i % 4]) for i in range(n)]
+    po = rng.standard_normal((n, 4))
+    po[0] = [-0.0, 1e-320, 0.1 + 0.2, 1.2345678901234567]
+    labels = {
+        "text": np.array([AWKWARD_IDS[i % len(AWKWARD_IDS)] for i in range(n)]),
+        "int": rng.integers(-3, 3, n),
+        "float": rng.standard_normal(n),
+        "flag": rng.random(n) < 0.5,
+        "list": [AWKWARD_IDS[(5 * i) % len(AWKWARD_IDS)] for i in range(n)],
+    }
+    pop = Population(merit=rng.integers(0, 6, n), prefs=prefs, po=po, labels=labels)
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    write_population_csv(got, pop, "simulate", 1)
+    reference_write_population_csv(want, pop, "simulate", 1)
+    assert got.read_bytes() == want.read_bytes()
+
+
+@pytest.mark.parametrize("n", [0, 1, *BLOCK_SIZES])
+def test_events_writer_matches_json_dumps(tmp_path, n):
+    rng = np.random.default_rng(n)
+    events = np.zeros(n, dtype=SIMULATION_EVENT_DTYPE)
+    for name in SIMULATION_EVENT_DTYPE.names:
+        events[name] = rng.integers(-(2**62), 2**62, n)
+    if n:
+        events[0] = (2**63 - 1, -(2**63), 0, -1, 1)
+    records = [dict(zip(events.dtype.names, rec)) for rec in events.tolist()]
+    got, want = tmp_path / "got.jsonl", tmp_path / "want.jsonl"
+    write_events_jsonl(got, events)
+    reference_write_events_jsonl(want, records)
+    assert got.read_bytes() == want.read_bytes()
+
+
+ID_CHARS = st.characters(blacklist_categories=("Cs",), blacklist_characters="\r\n\x00")
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def datasets(draw):
+    n = draw(st.integers(1, 12))
+    k = draw(st.integers(1, 3))
+    y = draw(st.lists(FINITE, min_size=n, max_size=n))
+    z = draw(st.lists(FINITE, min_size=n * k, max_size=n * k))
+    a = draw(st.lists(st.sampled_from([0.0, 1.0]), min_size=n * k, max_size=n * k))
+    ids = draw(st.lists(st.text(ID_CHARS, min_size=1, max_size=6), min_size=n, max_size=n))
+    group = draw(st.none() | st.lists(st.text(ID_CHARS, max_size=6), min_size=n, max_size=n))
+    return Dataset(
+        y=np.array(y), a=np.array(a).reshape(n, k), z=np.array(z).reshape(n, k),
+        x=np.ones((n, 1)), cluster=np.array(ids, dtype=object),
+        group_label=None if group is None else np.array(group, dtype=object),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(datasets(), st.integers(1, 4))
+def test_dataset_io_matches_references_on_generated_data(d, block):
+    with tempfile.TemporaryDirectory() as tmp:
+        got, want = Path(tmp) / "got.csv", Path(tmp) / "want.csv"
+        with mock.patch.object(iomod, "WRITE_BLOCK_ROWS", block):
+            write_dataset_csv(got, d, "test", None)
+        reference_write_dataset_csv(want, d, "test", None)
+        assert got.read_bytes() == want.read_bytes()
+        assert_same_dataset(load_dataset_csv(got), reference_load_dataset_csv(want))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.text(ID_CHARS, max_size=5), min_size=1, max_size=4, unique=True),
+    st.integers(1, 10),
+    st.integers(1, 4),
+    st.data(),
+)
+def test_covariates_io_matches_references_on_generated_data(names, n, block, data):
+    assume(all(name.strip() == name for name in names))  # the loader strips names
+    assume(not names[0].startswith("#") and any(names))  # else not a header line
+    cov = {name: data.draw(st.lists(FINITE, min_size=n, max_size=n)) for name in names}
+    with tempfile.TemporaryDirectory() as tmp:
+        got, want = Path(tmp) / "got.csv", Path(tmp) / "want.csv"
+        with mock.patch.object(iomod, "WRITE_BLOCK_ROWS", block):
+            write_covariates_csv(got, cov, "test", 2)
+        reference_write_covariates_csv(want, cov, "test", 2)
+        assert got.read_bytes() == want.read_bytes()
+        mat, got_names = load_covariates_csv(got)
+        ref_mat, ref_names = reference_load_covariates_csv(want)
+        assert got_names == ref_names == tuple(names)
+        assert same_floats(mat, ref_mat)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 10), st.integers(1, 4), st.data())
+def test_population_and_events_writers_match_references_on_generated_data(k, n, block, data):
+    prefs = [
+        tuple(data.draw(st.permutations(range(1, k + 1)))[: data.draw(st.integers(0, k))])
+        for _ in range(n)
+    ]
+    po = np.array(data.draw(st.lists(FINITE, min_size=n * (k + 1), max_size=n * (k + 1))))
+    labels = {
+        "text": np.array(data.draw(st.lists(st.text(ID_CHARS, max_size=5), min_size=n, max_size=n))),
+        "num": np.array(data.draw(st.lists(FINITE, min_size=n, max_size=n))),
+    }
+    merit = np.array(data.draw(st.lists(st.integers(-(2**40), 2**40), min_size=n, max_size=n)))
+    pop = Population(merit=merit, prefs=prefs, po=po.reshape(n, k + 1), labels=labels)
+    events = np.array(
+        data.draw(st.lists(st.tuples(*[st.integers(-(2**63), 2**63 - 1)] * 5), max_size=12)),
+        dtype=SIMULATION_EVENT_DTYPE,
+    )
+    records = [dict(zip(events.dtype.names, rec)) for rec in events.tolist()]
+    with tempfile.TemporaryDirectory() as tmp:
+        got, want = Path(tmp) / "got", Path(tmp) / "want"
+        with mock.patch.object(iomod, "WRITE_BLOCK_ROWS", block):
+            write_population_csv(got, pop, "test", 4)
+        reference_write_population_csv(want, pop, "test", 4)
+        assert got.read_bytes() == want.read_bytes()
+        with mock.patch.object(iomod, "WRITE_BLOCK_ROWS", block):
+            write_events_jsonl(got, events)
+        reference_write_events_jsonl(want, records)
+        assert got.read_bytes() == want.read_bytes()
+
+
+def _raised(load, path):
+    try:
+        load(path)
+    except DataError as exc:
+        return type(exc), str(exc), getattr(exc, "line", None)
+    return None
+
+
+@settings(max_examples=200, deadline=None)
+@given(datasets(), st.data())
+def test_loader_faults_match_reference(d, data):
+    """Broken rows, comments and blank lines anywhere: the loader raises what
+    the row-by-row reference raises, at the same file line."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "d.csv"
+        write_dataset_csv(path, d, "test", None)
+        lines = path.read_text().splitlines(keepends=True)
+        for _ in range(data.draw(st.integers(1, 3))):
+            r = data.draw(st.integers(2, len(lines) - 1))
+            if lines[r].startswith("#") or lines[r].isspace():
+                continue
+            row = next(csv.reader([lines[r]]))
+            fault = data.draw(st.sampled_from(["value", "extra", "short"]))
+            if fault == "value":
+                col = data.draw(st.integers(0, len(row) - 1))
+                row[col] = data.draw(st.sampled_from(["oops", "", "1.5e", "0x1", "--1"]))
+            elif fault == "extra":
+                row.append("7")
+            else:
+                row.pop()
+            buf = io.StringIO()
+            csv.writer(buf, lineterminator="\n").writerow(row)
+            lines[r] = buf.getvalue()
+        for _ in range(data.draw(st.integers(0, 2))):
+            at = data.draw(st.integers(1, len(lines)))
+            lines.insert(at, data.draw(st.sampled_from(["# note\n", "\n", "  \n"])))
+        path.write_text("".join(lines))
+        want = _raised(reference_load_dataset_csv, path)
+        assert _raised(load_dataset_csv, path) == want
+
+
+# ---------------------------------------------------------------------------
+# loader faults reported with their file line
+# ---------------------------------------------------------------------------
+
+
+def test_extra_field_reports_line(tmp_path):
+    path = tmp_path / "d.csv"
+    path.write_text(
+        "# c\ny,a_1,z_1,x_1,cluster\n1.0,0,0.5,1.0,c1\n\n1.0,0,0.5,1.0,c2,x\n"
+    )
+    with pytest.raises(SchemaError, match=re.escape("line 5: row has 6 fields, header has 5")):
+        load_dataset_csv(path)
+
+
+def test_first_fault_in_file_order_wins(tmp_path):
+    path = tmp_path / "d.csv"
+    head = "y,a_1,z_1,x_1,cluster\n1.0,0,0.5,1.0,c1\n"
+    path.write_text(head + "1.0,0,bad,1.0,c1\n1.0,0,0.5\n")
+    with pytest.raises(ParseError, match="'bad' in column 'z_1'") as exc:
+        load_dataset_csv(path)
+    assert exc.value.line == 3
+    path.write_text(head + "1.0,0,0.5\n1.0,0,bad,1.0,c1\n")
+    with pytest.raises(SchemaError, match="line 3: row has 3 fields"):
+        load_dataset_csv(path)
+
+
+@pytest.mark.parametrize("value", ["1_000", "\u0661\u0662", "\uff11"])
+def test_numbers_float_accepts_but_csv_format_rejects(tmp_path, value):
+    # float() takes digit-group underscores and non-ASCII digits; the
+    # dataset format does not
+    float(value)
+    path = tmp_path / "d.csv"
+    path.write_text(f"y,a_1,z_1,x_1,cluster\n1.0,0,0.5,1.0,c1\n{value},0,0.5,1.0,c1\n")
+    with pytest.raises(ParseError, match="in column 'y'") as exc:
+        load_dataset_csv(path)
+    assert exc.value.line == 3
+
+
+def test_dataset_ids_keep_quotes_commas_and_spaces(tmp_path):
+    path = tmp_path / "d.csv"
+    path.write_text(
+        'y,a_1,z_1,x_1,cluster,group\n'
+        '1.0,0," 0.5 ",1.0,"a,b",\n'
+        '2.0,1,0.25,1.0," #x ","q""t"\n'
+    )
+    d = load_dataset_csv(path)
+    assert list(d.cluster) == ["a,b", " #x "]
+    assert list(d.group_label) == ["", 'q"t']
+    assert d.z[:, 0].tolist() == [0.5, 0.25]
+
+
+def test_covariates_ragged_row_reports_file_line(tmp_path):
+    path = tmp_path / "c.csv"
+    path.write_text("# c\nattr,flag\n0.1,1.0\n\n0.2\n")
+    with pytest.raises(SchemaError, match=re.escape("line 5: row has 1 fields, header has 2")):
+        load_covariates_csv(path)
+    path.write_text("# c\nattr,flag\n0.1,1.0,3.0\n0.2,0.0,1.0\n")
+    with pytest.raises(SchemaError, match="line 3: row has 3 fields"):
+        load_covariates_csv(path)
+
+
+def test_covariates_parse_error_reports_file_line(tmp_path):
+    path = tmp_path / "c.csv"
+    path.write_text("# c\nattr,flag\n0.1,1.0\n0.2,yes\n")
+    with pytest.raises(ParseError, match="'yes' in column 'flag'") as exc:
+        load_covariates_csv(path)
+    assert exc.value.line == 4
+
+
+def test_covariates_without_rows_rejected(tmp_path):
+    path = tmp_path / "c.csv"
+    path.write_text("# c\nattr,flag\n")
+    with pytest.raises(SchemaError, match="no data rows"):
+        load_covariates_csv(path)
+
+
+def test_matrix_faults_report_file_line(tmp_path):
+    path = tmp_path / "m.csv"
+    path.write_text("# c\n0.4,0.1\n\n0.2,x\n")
+    with pytest.raises(ParseError) as exc:
+        load_matrix_csv(path)
+    assert exc.value.line == 4
+    path.write_text("# c\n0.4,0.1\n0.2\n")
+    with pytest.raises(SchemaError, match="line 3: row has 1 fields"):
+        load_matrix_csv(path)

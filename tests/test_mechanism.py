@@ -27,6 +27,8 @@ from cascadeiv.errors import (
     UnresolvedPriorityTie,
 )
 from cascadeiv.mechanism import (
+    CLEARING_EVENT_DTYPE,
+    SIMULATION_EVENT_DTYPE,
     _pivotal_groups,
     _sweep,
     find_blocking_pairs,
@@ -44,6 +46,83 @@ def small_pop(merits, prefs, gains=None, k=None):
     if gains is not None:
         po[:, 1:] = np.asarray(gains, dtype=float)
     return Population(merit=merits, prefs=list(prefs), po=po)
+
+
+# ---------------------------------------------------------------------------
+# Population
+# ---------------------------------------------------------------------------
+
+
+def reference_prefs(prefs, k):
+    """The per-applicant loop that used to validate and pad preference
+    lists: (tuples, padded matrix), or the message of the DataError."""
+    max_len = 1
+    norm = []
+    for i, raw in enumerate(prefs):
+        pl = tuple(int(p) for p in raw)
+        if len(set(pl)) != len(pl):
+            return f"applicant {i} ranks a program twice"
+        for p in pl:
+            if not 1 <= p <= k:
+                return f"applicant {i} ranks invalid program {p} (K={k})"
+        max_len = max(max_len, len(pl))
+        norm.append(pl)
+    arr = np.zeros((len(norm), max_len), dtype=np.int64)
+    for i, pl in enumerate(norm):
+        arr[i, : len(pl)] = pl
+    return norm, arr
+
+
+def make_pop(prefs, k):
+    n = len(prefs)
+    return Population(merit=np.zeros(n, dtype=np.int64), prefs=prefs, po=np.zeros((n, k + 1)))
+
+
+@pytest.mark.parametrize(
+    "prefs, message",
+    [
+        ([(1, 2), (2, 2), (3,)], "applicant 1 ranks a program twice"),
+        ([(1,), (1, 3), (2, 2)], "applicant 1 ranks invalid program 3 (K=2)"),
+        ([(2, 1), (), (2, 0, 1)], "applicant 2 ranks invalid program 0 (K=2)"),
+        # a repeat is reported before a bad id of the same applicant
+        ([(), (5, 2, 2)], "applicant 1 ranks a program twice"),
+    ],
+)
+def test_population_names_first_bad_applicant(prefs, message):
+    with pytest.raises(DataError) as exc:
+        make_pop(prefs, 2)
+    assert str(exc.value) == message
+
+
+def test_population_pads_empty_lists():
+    pop = make_pop([(), (2,), (3, 1), ()], 3)
+    assert pop.prefs == [(), (2,), (3, 1), ()]
+    assert pop.pref_array().tolist() == [[0, 0], [2, 0], [3, 1], [0, 0]]
+    assert make_pop([(), ()], 2).pref_array().tolist() == [[0], [0]]
+    assert make_pop([], 2).pref_array().shape == (0, 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 4).flatmap(
+        lambda k: st.tuples(
+            st.just(k),
+            st.lists(st.lists(st.integers(-1, k + 1), max_size=k + 1), max_size=6),
+        )
+    )
+)
+def test_population_prefs_match_loop_reference(case):
+    k, prefs = case
+    want = reference_prefs(prefs, k)
+    if isinstance(want, str):
+        with pytest.raises(DataError) as exc:
+            make_pop(prefs, k)
+        assert str(exc.value) == want
+    else:
+        pop = make_pop([np.asarray(pl, dtype=np.int64) for pl in prefs], k)
+        assert pop.prefs == want[0]
+        assert all(type(p) is int for pl in pop.prefs for p in pl)
+        assert np.array_equal(pop.pref_array(), want[1])
 
 
 # ---------------------------------------------------------------------------
@@ -183,6 +262,26 @@ def test_simulate_deterministic_given_master_seed():
     assert np.array_equal(d1.cluster, d2.cluster)
     d3 = simulate_iv_dataset(pop, cfg, reps=5, master_seed=10)
     assert not np.array_equal(d1.z, d3.z)
+
+
+def test_simulation_event_log_stacks_replications():
+    pop = homogeneous_pop(300, 3, np.array([0.2, -0.1, 0.3]), seed=12)
+    cfg = MechanismConfig(capacities=(20, 60, 40), lottery_seed=0)
+    run = simulate_run(pop, cfg, reps=3, master_seed=5, log_events=True)
+    assert run.events.dtype == SIMULATION_EVENT_DTYPE
+    parts = []
+    for r in range(3):
+        res = run_clearing(pop, replace(cfg, lottery_seed=derive_seed(5, r)), log_events=True)
+        assert res.events.size > 0
+        part = np.empty(res.events.size, dtype=SIMULATION_EVENT_DTYPE)
+        for name in CLEARING_EVENT_DTYPE.names:
+            part[name] = res.events[name]
+        part["replication"] = r
+        parts.append(part)
+    assert np.array_equal(run.events, np.concatenate(parts))
+    quiet = simulate_run(pop, cfg, reps=3, master_seed=5)
+    assert quiet.events.dtype == SIMULATION_EVENT_DTYPE and quiet.events.size == 0
+    assert run_clearing(pop, cfg).events.size == 0
 
 
 def test_simulate_rows_are_group_memberships():
@@ -462,7 +561,15 @@ def test_clearing_matches_full_recompute_reference(market):
     assert np.array_equal(res.admitted, ref["admitted"])
     assert np.array_equal(res.reached, ref["reached"])
     assert res.cutoffs == ref["cutoffs"]
-    assert res.events == ref["events"]
+    want = np.array(
+        [
+            (e["applicant"], e["program_from"], e["program_to"], e["round"])
+            for e in ref["events"]
+        ],
+        dtype=CLEARING_EVENT_DTYPE,
+    )
+    assert res.events.dtype == CLEARING_EVENT_DTYPE
+    assert np.array_equal(res.events, want)
     assert res.pivotal_groups.keys() == ref["pivotal_groups"].keys()
     for prog, members in ref["pivotal_groups"].items():
         assert np.array_equal(res.pivotal_groups[prog], members)
@@ -534,4 +641,6 @@ def test_sweep_raises_on_tied_priorities_at_the_cutoff():
     )
     assert list(demand) == [0, 1, 0]
     assert cutoffs[0] == 4.6
-    assert [(e["round"], e["applicant"]) for e in events] == [(1, 0), (1, 2)]
+    log = np.concatenate(events)
+    assert log.dtype == CLEARING_EVENT_DTYPE
+    assert [(e["round"], e["applicant"]) for e in log] == [(1, 0), (1, 2)]
