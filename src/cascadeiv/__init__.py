@@ -26,7 +26,6 @@ from .estimator import (
     fit_2sls,
     fit_first_stage,
     fit_reduced_form,
-    partial_out,
     wald_ratios,
 )
 from .cascade import (
@@ -36,6 +35,7 @@ from .cascade import (
     block_weights,
     cascade_decomposition,
     cascade_solve,
+    conditional_entrant_by_group,
     conditional_entrant_effect,
     group_outcome_decomposition,
     neumann_solve,

@@ -30,7 +30,7 @@ from .errors import (
     ZeroComplierMass,
     ZeroDiagonal,
 )
-from .estimator import FirstStage, _solve_first_stage, fit_2sls
+from .estimator import FirstStage, _first_stage, _fit, _solve_first_stage, fit_2sls
 
 __all__ = [
     "CascadeSolution",
@@ -41,6 +41,7 @@ __all__ = [
     "spectral_radius",
     "cascade_decomposition",
     "conditional_entrant_effect",
+    "conditional_entrant_by_group",
     "group_outcome_decomposition",
     "block_weights",
     "three_program_beta2",
@@ -88,10 +89,6 @@ class VacancyMatrix:
         m = -fs.pi.T / diag[:, None]
         np.fill_diagonal(m, 0.0)
         return cls(m)
-
-    def rate(self, j: int, k: int) -> float:
-        """Vacancies opened at j per new admission driven by instrument k."""
-        return float(self.m[j, k])
 
 
 @dataclass(frozen=True)
@@ -257,6 +254,31 @@ def conditional_entrant_effect(
     return rf_g / diag + m_g @ beta_full
 
 
+def conditional_entrant_by_group(
+    data: Dataset, levels=None, beta_full: np.ndarray | None = None
+) -> dict:
+    """``conditional_entrant_effect`` for each level of ``data.group_label``.
+
+    One fit per level's subsample; ``beta_full`` is fitted when not given.
+    ``levels`` defaults to the distinct labels; an absent one raises DataError.
+    """
+    labels = data.group_label
+    if labels is None:
+        raise DataError("conditional-entrant effects need group labels")
+    if levels is None:
+        levels = np.unique(labels)
+    if beta_full is None:
+        beta_full = fit_2sls(data)
+    out = {}
+    for lev in levels:
+        rows = np.flatnonzero(labels == lev)
+        if rows.size == 0:
+            raise DataError(f"group level {lev!r} absent from this sample")
+        f = _fit(data.take(rows))
+        out[lev] = conditional_entrant_effect(f.rf, _first_stage(f), beta_full)
+    return out
+
+
 def group_outcome_decomposition(
     data: Dataset,
     partition: np.ndarray | None = None,
@@ -265,7 +287,8 @@ def group_outcome_decomposition(
     """Full-sample 2SLS with group-masked outcomes 1[g_i = g] * Y_i.
 
     The per-group coefficients sum exactly to the full-sample beta for
-    every treatment because 2SLS is linear in the outcome.
+    every treatment because 2SLS is linear in the outcome. Only the
+    outcome changes between levels, so one fit serves them all.
     """
     labels = partition if partition is not None else data.group_label
     if labels is None:
@@ -275,6 +298,7 @@ def group_outcome_decomposition(
         raise LengthMismatch("partition must have one label per observation")
     if levels is None:
         levels = list(np.unique(labels))
+    f = _fit(data)
     out = {}
     for lev in levels:
         mask = (labels == lev).astype(float)
@@ -284,7 +308,7 @@ def group_outcome_decomposition(
                 EmptyGroupWarning,
                 stacklevel=2,
             )
-        out[lev] = fit_2sls(data.with_outcome(mask * data.y))
+        out[lev] = _solve_first_stage(f.pi_t, f.reduced_form(mask * data.y))
     return out
 
 

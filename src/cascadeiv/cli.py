@@ -21,18 +21,17 @@ from .cascade import (
     VacancyMatrix,
     block_weights,
     cascade_solve,
-    conditional_entrant_effect,
+    conditional_entrant_by_group,
     group_outcome_decomposition,
     neumann_solve,
 )
 from .errors import CascadeIVError, DataError, FixtureMismatch, NumericalError
 from .estimator import (
+    FirstStage,
     cluster_bootstrap,
     estimate_all,
-    first_stage_f,
     fit_first_stage,
     fit_reduced_form,
-    partial_out,
 )
 from .fixtures import fixture_checks
 from .mechanism import (
@@ -81,13 +80,12 @@ def cmd_estimate(args) -> int:
     est = estimate_all(data)
     out = _out_dir(args)
     iomod.write_estimates_csv(out / "estimates.csv", est, "estimate", None)
-    table = iomod.format_estimates_table(est, f_stats=first_stage_f(data))
+    table = iomod.format_estimates_table(est)
     (out / "estimates.txt").write_text(table)
     print(table, end="")
     if args.blocks:
         spec = _parse_blocks(args.blocks, data.n_treatments)
-        fs = fit_first_stage(partial_out(data))
-        weighted = block_weights(fs, spec)
+        weighted = block_weights(est.first_stage, spec)
         with open(out / "blocks.csv", "w", newline="") as fh:
             fh.write(iomod.provenance_line("estimate", None) + "\n")
             fh.write("block,program,weight,implied_coefficient\n")
@@ -98,30 +96,22 @@ def cmd_estimate(args) -> int:
                     fh.write(f"{name},{m + 1},{_f(wm)},{_f(implied)}\n")
     if args.group_col or data.group_label is not None:
         parts = group_outcome_decomposition(data)
-        beta_full = est.beta
+        entrant = conditional_entrant_by_group(data, beta_full=est.beta)
         with open(out / "groups.csv", "w", newline="") as fh:
             fh.write(iomod.provenance_line("estimate", None) + "\n")
             fh.write("group,treatment,beta_group_outcome,conditional_entrant\n")
             for lev, bg in parts.items():
-                sub = data.take(np.flatnonzero(data.group_label == lev))
-                subp = partial_out(sub)
-                t_g = conditional_entrant_effect(
-                    fit_reduced_form(subp), fit_first_stage(subp), beta_full
-                )
                 for j in range(data.n_treatments):
-                    fh.write(f"{lev},{j + 1},{_f(bg[j])},{_f(t_g[j])}\n")
+                    fh.write(f"{lev},{j + 1},{_f(bg[j])},{_f(entrant[lev][j])}\n")
     return EXIT_OK
 
 
 def cmd_cascade(args) -> int:
     if args.data:
         data = iomod.load_dataset_csv(args.data)
-        d = partial_out(data)
-        fs = fit_first_stage(d)
-        rf = fit_reduced_form(d)
+        fs = fit_first_stage(data)
+        rf = fit_reduced_form(data)
     elif args.pi and args.rf:
-        from .estimator import FirstStage
-
         fs = FirstStage(iomod.load_matrix_csv(args.pi))
         rf = iomod.load_matrix_csv(args.rf).ravel()
     else:

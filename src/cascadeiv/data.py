@@ -20,7 +20,7 @@ class Dataset:
     y : (N,) outcome vector.
     a : (N, K) treatment indicator matrix. Entries must be 0/1 unless
         ``binary_treatments`` is False (continuous allocations, e.g. goods
-        bought in a market) or the data have been partialled.
+        bought in a market).
     z : (N, K) instrument matrix. The system is just identified: one
         instrument per treatment. Overidentified inputs are rejected.
     x : (N, p) control matrix containing exactly one (nonzero) constant
@@ -28,10 +28,9 @@ class Dataset:
     cluster : (N,) cluster identifiers; every id must be nonempty.
     group_label : optional (N,) categorical labels (e.g. gender).
     binary_treatments : enforce the 0/1 invariant on ``a``.
-    partialled : True when y/a/z are residuals from projecting on controls;
-        ``x`` is then the constant column only and the 0/1 check is skipped.
-    n_absorbed : number of control columns absorbed by partialling (counts
-        the original controls for degrees-of-freedom corrections).
+
+    The estimators partial the controls out inside their fit; a Dataset
+    always holds the raw data.
     """
 
     y: np.ndarray
@@ -41,8 +40,6 @@ class Dataset:
     cluster: np.ndarray
     group_label: np.ndarray | None = None
     binary_treatments: bool = True
-    partialled: bool = False
-    n_absorbed: int = 0
 
     def __post_init__(self):
         y = np.asarray(self.y, dtype=float)
@@ -83,9 +80,8 @@ class Dataset:
             raise DataError("a and z must be finite")
         if not np.all(np.isfinite(self.y)) or not np.all(np.isfinite(self.x)):
             raise DataError("y and x must be finite")
-        if self.binary_treatments and not self.partialled:
-            if not np.all((self.a == 0.0) | (self.a == 1.0)):
-                raise DataError("treatment indicators must be 0/1")
+        if self.binary_treatments and not np.all((self.a == 0.0) | (self.a == 1.0)):
+            raise DataError("treatment indicators must be 0/1")
         # exactly one nonzero constant column
         constant = (self.x == self.x[0]).all(axis=0)
         const_cols = np.flatnonzero(constant & (self.x[0] != 0))
@@ -116,8 +112,7 @@ class Dataset:
 
     @property
     def n_controls(self) -> int:
-        """Control columns counted for degrees of freedom (absorbed or live)."""
-        return self.n_absorbed if self.partialled else self.x.shape[1]
+        return self.x.shape[1]
 
     @property
     def n_clusters(self) -> int:
@@ -131,14 +126,14 @@ class Dataset:
     def with_outcome(self, y: np.ndarray) -> "Dataset":
         return replace(self, y=np.asarray(y, dtype=float))
 
-    def take(self, rows: np.ndarray) -> "Dataset":
-        """Row subset (bootstrap draws, group subsamples)."""
+    def take(self, rows: np.ndarray, cluster: np.ndarray | None = None) -> "Dataset":
+        """Row subset (bootstrap draws, group subsamples); ``cluster`` replaces its ids."""
         return replace(
             self,
             y=self.y[rows],
             a=self.a[rows],
             z=self.z[rows],
             x=self.x[rows],
-            cluster=self.cluster[rows],
+            cluster=self.cluster[rows] if cluster is None else cluster,
             group_label=None if self.group_label is None else self.group_label[rows],
         )

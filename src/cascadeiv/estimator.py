@@ -1,13 +1,13 @@
 """First stage, reduced form, 2SLS, Wald ratios, and cluster inference.
 
-Every estimate comes from one numerical path. The controls are partialled
-out of the outcome, treatments, and instruments once (Frisch-Waugh), and
-the partialled instruments are factored once with a rank-revealing pivoted
-QR, which gives the projection z (z'z)^-1. The first stage Pi' and the
-reduced form RF are that projection applied to the treatments and the
-outcome, the cluster scores reuse it, and the system is just identified
-(one instrument per treatment), so the 2SLS coefficients and the total
-slot-expansion effects are the same single solve
+Every estimate comes from one numerical path, ``_fit``, the only place
+where the controls are projected out of the outcome, treatments, and
+instruments (Frisch-Waugh). It factors the residual instruments once
+with a rank-revealing pivoted QR, which gives the projection z (z'z)^-1.
+The first stage Pi' and the reduced form RF are that projection applied
+to the treatments and the outcome, the cluster scores reuse it, and the
+system is just identified (one instrument per treatment), so the 2SLS
+coefficients and the total slot-expansion effects are the same solve
 
     beta = T = solve(Pi', RF)
 
@@ -19,7 +19,7 @@ IllConditionedWarning.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -44,7 +44,6 @@ __all__ = [
     "FirstStage",
     "EstimateSet",
     "BootstrapResult",
-    "partial_out",
     "fit_first_stage",
     "fit_reduced_form",
     "fit_2sls",
@@ -65,7 +64,7 @@ class FirstStage:
     """K x K first-stage coefficient matrix.
 
     ``pi[j, k]`` is the coefficient on instrument k in the joint regression
-    of treatment j on all K instruments (controls partialled out). ``diag``
+    of treatment j on all K instruments (controls projected out). ``diag``
     holds the own-instrument effects and ``offdiag`` the cross-effects with
     a zero diagonal, so ``pi == np.diag(diag) + offdiag`` by construction.
     """
@@ -95,7 +94,7 @@ class FirstStage:
 
 @dataclass(frozen=True)
 class EstimateSet:
-    """Per-treatment estimates and standard errors from one dataset."""
+    """Per-treatment estimates, standard errors and first stage from one fit."""
 
     beta: np.ndarray
     rf: np.ndarray
@@ -107,6 +106,8 @@ class EstimateSet:
     se_delta: np.ndarray
     n_obs: int
     n_clusters: int
+    first_stage: FirstStage
+    first_stage_f: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -154,32 +155,9 @@ def _control_basis(x: np.ndarray) -> np.ndarray:
     return q
 
 
-def partial_out(data: Dataset) -> Dataset:
-    """Residualize y, a, z on the controls; x becomes the constant column.
-
-    Idempotent: applying it to an already-partialled dataset changes nothing
-    beyond floating-point tolerance.
-    """
-    q = _control_basis(data.x)
-
-    def resid(m):
-        return m - q @ (q.T @ m)
-
-    n = data.n_obs
-    absorbed = data.n_absorbed if data.partialled else data.x.shape[1]
-    return replace(
-        data,
-        y=resid(data.y),
-        a=resid(data.a),
-        z=resid(data.z),
-        x=np.ones((n, 1)),
-        partialled=True,
-        n_absorbed=absorbed,
-    )
-
-
-def _partialled(data: Dataset) -> Dataset:
-    return data if data.partialled else partial_out(data)
+def _resid(q: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """m net of its projection on the orthonormal basis q."""
+    return m - q @ (q.T @ m)
 
 
 # ---------------------------------------------------------------------------
@@ -189,30 +167,42 @@ def _partialled(data: Dataset) -> Dataset:
 
 @dataclass(frozen=True)
 class _Fit:
-    """The partialled system and what one QR of its instruments gives.
+    """The system net of the controls and what one QR of its instruments gives.
 
-    ``proj`` is z (z'z)^-1, so ``pi_t`` (Pi', row k holding instrument k's
-    coefficients for every treatment) is proj'a and ``rf`` is proj'y.
+    ``y``, ``a``, ``z`` are residuals on the control basis ``q``. ``proj``
+    is z (z'z)^-1, so ``pi_t`` (Pi', row k holding instrument k's
+    coefficients for every treatment) is proj'a and ``rf`` is proj'y;
+    ``reduced_form`` reuses both for another outcome on the same rows.
     """
 
-    data: Dataset
+    y: np.ndarray
+    a: np.ndarray
+    z: np.ndarray
+    q: np.ndarray
+    n_controls: int
     proj: np.ndarray
     pi_t: np.ndarray
     rf: np.ndarray
 
+    def reduced_form(self, y: np.ndarray) -> np.ndarray:
+        return self.proj.T @ _resid(self.q, y)
+
 
 def _fit(data: Dataset) -> _Fit:
-    d = _partialled(data)
-    q, r, piv, rank = _pivoted_qr(d.z)
-    if rank < d.n_treatments:
+    """Partial the controls out of y, a and z, then factor z once."""
+    q = _control_basis(data.x)
+    y, a, z = (_resid(q, m) for m in (data.y, data.a, data.z))
+    qz, r, piv, rank = _pivoted_qr(z)
+    k = data.n_treatments
+    if rank < k:
         raise SingularInstrumentGram(
             "instrument Gram matrix is rank deficient after partialling "
             f"(offending instrument column {int(piv[rank]) + 1})"
         )
     # z[:, piv] = QR, so z (z'z)^-1 = Q R^-T with its columns un-pivoted
-    proj_t = np.empty((d.n_treatments, d.n_obs))
-    proj_t[piv] = scipy.linalg.solve_triangular(r, q.T)
-    return _Fit(d, proj_t.T, proj_t @ d.a, proj_t @ d.y)
+    proj_t = np.empty((k, data.n_obs))
+    proj_t[piv] = scipy.linalg.solve_triangular(r, qz.T)
+    return _Fit(y, a, z, q, data.n_controls, proj_t.T, proj_t @ a, proj_t @ y)
 
 
 def _solve_first_stage(pi_t: np.ndarray, rf: np.ndarray) -> np.ndarray:
@@ -250,8 +240,8 @@ def _solve_first_stage(pi_t: np.ndarray, rf: np.ndarray) -> np.ndarray:
 
 def _first_stage(f: _Fit, weak_threshold: float = WEAK_DIAGONAL_THRESHOLD) -> FirstStage:
     """The fit's FirstStage, warning about weak own-instrument coefficients."""
-    d = f.data
-    if d.n_obs <= d.n_treatments + d.n_controls:
+    n, k = f.a.shape
+    if n <= k + f.n_controls:
         raise DataError("need N > K + p observations to fit the first stage")
     fs = FirstStage(f.pi_t.T)
     weak = np.flatnonzero(np.abs(fs.diag) < weak_threshold)
@@ -285,7 +275,7 @@ def fit_reduced_form(data: Dataset) -> np.ndarray:
 def fit_2sls(data: Dataset) -> np.ndarray:
     """Just-identified 2SLS coefficients, beta = solve(Pi', RF).
 
-    On the partialled system this solves the moment conditions
+    Net of the controls this solves the moment conditions
     z'(y - a beta) = 0. cond(Pi') above COND_CEILING is refused and above
     COND_WARN warned about.
     """
@@ -317,16 +307,16 @@ def _scores(f: _Fit, beta: np.ndarray, which) -> dict[str, np.ndarray]:
     (delta-method influence of RF_k / pi_kk) only when asked for, since they
     need a nonzero first-stage diagonal.
     """
-    d, proj = f.data, f.proj
+    proj = f.proj
     out = {
-        "beta": np.linalg.solve(f.pi_t, ((d.y - d.a @ beta)[:, None] * proj).T).T,
-        "rf": (d.y - d.z @ f.rf)[:, None] * proj,
+        "beta": np.linalg.solve(f.pi_t, ((f.y - f.a @ beta)[:, None] * proj).T).T,
+        "rf": (f.y - f.z @ f.rf)[:, None] * proj,
     }
     if "wald" in which or "delta" in which:
         diag = np.diag(f.pi_t)
         if np.any(diag == 0.0):
             raise ZeroDiagonal(int(np.flatnonzero(diag == 0.0)[0]))
-        s_pikk = proj * (d.a - d.z @ f.pi_t)  # column k: influence of pi_kk
+        s_pikk = proj * (f.a - f.z @ f.pi_t)  # column k: influence of pi_kk
         out["wald"] = out["rf"] / diag - (f.rf / diag**2) * s_pikk
         out["delta"] = out["beta"] - out["wald"]
     return out
@@ -363,36 +353,32 @@ def cluster_robust_se(
     ``small_sample_factor`` overrides it. Wald-ratio standard errors come
     from the delta-method influence of RF_k / pi_kk.
     """
-    return np.sqrt(np.diag(cluster_vcov(data, which, small_sample_factor)))
-
-
-def cluster_vcov(
-    data: Dataset, which: str = "beta", small_sample_factor: float | None = None
-) -> np.ndarray:
-    """Full cluster-robust covariance matrix for the chosen estimates."""
     if which not in ("beta", "rf", "wald", "delta"):
         raise DataError(f"unknown standard-error target {which!r}")
     f = _fit(data)
     scores = _scores(f, _solve_first_stage(f.pi_t, f.rf), (which,))
     k_params = data.n_treatments + data.n_controls
-    return _sandwich(
+    vcov = _sandwich(
         scores[which], data.cluster_codes(), data.n_obs, k_params, small_sample_factor
     )
+    return np.sqrt(np.diag(vcov))
 
 
 def first_stage_f(data: Dataset) -> np.ndarray:
     """Per-treatment first-stage F: all K instruments jointly zero.
 
-    Classic (homoskedastic) F over the partialled system, reported as a
+    Classic (homoskedastic) F on the system net of the controls, reported as a
     relevance diagnostic alongside the weak-diagonal check.
     """
-    f = _fit(data)
-    d = f.data
-    n, k = d.z.shape
-    u = d.a - d.z @ f.pi_t
+    return _first_stage_f(_fit(data))
+
+
+def _first_stage_f(f: _Fit) -> np.ndarray:
+    n, k = f.z.shape
+    u = f.a - f.z @ f.pi_t
     rss = (u**2).sum(axis=0)
-    tss = ((d.a - d.a.mean(axis=0)) ** 2).sum(axis=0)
-    dof = n - k - d.n_controls
+    tss = ((f.a - f.a.mean(axis=0)) ** 2).sum(axis=0)
+    dof = n - k - f.n_controls
     with np.errstate(divide="ignore", invalid="ignore"):
         out = np.where(rss > 0, ((tss - rss) / k) / (rss / dof), np.inf)
     return out
@@ -419,21 +405,11 @@ def _stat_cascade_delta(d: Dataset) -> np.ndarray:
 
 def _stat_conditional_entrant(d: Dataset, levels=None) -> np.ndarray:
     # avoids a module cycle: cascade needs the fits defined above
-    from .cascade import conditional_entrant_effect
+    from .cascade import conditional_entrant_by_group
 
-    if d.group_label is None:
-        raise DataError("conditional_entrant statistic needs group labels")
-    if levels is None:
-        levels = np.unique(d.group_label)
-    beta_full = fit_2sls(d)
-    parts = []
-    for lev in levels:
-        rows = np.flatnonzero(d.group_label == lev)
-        if rows.size == 0:
-            # a bootstrap draw can lose a whole group; count it as a failure
-            raise DataError(f"group level {lev!r} absent from this sample")
-        f = _fit(d.take(rows))
-        parts.append(conditional_entrant_effect(f.rf, _first_stage(f), beta_full))
+    # a bootstrap draw that loses a whole level raises DataError, which
+    # counts the replication as failed
+    parts = list(conditional_entrant_by_group(d, levels).values())
     if len(parts) == 2:
         parts.append(parts[0] - parts[1])
     return np.concatenate(parts)
@@ -505,10 +481,7 @@ def cluster_bootstrap(
         draw = rng.integers(0, g, size=g)
         rows = np.concatenate([group_rows[gi] for gi in draw])
         relabel = np.repeat(np.arange(g), [group_rows[gi].size for gi in draw])
-        d_r = replace(
-            data.take(rows),
-            cluster=relabel,
-        )
+        d_r = data.take(rows, cluster=relabel)
         try:
             value = np.atleast_1d(np.asarray(stat_fn(d_r), dtype=float))
         except CascadeIVError:
@@ -546,7 +519,8 @@ def estimate_all(data: Dataset) -> EstimateSet:
     """Fit everything on one dataset and package it as an EstimateSet.
 
     One fit and one solve: ``cascade_T`` is the same solve(Pi', RF) as
-    ``beta``, and the three standard-error vectors share one score pass.
+    ``beta``, the three standard-error vectors share one score pass, and
+    the first stage and its F statistics are read off the same fit.
     """
     f = _fit(data)
     fs = _first_stage(f)
@@ -570,4 +544,6 @@ def estimate_all(data: Dataset) -> EstimateSet:
         se_delta=se("delta"),
         n_obs=data.n_obs,
         n_clusters=int(codes.max()) + 1,
+        first_stage=fs,
+        first_stage_f=_first_stage_f(f),
     )

@@ -344,8 +344,8 @@ def write_estimates_csv(
             writer.writerow(row)
 
 
-def format_estimates_table(est: EstimateSet, f_stats=None) -> str:
-    """Human-readable aligned summary."""
+def format_estimates_table(est: EstimateSet) -> str:
+    """Human-readable aligned summary, ending with the first-stage F line."""
     cols = ["treatment", "beta", "(se)", "wald", "(se)", "delta", "(se)", "rf"]
     rows = []
     for j in range(est.beta.size):
@@ -364,12 +364,11 @@ def format_estimates_table(est: EstimateSet, f_stats=None) -> str:
     for r in rows:
         out.write("  ".join(c.rjust(w) for c, w in zip(r, widths)) + "\n")
     out.write(f"n_obs={est.n_obs}  n_clusters={est.n_clusters}\n")
-    if f_stats is not None:
-        out.write(
-            "first-stage F (per instrument): "
-            + " ".join(f"{v:.1f}" for v in f_stats)
-            + "\n"
-        )
+    out.write(
+        "first-stage F (per instrument): "
+        + " ".join(f"{v:.1f}" for v in est.first_stage_f)
+        + "\n"
+    )
     return out.getvalue()
 
 

@@ -129,7 +129,7 @@ def market_oracle(
         y_rows.append((cfg.outcome_coefs * q_m).sum(axis=1))
         a_rows.append(q_m)
         z_rows.append(np.broadcast_to(p_m, (n, kk)))
-        cl_rows.append(np.full(n, f"m{m}", dtype=object))
+        cl_rows.append(np.full(n, f"m{m}"))
     dataset = Dataset(
         y=np.concatenate(y_rows),
         a=np.vstack(a_rows),

@@ -451,7 +451,7 @@ def simulate_run(
             a_parts.append(res.admitted[idx].astype(float))
             z_parts.append(z)
             d_parts.append(dums)
-            cluster_parts.append(np.full(m, f"r{r}:p{prog}", dtype=object))
+            cluster_parts.append(np.full(m, f"r{r}:p{prog}"))
             applicant_parts.append(idx)
     if not y_parts:
         raise NoPivotalVariation("no program was oversubscribed in any replication")

@@ -95,7 +95,7 @@ def generate_population(cfg: SynthConfig) -> Population:
         util = util + label[:, None] * np.asarray(cfg.label_taste_shift, dtype=float)
     order = np.argsort(-util, axis=1, kind="stable")
     l_max = k if cfg.list_length is None else min(cfg.list_length, k)
-    prefs = [tuple(int(j) + 1 for j in order[i, :l_max]) for i in range(n)]
+    prefs = list(map(tuple, (order[:, :l_max] + 1).tolist()))
 
     effects = (
         np.zeros(k) if cfg.effects is None else np.asarray(cfg.effects, dtype=float)

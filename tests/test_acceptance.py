@@ -17,17 +17,16 @@ from cascadeiv import (
     SynthConfig,
     VacancyMatrix,
     cascade_solve,
+    conditional_entrant_by_group,
     conditional_entrant_effect,
     estimate_all,
     fit_2sls,
     fit_first_stage,
-    fit_reduced_form,
     fixture_checks,
     generate_population,
     group_outcome_decomposition,
     market_oracle,
     neumann_solve,
-    partial_out,
     run_clearing,
     scenario_three_program,
     simulate_iv_dataset,
@@ -313,14 +312,7 @@ def _conditional_entrant_rep(seed):
     d = Dataset(y=y, a=a, z=z, x=np.ones((n, 1)),
                 cluster=rng.integers(0, 80, n),
                 group_label=np.where(g, "f", "m"))
-    beta_full = fit_2sls(d)
-    t_g = {}
-    for lev in ("f", "m"):
-        sub = d.take(np.flatnonzero(d.group_label == lev))
-        subp = partial_out(sub)
-        t_g[lev] = conditional_entrant_effect(
-            fit_reduced_form(subp), fit_first_stage(subp), beta_full
-        )
+    t_g = conditional_entrant_by_group(d, levels=("f", "m"))
     return t_g["f"][0] - t_g["m"][0]
 
 

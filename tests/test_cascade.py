@@ -9,8 +9,11 @@ from cascadeiv import (
     cascade_decomposition,
     cascade_solve,
     cluster_robust_se,
+    conditional_entrant_by_group,
     conditional_entrant_effect,
     fit_2sls,
+    fit_first_stage,
+    fit_reduced_form,
     group_outcome_decomposition,
     neumann_solve,
     spectral_radius,
@@ -255,9 +258,42 @@ def test_conditional_entrant_zero_diagonal():
         conditional_entrant_effect(np.ones(2), FirstStage(pi), np.ones(2))
 
 
+def test_conditional_entrant_by_group_equals_subsample_fits():
+    d = bernoulli_iv_data(85, n=3000, k=2, x_extra=1, group_share=0.4)
+    beta_full = fit_2sls(d)
+    out = conditional_entrant_by_group(d)
+    assert list(out) == list(np.unique(d.group_label))
+    for lev, t_g in out.items():
+        sub = d.take(np.flatnonzero(d.group_label == lev))
+        want = conditional_entrant_effect(
+            fit_reduced_form(sub), fit_first_stage(sub), beta_full
+        )
+        assert np.array_equal(t_g, want)
+    given = conditional_entrant_by_group(d, levels=["m"], beta_full=np.zeros(2))
+    assert list(given) == ["m"]
+    assert not np.array_equal(given["m"], out["m"])
+
+
+def test_conditional_entrant_by_group_rejects_missing_levels():
+    d = bernoulli_iv_data(86, n=1000, k=2, group_share=0.5)
+    with pytest.raises(DataError, match="absent"):
+        conditional_entrant_by_group(d, levels=["f", "x"])
+    unlabelled = bernoulli_iv_data(86, n=1000, k=2)
+    with pytest.raises(DataError, match="group labels"):
+        conditional_entrant_by_group(unlabelled)
+
+
 # ---------------------------------------------------------------------------
 # group_outcome_decomposition
 # ---------------------------------------------------------------------------
+
+
+def test_decomposition_equals_masked_outcome_fits_bit_for_bit(rng):
+    d = bernoulli_iv_data(87, n=2000, k=3, x_extra=2)
+    labels = rng.integers(0, 3, d.n_obs)
+    parts = group_outcome_decomposition(d, labels)
+    for lev, part in parts.items():
+        assert np.array_equal(part, fit_2sls(d.with_outcome((labels == lev) * d.y)))
 
 
 def test_single_group_recovers_beta():

@@ -1,11 +1,23 @@
+import csv
 import json
 
 import numpy as np
 import pytest
+from numpy.testing import assert_allclose
 
 from cascadeiv.cli import main
-from cascadeiv import Dataset
-from cascadeiv.io import write_covariates_csv, write_dataset_csv, write_matrix_csv
+from cascadeiv import (
+    Dataset,
+    conditional_entrant_effect,
+    fit_first_stage,
+    fit_reduced_form,
+)
+from cascadeiv.io import (
+    load_dataset_csv,
+    write_covariates_csv,
+    write_dataset_csv,
+    write_matrix_csv,
+)
 
 from conftest import bernoulli_iv_data
 
@@ -52,6 +64,81 @@ def test_simulate_then_estimate(tmp_path, config_path, capsys):
         delta = float(vals[i["cascade_delta"]])
         assert abs((t - w) - delta) < 1e-12
     assert (out / "groups.csv").exists()  # label column flowed through
+
+
+def _rows(path):
+    """The records of a CSV written by the CLI, without its provenance line."""
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(line for line in fh if not line.startswith("#")))
+
+
+@pytest.fixture
+def simulated(tmp_path, config_path):
+    out = tmp_path / "sim"
+    assert run(["simulate", "--config", config_path, "--seed", 3,
+                "--reps", 10, "--out", out]) == 0
+    return out / "dataset.csv"
+
+
+def _beta(est_dir):
+    return np.array([float(r["beta"]) for r in _rows(est_dir / "estimates.csv")])
+
+
+def test_estimate_blocks_weights_and_implied_coefficients(tmp_path, simulated, capsys):
+    out = tmp_path / "est"
+    assert run(["estimate", "--data", simulated, "--blocks", '{"A": [1], "B": [2]}',
+                "--out", out]) == 0
+    beta = _beta(out)
+    rows = _rows(out / "blocks.csv")
+    assert [(r["block"], r["program"]) for r in rows] == [("A", "1"), ("B", "2")]
+    for r in rows:
+        # one program per block: its weight is 1 and it implies its own beta
+        assert float(r["weight"]) == 1.0
+        assert float(r["implied_coefficient"]) == beta[int(r["program"]) - 1]
+    assert run(["estimate", "--data", simulated, "--blocks", '{"AB": [1, 2]}',
+                "--out", out]) == 0
+    rows = _rows(out / "blocks.csv")
+    w = np.array([float(r["weight"]) for r in rows])
+    assert np.all(w > 0) and abs(w.sum() - 1.0) < 1e-12
+    assert [r["program"] for r in rows] == ["1", "2"]
+    for r in rows:
+        assert_allclose(float(r["implied_coefficient"]), w @ beta, rtol=1e-12)
+    assert "first-stage F (per instrument): " in capsys.readouterr().out
+
+
+def test_estimate_groups_add_up_and_match_subsample_fits(tmp_path, simulated):
+    out = tmp_path / "est"
+    assert run(["estimate", "--data", simulated, "--group-col", "group",
+                "--out", out]) == 0
+    beta = _beta(out)
+    rows = _rows(out / "groups.csv")
+    data = load_dataset_csv(simulated)
+    levels = sorted({r["group"] for r in rows})
+    assert levels == sorted(str(v) for v in np.unique(data.group_label))
+    total = np.zeros_like(beta)
+    for r in rows:
+        total[int(r["treatment"]) - 1] += float(r["beta_group_outcome"])
+    assert np.max(np.abs(total - beta)) <= 1e-10
+    for lev in levels:
+        sub = data.take(np.flatnonzero(data.group_label.astype(str) == lev))
+        want = conditional_entrant_effect(
+            fit_reduced_form(sub), fit_first_stage(sub), beta
+        )
+        got = [float(r["conditional_entrant"]) for r in rows if r["group"] == lev]
+        assert_allclose(got, want, rtol=1e-12, atol=1e-15)
+
+
+def test_cascade_from_data_sums_to_estimate(tmp_path, simulated, capsys):
+    tol = 1e-9
+    assert run(["estimate", "--data", simulated, "--out", tmp_path / "est"]) == 0
+    t = np.array([float(r["cascade_T"]) for r in _rows(tmp_path / "est" / "estimates.csv")])
+    out = tmp_path / "casc"
+    assert run(["cascade", "--data", simulated, "--tol", tol, "--out", out]) == 0
+    rounds = _rows(out / "cascade_trace.csv")
+    assert [r["round"] for r in rounds] == [str(n) for n in range(len(rounds))]
+    total = np.array([[float(r[f"contribution_{j + 1}"]) for j in range(t.size)]
+                      for r in rounds]).sum(axis=0)
+    assert np.max(np.abs(total - t)) <= 10 * tol
 
 
 def test_simulate_byte_identical_reruns(tmp_path, config_path):

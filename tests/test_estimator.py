@@ -10,7 +10,6 @@ from cascadeiv import (
     fit_2sls,
     fit_first_stage,
     fit_reduced_form,
-    partial_out,
     wald_ratios,
 )
 from cascadeiv.errors import (
@@ -24,14 +23,23 @@ from cascadeiv.errors import (
     WeakDiagonalWarning,
     ZeroDiagonal,
 )
-from cascadeiv.estimator import FirstStage, first_stage_f
+from cascadeiv.estimator import FirstStage, _fit, first_stage_f
 
 from conftest import bernoulli_iv_data, default_pi, noiseless_iv_data
 
 
 # ---------------------------------------------------------------------------
-# partial_out
+# partialling out the controls (inside every fit)
 # ---------------------------------------------------------------------------
+
+
+def _partial(d):
+    """y, a and z net of the controls, by least squares on x."""
+
+    def resid(m):
+        return m - d.x @ np.linalg.lstsq(d.x, m, rcond=None)[0]
+
+    return resid(d.y), resid(d.a), resid(d.z)
 
 
 def _tiny_dataset(y, x=None):
@@ -39,24 +47,16 @@ def _tiny_dataset(y, x=None):
     return Dataset(
         y=np.asarray(y, dtype=float),
         a=np.zeros((n, 1)),
-        z=np.zeros((n, 1)),
+        z=np.arange(n, dtype=float)[:, None] ** 2,
         x=np.ones((n, 1)) if x is None else x,
         cluster=np.arange(n),
     )
 
 
 def test_partial_out_demeans_with_constant_only():
-    d = partial_out(_tiny_dataset([1.0, 2.0, 3.0]))
-    assert_allclose(d.y, [-1.0, 0.0, 1.0], atol=1e-12)
-
-
-def test_partial_out_idempotent():
-    d = bernoulli_iv_data(3, n=500, k=2, x_extra=3)
-    once = partial_out(d)
-    twice = partial_out(once)
-    assert np.max(np.abs(once.y - twice.y)) < 1e-12
-    assert np.max(np.abs(once.a - twice.a)) < 1e-12
-    assert np.max(np.abs(once.z - twice.z)) < 1e-12
+    f = _fit(_tiny_dataset([1.0, 2.0, 3.0]))
+    assert_allclose(f.y, [-1.0, 0.0, 1.0], atol=1e-12)
+    assert f.n_controls == 1
 
 
 def test_partial_out_in_span_gives_zero_residual():
@@ -64,29 +64,43 @@ def test_partial_out_in_span_gives_zero_residual():
     x = np.column_stack([np.ones(100), rng.standard_normal((100, 2))])
     y = x @ np.array([0.3, -2.0, 1.5])
     d = _tiny_dataset(y, x=x)
-    assert np.max(np.abs(partial_out(d).y)) < 1e-12
+    assert np.max(np.abs(_fit(d).y)) < 1e-12
+    assert np.max(np.abs(fit_reduced_form(d))) < 1e-12
 
 
 def test_partial_out_rank_deficient_controls():
     rng = np.random.default_rng(6)
     v = rng.standard_normal(80)
     x = np.column_stack([np.ones(80), v, v])
-    with pytest.raises(RankDeficientControls) as exc:
-        partial_out(_tiny_dataset(np.zeros(80), x=x))
-    assert exc.value.column in (1, 2)
-    assert exc.value.cond > 1e10
+    d = _tiny_dataset(np.zeros(80), x=x)
+    for fit in (fit_2sls, fit_first_stage, fit_reduced_form, cluster_robust_se,
+                estimate_all):
+        with pytest.raises(RankDeficientControls) as exc:
+            fit(d)
+        assert exc.value.column in (1, 2)
+        assert exc.value.cond > 1e10
 
 
 def test_frisch_waugh_full_controls_vs_partialled():
+    # fitting with all the controls equals fitting the residuals on the
+    # constant alone; the residuals are made here, by least squares on x
     d = bernoulli_iv_data(7, n=3000, k=3, x_extra=4)
-    dp = partial_out(d)
+    y_p, a_p, z_p = _partial(d)
+    dp = Dataset(y=y_p, a=a_p, z=z_p, x=np.ones((d.n_obs, 1)), cluster=d.cluster,
+                 binary_treatments=False)
     assert_allclose(fit_2sls(d), fit_2sls(dp), rtol=1e-8, atol=1e-10)
     assert_allclose(fit_reduced_form(d), fit_reduced_form(dp), rtol=1e-8, atol=1e-10)
     assert_allclose(
         fit_first_stage(d).pi, fit_first_stage(dp).pi, rtol=1e-8, atol=1e-10
     )
+    # same scores; the default small-sample factor counts the live controls,
+    # so both sides get the full-controls factor
+    n, g, k_params = d.n_obs, d.n_clusters, d.n_treatments + d.n_controls
+    factor = (g / (g - 1)) * ((n - 1) / (n - k_params))
     assert_allclose(
-        cluster_robust_se(d, "beta"), cluster_robust_se(dp, "beta"), rtol=1e-8
+        cluster_robust_se(d, "beta"),
+        cluster_robust_se(dp, "beta", small_sample_factor=factor),
+        rtol=1e-8,
     )
 
 
@@ -107,11 +121,11 @@ def test_first_stage_recovers_known_coefficients():
         [[0.35, -0.08, -0.03], [-0.05, 0.3, -0.06], [-0.04, -0.02, 0.4]]
     )
     d = bernoulli_iv_data(11, n=100_000, k=3, pi=pi0, noise=0.3)
-    dp = partial_out(d)
-    fs = fit_first_stage(dp)
+    _, a_p, z_p = _partial(d)
+    fs = fit_first_stage(d)
     for j in range(3):
-        resid = dp.a[:, j] - dp.z @ fs.pi[j]
-        se = _hc0_coefficient_se(dp.z, resid)
+        resid = a_p[:, j] - z_p @ fs.pi[j]
+        se = _hc0_coefficient_se(z_p, resid)
         assert np.all(np.abs(fs.pi[j] - pi0[j]) < 3 * se)
 
 
@@ -187,9 +201,9 @@ def test_2sls_recovers_noiseless_beta():
 @pytest.mark.parametrize("k", range(1, 11))
 def test_just_identified_equivalence(k):
     d = bernoulli_iv_data(100 + k, n=2000 + 200 * k, k=k, pi=default_pi(k))
-    dp = partial_out(d)
-    moments = np.linalg.solve(dp.z.T @ dp.a, dp.z.T @ dp.y)
-    assert_allclose(fit_2sls(dp), moments, rtol=1e-8, atol=1e-12)
+    y_p, a_p, z_p = _partial(d)
+    moments = np.linalg.solve(z_p.T @ a_p, z_p.T @ y_p)
+    assert_allclose(fit_2sls(d), moments, rtol=1e-8, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -237,11 +251,10 @@ def test_wald_equals_2sls_when_cross_effects_vanish():
     y = 1.0 + a @ np.array([0.4, -0.2]) + rng.standard_normal(2 * n_half)
     x = np.column_stack([np.ones(2 * n_half), half])
     d = Dataset(y=y, a=a, z=z, x=x, cluster=rng.integers(0, 40, 2 * n_half))
-    dp = partial_out(d)
-    fs = fit_first_stage(dp)
+    fs = fit_first_stage(d)
     assert np.max(np.abs(fs.offdiag)) < 1e-12
-    w = wald_ratios(fit_reduced_form(dp), fs)
-    assert_allclose(w, fit_2sls(dp), atol=1e-10)
+    w = wald_ratios(fit_reduced_form(d), fs)
+    assert_allclose(w, fit_2sls(d), atol=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -252,12 +265,12 @@ def test_wald_equals_2sls_when_cross_effects_vanish():
 def test_singleton_clusters_match_heteroskedastic_sandwich():
     d = bernoulli_iv_data(51, n=800, k=2)
     d = Dataset(y=d.y, a=d.a, z=d.z, x=d.x, cluster=np.arange(d.n_obs))
-    dp = partial_out(d)
-    se = cluster_robust_se(dp, "beta")
+    se = cluster_robust_se(d, "beta")
     # independent HC computation for the IV sandwich
-    za_inv = np.linalg.inv(dp.z.T @ dp.a)
-    eps = dp.y - dp.a @ fit_2sls(dp)
-    meat = (dp.z * eps[:, None]).T @ (dp.z * eps[:, None])
+    y_p, a_p, z_p = _partial(d)
+    za_inv = np.linalg.inv(z_p.T @ a_p)
+    eps = y_p - a_p @ fit_2sls(d)
+    meat = (z_p * eps[:, None]).T @ (z_p * eps[:, None])
     v = za_inv @ meat @ za_inv.T
     n, k, p = d.n_obs, 2, 1
     factor = (n / (n - 1)) * ((n - 1) / (n - k - p))
@@ -373,8 +386,7 @@ def test_bootstrap_cascade_delta_vs_fresh_data_dispersion():
         return bernoulli_iv_data(9000 + seed, n=3000, k=2, noise=0.6, n_clusters=60)
 
     def delta(d):
-        dp = partial_out(d)
-        return fit_2sls(dp) - wald_ratios(fit_reduced_form(dp), fit_first_stage(dp))
+        return fit_2sls(d) - wald_ratios(fit_reduced_form(d), fit_first_stage(d))
 
     mc = np.array([delta(draw(s)) for s in range(200)])
     mc_sd = mc.std(axis=0, ddof=1)
@@ -390,8 +402,8 @@ def test_bootstrap_cascade_delta_vs_fresh_data_dispersion():
 def test_estimate_all_internal_consistency():
     d = bernoulli_iv_data(71, n=4000, k=3, group_share=0.5)
     est = estimate_all(d)
-    dp = partial_out(d)
-    moments = np.linalg.solve(dp.z.T @ dp.a, dp.z.T @ dp.y)
+    y_p, a_p, z_p = _partial(d)
+    moments = np.linalg.solve(z_p.T @ a_p, z_p.T @ y_p)
     assert_allclose(est.beta, moments, rtol=1e-8, atol=1e-12)
     assert np.array_equal(est.cascade_T, est.beta)
     assert_allclose(est.cascade_delta, est.cascade_T - est.wald, atol=1e-14)

@@ -284,6 +284,16 @@ def test_simulation_event_log_stacks_replications():
     assert run_clearing(pop, cfg).events.size == 0
 
 
+def test_simulate_cluster_ids_are_numpy_strings():
+    pop = homogeneous_pop(3000, 2, np.array([0.1, 0.2]), seed=8)
+    cfg = MechanismConfig(capacities=(200, 200), lottery_seed=0)
+    data = simulate_run(pop, cfg, reps=4, master_seed=3).dataset
+    assert data.cluster.dtype.kind == "U"
+    as_objects = replace(data, cluster=data.cluster.astype(object))
+    assert np.array_equal(data.cluster_codes(), as_objects.cluster_codes())
+    assert {str(c).split(":")[0] for c in data.cluster} == {"r0", "r1", "r2", "r3"}
+
+
 def test_simulate_rows_are_group_memberships():
     pop = homogeneous_pop(3000, 2, np.array([0.1, 0.2]), seed=7)
     cfg = MechanismConfig(capacities=(200, 200), lottery_seed=0)

@@ -35,6 +35,18 @@ def test_seed_determinism():
     assert not np.array_equal(p1.po, p3.po)
 
 
+@pytest.mark.parametrize("list_length", [None, 2])
+def test_prefs_are_distinct_int_tuples(list_length):
+    cfg = SynthConfig(n=400, k=4, seed=3, list_length=list_length)
+    pop = generate_population(cfg)
+    width = 4 if list_length is None else list_length
+    assert isinstance(pop.prefs, list) and len(pop.prefs) == 400
+    assert all(type(p) is tuple and len(p) == width for p in pop.prefs)
+    assert all(type(j) is int for p in pop.prefs for j in p)
+    assert pop.prefs == [tuple(row) for row in pop.pref_array()[:, :width].tolist()]
+    assert all(len(set(p)) == width and set(p) <= {1, 2, 3, 4} for p in pop.prefs)
+
+
 def test_label_effect_shift_moves_group_gains():
     cfg = SynthConfig(
         n=2000, k=2, seed=2, effects=(0.1, 0.1), het_scale=0.0,
