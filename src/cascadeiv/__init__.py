@@ -50,6 +50,7 @@ from .mechanism import (
     balance_check,
     luck_variable,
     run_clearing,
+    simulate_and_oracles,
     simulate_iv_dataset,
     simulate_run,
     slot_expansion_oracle,

@@ -26,19 +26,13 @@ from .cascade import (
     neumann_solve,
 )
 from .errors import CascadeIVError, DataError, FixtureMismatch, NumericalError
-from .estimator import (
-    FirstStage,
-    cluster_bootstrap,
-    estimate_all,
-    fit_first_stage,
-    fit_reduced_form,
-)
+from .estimator import FirstStage, _first_stage, _fit, cluster_bootstrap, estimate_all
 from .fixtures import fixture_checks
 from .mechanism import (
     MechanismConfig,
     balance_check,
+    simulate_and_oracles,
     simulate_run,
-    slot_expansion_oracles,
 )
 
 EXIT_OK = 0
@@ -108,9 +102,8 @@ def cmd_estimate(args) -> int:
 
 def cmd_cascade(args) -> int:
     if args.data:
-        data = iomod.load_dataset_csv(args.data)
-        fs = fit_first_stage(data)
-        rf = fit_reduced_form(data)
+        f = _fit(iomod.load_dataset_csv(args.data))
+        fs, rf = _first_stage(f), f.rf
     elif args.pi and args.rf:
         fs = FirstStage(iomod.load_matrix_csv(args.pi))
         rf = iomod.load_matrix_csv(args.rf).ravel()
@@ -137,12 +130,11 @@ def cmd_verify(args) -> int:
     cfg = iomod.load_run_config(args.config)
     pop, capacities, scenario = iomod.build_scenario(cfg, args.seed)
     mech = MechanismConfig(capacities=capacities, lottery_seed=args.seed)
-    run = simulate_run(pop, mech, reps=args.reps, master_seed=args.seed)
-    est = estimate_all(run.dataset)
     oracle_reps = args.reps if args.oracle_reps is None else args.oracle_reps
-    oracles = slot_expansion_oracles(
-        pop, mech, range(1, pop.n_programs + 1), reps=oracle_reps, master_seed=args.seed
+    run, oracles = simulate_and_oracles(
+        pop, mech, args.reps, args.seed, range(1, pop.n_programs + 1), oracle_reps
     )
+    est = estimate_all(run.dataset)
     out = _out_dir(args)
     lines = []
     worst = 0.0

@@ -189,8 +189,9 @@ def _read_numbers(rows, linenos, header, numeric, text=()) -> np.ndarray:
     except ValueError as exc:
         _raise_first_bad_row(rows, linenos, header, numeric)
         raise ParseError(f"unreadable data rows: {exc}") from None
-    if values.shape[1] != len(header):
-        # every row has the same wrong width: the scan stops at the first
+    if values.shape != (len(rows), len(header)):
+        # every row has the same wrong width, or a quote left open ran on
+        # into the lines after it: the scan stops at the first bad row
         _raise_first_bad_row(rows, linenos, header, numeric)
     return values
 

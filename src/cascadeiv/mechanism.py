@@ -12,10 +12,16 @@ applicants its raises rejected.
 A program's pivotal group is the set of applicants who reached it in the
 proposal order and whose merit equals the cutoff bracket; among them,
 admission is decided purely by the lottery. Their normalized lottery ranks
-are the instruments. The slot oracle clears each replication's baseline
-market once and then re-runs the cutoff sweep on the same lottery draws
-with one extra slot at each program in turn: the brute-force measurement
-of the slot-expansion effect the 2SLS coefficients are supposed to equal.
+are the instruments. The slot oracle re-runs the cutoff sweep on each
+replication's baseline draws with one extra slot at each program in turn:
+the brute-force measurement of the slot-expansion effect the 2SLS
+coefficients are supposed to equal. Since cutoffs only fall as seats are
+added, the cutoffs c+ with one extra seat at every program lie below those
+of each one-program expansion, so when several programs are expanded the
+oracle sweeps to c+ once and starts each expansion's sweep there; it ends
+at the same matching as a start from -inf. One replication loop clears
+each draw once and feeds the stacked dataset, the oracle, or both
+(``simulate_and_oracles``).
 """
 
 from __future__ import annotations
@@ -49,6 +55,7 @@ __all__ = [
     "simulate_run",
     "slot_expansion_oracle",
     "slot_expansion_oracles",
+    "simulate_and_oracles",
     "balance_check",
     "find_blocking_pairs",
     "realized_outcomes",
@@ -169,8 +176,10 @@ class AllocationResult:
     programs that admitted anyone. ``pivotal_groups[k]`` lists the members
     of program k's lottery margin and ``luck[k]`` their normalized ranks.
     ``admitted`` is the (N, K) admission indicator matrix, one-hot on
-    admitted rows. ``events`` is the sweep log, a ``CLEARING_EVENT_DTYPE``
-    array (empty unless ``log_events``).
+    admitted rows. ``pr_slot`` is each applicant's priority at each listed
+    slot of ``Population.pref_array()`` (-inf at padding), what a re-run of
+    the cutoff sweep on the same draws needs. ``events`` is the sweep log, a
+    ``CLEARING_EVENT_DTYPE`` array (empty unless ``log_events``).
     """
 
     assignment: np.ndarray
@@ -181,6 +190,7 @@ class AllocationResult:
     oversubscribed: np.ndarray
     draws: np.ndarray
     reached: np.ndarray
+    pr_slot: np.ndarray
     events: np.ndarray
 
 
@@ -250,6 +260,7 @@ def _sweep(
     pr_slot: np.ndarray,
     caps: np.ndarray,
     events: list | None = None,
+    start: tuple | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Minimal market-clearing cutoffs, raised from below.
 
@@ -264,21 +275,34 @@ def _sweep(
     ``UnresolvedPriorityTie``. So there are at most as many sweeps as
     listed slots.
 
+    The cutoffs start at -inf, with every applicant at their first choice.
+    ``start``, the result of a sweep on the same priorities at capacities
+    at least ``caps`` everywhere, starts them instead at its cutoffs, with
+    each applicant at the first listed program whose cutoff they clear (its
+    programs and stop positions). Minimal clearing cutoffs fall weakly as
+    capacities rise, so that start lies at or below the target and the
+    sweep ends at the same result as the start from -inf, in fewer sweeps.
+
     Returns the cutoffs (-inf where never over capacity), each applicant's
     program (0 = outside option) and the preference position where their
-    scan stopped (the last listed one if they hold no seat). ``events``,
-    when a list, receives one ``CLEARING_EVENT_DTYPE`` array per sweep with
-    a record for each applicant who moved, in applicant order.
+    scan stopped (the last listed one if they hold no seat, 0 for an empty
+    list). ``events``, when a list, receives one ``CLEARING_EVENT_DTYPE``
+    array per sweep with a record for each applicant who moved, in
+    applicant order.
     """
     n, width = prefs.shape
     k = caps.shape[0]
     lengths = (prefs > 0).sum(axis=1)
     end = np.arange(n) * width + lengths  # flat index one past each list
     prog_at, pr_at = prefs.ravel(), pr_slot.ravel()
-    pos = np.zeros(n, dtype=np.int64)
-    demand = prefs[:, 0].copy()
-    held = pr_slot[:, 0].copy()  # priority at the current program
-    cutoffs = np.full(k, -np.inf)
+    if start is None:
+        cutoffs = np.full(k, -np.inf)
+        demand = prefs[:, 0].copy()
+        pos = np.zeros(n, dtype=np.int64)
+        held = pr_slot[:, 0].copy()  # priority at the current program
+    else:
+        cutoffs, demand, pos = (a.copy() for a in start)
+        held = np.where(demand > 0, pr_at[np.arange(n) * width + pos], -np.inf)
     sweep = 0
     while True:
         counts = np.bincount(demand, minlength=k + 1)[1:]
@@ -375,6 +399,7 @@ def run_clearing(
         oversubscribed=oversubscribed,
         draws=draws,
         reached=reached,
+        pr_slot=pr_slot,
         events=np.concatenate(events),
     )
 
@@ -383,6 +408,22 @@ def realized_outcomes(pop: Population, admitted: np.ndarray) -> np.ndarray:
     """Observed outcomes under an admission matrix (additive in programs)."""
     gains = pop.po[:, 1:] - pop.po[:, [0]]
     return pop.po[:, 0] + (gains * admitted).sum(axis=1)
+
+
+def _replications(
+    pop: Population,
+    cfg: MechanismConfig,
+    reps: int,
+    master_seed: int,
+    log_events: bool = False,
+):
+    """Each replication's baseline clearing, on seed ``derive_seed(master_seed,
+    rep)``; one at a time, so no clearing outlives its replication."""
+    for r in range(reps):
+        seed_r = derive_seed(master_seed, r)
+        yield r, run_clearing(
+            pop, replace(cfg, lottery_seed=seed_r), log_events=log_events
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -405,6 +446,7 @@ def simulate_run(
     master_seed: int,
     label: str | None = None,
     log_events: bool = False,
+    _clearings=None,
 ) -> SimulationOutput:
     """Stack pivotal-group records across lottery replications.
 
@@ -418,19 +460,21 @@ def simulate_run(
     checks (merit, first choice, labels) ride along, aligned row by row.
     With ``log_events`` the replications' sweep logs are stacked in
     ``events``, each record tagged with its replication.
+
+    ``_clearings`` (internal) stands in for the replication loop with an
+    iterable of ``(rep, AllocationResult)`` pairs; ``simulate_and_oracles``
+    passes one that also feeds the slot oracle.
     """
     if reps < 1:
         raise DataError("reps must be >= 1")
+    if _clearings is None:
+        _clearings = _replications(pop, cfg, reps, master_seed, log_events)
     k = pop.n_programs
     y_parts, a_parts, z_parts, d_parts = [], [], [], []
     cluster_parts, applicant_parts = [], []
     events: list = [np.empty(0, dtype=SIMULATION_EVENT_DTYPE)]
     seen_pivotal = np.zeros(k, dtype=bool)
-    for r in range(reps):
-        seed_r = derive_seed(master_seed, r)
-        res = run_clearing(
-            pop, replace(cfg, lottery_seed=seed_r), log_events=log_events
-        )
+    for r, res in _clearings:
         if log_events:
             moves = np.empty(res.events.size, dtype=SIMULATION_EVENT_DTYPE)
             for name in CLEARING_EVENT_DTYPE.names:
@@ -523,6 +567,61 @@ class OracleResult:
     per_rep: np.ndarray
 
 
+class _SlotOracles:
+    """Slot-expansion deltas per program, fed one baseline clearing at a time.
+
+    For each program k the baseline oversubscribed, the cutoff sweep is
+    re-run on the baseline's draws with capacity k raised by one. Cutoffs
+    fall weakly as any capacity rises (Azevedo & Leshno 2016), so the
+    cutoffs c+ at one extra seat on every program lie at or below those of
+    every one-program expansion, and each expansion's sweep started at c+
+    ends where the start from -inf does. One sweep to c+ pays for itself
+    once two or more programs are expanded; a single one starts from -inf.
+    """
+
+    def __init__(self, pop: Population, cfg: MechanismConfig, programs, reps: int):
+        self.programs = [int(k) for k in programs]
+        for k in self.programs:
+            if not 1 <= k <= pop.n_programs:
+                raise DataError(f"program id {k} out of range 1..{pop.n_programs}")
+        if reps < 1:
+            raise DataError("reps must be >= 1")
+        self.pop = pop
+        self.caps = np.asarray(cfg.capacities, dtype=np.int64)
+        self.deltas = np.zeros((len(self.programs), reps))
+        self.oversub = np.zeros(len(self.programs), dtype=bool)
+
+    def add(self, r: int, base: AllocationResult):
+        pop = self.pop
+        todo = [j for j, k in enumerate(self.programs) if base.oversubscribed[k - 1]]
+        if not todo:
+            return
+        self.oversub[todo] = True
+        prefs = pop.pref_array()
+        start = None
+        if len(todo) > 1:
+            start = _sweep(prefs, base.pr_slot, self.caps + 1)
+        base_total = realized_outcomes(pop, base.admitted).sum()
+        for j in todo:
+            caps_plus = self.caps.copy()
+            caps_plus[self.programs[j] - 1] += 1
+            _, assignment, _ = _sweep(prefs, base.pr_slot, caps_plus, start=start)
+            expanded = _admission_matrix(assignment, pop.n_programs)
+            self.deltas[j, r] = realized_outcomes(pop, expanded).sum() - base_total
+
+    def results(self) -> list[OracleResult]:
+        reps = self.deltas.shape[1]
+        return [
+            OracleResult(
+                value=float(d.mean()) if oversub else 0.0,
+                mc_se=float(d.std(ddof=1) / np.sqrt(reps)) if reps > 1 else 0.0,
+                undersubscribed=not oversub,
+                per_rep=d,
+            )
+            for d, oversub in zip(self.deltas, self.oversub)
+        ]
+
+
 def slot_expansion_oracles(
     pop: Population,
     cfg: MechanismConfig,
@@ -535,46 +634,20 @@ def slot_expansion_oracles(
     Per replication, clears the market once at the baseline capacities
     with seed ``derive_seed(master_seed, rep)``, then, on the same lottery
     draws, re-runs the cutoff sweep with capacity k raised by one for each
-    program k in ``programs`` that the baseline oversubscribed. The effect
-    is the change in realized outcomes summed over the whole population
-    (outside option included, so terminal entrants of the reallocation
-    chain count). A program that is never oversubscribed gets 0 with
-    ``undersubscribed`` set: its marginal slot admits no one. Results come
-    in the order of ``programs``.
+    program k in ``programs`` that the baseline oversubscribed. When two or
+    more are, one sweep first finds the cutoffs c+ with one extra seat at
+    every program, and each program's sweep starts there instead of at
+    -inf (cutoffs only fall as seats are added, so it ends at the same
+    matching). The effect is the change in realized outcomes summed over
+    the whole population (outside option included, so terminal entrants of
+    the reallocation chain count). A program that is never oversubscribed
+    gets 0 with ``undersubscribed`` set: its marginal slot admits no one.
+    Results come in the order of ``programs``.
     """
-    programs = [int(k) for k in programs]
-    for k in programs:
-        if not 1 <= k <= pop.n_programs:
-            raise DataError(f"program id {k} out of range 1..{pop.n_programs}")
-    if reps < 1:
-        raise DataError("reps must be >= 1")
-    caps = np.asarray(cfg.capacities, dtype=np.int64)
-    prefs = pop.pref_array()
-    deltas = np.zeros((len(programs), reps))
-    oversub_any = np.zeros(len(programs), dtype=bool)
-    for r in range(reps):
-        base = run_clearing(pop, replace(cfg, lottery_seed=derive_seed(master_seed, r)))
-        todo = [j for j, k in enumerate(programs) if base.oversubscribed[k - 1]]
-        if not todo:
-            continue
-        oversub_any[todo] = True
-        _, pr_slot = _slot_priorities(pop, base.draws)
-        base_total = realized_outcomes(pop, base.admitted).sum()
-        for j in todo:
-            caps_plus = caps.copy()
-            caps_plus[programs[j] - 1] += 1
-            _, assignment, _ = _sweep(prefs, pr_slot, caps_plus)
-            expanded = _admission_matrix(assignment, pop.n_programs)
-            deltas[j, r] = realized_outcomes(pop, expanded).sum() - base_total
-    return [
-        OracleResult(
-            value=float(d.mean()) if oversub else 0.0,
-            mc_se=float(d.std(ddof=1) / np.sqrt(reps)) if reps > 1 else 0.0,
-            undersubscribed=not oversub,
-            per_rep=d,
-        )
-        for d, oversub in zip(deltas, oversub_any)
-    ]
+    oracle = _SlotOracles(pop, cfg, programs, reps)
+    for r, base in _replications(pop, cfg, reps, master_seed):
+        oracle.add(r, base)
+    return oracle.results()
 
 
 def slot_expansion_oracle(
@@ -586,6 +659,36 @@ def slot_expansion_oracle(
 ) -> OracleResult:
     """``slot_expansion_oracles`` for the single program ``k``."""
     return slot_expansion_oracles(pop, cfg, (k,), reps, master_seed)[0]
+
+
+def simulate_and_oracles(
+    pop: Population,
+    cfg: MechanismConfig,
+    reps: int,
+    master_seed: int,
+    programs,
+    oracle_reps: int,
+) -> tuple[SimulationOutput, list[OracleResult]]:
+    """``simulate_run`` and ``slot_expansion_oracles`` on shared clearings.
+
+    Clears each of the first ``max(reps, oracle_reps)`` lottery draws once:
+    the first ``reps`` are stacked into the dataset and the first
+    ``oracle_reps`` feed the oracle. Returns exactly what
+    ``simulate_run(pop, cfg, reps, master_seed)`` and
+    ``slot_expansion_oracles(pop, cfg, programs, oracle_reps, master_seed)``
+    return, for one clearing per draw instead of two.
+    """
+    oracle = _SlotOracles(pop, cfg, programs, oracle_reps)
+
+    def clearings():
+        for r, base in _replications(pop, cfg, max(reps, oracle_reps), master_seed):
+            if r < oracle_reps:
+                oracle.add(r, base)
+            if r < reps:
+                yield r, base
+
+    run = simulate_run(pop, cfg, reps, master_seed, _clearings=clearings())
+    return run, oracle.results()
 
 
 # ---------------------------------------------------------------------------

@@ -29,14 +29,14 @@ from cascadeiv import (
     neumann_solve,
     run_clearing,
     scenario_three_program,
+    simulate_and_oracles,
     simulate_iv_dataset,
     simulate_run,
     slot_expansion_oracle,
-    slot_expansion_oracles,
 )
 from cascadeiv.errors import DivergentCascade
 from cascadeiv.estimator import FirstStage, cluster_bootstrap
-from cascadeiv.mechanism import balance_check, find_blocking_pairs
+from cascadeiv.mechanism import _sweep, balance_check, find_blocking_pairs
 from cascadeiv.seeds import derive_seed
 
 from conftest import bernoulli_iv_data, well_conditioned_pi
@@ -165,11 +165,10 @@ def test_criterion_3_simulator_identity_at_desk_scale():
         cfg = SynthConfig(**synth_kwargs)
         pop = generate_population(cfg)
         mech = MechanismConfig(capacities=caps, lottery_seed=0)
-        data = simulate_iv_dataset(pop, mech, reps=reps, master_seed=101)
-        est = estimate_all(data)
-        oracles = slot_expansion_oracles(
-            pop, mech, range(1, cfg.k + 1), reps=reps, master_seed=101
+        run, oracles = simulate_and_oracles(
+            pop, mech, reps, 101, range(1, cfg.k + 1), oracle_reps=reps
         )
+        est = estimate_all(run.dataset)
         for k, orc in enumerate(oracles, start=1):
             assert not orc.undersubscribed
             comb = float(np.hypot(est.se_beta[k - 1], orc.mc_se))
@@ -185,6 +184,36 @@ def test_criterion_3_simulator_identity_at_desk_scale():
     )
 
 
+CRITERION_4_EFFECTS = (0.2, -0.1, 0.05)
+
+
+def _criterion_4_config(taste):
+    return SynthConfig(n=30_000, k=3, seed=42, taste_scale=taste, het_scale=0.0,
+                       effects=CRITERION_4_EFFECTS, base_scale=0.5, n_merit_brackets=6)
+
+
+def test_warm_started_oracle_sweeps_match_cold_on_acceptance_scenarios():
+    # the oracle's extra-seat sweeps start at the cutoffs with one extra
+    # seat everywhere; on the populations of criteria 3 and 4 they must end
+    # bit for bit where the sweep from -inf ends
+    markets = [(SynthConfig(**kw), caps, 101) for _, kw, caps in SCENARIOS]
+    markets += [(_criterion_4_config(t), (2000, 2000, 2000), 7) for t in (0.3, 1.0, 8.0)]
+    for cfg, caps, master in markets:
+        pop = generate_population(cfg)
+        prefs, caps = pop.pref_array(), np.asarray(caps)
+        for r in range(2):
+            base = run_clearing(pop, MechanismConfig(
+                capacities=tuple(caps), lottery_seed=derive_seed(master, r)))
+            start = _sweep(prefs, base.pr_slot, caps + 1)
+            for k in range(cfg.k):
+                plus = caps.copy()
+                plus[k] += 1
+                cold = _sweep(prefs, base.pr_slot, plus)
+                warm = _sweep(prefs, base.pr_slot, plus, start=start)
+                for got, want in zip(warm, cold):
+                    assert np.array_equal(got, want)
+
+
 # ---------------------------------------------------------------------------
 # 4. Homogeneous collapse across substitution intensities
 # ---------------------------------------------------------------------------
@@ -192,20 +221,17 @@ def test_criterion_3_simulator_identity_at_desk_scale():
 
 def test_criterion_4_homogeneous_collapse():
     t0 = time.time()
-    delta = (0.2, -0.1, 0.05)
+    delta = CRITERION_4_EFFECTS
     worst_beta_z = 0.0
     worst_oracle = 0.0
     offdiags = []
     for taste in (0.3, 1.0, 8.0):
-        cfg = SynthConfig(n=30_000, k=3, seed=42, taste_scale=taste,
-                          het_scale=0.0, effects=delta, base_scale=0.5,
-                          n_merit_brackets=6)
-        pop = generate_population(cfg)
+        pop = generate_population(_criterion_4_config(taste))
         mech = MechanismConfig(capacities=(2000, 2000, 2000), lottery_seed=0)
-        data = simulate_iv_dataset(pop, mech, reps=120, master_seed=7)
+        run, oracles = simulate_and_oracles(pop, mech, 120, 7, (1, 2, 3), oracle_reps=120)
+        data = run.dataset
         est = estimate_all(data)
         offdiags.append(float(np.max(np.abs(fit_first_stage(data).offdiag))))
-        oracles = slot_expansion_oracles(pop, mech, (1, 2, 3), reps=120, master_seed=7)
         for k, orc in zip((1, 2, 3), oracles):
             gap = abs(orc.value - delta[k - 1])
             worst_oracle = max(worst_oracle, gap / max(3 * orc.mc_se, 1e-9))

@@ -8,12 +8,18 @@ from numpy.testing import assert_allclose
 from cascadeiv.cli import main
 from cascadeiv import (
     Dataset,
+    MechanismConfig,
     conditional_entrant_effect,
+    estimate_all,
     fit_first_stage,
     fit_reduced_form,
+    simulate_run,
+    slot_expansion_oracles,
 )
 from cascadeiv.io import (
+    build_scenario,
     load_dataset_csv,
+    load_run_config,
     write_covariates_csv,
     write_dataset_csv,
     write_matrix_csv,
@@ -185,6 +191,30 @@ def test_verify_command_reports_agreement(tmp_path, config_path, capsys):
         fields = line.split(",")
         assert len(fields) == 6
         [float(v) for v in fields if v]  # every populated cell is numeric
+
+
+@pytest.mark.parametrize("oracle_reps", [2, 4, 7])
+def test_verify_equals_separate_simulation_and_oracle_loops(
+    tmp_path, config_path, oracle_reps
+):
+    # verify clears each draw once for both; the numbers must be those of
+    # the two separate loops, bit for bit, whichever replication count is larger
+    reps, seed = 4, 5
+    out = tmp_path / "out"
+    assert run(["verify", "--config", config_path, "--seed", seed, "--reps", reps,
+                "--oracle-reps", oracle_reps, "--out", out]) == 0
+    pop, capacities, _ = build_scenario(load_run_config(config_path), seed)
+    mech = MechanismConfig(capacities=capacities, lottery_seed=seed)
+    est = estimate_all(simulate_run(pop, mech, reps, seed).dataset)
+    oracles = slot_expansion_oracles(pop, mech, (1, 2), oracle_reps, seed)
+    rows = _rows(out / "verify.csv")
+    assert [r["program"] for r in rows] == ["1", "2"]
+    for row, orc, beta, se in zip(rows, oracles, est.beta, est.se_beta):
+        assert not orc.undersubscribed
+        assert float(row["oracle"]) == orc.value
+        assert float(row["oracle_se"]) == orc.mc_se
+        assert float(row["beta"]) == beta
+        assert float(row["beta_se"]) == se
 
 
 def test_verify_zero_oracle_reps_is_a_data_error(tmp_path, config_path, capsys):

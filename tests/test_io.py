@@ -541,6 +541,22 @@ def test_loader_faults_match_reference(d, data):
 # ---------------------------------------------------------------------------
 
 
+def test_open_quote_does_not_hide_a_ragged_row(tmp_path):
+    # numpy's reader lets a quoted field run on past the end of its line;
+    # the ragged row after it must still be reported, as the row-by-row
+    # reference reports it
+    path = tmp_path / "d.csv"
+    path.write_text(
+        "y,a_1,z_1,x_1,cluster\n"
+        '0.0,0.0,0.5,1.0,"c\n'
+        "0.0,1.0,0.5,1.0,c,7\n"
+        "0.0,0.0,0.5,1.0,c\n"
+    )
+    want = (SchemaError, "line 3: row has 6 fields, header has 5", None)
+    assert _raised(reference_load_dataset_csv, path) == want
+    assert _raised(load_dataset_csv, path) == want
+
+
 def test_extra_field_reports_line(tmp_path):
     path = tmp_path / "d.csv"
     path.write_text(

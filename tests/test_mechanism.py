@@ -525,6 +525,11 @@ def stable_matchings(pop, caps, priority):
             yield mu
 
 
+def applicant_rank(pop, i, prog):
+    """Position of ``prog`` in applicant i's list; the outside option last."""
+    return pop.prefs[i].index(prog) if prog else len(pop.prefs[i])
+
+
 def brute_force_oracle(pop, cfg, k, reps, master_seed):
     """Two full clearings per replication: baseline and capacity k + 1."""
     per_rep = np.zeros(reps)
@@ -595,13 +600,58 @@ def test_clearing_is_applicant_optimal_by_enumeration(market):
     caps = np.asarray(cfg.capacities)
     stable = list(stable_matchings(pop, caps, priority))
     assert any(np.array_equal(mu, res.assignment) for mu in stable)
-
-    def rank(i, prog):
-        return pop.prefs[i].index(prog) if prog else len(pop.prefs[i])
-
     for mu in stable:
         for i in range(pop.n):
-            assert rank(i, res.assignment[i]) <= rank(i, mu[i])
+            assert applicant_rank(pop, i, res.assignment[i]) <= applicant_rank(
+                pop, i, mu[i]
+            )
+
+
+@settings(max_examples=100, deadline=None)
+@given(tiny_markets())
+def test_one_more_seat_lowers_cutoffs_and_stays_applicant_optimal(market):
+    pop, cfg = market
+    res = run_clearing(pop, cfg)
+    prefs = pop.pref_array()
+    caps = np.asarray(cfg.capacities)
+    priority = pop.merit[:, None] + res.draws
+    cutoffs, assignment, _ = _sweep(prefs, res.pr_slot, caps)
+    assert np.array_equal(assignment, res.assignment)
+    for k in range(pop.n_programs):
+        plus = caps.copy()
+        plus[k] += 1
+        cut_plus, assign_plus, _ = _sweep(prefs, res.pr_slot, plus)
+        assert np.all(cut_plus <= cutoffs)
+        for i in range(pop.n):
+            assert applicant_rank(pop, i, assign_plus[i]) <= applicant_rank(
+                pop, i, assignment[i]
+            )
+        assert np.all(np.bincount(assign_plus, minlength=pop.n_programs + 1)[1:] <= plus)
+        stable = list(stable_matchings(pop, plus, priority))
+        assert any(np.array_equal(mu, assign_plus) for mu in stable)
+        for mu in stable:
+            for i in range(pop.n):
+                assert applicant_rank(pop, i, assign_plus[i]) <= applicant_rank(
+                    pop, i, mu[i]
+                )
+
+
+@settings(max_examples=300, deadline=None)
+@given(tiny_markets())
+def test_sweep_started_at_one_extra_seat_everywhere_matches_cold_start(market):
+    pop, cfg = market
+    res = run_clearing(pop, cfg)
+    prefs = pop.pref_array()
+    caps = np.asarray(cfg.capacities)
+    start = _sweep(prefs, res.pr_slot, caps + 1)
+    for k in range(pop.n_programs):
+        plus = caps.copy()
+        plus[k] += 1
+        cold = _sweep(prefs, res.pr_slot, plus)
+        warm = _sweep(prefs, res.pr_slot, plus, start=start)
+        for got, want in zip(warm, cold):
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
 
 
 @settings(max_examples=60, deadline=None)
