@@ -24,6 +24,7 @@ from typing import Callable
 
 import numpy as np
 import scipy.linalg
+import scipy.linalg.lapack
 
 from .data import Dataset
 from .errors import (
@@ -149,7 +150,8 @@ def _control_basis(x: np.ndarray) -> np.ndarray:
     """
     q, r, piv, rank = _pivoted_qr(x)
     if rank < x.shape[1]:
-        top, bad = abs(r[0, 0]), abs(r[rank, rank])
+        # fewer rows than controls leave no diagonal entry at the rank
+        top, bad = abs(r[0, 0]), abs(r[rank, rank]) if rank < r.shape[0] else 0.0
         cond = np.inf if bad == 0 else top / bad
         raise RankDeficientControls(column=int(piv[rank]), cond=float(cond))
     return q
@@ -184,8 +186,19 @@ class _Fit:
     pi_t: np.ndarray
     rf: np.ndarray
 
+    @property
+    def n_obs(self) -> int:
+        return self.a.shape[0]
+
     def reduced_form(self, y: np.ndarray) -> np.ndarray:
         return self.proj.T @ _resid(self.q, y)
+
+
+def _singular_instruments(column: int) -> SingularInstrumentGram:
+    return SingularInstrumentGram(
+        "instrument Gram matrix is rank deficient after partialling "
+        f"(offending instrument column {column + 1})"
+    )
 
 
 def _fit(data: Dataset) -> _Fit:
@@ -195,10 +208,7 @@ def _fit(data: Dataset) -> _Fit:
     qz, r, piv, rank = _pivoted_qr(z)
     k = data.n_treatments
     if rank < k:
-        raise SingularInstrumentGram(
-            "instrument Gram matrix is rank deficient after partialling "
-            f"(offending instrument column {int(piv[rank]) + 1})"
-        )
+        raise _singular_instruments(int(piv[rank]))
     # z[:, piv] = QR, so z (z'z)^-1 = Q R^-T with its columns un-pivoted
     proj_t = np.empty((k, data.n_obs))
     proj_t[piv] = scipy.linalg.solve_triangular(r, qz.T)
@@ -238,10 +248,11 @@ def _solve_first_stage(pi_t: np.ndarray, rf: np.ndarray) -> np.ndarray:
     return t
 
 
-def _first_stage(f: _Fit, weak_threshold: float = WEAK_DIAGONAL_THRESHOLD) -> FirstStage:
+def _first_stage(
+    f: _Fit | _MomentFit, weak_threshold: float = WEAK_DIAGONAL_THRESHOLD
+) -> FirstStage:
     """The fit's FirstStage, warning about weak own-instrument coefficients."""
-    n, k = f.a.shape
-    if n <= k + f.n_controls:
+    if f.n_obs <= f.pi_t.shape[0] + f.n_controls:
         raise DataError("need N > K + p observations to fit the first stage")
     fs = FirstStage(f.pi_t.T)
     weak = np.flatnonzero(np.abs(fs.diag) < weak_threshold)
@@ -337,7 +348,8 @@ def _sandwich(
     if g < 2:
         raise TooFewClusters("cluster-robust inference needs >= 2 clusters")
     psi = np.zeros((g, scores.shape[1]))
-    np.add.at(psi, codes, scores)
+    for j in range(scores.shape[1]):
+        psi[:, j] = np.bincount(codes, weights=scores[:, j], minlength=g)
     if factor is None:
         factor = (g / (g - 1)) * ((n - 1) / (n - k_params))
     return psi.T @ psi * factor
@@ -389,58 +401,207 @@ def _first_stage_f(f: _Fit) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _stat_beta(d: Dataset) -> np.ndarray:
-    return fit_2sls(d)
+def _beta(f) -> np.ndarray:
+    return _solve_first_stage(f.pi_t, f.rf)
 
 
-def _stat_wald(d: Dataset) -> np.ndarray:
-    f = _fit(d)
+def _wald(f) -> np.ndarray:
     return wald_ratios(f.rf, _first_stage(f))
 
 
-def _stat_cascade_delta(d: Dataset) -> np.ndarray:
-    f = _fit(d)
-    return _solve_first_stage(f.pi_t, f.rf) - wald_ratios(f.rf, _first_stage(f))
+def _cascade_delta(f) -> np.ndarray:
+    return _beta(f) - _wald(f)
 
 
-def _stat_conditional_entrant(d: Dataset, levels=None) -> np.ndarray:
+# statistics of one fit (a _Fit or a _MomentFit); "conditional_entrant"
+# fits the pooled draw and each group level
+_FIT_STATISTICS = {"beta": _beta, "wald": _wald, "cascade_delta": _cascade_delta}
+
+
+@dataclass(frozen=True)
+class _MomentFit:
+    """Pi' and RF solved from the cross-products W'W of W = [x, z, a, y].
+
+    Holds what ``_first_stage`` and the bootstrap statistics read of a fit.
+    """
+
+    pi_t: np.ndarray
+    rf: np.ndarray
+    n_obs: int
+    n_controls: int
+
+
+def _pivoted_cholesky(gram: np.ndarray, tol: float, norms: np.ndarray | None = None):
+    """Rank-revealing Cholesky (LAPACK ``dpstrf``) of a Gram matrix.
+
+    The Gram is scaled by s = ``norms`` (default sqrt(diag(gram)); 1 for a
+    zero column) and factored in pivot order, always on the largest
+    remaining diagonal, as the pivoted QR of the columns pivots on the
+    largest remaining norm. A column's remaining diagonal is its squared
+    distance, in units of its norm in s, from the span of the columns
+    pivoted before it; the factorization stops where that is at most
+    ``tol``.
+
+    Returns ``((l, perm, s), None, 0.0)`` at full rank, else ``(None,
+    column, cond)`` naming the column the next pivot would take (its
+    largest remaining diagonal) and 1 / sqrt(that diagonal), inf for an
+    exact dependence.
+    """
+    s = np.sqrt(np.diag(gram)) if norms is None else norms.copy()
+    s[s == 0.0] = 1.0
+    a = gram / np.outer(s, s)
+    l, piv, rank, _ = scipy.linalg.lapack.dpstrf(a, tol=tol, lower=1)
+    if rank and l[0, 0] ** 2 <= tol:  # dpstrf holds only later pivots to tol
+        rank = 0
+    perm = piv - 1
+    if rank == gram.shape[0]:
+        return (l, perm, s), None, 0.0
+    rest = perm[rank:]
+    remaining = np.diag(a)[rest] - (l[rank:, :rank] ** 2).sum(axis=1)
+    worst = int(np.argmax(remaining))
+    cond = 1.0 / np.sqrt(remaining[worst]) if remaining[worst] > 0 else np.inf
+    return None, int(rest[worst]), float(cond)
+
+
+def _cholesky_solve(factor, rhs: np.ndarray) -> np.ndarray:
+    """gram^-1 rhs, for the full-rank ``_pivoted_cholesky`` factor of gram."""
+    l, perm, s = factor
+    out = np.empty_like(rhs)
+    out[perm] = scipy.linalg.lapack.dpotrs(l, (rhs / s[:, None])[perm], lower=1)[0]
+    return out / s[:, None]
+
+
+def _moment_fit(gram: np.ndarray, n_obs: int, n_controls: int, k: int) -> _MomentFit:
+    """``_fit`` on the cross-products of W = [x, z, a, y] instead of the rows.
+
+    The controls are partialled out as the Schur complement of their block
+    of W'W, which leaves the cross-products of the residual z, a and y, and
+    Pi' and RF solve the residual instrument block. Both blocks get a
+    pivoted-Cholesky rank check in place of the pivoted QR, raising the
+    same errors. A column counts as dependent when its remaining squared
+    norm is within the rounding of the products that made it: eps * max(n,
+    p) of its own for the controls, n-row cross-products; and, for the
+    instruments, measured against their norms before partialling, that
+    much again times the scaled control block's condition number, which
+    bounds the rounding of the Schur complement.
+    """
+    p = n_controls
+    eps = np.finfo(float).eps
+    factor, column, cond = _pivoted_cholesky(gram[:p, :p], eps * max(n_obs, p))
+    if factor is None:
+        raise RankDeficientControls(column=column, cond=cond)
+    cross = gram[:p, p:]
+    resid = gram[p:, p:] - cross.T @ _cholesky_solve(factor, cross)
+    pivots = np.diag(factor[0])
+    tol = eps * max(n_obs, k) * (pivots.max() / pivots.min()) ** 2
+    raw = np.sqrt(np.diag(gram)[p : p + k])
+    factor, column, _ = _pivoted_cholesky(resid[:k, :k], tol, raw)
+    if factor is None:
+        raise _singular_instruments(column)
+    coef = _cholesky_solve(factor, resid[:k, k:])
+    return _MomentFit(coef[:, :k], coef[:, k], n_obs, p)
+
+
+def _cluster_moments(data: Dataset, codes: np.ndarray, n_codes: int):
+    """Cross-products W_c'W_c of W = [x, z, a, y] over the rows of each code c,
+    as an (n_codes, d, d) array, and the row count of each code.
+
+    Each run of rows with one code is one matrix product. Rows not already
+    grouped by code (one run per code) are sorted by code first. Memory
+    stays O(N d + n_codes d^2).
+    """
+    w = np.column_stack([data.x, data.z, data.a, data.y])
+    rows = np.bincount(codes, minlength=n_codes)
+    starts = np.flatnonzero(np.r_[True, codes[1:] != codes[:-1]])
+    if starts.size > np.count_nonzero(rows):
+        order = np.argsort(codes, kind="stable")
+        codes, w = codes[order], w[order]
+        starts = np.flatnonzero(np.r_[True, codes[1:] != codes[:-1]])
+    moments = np.zeros((n_codes, w.shape[1], w.shape[1]))
+    for lo, hi in zip(starts, np.r_[starts[1:], codes.size]):
+        block = w[lo:hi]
+        moments[codes[lo]] = block.T @ block
+    return moments, rows
+
+
+def _moment_replicate(data: Dataset, name: str, codes: np.ndarray, g: int):
+    """A named statistic as a function of a draw of cluster indices.
+
+    The per-cluster cross-products are built once; a draw weights them by
+    how often it took each cluster, which gives the drawn rows' W'W, so a
+    replication is one weighted sum and one ``_moment_fit`` per sample.
+    ``conditional_entrant`` keeps them per (cluster, group level) and fits
+    the pooled draw and each level's part of it.
+    """
     # avoids a module cycle: cascade needs the fits defined above
-    from .cascade import conditional_entrant_by_group
+    from .cascade import conditional_entrant_effect
 
-    # a bootstrap draw that loses a whole level raises DataError, which
-    # counts the replication as failed
-    parts = list(conditional_entrant_by_group(d, levels).values())
-    if len(parts) == 2:
-        parts.append(parts[0] - parts[1])
-    return np.concatenate(parts)
-
-
-_NAMED_STATISTICS: dict[str, Callable[[Dataset], np.ndarray]] = {
-    "beta": _stat_beta,
-    "wald": _stat_wald,
-    "cascade_delta": _stat_cascade_delta,
-    "conditional_entrant": _stat_conditional_entrant,
-}
-
-
-def _resolve_statistic(name: str, data: Dataset):
-    """Statistic callable with its component names, levels bound up front."""
-    if name not in _NAMED_STATISTICS:
-        raise DataError(f"unknown bootstrap statistic {name!r}")
-    k = data.n_treatments
+    k, p = data.n_treatments, data.n_controls
     if name != "conditional_entrant":
-        return _NAMED_STATISTICS[name], tuple(f"{name}_{j + 1}" for j in range(k))
+        moments, rows = _cluster_moments(data, codes, g)
+        stat = _FIT_STATISTICS[name]
+
+        def replicate(draw):
+            c = np.bincount(draw, minlength=g)
+            return stat(_moment_fit(np.tensordot(c, moments, 1), int(c @ rows), p, k))
+
+        return replicate
+
+    levels, level = np.unique(data.group_label, return_inverse=True)
+    n_lev = levels.size
+    moments, rows = _cluster_moments(data, codes * n_lev + level, g * n_lev)
+    moments = moments.reshape(g, n_lev, *moments.shape[1:])
+    rows = rows.reshape(g, n_lev)
+    pooled, pooled_rows = moments.sum(axis=1), rows.sum(axis=1)
+
+    def replicate(draw):
+        c = np.bincount(draw, minlength=g)
+        pooled_fit = _moment_fit(np.tensordot(c, pooled, 1), int(c @ pooled_rows), p, k)
+        beta_full = _beta(pooled_fit)
+        parts = []
+        for j, lev in enumerate(levels):
+            n = int(c @ rows[:, j])
+            if n == 0:
+                # the draw lost a whole level: a failed replication
+                raise DataError(f"group level {lev!r} absent from this sample")
+            f = _moment_fit(np.tensordot(c, moments[:, j], 1), n, p, k)
+            parts.append(conditional_entrant_effect(f.rf, _first_stage(f), beta_full))
+        if n_lev == 2:
+            parts.append(parts[0] - parts[1])
+        return np.concatenate(parts)
+
+    return replicate
+
+
+def _row_replicate(data: Dataset, stat_fn, codes: np.ndarray, g: int):
+    """A callable statistic as a function of a draw of cluster indices: it
+    gets the drawn rows, with the clusters relabelled by draw position."""
+    order = np.argsort(codes, kind="stable")
+    bounds = np.searchsorted(codes[order], np.arange(g + 1))
+    group_rows = [order[bounds[i] : bounds[i + 1]] for i in range(g)]
+
+    def replicate(draw):
+        rows = np.concatenate([group_rows[gi] for gi in draw])
+        relabel = np.repeat(np.arange(g), [group_rows[gi].size for gi in draw])
+        return stat_fn(data.take(rows, cluster=relabel))
+
+    return replicate
+
+
+def _components(name: str, data: Dataset) -> tuple[str, ...]:
+    """Component names of a named statistic."""
+    k = data.n_treatments
+    if name in _FIT_STATISTICS:
+        return tuple(f"{name}_{j + 1}" for j in range(k))
+    if name != "conditional_entrant":
+        raise DataError(f"unknown bootstrap statistic {name!r}")
     if data.group_label is None:
         raise DataError("conditional_entrant statistic needs group labels")
     levels = np.unique(data.group_label)
     names = [f"T_{j + 1}|{lev}" for lev in levels for j in range(k)]
     if len(levels) == 2:
         names += [f"T_{j + 1}|{levels[0]}-{levels[1]}" for j in range(k)]
-
-    def stat(d: Dataset) -> np.ndarray:
-        return _stat_conditional_entrant(d, levels=levels)
-
-    return stat, tuple(names)
+    return tuple(names)
 
 
 def cluster_bootstrap(
@@ -452,38 +613,35 @@ def cluster_bootstrap(
 ) -> BootstrapResult:
     """Resample clusters with replacement and recompute a statistic.
 
-    Each replication draws G clusters (with replacement, relabelled by draw
-    position), indexed by a seed derived from the master seed so evaluation
-    order cannot matter. Replications where the statistic raises a package
-    error are dropped and counted; more than ``max_failure_share`` failures
-    is an error.
+    Each replication draws G clusters with replacement, on a seed derived
+    from the master seed and the replication, so evaluation order cannot
+    matter. A named statistic (``beta``, ``wald``, ``cascade_delta``,
+    ``conditional_entrant``) is recomputed from the drawn clusters'
+    cross-products of [x, z, a, y], summed per cluster once; a callable gets
+    the drawn rows as a Dataset, clusters relabelled by draw position.
+    Replications where the statistic raises a package error (a rank-deficient
+    draw, a singular first stage, a zero first-stage diagonal, too few rows,
+    a lost group level) are dropped and counted; more than
+    ``max_failure_share`` failures is an error.
     """
     if reps < 2:
         raise DataError("bootstrap needs reps >= 2")
-    if callable(statistic):
-        stat_fn = statistic
-        components: tuple[str, ...] | None = None
-    else:
-        stat_fn, components = _resolve_statistic(statistic, data)
-
+    components = None if callable(statistic) else _components(statistic, data)
     codes = data.cluster_codes()
     g = int(codes.max()) + 1
     if g < 2:
         raise TooFewClusters("cluster bootstrap needs >= 2 clusters")
-    order = np.argsort(codes, kind="stable")
-    bounds = np.searchsorted(codes[order], np.arange(g + 1))
-    group_rows = [order[bounds[i] : bounds[i + 1]] for i in range(g)]
+    if callable(statistic):
+        replicate = _row_replicate(data, statistic, codes, g)
+    else:
+        replicate = _moment_replicate(data, statistic, codes, g)
 
     results = None
     n_failed = 0
     for r in range(reps):
-        rng = rng_for(seed, r)
-        draw = rng.integers(0, g, size=g)
-        rows = np.concatenate([group_rows[gi] for gi in draw])
-        relabel = np.repeat(np.arange(g), [group_rows[gi].size for gi in draw])
-        d_r = data.take(rows, cluster=relabel)
+        draw = rng_for(seed, r).integers(0, g, size=g)
         try:
-            value = np.atleast_1d(np.asarray(stat_fn(d_r), dtype=float))
+            value = np.atleast_1d(np.asarray(replicate(draw), dtype=float))
         except CascadeIVError:
             n_failed += 1
             continue

@@ -156,9 +156,16 @@ def _parse_number(text: str) -> float:
     return float(body)
 
 
-def _raise_first_bad_row(rows, linenos, header, numeric):
-    """Raise the first ragged row or unparsable number, in file order."""
-    for raw, lineno in zip(rows, linenos):
+def _scan_rows(rows, linenos, header, numeric, text=()):
+    """The rows parsed one line at a time by ``csv.reader``, each line one row.
+
+    Raises the first ragged row or unparsable number in file order, the
+    ``numeric`` columns checked in the order given; else returns what
+    ``_read_rows`` returns.
+    """
+    values = np.zeros((len(rows), len(header)))
+    labels = []
+    for i, (raw, lineno) in enumerate(zip(rows, linenos)):
         row = next(csv.reader([raw]))
         if len(row) != len(header):
             raise SchemaError(
@@ -166,34 +173,37 @@ def _raise_first_bad_row(rows, linenos, header, numeric):
             )
         for pos in numeric:
             try:
-                _parse_number(row[pos])
+                values[i, pos] = _parse_number(row[pos])
             except ValueError:
                 raise ParseError(
                     f"could not parse {row[pos]!r} in column {header[pos]!r}", lineno
                 ) from None
+        labels.append([row[pos] for pos in text])
+    return values, np.array(labels, dtype=str).reshape(len(rows), len(text))
 
 
-def _read_numbers(rows, linenos, header, numeric, text=()) -> np.ndarray:
-    """(n, len(header)) float matrix of the data rows, in one pass of
-    numpy's reader; the ``text`` columns hold their field lengths.
+def _read_rows(rows, linenos, header, numeric, text=()):
+    """The data rows as an (n, len(header)) float matrix and their ``text``
+    columns as an (n, len(text)) string array.
 
-    Reading every column, not only the numbers, keeps the reader checking
-    that each row has the same field count. On a bad row the file is
-    scanned again in row order, checking the ``numeric`` columns in the
-    order given, to report the first fault with its file line.
+    numpy's reader parses every column in one pass, the text columns as
+    their field lengths, so that it keeps checking that each row has the
+    same field count. Where it fails, or finds another number of rows than
+    there are lines (a quote left open runs on into the lines after it),
+    ``_scan_rows`` parses the file again one line at a time: it reports the
+    first fault with its file line, or returns each line as one row.
     """
     try:
         values = np.loadtxt(
             rows, dtype=float, converters=dict.fromkeys(text, len), **_CSV_READ
         )
-    except ValueError as exc:
-        _raise_first_bad_row(rows, linenos, header, numeric)
-        raise ParseError(f"unreadable data rows: {exc}") from None
+    except ValueError:
+        return _scan_rows(rows, linenos, header, numeric, text)
     if values.shape != (len(rows), len(header)):
-        # every row has the same wrong width, or a quote left open ran on
-        # into the lines after it: the scan stops at the first bad row
-        _raise_first_bad_row(rows, linenos, header, numeric)
-    return values
+        return _scan_rows(rows, linenos, header, numeric, text)
+    if not text:
+        return values, np.empty((len(rows), 0), dtype=str)
+    return values, np.loadtxt(rows, dtype=str, usecols=text, **_CSV_READ)
 
 
 def load_dataset_csv(path) -> Dataset:
@@ -213,8 +223,7 @@ def load_dataset_csv(path) -> Dataset:
     if layout["group"] is not None:
         text.append(layout["group"])
     numeric = [layout["y"], *itertools.chain(*zip(a_pos, z_pos)), *layout["x"]]
-    values = _read_numbers(rows, linenos, header, numeric, text)
-    labels = np.loadtxt(rows, dtype=str, usecols=text, **_CSV_READ)
+    values, labels = _read_rows(rows, linenos, header, numeric, text)
     return Dataset(
         y=np.ascontiguousarray(values[:, layout["y"]]),
         a=np.ascontiguousarray(values[:, a_pos]),
@@ -302,7 +311,7 @@ def load_covariates_csv(path) -> tuple[np.ndarray, tuple]:
     rows, linenos = rows[1:], linenos[1:]
     if not rows:
         raise SchemaError(f"{path}: no data rows")
-    values = _read_numbers(rows, linenos, names, range(len(names)))
+    values, _ = _read_rows(rows, linenos, names, range(len(names)))
     return values, names
 
 

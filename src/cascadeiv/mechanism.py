@@ -128,6 +128,7 @@ class Population:
             [tuple(values[lo:hi]) for lo, hi in zip([0] + ends, ends)],
         )
         object.__setattr__(self, "_pref_array", pref_arr)
+        object.__setattr__(self, "_pref_lengths", lengths)
 
     @property
     def n(self) -> int:
@@ -140,6 +141,10 @@ class Population:
     def pref_array(self) -> np.ndarray:
         """(N, L) padded preference matrix; 0 marks unused slots."""
         return self._pref_array
+
+    def pref_lengths(self) -> np.ndarray:
+        """Length of each applicant's preference list (its listed slots)."""
+        return self._pref_lengths
 
 
 @dataclass(frozen=True)
@@ -257,12 +262,17 @@ def _slot_priorities(pop: Population, draws: np.ndarray):
 
 def _sweep(
     prefs: np.ndarray,
+    lengths: np.ndarray,
     pr_slot: np.ndarray,
     caps: np.ndarray,
     events: list | None = None,
     start: tuple | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Minimal market-clearing cutoffs, raised from below.
+
+    ``prefs`` and ``lengths`` are the population's padded preference matrix
+    and list lengths (``Population.pref_array`` and ``pref_lengths``), and
+    ``pr_slot`` the priority at each listed slot.
 
     Each sweep counts every applicant at their first listed program whose
     cutoff they clear, and raises the cutoff of each over-capacity program
@@ -292,7 +302,6 @@ def _sweep(
     """
     n, width = prefs.shape
     k = caps.shape[0]
-    lengths = (prefs > 0).sum(axis=1)
     end = np.arange(n) * width + lengths  # flat index one past each list
     prog_at, pr_at = prefs.ravel(), pr_slot.ravel()
     if start is None:
@@ -371,7 +380,7 @@ def run_clearing(
     prefs = pop.pref_array()
     events: list = [np.empty(0, dtype=CLEARING_EVENT_DTYPE)]
     cutoffs, assignment, pos = _sweep(
-        prefs, pr_slot, caps, events if log_events else None
+        prefs, pop.pref_lengths(), pr_slot, caps, events if log_events else None
     )
     admitted = _admission_matrix(assignment, k)
     oversubscribed = cutoffs > -np.inf
@@ -597,15 +606,15 @@ class _SlotOracles:
         if not todo:
             return
         self.oversub[todo] = True
-        prefs = pop.pref_array()
+        prefs, lengths = pop.pref_array(), pop.pref_lengths()
         start = None
         if len(todo) > 1:
-            start = _sweep(prefs, base.pr_slot, self.caps + 1)
+            start = _sweep(prefs, lengths, base.pr_slot, self.caps + 1)
         base_total = realized_outcomes(pop, base.admitted).sum()
         for j in todo:
             caps_plus = self.caps.copy()
             caps_plus[self.programs[j] - 1] += 1
-            _, assignment, _ = _sweep(prefs, base.pr_slot, caps_plus, start=start)
+            _, assignment, _ = _sweep(prefs, lengths, base.pr_slot, caps_plus, start=start)
             expanded = _admission_matrix(assignment, pop.n_programs)
             self.deltas[j, r] = realized_outcomes(pop, expanded).sum() - base_total
 

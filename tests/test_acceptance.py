@@ -200,16 +200,16 @@ def test_warm_started_oracle_sweeps_match_cold_on_acceptance_scenarios():
     markets += [(_criterion_4_config(t), (2000, 2000, 2000), 7) for t in (0.3, 1.0, 8.0)]
     for cfg, caps, master in markets:
         pop = generate_population(cfg)
-        prefs, caps = pop.pref_array(), np.asarray(caps)
+        prefs, lengths, caps = pop.pref_array(), pop.pref_lengths(), np.asarray(caps)
         for r in range(2):
             base = run_clearing(pop, MechanismConfig(
                 capacities=tuple(caps), lottery_seed=derive_seed(master, r)))
-            start = _sweep(prefs, base.pr_slot, caps + 1)
+            start = _sweep(prefs, lengths, base.pr_slot, caps + 1)
             for k in range(cfg.k):
                 plus = caps.copy()
                 plus[k] += 1
-                cold = _sweep(prefs, base.pr_slot, plus)
-                warm = _sweep(prefs, base.pr_slot, plus, start=start)
+                cold = _sweep(prefs, lengths, base.pr_slot, plus)
+                warm = _sweep(prefs, lengths, base.pr_slot, plus, start=start)
                 for got, want in zip(warm, cold):
                     assert np.array_equal(got, want)
 

@@ -1,5 +1,10 @@
+import warnings
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from cascadeiv import (
@@ -12,7 +17,9 @@ from cascadeiv import (
     fit_reduced_form,
     wald_ratios,
 )
+from cascadeiv.cascade import conditional_entrant_by_group
 from cascadeiv.errors import (
+    CascadeIVError,
     DataError,
     IllConditionedWarning,
     RankDeficientControls,
@@ -23,7 +30,17 @@ from cascadeiv.errors import (
     WeakDiagonalWarning,
     ZeroDiagonal,
 )
-from cascadeiv.estimator import FirstStage, _fit, first_stage_f
+from cascadeiv.estimator import (
+    FirstStage,
+    _cluster_moments,
+    _first_stage,
+    _fit,
+    _moment_fit,
+    _moment_replicate,
+    _solve_first_stage,
+    first_stage_f,
+)
+from cascadeiv.seeds import rng_for
 
 from conftest import bernoulli_iv_data, default_pi, noiseless_iv_data
 
@@ -392,6 +409,322 @@ def test_bootstrap_cascade_delta_vs_fresh_data_dispersion():
     mc_sd = mc.std(axis=0, ddof=1)
     res = cluster_bootstrap(draw(0), "cascade_delta", reps=300, seed=11)
     assert np.all(np.abs(res.se - mc_sd) / mc_sd < 0.30)
+
+
+# ---------------------------------------------------------------------------
+# named statistics on per-cluster moments against the row-resampling reference
+# ---------------------------------------------------------------------------
+
+
+def _ref_beta(d):
+    return fit_2sls(d)
+
+
+def _ref_wald(d):
+    f = _fit(d)
+    return wald_ratios(f.rf, _first_stage(f))
+
+
+def _ref_cascade_delta(d):
+    f = _fit(d)
+    return _solve_first_stage(f.pi_t, f.rf) - wald_ratios(f.rf, _first_stage(f))
+
+
+def _ref_conditional_entrant(levels):
+    def stat(d):
+        parts = list(conditional_entrant_by_group(d, levels).values())
+        if len(parts) == 2:
+            parts.append(parts[0] - parts[1])
+        return np.concatenate(parts)
+
+    return stat
+
+
+def _rounding_decides(d, levels):
+    """Whether rounding decides the statistic on these rows, or on a group
+    level's rows: they hold no more distinct rows than treatments plus
+    controls, so they identify nothing; or an instrument or a treatment
+    that is not zero lies in the span of the controls; or, with every
+    treatment taken somewhere, cond(Pi') or the largest |Pi'| entry over
+    the smallest |pi_kk| exceeds 1e4. The residual instruments or
+    treatments are then partly rounding noise, which one factorization may
+    pass and the other refuse, or the Gram's squared conditioning can move
+    the tenth digit of a ratio."""
+    samples = [d]
+    for lev in [] if levels is None else levels:
+        rows = np.flatnonzero(d.group_label == lev)
+        if rows.size:
+            try:
+                samples.append(d.take(rows))
+            except DataError:
+                pass
+    for sample in samples:
+        w = np.column_stack([sample.x, sample.z, sample.a, sample.y])
+        if len(np.unique(w, axis=0)) <= sample.n_treatments + sample.n_controls:
+            return True
+        try:
+            f = _fit(sample)
+        except CascadeIVError:
+            continue
+        for raw, resid in ((sample.z, f.z), (sample.a, f.a)):
+            norm = np.linalg.norm(raw, axis=0)
+            if np.any((norm > 0) & (np.linalg.norm(resid, axis=0) <= 1e-6 * norm)):
+                return True
+        if np.all(sample.a.any(axis=0)):
+            pi, diag = f.pi_t, np.abs(np.diag(f.pi_t))
+            if np.linalg.cond(pi) > 1e4 or np.max(np.abs(pi)) > 1e4 * np.min(diag):
+                return True
+    return False
+
+
+def reference_cluster_bootstrap(data, statistic, reps, seed):
+    """Row-resampling bootstrap of a named statistic: each replication takes
+    the drawn clusters' rows, relabelled by draw position, and refits them by
+    QR. Returns {replication: estimate or the error type it raised} and the
+    replications where rounding decides the statistic. Building the drawn
+    rows' Dataset is part of the replication, so its validation errors count
+    as that replication's failure."""
+    levels = None
+    if statistic == "conditional_entrant":
+        levels = np.unique(data.group_label)
+        stat = _ref_conditional_entrant(levels)
+    else:
+        stat = {"beta": _ref_beta, "wald": _ref_wald,
+                "cascade_delta": _ref_cascade_delta}[statistic]
+    codes = data.cluster_codes()
+    g = int(codes.max()) + 1
+    group_rows = [np.flatnonzero(codes == c) for c in range(g)]
+    out, noise = {}, []
+    for r in range(reps):
+        draw = rng_for(seed, r).integers(0, g, size=g)
+        rows = np.concatenate([group_rows[c] for c in draw])
+        relabel = np.repeat(np.arange(g), [group_rows[c].size for c in draw])
+        try:
+            d = data.take(rows, cluster=relabel)
+        except DataError as exc:
+            out[r] = type(exc)
+            continue
+        if _rounding_decides(d, levels):
+            noise.append(r)
+        try:
+            out[r] = np.atleast_1d(stat(d))
+        except CascadeIVError as exc:
+            out[r] = type(exc)
+    return out, noise
+
+
+def moment_replicates(data, statistic, reps, seed):
+    """{replication: estimate or error type} of the per-cluster moment path."""
+    codes = data.cluster_codes()
+    g = int(codes.max()) + 1
+    replicate = _moment_replicate(data, statistic, codes, g)
+    out = {}
+    for r in range(reps):
+        try:
+            out[r] = replicate(rng_for(seed, r).integers(0, g, size=g))
+        except CascadeIVError as exc:
+            out[r] = type(exc)
+    return out
+
+
+def _size(data):
+    """The larger of the full sample's largest |beta| and |Wald ratio|."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return max(np.max(np.abs(_ref_beta(data))), np.max(np.abs(_ref_wald(data))))
+
+
+def assert_bootstrap_matches_reference(data, statistic, reps, seed, rep_tol=1e-10,
+                                       se_rtol=1e-12):
+    """The moment path against the row reference, draw by draw: the same
+    failed replications, and replicates within ``rep_tol`` of each
+    component's largest |value|, or of 1e-3 of the largest |value| of any
+    component or of the full sample's beta and Wald ratios if that is
+    larger (their rounding sets the error of a component near zero, such
+    as the cascade_delta of a first stage without cross-effects). Draws
+    where rounding decides the statistic are left out; where there are
+    none, ``cluster_bootstrap`` must also give the same n_failed and
+    estimates and SE within ``se_rtol`` relative. Returns the failed and
+    the left-out replications."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        want, noise = reference_cluster_bootstrap(data, statistic, reps, seed)
+        got = moment_replicates(data, statistic, reps, seed)
+    kept = [r for r in range(reps) if r not in noise]
+    failed = [r for r in kept if isinstance(want[r], type)]
+    assert [r for r in kept if isinstance(got[r], type)] == failed
+    ok = [r for r in kept if r not in failed]
+    if not ok:
+        if not noise:
+            with pytest.raises(StatisticFailedInReplication):
+                cluster_bootstrap(data, statistic, reps, seed, max_failure_share=1.0)
+        return failed, noise
+    ref = np.array([want[r] for r in ok])
+    floor = 1e-3 * max(np.max(np.abs(ref)), _size(data))
+    scale = np.maximum(np.max(np.abs(ref), axis=0), floor)
+    assert np.all(np.abs(np.array([got[r] for r in ok]) - ref) <= rep_tol * scale)
+    if noise:
+        return failed, noise
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        res = cluster_bootstrap(data, statistic, reps, seed, max_failure_share=1.0)
+    assert res.n_failed == len(failed)
+    assert np.array_equal(res.estimates, np.array([got[r] for r in ok]))
+    if len(ok) > 1:
+        # a spread of rounding size (every draw that fits resamples the same
+        # rows, or the component is zero) is held to the replicates' bound
+        se = np.std(ref, axis=0, ddof=1)
+        spread = se > 1e-6 * scale
+        assert_allclose(res.se[spread], se[spread], rtol=se_rtol, atol=0)
+        assert np.all(np.abs(res.se - se)[~spread] <= rep_tol * scale[~spread])
+    return failed, noise
+
+
+STATISTICS = ["beta", "wald", "cascade_delta", "conditional_entrant"]
+
+
+def program_clustered_data(seed, k=3, per_program=2, rows=(8, 40), dummies=True,
+                           x_extra=0):
+    """Stacked pivotal-group layout: each cluster belongs to one program,
+    whose instrument is the only nonzero one in its rows; the controls are
+    a constant, optionally a dummy per program but the first, and normal
+    noise. A draw that misses every cluster of a program loses a control or
+    an instrument."""
+    rng = np.random.default_rng(seed)
+    g = k * per_program
+    sizes = rng.integers(rows[0], rows[1] + 1, g)
+    cluster = np.repeat(np.arange(g), sizes)
+    program = cluster % k
+    n = cluster.size
+    z = np.zeros((n, k))
+    z[np.arange(n), program] = rng.random(n)
+    a = (rng.random((n, k)) < 0.1 + 0.8 * z).astype(float)
+    cols = [np.ones(n)]
+    if dummies:
+        cols += [(program == j).astype(float) for j in range(1, k)]
+    cols += list(rng.standard_normal((x_extra, n)))
+    x = np.column_stack(cols)
+    y = 1.0 + a @ np.linspace(0.5, -0.5, k) + 0.5 * rng.standard_normal(n)
+    group = np.where(rng.random(n) < 0.5, "f", "m")
+    return Dataset(y=y, a=a, z=z, x=x, cluster=cluster, group_label=group)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(STATISTICS),
+    st.integers(1, 3),
+    st.integers(1, 3),
+    st.booleans(),
+    st.integers(0, 2),
+)
+def test_moment_bootstrap_matches_row_reference(seed, statistic, k, per_program,
+                                                dummies, x_extra):
+    # clusters of 10 to 40 rows, down to one cluster per program; the SE is
+    # held to the replicates' bound, as some draws of a few small clusters
+    # fit weakly identified replicates that dominate it
+    assume(k * per_program >= 2)
+    d = program_clustered_data(seed, k, per_program, rows=(10, 40), dummies=dummies,
+                               x_extra=x_extra)
+    assert_bootstrap_matches_reference(d, statistic, reps=12, seed=seed % 1000,
+                                       se_rtol=1e-10)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(STATISTICS),
+    st.integers(1, 3),
+    st.integers(1, 3),
+    st.booleans(),
+    st.integers(0, 2),
+)
+def test_moment_bootstrap_failures_match_on_tiny_clusters(seed, statistic, k,
+                                                          per_program, dummies, x_extra):
+    # clusters of 1 to 9 rows: many draws lose a program, repeat few distinct
+    # rows or leave a treatment constant, and must fail (or not) as the
+    # refit does; a weakly identified draw's replicate may differ from the
+    # refit's by some 1e-10 of its component's scale (the Gram squares the
+    # conditioning), so replicates are held to 1e-8 here
+    assume(k * per_program >= 2)
+    d = program_clustered_data(seed, k, per_program, rows=(1, 9), dummies=dummies,
+                               x_extra=x_extra)
+    assert_bootstrap_matches_reference(d, statistic, reps=12, seed=seed % 1000,
+                                       rep_tol=1e-8, se_rtol=1e-8)
+
+
+@pytest.mark.parametrize("statistic", STATISTICS)
+def test_moment_bootstrap_with_extra_controls(statistic):
+    d = bernoulli_iv_data(67, n=3000, k=3, x_extra=2, n_clusters=25, group_share=0.5)
+    failed, noise = assert_bootstrap_matches_reference(d, statistic, reps=30, seed=4)
+    assert failed == noise == []
+
+
+@pytest.mark.parametrize("dummies", [True, False])
+@pytest.mark.parametrize("statistic", STATISTICS)
+def test_moment_bootstrap_draws_that_drop_a_program(statistic, dummies):
+    # two clusters per program: a quarter of the draws miss both clusters of
+    # some program, which leaves a zero control dummy (or a dummy sum equal
+    # to the constant), or a zero instrument without the dummies
+    d = program_clustered_data(68, k=3, per_program=2, dummies=dummies)
+    failed, noise = assert_bootstrap_matches_reference(d, statistic, reps=40, seed=5)
+    assert failed and noise == []
+
+
+@pytest.mark.parametrize("statistic", STATISTICS)
+def test_moment_bootstrap_level_confined_to_one_cluster(statistic):
+    d = bernoulli_iv_data(66, n=2000, k=2, n_clusters=12, group_share=0.5)
+    g = np.where(d.cluster == d.cluster[0], "f", "m")
+    d = Dataset(y=d.y, a=d.a, z=d.z, x=d.x, cluster=d.cluster, group_label=g)
+    failed, noise = assert_bootstrap_matches_reference(d, statistic, reps=40, seed=3)
+    assert bool(failed) == (statistic == "conditional_entrant") and noise == []
+
+
+@pytest.mark.parametrize("statistic", STATISTICS)
+def test_moment_bootstrap_zero_first_stage_diagonal(statistic):
+    # treatment 2 is taken in one cluster only; a draw without that cluster
+    # has pi_22 == 0 exactly
+    d = bernoulli_iv_data(69, n=2000, k=2, n_clusters=10, group_share=0.5)
+    a = d.a.copy()
+    a[d.cluster != d.cluster[0], 1] = 0.0
+    d = Dataset(y=d.y, a=a, z=d.z, x=d.x, cluster=d.cluster, group_label=d.group_label)
+    failed, noise = assert_bootstrap_matches_reference(d, statistic, reps=40, seed=6)
+    assert failed and noise == []
+
+
+@pytest.mark.parametrize("statistic", STATISTICS)
+def test_named_statistics_never_take_rows(statistic):
+    d = bernoulli_iv_data(70, n=1500, k=2, n_clusters=20, group_share=0.5)
+    with mock.patch.object(Dataset, "take", side_effect=AssertionError("take called")):
+        res = cluster_bootstrap(d, statistic, reps=10, seed=2)
+    assert res.n_failed == 0
+
+
+def test_moment_fit_matches_qr_fit_and_its_rank_checks():
+    d = bernoulli_iv_data(71, n=2500, k=3, x_extra=2, n_clusters=15)
+    codes = d.cluster_codes()
+    moments, rows = _cluster_moments(d, codes, int(codes.max()) + 1)
+    assert rows.sum() == d.n_obs
+    f, m = _fit(d), _moment_fit(moments.sum(axis=0), d.n_obs, d.n_controls, 3)
+    assert_allclose(m.pi_t, f.pi_t, rtol=1e-12, atol=1e-14)
+    assert_allclose(m.rf, f.rf, rtol=1e-12, atol=1e-14)
+    # a zero control and a duplicated one are named as the pivoted QR names
+    # them; a duplicated instrument is singular
+    for x, columns in ((np.column_stack([d.x, np.zeros(d.n_obs)]), {3}),
+                       (np.column_stack([d.x, d.x[:, 1]]), {1, 3})):
+        bad = Dataset(y=d.y, a=d.a, z=d.z, x=x, cluster=d.cluster)
+        gram = _cluster_moments(bad, codes, int(codes.max()) + 1)[0].sum(axis=0)
+        with pytest.raises(RankDeficientControls) as qr:
+            _fit(bad)
+        with pytest.raises(RankDeficientControls) as gm:
+            _moment_fit(gram, bad.n_obs, bad.n_controls, 3)
+        assert qr.value.column in columns and gm.value.column in columns
+    z = d.z.copy()
+    z[:, 2] = z[:, 0]
+    bad = Dataset(y=d.y, a=d.a, z=z, x=d.x, cluster=d.cluster)
+    gram = _cluster_moments(bad, codes, int(codes.max()) + 1)[0].sum(axis=0)
+    with pytest.raises(SingularInstrumentGram):
+        _moment_fit(gram, bad.n_obs, bad.n_controls, 3)
 
 
 # ---------------------------------------------------------------------------

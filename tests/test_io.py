@@ -517,7 +517,17 @@ def test_loader_faults_match_reference(d, data):
             if lines[r].startswith("#") or lines[r].isspace():
                 continue
             row = next(csv.reader([lines[r]]))
-            fault = data.draw(st.sampled_from(["value", "extra", "short"]))
+            fault = data.draw(st.sampled_from(["value", "extra", "short", "open_quote"]))
+            if fault == "open_quote":
+                # a quote opened in some field and left open to the end of
+                # the line, which drops the fields after it; in the last
+                # field the line keeps its field count
+                col = data.draw(st.integers(0, len(row) - 1))
+                buf = io.StringIO()
+                csv.writer(buf, lineterminator="").writerow(row[:col])
+                text = data.draw(st.sampled_from(["c", "", "x,y", "1.5", 'q"']))
+                lines[r] = (buf.getvalue() + "," if col else "") + '"' + text + "\n"
+                continue
             if fault == "value":
                 col = data.draw(st.integers(0, len(row) - 1))
                 row[col] = data.draw(st.sampled_from(["oops", "", "1.5e", "0x1", "--1"]))
@@ -534,6 +544,8 @@ def test_loader_faults_match_reference(d, data):
         path.write_text("".join(lines))
         want = _raised(reference_load_dataset_csv, path)
         assert _raised(load_dataset_csv, path) == want
+        if want is None:
+            assert_same_dataset(load_dataset_csv(path), reference_load_dataset_csv(path))
 
 
 # ---------------------------------------------------------------------------
@@ -555,6 +567,27 @@ def test_open_quote_does_not_hide_a_ragged_row(tmp_path):
     want = (SchemaError, "line 3: row has 6 fields, header has 5", None)
     assert _raised(reference_load_dataset_csv, path) == want
     assert _raised(load_dataset_csv, path) == want
+
+
+def test_open_quote_at_line_end_loads_each_line_as_a_row(tmp_path):
+    # numpy's reader folds the lines after an open quote into its field;
+    # read as the row-by-row reference reads them, each line is one row
+    path = tmp_path / "d.csv"
+    path.write_text(
+        "y,a_1,z_1,x_1,cluster\n"
+        '0.0,0.0,0.5,1.0,"c\n'
+        "0.0,1.0,0.5,1.0,c\n"
+        "0.0,0.0,0.5,1.0,c\n"
+    )
+    d = load_dataset_csv(path)
+    assert d.n_obs == 3
+    assert list(d.cluster) == ["c\n", "c", "c"]
+    assert_same_dataset(d, reference_load_dataset_csv(path))
+    cov = tmp_path / "c.csv"
+    cov.write_text('u,v\n1.0,"2.5\n3.0,4.0\n5.0,6.0\n')
+    mat, names = load_covariates_csv(cov)
+    assert names == ("u", "v")
+    assert same_floats(mat, np.array([[1.0, 2.5], [3.0, 4.0], [5.0, 6.0]]))
 
 
 def test_extra_field_reports_line(tmp_path):

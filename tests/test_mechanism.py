@@ -98,6 +98,7 @@ def test_population_pads_empty_lists():
     pop = make_pop([(), (2,), (3, 1), ()], 3)
     assert pop.prefs == [(), (2,), (3, 1), ()]
     assert pop.pref_array().tolist() == [[0, 0], [2, 0], [3, 1], [0, 0]]
+    assert pop.pref_lengths().tolist() == [0, 1, 2, 0]
     assert make_pop([(), ()], 2).pref_array().tolist() == [[0], [0]]
     assert make_pop([], 2).pref_array().shape == (0, 1)
 
@@ -123,6 +124,7 @@ def test_population_prefs_match_loop_reference(case):
         assert pop.prefs == want[0]
         assert all(type(p) is int for pl in pop.prefs for p in pl)
         assert np.array_equal(pop.pref_array(), want[1])
+        assert np.array_equal(pop.pref_lengths(), (want[1] > 0).sum(axis=1))
 
 
 # ---------------------------------------------------------------------------
@@ -612,15 +614,15 @@ def test_clearing_is_applicant_optimal_by_enumeration(market):
 def test_one_more_seat_lowers_cutoffs_and_stays_applicant_optimal(market):
     pop, cfg = market
     res = run_clearing(pop, cfg)
-    prefs = pop.pref_array()
+    prefs, lengths = pop.pref_array(), pop.pref_lengths()
     caps = np.asarray(cfg.capacities)
     priority = pop.merit[:, None] + res.draws
-    cutoffs, assignment, _ = _sweep(prefs, res.pr_slot, caps)
+    cutoffs, assignment, _ = _sweep(prefs, lengths, res.pr_slot, caps)
     assert np.array_equal(assignment, res.assignment)
     for k in range(pop.n_programs):
         plus = caps.copy()
         plus[k] += 1
-        cut_plus, assign_plus, _ = _sweep(prefs, res.pr_slot, plus)
+        cut_plus, assign_plus, _ = _sweep(prefs, lengths, res.pr_slot, plus)
         assert np.all(cut_plus <= cutoffs)
         for i in range(pop.n):
             assert applicant_rank(pop, i, assign_plus[i]) <= applicant_rank(
@@ -641,14 +643,14 @@ def test_one_more_seat_lowers_cutoffs_and_stays_applicant_optimal(market):
 def test_sweep_started_at_one_extra_seat_everywhere_matches_cold_start(market):
     pop, cfg = market
     res = run_clearing(pop, cfg)
-    prefs = pop.pref_array()
+    prefs, lengths = pop.pref_array(), pop.pref_lengths()
     caps = np.asarray(cfg.capacities)
-    start = _sweep(prefs, res.pr_slot, caps + 1)
+    start = _sweep(prefs, lengths, res.pr_slot, caps + 1)
     for k in range(pop.n_programs):
         plus = caps.copy()
         plus[k] += 1
-        cold = _sweep(prefs, res.pr_slot, plus)
-        warm = _sweep(prefs, res.pr_slot, plus, start=start)
+        cold = _sweep(prefs, lengths, res.pr_slot, plus)
+        warm = _sweep(prefs, lengths, res.pr_slot, plus, start=start)
         for got, want in zip(warm, cold):
             assert got.dtype == want.dtype
             assert np.array_equal(got, want)
@@ -688,16 +690,16 @@ def test_all_programs_oracle_mixed_subscription(reps):
 def test_sweep_raises_on_tied_priorities_at_the_cutoff():
     # one seat; two applicants tie exactly above a third: raising the
     # cutoff to the tied value rejects the third, then nobody
-    prefs = np.array([[1], [1], [1]])
+    prefs, lengths = np.array([[1], [1], [1]]), np.ones(3, dtype=np.int64)
     pr_slot = np.array([[4.5], [4.5], [4.1]])
     with pytest.raises(UnresolvedPriorityTie) as exc:
-        _sweep(prefs, pr_slot, np.array([1]))
+        _sweep(prefs, lengths, pr_slot, np.array([1]))
     assert exc.value.programs == [1]
     assert isinstance(exc.value, NumericalError)
     # the same queue with the tie broken clears in one raise
     events = []
     cutoffs, demand, _ = _sweep(
-        prefs, np.array([[4.5], [4.6], [4.1]]), np.array([1]), events
+        prefs, lengths, np.array([[4.5], [4.6], [4.1]]), np.array([1]), events
     )
     assert list(demand) == [0, 1, 0]
     assert cutoffs[0] == 4.6
