@@ -274,9 +274,9 @@ def group_outcome_decomposition(
 ) -> dict:
     """Full-sample 2SLS with group-masked outcomes 1[g_i = g] * Y_i.
 
-    The per-group coefficients sum exactly to the full-sample beta for
-    every treatment because 2SLS is linear in the outcome. Only the
-    outcome changes between levels, so one fit serves them all.
+    The per-group coefficients sum to the full-sample beta for every
+    treatment, up to rounding, because 2SLS is linear in the outcome. Each
+    level is ``fit_2sls`` of its masked outcome.
     """
     labels = partition if partition is not None else data.group_label
     if labels is None:
@@ -286,7 +286,6 @@ def group_outcome_decomposition(
         raise LengthMismatch("partition must have one label per observation")
     if levels is None:
         levels = list(np.unique(labels))
-    f = _fit(data)
     out = {}
     for lev in levels:
         mask = (labels == lev).astype(float)
@@ -296,7 +295,7 @@ def group_outcome_decomposition(
                 EmptyGroupWarning,
                 stacklevel=2,
             )
-        out[lev] = _solve_first_stage(f.pi_t, f.reduced_form(mask * data.y))
+        out[lev] = fit_2sls(data.with_outcome(mask * data.y))
     return out
 
 

@@ -40,14 +40,18 @@ class NumericalError(CascadeIVError):
 
 
 class RankDeficientControls(NumericalError):
-    """Control matrix has linearly dependent columns."""
+    """Control matrix has linearly dependent columns.
+
+    ``cond`` bounds the condition number of the controls' cross-products
+    (scaled to a unit diagonal) from below.
+    """
 
     def __init__(self, column: int, cond: float):
         self.column = column
         self.cond = cond
         super().__init__(
             f"control matrix is rank deficient: column {column} is in the span "
-            f"of the preceding columns (condition number {cond:.3e})"
+            f"of the preceding columns (cross-product condition number {cond:.3e})"
         )
 
 

@@ -1,13 +1,17 @@
 """First stage, reduced form, 2SLS, Wald ratios, and cluster inference.
 
-Every estimate comes from one numerical path, ``_fit``, the only place
-where the controls are projected out of the outcome, treatments, and
-instruments (Frisch-Waugh). It factors the residual instruments once
-with a rank-revealing pivoted QR, which gives the projection z (z'z)^-1.
-The first stage Pi' and the reduced form RF are that projection applied
-to the treatments and the outcome, the cluster scores reuse it, and the
-system is just identified (one instrument per treatment), so the 2SLS
-coefficients and the total slot-expansion effects are the same solve
+Every estimate comes from one fit, ``_moment_fit``, of the cross-products
+W'W of W = [x, z, a, y]. The controls are projected out (Frisch-Waugh) as
+the Schur complement of their block, and the first stage Pi' and the
+reduced form RF solve the residual instrument block; pivoted-Cholesky rank
+checks of both blocks refuse dependent controls and instruments. A fit of a
+Dataset makes that W'W with one product of its rows, and so does a callable
+bootstrap statistic that refits its drawn rows; a named bootstrap statistic
+weights per-cluster cross-products by its draw. The rows enter again only
+in the cluster scores and F, as their residuals on the controls, W E with
+E = [-Mxx^-1 Mx.; I] from the same Schur step. The system is just
+identified (one instrument per treatment), so the 2SLS coefficients and the
+total slot-expansion effects are the same solve
 
     beta = T = solve(Pi', RF)
 
@@ -23,7 +27,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-import scipy.linalg
 import scipy.linalg.lapack
 
 from .data import Dataset
@@ -129,69 +132,27 @@ class BootstrapResult:
 
 
 # ---------------------------------------------------------------------------
-# Partialling
-# ---------------------------------------------------------------------------
-
-
-def _pivoted_qr(m: np.ndarray):
-    """Economic pivoted QR of m, ``m[:, piv] == q @ r``, with its numerical rank."""
-    n, p = m.shape
-    q, r, piv = scipy.linalg.qr(m, mode="economic", pivoting=True)
-    rdiag = np.abs(np.diag(r))
-    tol = np.finfo(float).eps * max(n, p) * (rdiag[0] if rdiag.size else 0.0)
-    return q, r, piv, int(np.sum(rdiag > tol))
-
-
-def _control_basis(x: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the control column span; rank-revealing.
-
-    Raises RankDeficientControls with the offending (original) column index
-    when the controls are linearly dependent.
-    """
-    q, r, piv, rank = _pivoted_qr(x)
-    if rank < x.shape[1]:
-        # fewer rows than controls leave no diagonal entry at the rank
-        top, bad = abs(r[0, 0]), abs(r[rank, rank]) if rank < r.shape[0] else 0.0
-        cond = np.inf if bad == 0 else top / bad
-        raise RankDeficientControls(column=int(piv[rank]), cond=float(cond))
-    return q
-
-
-def _resid(q: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """m net of its projection on the orthonormal basis q."""
-    return m - q @ (q.T @ m)
-
-
-# ---------------------------------------------------------------------------
-# Core fits
+# The one fit
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class _Fit:
-    """The system net of the controls and what one QR of its instruments gives.
+    """Pi' and RF solved from the cross-products W'W of W = [x, z, a, y].
 
-    ``y``, ``a``, ``z`` are residuals on the control basis ``q``. ``proj``
-    is z (z'z)^-1, so ``pi_t`` (Pi', row k holding instrument k's
-    coefficients for every treatment) is proj'a and ``rf`` is proj'y;
-    ``reduced_form`` reuses both for another outcome on the same rows.
+    ``pi_t`` is Pi' (row k holding instrument k's coefficients for every
+    treatment) and ``rf`` the reduced form. ``partial`` is Mxx^-1 Mx., the
+    controls' coefficients for every other column of W, so the rows net of
+    the controls are W E with E = [-partial; I]; ``instruments`` is the
+    pivoted-Cholesky factor of the residual instruments' cross-products.
     """
 
-    y: np.ndarray
-    a: np.ndarray
-    z: np.ndarray
-    q: np.ndarray
-    n_controls: int
-    proj: np.ndarray
     pi_t: np.ndarray
     rf: np.ndarray
-
-    @property
-    def n_obs(self) -> int:
-        return self.a.shape[0]
-
-    def reduced_form(self, y: np.ndarray) -> np.ndarray:
-        return self.proj.T @ _resid(self.q, y)
+    n_obs: int
+    n_controls: int
+    partial: np.ndarray
+    instruments: tuple
 
 
 def _singular_instruments(column: int) -> SingularInstrumentGram:
@@ -201,18 +162,102 @@ def _singular_instruments(column: int) -> SingularInstrumentGram:
     )
 
 
-def _fit(data: Dataset) -> _Fit:
-    """Partial the controls out of y, a and z, then factor z once."""
-    q = _control_basis(data.x)
-    y, a, z = (_resid(q, m) for m in (data.y, data.a, data.z))
-    qz, r, piv, rank = _pivoted_qr(z)
-    k = data.n_treatments
-    if rank < k:
-        raise _singular_instruments(int(piv[rank]))
-    # z[:, piv] = QR, so z (z'z)^-1 = Q R^-T with its columns un-pivoted
-    proj_t = np.empty((k, data.n_obs))
-    proj_t[piv] = scipy.linalg.solve_triangular(r, qz.T)
-    return _Fit(y, a, z, q, data.n_controls, proj_t.T, proj_t @ a, proj_t @ y)
+def _pivoted_cholesky(gram: np.ndarray, tol: float, norms: np.ndarray | None = None):
+    """Rank-revealing Cholesky (LAPACK ``dpstrf``) of a Gram matrix.
+
+    The Gram is scaled by s = ``norms`` (default sqrt(diag(gram)); 1 for a
+    zero column) and factored in pivot order, always on the largest
+    remaining diagonal, as a pivoted QR of the columns pivots on the
+    largest remaining norm. A column's remaining diagonal is its squared
+    distance, in units of its norm in s, from the span of the columns
+    pivoted before it; the factorization stops where that is at most
+    ``tol``.
+
+    Returns ``((l, perm, s), None, 0.0)`` at full rank, else ``(None,
+    column, cond)`` naming the column the next pivot would take (its
+    largest remaining diagonal) and 1 / that diagonal, a lower bound on the
+    scaled Gram's condition number (inf for an exact dependence).
+    """
+    s = np.sqrt(np.diag(gram)) if norms is None else norms.copy()
+    s[s == 0.0] = 1.0
+    a = gram / np.outer(s, s)
+    l, piv, rank, _ = scipy.linalg.lapack.dpstrf(a, tol=tol, lower=1)
+    if rank and l[0, 0] ** 2 <= tol:  # dpstrf holds only later pivots to tol
+        rank = 0
+    perm = piv - 1
+    if rank == gram.shape[0]:
+        return (l, perm, s), None, 0.0
+    rest = perm[rank:]
+    remaining = np.diag(a)[rest] - (l[rank:, :rank] ** 2).sum(axis=1)
+    worst = int(np.argmax(remaining))
+    cond = 1.0 / remaining[worst] if remaining[worst] > 0 else np.inf
+    return None, int(rest[worst]), float(cond)
+
+
+def _cholesky_solve(factor, rhs: np.ndarray) -> np.ndarray:
+    """gram^-1 rhs, for the full-rank ``_pivoted_cholesky`` factor of gram."""
+    l, perm, s = factor
+    out = np.empty_like(rhs)
+    out[perm] = scipy.linalg.lapack.dpotrs(l, (rhs / s[:, None])[perm], lower=1)[0]
+    return out / s[:, None]
+
+
+def _moment_fit(gram: np.ndarray, n_obs: int, n_controls: int, k: int) -> _Fit:
+    """The fit of n_obs rows from their cross-products W'W, W = [x, z, a, y].
+
+    The controls are partialled out as the Schur complement of their block
+    of W'W, which leaves the cross-products of the residual z, a and y, and
+    Pi' and RF solve the residual instrument block. Both blocks get a
+    pivoted-Cholesky rank check. A column counts as dependent when its
+    remaining squared norm is within the rounding of the products that made
+    it: eps * max(n, p) of its own for the controls, n-row cross-products;
+    and, for the instruments, measured against their norms before
+    partialling, that much again times the scaled control block's condition
+    number, which bounds the rounding of the Schur complement. A treatment
+    whose residual squared norm is within that same bound of its raw one
+    lies in the span of the controls up to rounding, so its Pi' column
+    would be rounding noise: it is set to exactly zero, which the
+    zero-diagonal and first-stage conditioning checks refuse.
+    """
+    p = n_controls
+    eps = np.finfo(float).eps
+    factor, column, cond = _pivoted_cholesky(gram[:p, :p], eps * max(n_obs, p))
+    if factor is None:
+        raise RankDeficientControls(column=column, cond=cond)
+    cross = gram[:p, p:]
+    partial = _cholesky_solve(factor, cross)
+    resid = gram[p:, p:] - cross.T @ partial
+    pivots = np.diag(factor[0])
+    tol = eps * max(n_obs, k) * (pivots.max() / pivots.min()) ** 2
+    raw = np.diag(gram)[p:]
+    instruments, column, _ = _pivoted_cholesky(resid[:k, :k], tol, np.sqrt(raw[:k]))
+    if instruments is None:
+        raise _singular_instruments(column)
+    coef = _cholesky_solve(instruments, resid[:k, k:])
+    coef[:, np.flatnonzero(np.diag(resid)[k : 2 * k] <= tol * raw[k : 2 * k])] = 0.0
+    return _Fit(coef[:, :k], coef[:, k], n_obs, p, partial, instruments)
+
+
+def _design(data: Dataset) -> np.ndarray:
+    """W = [x, z, a, y], the columns every fit reads."""
+    return np.column_stack([data.x, data.z, data.a, data.y])
+
+
+def _fit(data: Dataset, w: np.ndarray | None = None) -> _Fit:
+    """``_moment_fit`` of a Dataset, on one W'W of its rows ``w``."""
+    if w is None:
+        w = _design(data)
+    return _moment_fit(w.T @ w, data.n_obs, data.n_controls, data.n_treatments)
+
+
+def _fit_rows(data: Dataset):
+    """The fit of a Dataset and its residual z, a and y on the controls,
+    W E with E = [-Mxx^-1 Mx.; I] from the fit's Schur step."""
+    w = _design(data)
+    f = _fit(data, w)
+    p, k = f.n_controls, data.n_treatments
+    r = w[:, p:] - w[:, :p] @ f.partial
+    return f, (r[:, :k], r[:, k : 2 * k], r[:, 2 * k])
 
 
 def _solve_first_stage(pi_t: np.ndarray, rf: np.ndarray) -> np.ndarray:
@@ -249,7 +294,7 @@ def _solve_first_stage(pi_t: np.ndarray, rf: np.ndarray) -> np.ndarray:
 
 
 def _first_stage(
-    f: _Fit | _MomentFit, weak_threshold: float = WEAK_DIAGONAL_THRESHOLD
+    f: _Fit, weak_threshold: float = WEAK_DIAGONAL_THRESHOLD
 ) -> FirstStage:
     """The fit's FirstStage, warning about weak own-instrument coefficients."""
     if f.n_obs <= f.pi_t.shape[0] + f.n_controls:
@@ -311,23 +356,27 @@ def wald_ratios(rf: np.ndarray, fs: FirstStage) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _scores(f: _Fit, beta: np.ndarray, which) -> dict[str, np.ndarray]:
+def _scores(f: _Fit, resid, beta: np.ndarray, which) -> dict[str, np.ndarray]:
     """Per-observation influence of the estimates named in ``which``.
 
-    The beta and rf scores are always returned; the wald and delta ones
-    (delta-method influence of RF_k / pi_kk) only when asked for, since they
-    need a nonzero first-stage diagonal.
+    The rows enter as ``resid``, their z, a and y net of the controls
+    (``_fit_rows``). The beta and rf scores are always returned; the wald
+    and delta ones (delta-method influence of RF_k / pi_kk) only when asked
+    for, since they need a nonzero first-stage diagonal.
     """
-    proj = f.proj
+    z, a, y = resid
+    zz_inv = _cholesky_solve(f.instruments, np.eye(z.shape[1]))
+    proj = z @ zz_inv  # z (z'z)^-1
     out = {
-        "beta": np.linalg.solve(f.pi_t, ((f.y - f.a @ beta)[:, None] * proj).T).T,
-        "rf": (f.y - f.z @ f.rf)[:, None] * proj,
+        # row i: Pi'^-1 (z'z)^-1 z_i e_i, with e = y - a beta
+        "beta": (y - a @ beta)[:, None] * (z @ np.linalg.solve(f.pi_t, zz_inv).T),
+        "rf": (y - z @ f.rf)[:, None] * proj,
     }
     if "wald" in which or "delta" in which:
         diag = np.diag(f.pi_t)
         if np.any(diag == 0.0):
             raise ZeroDiagonal(int(np.flatnonzero(diag == 0.0)[0]))
-        s_pikk = proj * (f.a - f.z @ f.pi_t)  # column k: influence of pi_kk
+        s_pikk = proj * (a - z @ f.pi_t)  # column k: influence of pi_kk
         out["wald"] = out["rf"] / diag - (f.rf / diag**2) * s_pikk
         out["delta"] = out["beta"] - out["wald"]
     return out
@@ -367,8 +416,8 @@ def cluster_robust_se(
     """
     if which not in ("beta", "rf", "wald", "delta"):
         raise DataError(f"unknown standard-error target {which!r}")
-    f = _fit(data)
-    scores = _scores(f, _solve_first_stage(f.pi_t, f.rf), (which,))
+    f, resid = _fit_rows(data)
+    scores = _scores(f, resid, _solve_first_stage(f.pi_t, f.rf), (which,))
     k_params = data.n_treatments + data.n_controls
     vcov = _sandwich(
         scores[which], data.cluster_codes(), data.n_obs, k_params, small_sample_factor
@@ -382,14 +431,15 @@ def first_stage_f(data: Dataset) -> np.ndarray:
     Classic (homoskedastic) F on the system net of the controls, reported as a
     relevance diagnostic alongside the weak-diagonal check.
     """
-    return _first_stage_f(_fit(data))
+    f, (z, a, _) = _fit_rows(data)
+    return _first_stage_f(f, z, a)
 
 
-def _first_stage_f(f: _Fit) -> np.ndarray:
-    n, k = f.z.shape
-    u = f.a - f.z @ f.pi_t
+def _first_stage_f(f: _Fit, z: np.ndarray, a: np.ndarray) -> np.ndarray:
+    n, k = z.shape
+    u = a - z @ f.pi_t
     rss = (u**2).sum(axis=0)
-    tss = ((f.a - f.a.mean(axis=0)) ** 2).sum(axis=0)
+    tss = ((a - a.mean(axis=0)) ** 2).sum(axis=0)
     dof = n - k - f.n_controls
     with np.errstate(divide="ignore", invalid="ignore"):
         out = np.where(rss > 0, ((tss - rss) / k) / (rss / dof), np.inf)
@@ -413,93 +463,9 @@ def _cascade_delta(f) -> np.ndarray:
     return _beta(f) - _wald(f)
 
 
-# statistics of one fit (a _Fit or a _MomentFit); "conditional_entrant"
-# fits the pooled draw and each group level
+# statistics of one fit; "conditional_entrant" fits the pooled draw and
+# each group level
 _FIT_STATISTICS = {"beta": _beta, "wald": _wald, "cascade_delta": _cascade_delta}
-
-
-@dataclass(frozen=True)
-class _MomentFit:
-    """Pi' and RF solved from the cross-products W'W of W = [x, z, a, y].
-
-    Holds what ``_first_stage`` and the bootstrap statistics read of a fit.
-    """
-
-    pi_t: np.ndarray
-    rf: np.ndarray
-    n_obs: int
-    n_controls: int
-
-
-def _pivoted_cholesky(gram: np.ndarray, tol: float, norms: np.ndarray | None = None):
-    """Rank-revealing Cholesky (LAPACK ``dpstrf``) of a Gram matrix.
-
-    The Gram is scaled by s = ``norms`` (default sqrt(diag(gram)); 1 for a
-    zero column) and factored in pivot order, always on the largest
-    remaining diagonal, as the pivoted QR of the columns pivots on the
-    largest remaining norm. A column's remaining diagonal is its squared
-    distance, in units of its norm in s, from the span of the columns
-    pivoted before it; the factorization stops where that is at most
-    ``tol``.
-
-    Returns ``((l, perm, s), None, 0.0)`` at full rank, else ``(None,
-    column, cond)`` naming the column the next pivot would take (its
-    largest remaining diagonal) and 1 / sqrt(that diagonal), inf for an
-    exact dependence.
-    """
-    s = np.sqrt(np.diag(gram)) if norms is None else norms.copy()
-    s[s == 0.0] = 1.0
-    a = gram / np.outer(s, s)
-    l, piv, rank, _ = scipy.linalg.lapack.dpstrf(a, tol=tol, lower=1)
-    if rank and l[0, 0] ** 2 <= tol:  # dpstrf holds only later pivots to tol
-        rank = 0
-    perm = piv - 1
-    if rank == gram.shape[0]:
-        return (l, perm, s), None, 0.0
-    rest = perm[rank:]
-    remaining = np.diag(a)[rest] - (l[rank:, :rank] ** 2).sum(axis=1)
-    worst = int(np.argmax(remaining))
-    cond = 1.0 / np.sqrt(remaining[worst]) if remaining[worst] > 0 else np.inf
-    return None, int(rest[worst]), float(cond)
-
-
-def _cholesky_solve(factor, rhs: np.ndarray) -> np.ndarray:
-    """gram^-1 rhs, for the full-rank ``_pivoted_cholesky`` factor of gram."""
-    l, perm, s = factor
-    out = np.empty_like(rhs)
-    out[perm] = scipy.linalg.lapack.dpotrs(l, (rhs / s[:, None])[perm], lower=1)[0]
-    return out / s[:, None]
-
-
-def _moment_fit(gram: np.ndarray, n_obs: int, n_controls: int, k: int) -> _MomentFit:
-    """``_fit`` on the cross-products of W = [x, z, a, y] instead of the rows.
-
-    The controls are partialled out as the Schur complement of their block
-    of W'W, which leaves the cross-products of the residual z, a and y, and
-    Pi' and RF solve the residual instrument block. Both blocks get a
-    pivoted-Cholesky rank check in place of the pivoted QR, raising the
-    same errors. A column counts as dependent when its remaining squared
-    norm is within the rounding of the products that made it: eps * max(n,
-    p) of its own for the controls, n-row cross-products; and, for the
-    instruments, measured against their norms before partialling, that
-    much again times the scaled control block's condition number, which
-    bounds the rounding of the Schur complement.
-    """
-    p = n_controls
-    eps = np.finfo(float).eps
-    factor, column, cond = _pivoted_cholesky(gram[:p, :p], eps * max(n_obs, p))
-    if factor is None:
-        raise RankDeficientControls(column=column, cond=cond)
-    cross = gram[:p, p:]
-    resid = gram[p:, p:] - cross.T @ _cholesky_solve(factor, cross)
-    pivots = np.diag(factor[0])
-    tol = eps * max(n_obs, k) * (pivots.max() / pivots.min()) ** 2
-    raw = np.sqrt(np.diag(gram)[p : p + k])
-    factor, column, _ = _pivoted_cholesky(resid[:k, :k], tol, raw)
-    if factor is None:
-        raise _singular_instruments(column)
-    coef = _cholesky_solve(factor, resid[:k, k:])
-    return _MomentFit(coef[:, :k], coef[:, k], n_obs, p)
 
 
 def _cluster_moments(data: Dataset, codes: np.ndarray, n_codes: int):
@@ -510,7 +476,7 @@ def _cluster_moments(data: Dataset, codes: np.ndarray, n_codes: int):
     grouped by code (one run per code) are sorted by code first. Memory
     stays O(N d + n_codes d^2).
     """
-    w = np.column_stack([data.x, data.z, data.a, data.y])
+    w = _design(data)
     rows = np.bincount(codes, minlength=n_codes)
     starts = np.flatnonzero(np.r_[True, codes[1:] != codes[:-1]])
     if starts.size > np.count_nonzero(rows):
@@ -618,7 +584,8 @@ def cluster_bootstrap(
     matter. A named statistic (``beta``, ``wald``, ``cascade_delta``,
     ``conditional_entrant``) is recomputed from the drawn clusters'
     cross-products of [x, z, a, y], summed per cluster once; a callable gets
-    the drawn rows as a Dataset, clusters relabelled by draw position.
+    the drawn rows as a Dataset, clusters relabelled by draw position, and
+    the package's fits refit them through the same ``_moment_fit``.
     Replications where the statistic raises a package error (a rank-deficient
     draw, a singular first stage, a zero first-stage diagonal, too few rows,
     a lost group level) are dropped and counted; more than
@@ -680,11 +647,11 @@ def estimate_all(data: Dataset) -> EstimateSet:
     ``beta``, the three standard-error vectors share one score pass, and
     the first stage and its F statistics are read off the same fit.
     """
-    f = _fit(data)
+    f, resid = _fit_rows(data)
     fs = _first_stage(f)
     beta = _solve_first_stage(f.pi_t, f.rf)
     wald = wald_ratios(f.rf, fs)
-    scores = _scores(f, beta, ("beta", "wald", "delta"))
+    scores = _scores(f, resid, beta, ("beta", "wald", "delta"))
     codes = data.cluster_codes()
     k_params = data.n_treatments + data.n_controls
 
@@ -703,5 +670,5 @@ def estimate_all(data: Dataset) -> EstimateSet:
         n_obs=data.n_obs,
         n_clusters=int(codes.max()) + 1,
         first_stage=fs,
-        first_stage_f=_first_stage_f(f),
+        first_stage_f=_first_stage_f(f, *resid[:2]),
     )

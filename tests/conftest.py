@@ -1,7 +1,11 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
+import scipy.linalg
 
 from cascadeiv import Dataset
+from cascadeiv.errors import RankDeficientControls, SingularInstrumentGram
 
 
 def default_pi(k):
@@ -60,6 +64,54 @@ def well_conditioned_pi(rng, k, max_cond=50.0):
         np.fill_diagonal(pi, rng.uniform(0.8, 1.5, k) * np.sign(rng.uniform(-1, 1, k)))
         if np.linalg.cond(pi.T) < max_cond:
             return pi
+
+
+def _pivoted_qr(m):
+    """Economic pivoted QR of m, ``m[:, piv] == q @ r``, with its numerical rank."""
+    n, p = m.shape
+    q, r, piv = scipy.linalg.qr(m, mode="economic", pivoting=True)
+    rdiag = np.abs(np.diag(r))
+    tol = np.finfo(float).eps * max(n, p) * (rdiag[0] if rdiag.size else 0.0)
+    return q, r, piv, int(np.sum(rdiag > tol))
+
+
+@dataclass(frozen=True)
+class ReferenceFit:
+    """y, a and z net of the controls, and Pi' and RF from one QR of z."""
+
+    y: np.ndarray
+    a: np.ndarray
+    z: np.ndarray
+    n_controls: int
+    pi_t: np.ndarray
+    rf: np.ndarray
+
+    @property
+    def n_obs(self) -> int:
+        return self.a.shape[0]
+
+
+def reference_fit(data):
+    """The fit on the rows, by pivoted QR: an orthonormal basis of the
+    controls, the residuals on it, and a pivoted QR of the residual
+    instruments. Raises the package's errors for dependent controls and
+    instruments, with the QR's own rank tolerance (eps * max(n, p) of the
+    largest pivot). Held as the reference the Gram fit is tested against."""
+    q, r, piv, rank = _pivoted_qr(data.x)
+    if rank < data.x.shape[1]:
+        # fewer rows than controls leave no diagonal entry at the rank
+        top, bad = abs(r[0, 0]), abs(r[rank, rank]) if rank < r.shape[0] else 0.0
+        raise RankDeficientControls(column=int(piv[rank]),
+                                    cond=float(np.inf if bad == 0 else top / bad))
+    y, a, z = (m - q @ (q.T @ m) for m in (data.y, data.a, data.z))
+    qz, r, piv, rank = _pivoted_qr(z)
+    k = data.n_treatments
+    if rank < k:
+        raise SingularInstrumentGram(f"offending instrument column {piv[rank] + 1}")
+    # z[:, piv] = QR, so z (z'z)^-1 = Q R^-T with its columns un-pivoted
+    proj_t = np.empty((k, data.n_obs))
+    proj_t[piv] = scipy.linalg.solve_triangular(r, qz.T)
+    return ReferenceFit(y, a, z, data.n_controls, proj_t @ a, proj_t @ y)
 
 
 @pytest.fixture

@@ -17,7 +17,12 @@ from cascadeiv import (
     fit_reduced_form,
     wald_ratios,
 )
-from cascadeiv.cascade import conditional_entrant_by_group
+from cascadeiv.cascade import (
+    conditional_entrant_by_group,
+    conditional_entrant_effect,
+    group_outcome_decomposition,
+)
+from cascadeiv.cli import main
 from cascadeiv.errors import (
     CascadeIVError,
     DataError,
@@ -34,15 +39,16 @@ from cascadeiv.estimator import (
     FirstStage,
     _cluster_moments,
     _first_stage,
-    _fit,
+    _fit_rows,
     _moment_fit,
     _moment_replicate,
     _solve_first_stage,
     first_stage_f,
 )
+from cascadeiv.io import write_dataset_csv
 from cascadeiv.seeds import rng_for
 
-from conftest import bernoulli_iv_data, default_pi, noiseless_iv_data
+from conftest import bernoulli_iv_data, default_pi, noiseless_iv_data, reference_fit
 
 
 # ---------------------------------------------------------------------------
@@ -71,9 +77,11 @@ def _tiny_dataset(y, x=None):
 
 
 def test_partial_out_demeans_with_constant_only():
-    f = _fit(_tiny_dataset([1.0, 2.0, 3.0]))
-    assert_allclose(f.y, [-1.0, 0.0, 1.0], atol=1e-12)
+    d = _tiny_dataset([1.0, 2.0, 3.0])
+    f, (_, _, y) = _fit_rows(d)
+    assert_allclose(y, [-1.0, 0.0, 1.0], atol=1e-12)
     assert f.n_controls == 1
+    assert_allclose(reference_fit(d).y, [-1.0, 0.0, 1.0], atol=1e-12)
 
 
 def test_partial_out_in_span_gives_zero_residual():
@@ -81,7 +89,8 @@ def test_partial_out_in_span_gives_zero_residual():
     x = np.column_stack([np.ones(100), rng.standard_normal((100, 2))])
     y = x @ np.array([0.3, -2.0, 1.5])
     d = _tiny_dataset(y, x=x)
-    assert np.max(np.abs(_fit(d).y)) < 1e-12
+    assert np.max(np.abs(_fit_rows(d)[1][2])) < 1e-12
+    assert np.max(np.abs(reference_fit(d).y)) < 1e-12
     assert np.max(np.abs(fit_reduced_form(d))) < 1e-12
 
 
@@ -163,6 +172,45 @@ def test_first_stage_zero_treatment_row():
     with pytest.warns(WeakDiagonalWarning):
         fs = fit_first_stage(zeroed)
     assert np.max(np.abs(fs.pi[1])) < 1e-12
+
+
+def test_instrument_reduced_to_rounding_noise_is_refused():
+    # z = x @ (0.3, 1.7) lies in the span of the controls: net of them it is
+    # rounding noise, which the fit must refuse rather than divide by
+    rng = np.random.default_rng(3)
+    n = 60
+    x = np.column_stack([np.ones(n), rng.standard_normal(n)])
+    z = x @ np.array([[0.3], [1.7]])
+    a = (rng.random((n, 1)) < 0.5).astype(float)
+    y = a[:, 0] + rng.standard_normal(n)
+    d = Dataset(y=y, a=a, z=z, x=x, cluster=np.arange(n) % 10)
+    for fit in (fit_2sls, estimate_all):
+        with pytest.raises(SingularInstrumentGram):
+            fit(d)
+
+
+def test_treatment_in_span_of_controls_has_zero_first_stage_row():
+    # treatment 2 equals a control dummy, so net of the controls it is
+    # rounding noise: its first-stage row is exactly zero, and the Wald
+    # ratio, the solve of Pi' and the group effects refuse it
+    d = bernoulli_iv_data(73, n=2000, k=2, group_share=0.5)
+    v = (np.random.default_rng(73).random(d.n_obs) < 0.4).astype(float)
+    a = d.a.copy()
+    a[:, 1] = v
+    d = Dataset(y=d.y, a=a, z=d.z, x=np.column_stack([d.x, v]), cluster=d.cluster,
+                group_label=d.group_label)
+    with pytest.warns(WeakDiagonalWarning):
+        fs = fit_first_stage(d)
+    assert np.array_equal(fs.pi[1], [0.0, 0.0]) and fs.pi[0, 0] > 0.1
+    with pytest.raises(ZeroDiagonal) as exc:
+        wald_ratios(fit_reduced_form(d), fs)
+    assert exc.value.k == 1
+    with pytest.raises(SingularFirstStage):
+        fit_2sls(d)
+    with pytest.warns(WeakDiagonalWarning), pytest.raises(SingularFirstStage):
+        estimate_all(d)
+    with pytest.warns(WeakDiagonalWarning), pytest.raises(ZeroDiagonal):
+        conditional_entrant_by_group(d, beta_full=np.zeros(2))
 
 
 def test_first_stage_f_is_large_for_strong_instruments():
@@ -417,22 +465,30 @@ def test_bootstrap_cascade_delta_vs_fresh_data_dispersion():
 
 
 def _ref_beta(d):
-    return fit_2sls(d)
+    f = reference_fit(d)
+    return _solve_first_stage(f.pi_t, f.rf)
 
 
 def _ref_wald(d):
-    f = _fit(d)
+    f = reference_fit(d)
     return wald_ratios(f.rf, _first_stage(f))
 
 
 def _ref_cascade_delta(d):
-    f = _fit(d)
+    f = reference_fit(d)
     return _solve_first_stage(f.pi_t, f.rf) - wald_ratios(f.rf, _first_stage(f))
 
 
 def _ref_conditional_entrant(levels):
     def stat(d):
-        parts = list(conditional_entrant_by_group(d, levels).values())
+        beta_full = _ref_beta(d)
+        parts = []
+        for lev in levels:
+            rows = np.flatnonzero(d.group_label == lev)
+            if rows.size == 0:
+                raise DataError(f"group level {lev!r} absent from this sample")
+            f = reference_fit(d.take(rows))
+            parts.append(conditional_entrant_effect(f.rf, _first_stage(f), beta_full))
         if len(parts) == 2:
             parts.append(parts[0] - parts[1])
         return np.concatenate(parts)
@@ -463,7 +519,7 @@ def _rounding_decides(d, levels):
         if len(np.unique(w, axis=0)) <= sample.n_treatments + sample.n_controls:
             return True
         try:
-            f = _fit(sample)
+            f = reference_fit(sample)
         except CascadeIVError:
             continue
         for raw, resid in ((sample.z, f.z), (sample.a, f.a)):
@@ -700,12 +756,36 @@ def test_named_statistics_never_take_rows(statistic):
     assert res.n_failed == 0
 
 
+def test_every_fit_is_the_gram_fit(tmp_path):
+    # no public fit, nor the CLI commands that fit, takes a second path
+    # through a QR or least-squares factorization of the rows
+    d = bernoulli_iv_data(72, n=1500, k=2, x_extra=1, n_clusters=20, group_share=0.5)
+    write_dataset_csv(tmp_path / "d.csv", d, "test", 0)
+    refuse = AssertionError("second factorization")
+    with mock.patch("scipy.linalg.qr", side_effect=refuse), \
+            mock.patch("numpy.linalg.qr", side_effect=refuse), \
+            mock.patch("numpy.linalg.lstsq", side_effect=refuse):
+        for fit in (fit_2sls, fit_first_stage, fit_reduced_form, first_stage_f,
+                    estimate_all, group_outcome_decomposition,
+                    conditional_entrant_by_group):
+            fit(d)
+        for which in ("beta", "rf", "wald", "delta"):
+            cluster_robust_se(d, which)
+        for statistic in ("beta", fit_2sls):
+            cluster_bootstrap(d, statistic, reps=5, seed=1)
+        assert main(["cascade", "--data", str(tmp_path / "d.csv"),
+                     "--out", str(tmp_path / "c")]) == 0
+        assert main(["estimate", "--data", str(tmp_path / "d.csv"),
+                     "--out", str(tmp_path / "e")]) == 0
+
+
 def test_moment_fit_matches_qr_fit_and_its_rank_checks():
     d = bernoulli_iv_data(71, n=2500, k=3, x_extra=2, n_clusters=15)
     codes = d.cluster_codes()
     moments, rows = _cluster_moments(d, codes, int(codes.max()) + 1)
     assert rows.sum() == d.n_obs
-    f, m = _fit(d), _moment_fit(moments.sum(axis=0), d.n_obs, d.n_controls, 3)
+    f = reference_fit(d)
+    m = _moment_fit(moments.sum(axis=0), d.n_obs, d.n_controls, 3)
     assert_allclose(m.pi_t, f.pi_t, rtol=1e-12, atol=1e-14)
     assert_allclose(m.rf, f.rf, rtol=1e-12, atol=1e-14)
     # a zero control and a duplicated one are named as the pivoted QR names
@@ -715,7 +795,7 @@ def test_moment_fit_matches_qr_fit_and_its_rank_checks():
         bad = Dataset(y=d.y, a=d.a, z=d.z, x=x, cluster=d.cluster)
         gram = _cluster_moments(bad, codes, int(codes.max()) + 1)[0].sum(axis=0)
         with pytest.raises(RankDeficientControls) as qr:
-            _fit(bad)
+            reference_fit(bad)
         with pytest.raises(RankDeficientControls) as gm:
             _moment_fit(gram, bad.n_obs, bad.n_controls, 3)
         assert qr.value.column in columns and gm.value.column in columns
