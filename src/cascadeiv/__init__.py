@@ -51,7 +51,6 @@ from .mechanism import (
     luck_variable,
     run_clearing,
     simulate_and_oracles,
-    simulate_iv_dataset,
     simulate_run,
     slot_expansion_oracle,
     slot_expansion_oracles,

@@ -234,12 +234,8 @@ def conditional_entrant_effect(
     beta_full = np.asarray(beta_full, dtype=float)
     if rf_g.shape != (fs_g.k,) or beta_full.shape != (fs_g.k,):
         raise LengthMismatch("rf_g, fs_g, and beta_full must share length K")
-    diag = fs_g.diag
-    for k, v in enumerate(diag):
-        if v == 0.0:
-            raise ZeroDiagonal(k)
     m_g = VacancyMatrix.from_first_stage(fs_g).m
-    return rf_g / diag + m_g @ beta_full
+    return rf_g / fs_g.diag + m_g @ beta_full
 
 
 def conditional_entrant_by_group(

@@ -26,7 +26,14 @@ from .cascade import (
     neumann_solve,
 )
 from .errors import CascadeIVError, DataError, FixtureMismatch, NumericalError
-from .estimator import FirstStage, _first_stage, _fit, cluster_bootstrap, estimate_all
+from .estimator import (
+    FirstStage,
+    _first_stage,
+    _fit,
+    cluster_bootstrap,
+    estimate_all,
+    wald_ratios,
+)
 from .fixtures import fixture_checks
 from .mechanism import (
     MechanismConfig,
@@ -41,6 +48,7 @@ EXIT_DATA = 3
 EXIT_NUMERICAL = 4
 
 _f = iomod.fmt_float
+FLOAT, TEXT = iomod.float_cells, iomod.text_cells
 
 
 def _out_dir(args) -> Path:
@@ -80,23 +88,29 @@ def cmd_estimate(args) -> int:
     if args.blocks:
         spec = _parse_blocks(args.blocks, data.n_treatments)
         weighted = block_weights(est.first_stage, spec)
-        with open(out / "blocks.csv", "w", newline="") as fh:
-            fh.write(iomod.provenance_line("estimate", None) + "\n")
-            fh.write("block,program,weight,implied_coefficient\n")
-            for name, members in weighted.blocks.items():
-                w = weighted.weights[name]
-                implied = float(w @ est.beta[list(members)])
-                for m, wm in zip(members, w):
-                    fh.write(f"{name},{m + 1},{_f(wm)},{_f(implied)}\n")
+        # one row per block member; the block's implied coefficient repeats
+        members = [(name, m) for name, ms in weighted.blocks.items() for m in ms]
+        implied = {name: weighted.weights[name] @ est.beta[list(ms)]
+                   for name, ms in weighted.blocks.items()}
+        iomod.write_table(
+            out / "blocks.csv", "estimate", None,
+            ["block", "program", "weight", "implied_coefficient"],
+            [([name for name, _ in members], TEXT), ([m + 1 for _, m in members], TEXT),
+             (np.concatenate([weighted.weights[n] for n in weighted.blocks]), FLOAT),
+             ([implied[name] for name, _ in members], FLOAT)],
+        )
     if args.group_col or data.group_label is not None:
         parts = group_outcome_decomposition(data)
         entrant = conditional_entrant_by_group(data, beta_full=est.beta)
-        with open(out / "groups.csv", "w", newline="") as fh:
-            fh.write(iomod.provenance_line("estimate", None) + "\n")
-            fh.write("group,treatment,beta_group_outcome,conditional_entrant\n")
-            for lev, bg in parts.items():
-                for j in range(data.n_treatments):
-                    fh.write(f"{lev},{j + 1},{_f(bg[j])},{_f(entrant[lev][j])}\n")
+        k = data.n_treatments
+        iomod.write_table(
+            out / "groups.csv", "estimate", None,
+            ["group", "treatment", "beta_group_outcome", "conditional_entrant"],
+            [([lev for lev in parts for _ in range(k)], TEXT),
+             (list(range(1, k + 1)) * len(parts), TEXT),
+             (np.concatenate(list(parts.values())), FLOAT),
+             (np.concatenate([entrant[lev] for lev in parts]), FLOAT)],
+        )
     return EXIT_OK
 
 
@@ -111,8 +125,7 @@ def cmd_cascade(args) -> int:
         print("cascade needs either --data or both --pi and --rf", file=sys.stderr)
         return EXIT_USAGE
     vm = VacancyMatrix.from_first_stage(fs)
-    wald = rf / fs.diag
-    sol = neumann_solve(vm, wald, tol=args.tol, max_rounds=args.max_rounds)
+    sol = neumann_solve(vm, wald_ratios(rf, fs), tol=args.tol, max_rounds=args.max_rounds)
     direct = cascade_solve(fs, rf)
     out = _out_dir(args)
     iomod.write_trace_csv(out / "cascade_trace.csv", sol.rounds, "cascade", None)
@@ -136,30 +149,30 @@ def cmd_verify(args) -> int:
     )
     est = estimate_all(run.dataset)
     out = _out_dir(args)
-    lines = []
+    lines, zs = [], []
     worst = 0.0
-    with open(out / "verify.csv", "w", newline="") as fh:
-        fh.write(iomod.provenance_line("verify", args.seed) + "\n")
-        fh.write("program,oracle,oracle_se,beta,beta_se,z\n")
-        for k, orc in enumerate(oracles, start=1):
-            if orc.undersubscribed:
-                lines.append(f"program {k}: undersubscribed, oracle 0 (skipped)")
-                fh.write(
-                    f"{k},0.0,0.0,{_f(est.beta[k - 1])},{_f(est.se_beta[k - 1])},\n"
-                )
-                continue
-            comb = float(np.hypot(est.se_beta[k - 1], orc.mc_se))
-            z = abs(orc.value - est.beta[k - 1]) / comb if comb > 0 else float("inf")
-            worst = max(worst, z)
-            fh.write(
-                f"{k},{_f(orc.value)},{_f(orc.mc_se)},{_f(est.beta[k - 1])},"
-                f"{_f(est.se_beta[k - 1])},{_f(z)}\n"
-            )
-            lines.append(
-                f"program {k}: oracle {orc.value:+.5f} (se {orc.mc_se:.5f})  "
-                f"2sls {est.beta[k - 1]:+.5f} (se {est.se_beta[k - 1]:.5f})  "
-                f"|diff|/se = {z:.2f}"
-            )
+    for k, orc in enumerate(oracles, start=1):
+        if orc.undersubscribed:
+            lines.append(f"program {k}: undersubscribed, oracle 0 (skipped)")
+            zs.append("")
+            continue
+        comb = float(np.hypot(est.se_beta[k - 1], orc.mc_se))
+        z = abs(orc.value - est.beta[k - 1]) / comb if comb > 0 else float("inf")
+        worst = max(worst, z)
+        zs.append(_f(z))
+        lines.append(
+            f"program {k}: oracle {orc.value:+.5f} (se {orc.mc_se:.5f})  "
+            f"2sls {est.beta[k - 1]:+.5f} (se {est.se_beta[k - 1]:.5f})  "
+            f"|diff|/se = {z:.2f}"
+        )
+    # an undersubscribed program's oracle and its se are 0, its z blank
+    iomod.write_table(
+        out / "verify.csv", "verify", args.seed,
+        ["program", "oracle", "oracle_se", "beta", "beta_se", "z"],
+        [(range(1, len(oracles) + 1), TEXT), ([o.value for o in oracles], FLOAT),
+         ([o.mc_se for o in oracles], FLOAT), (est.beta, FLOAT), (est.se_beta, FLOAT),
+         (zs, TEXT)],
+    )
     if scenario is not None:
         lines.append(f"scenario predicted beta2 = {_f(scenario.predicted_beta2)}")
     lines.append(f"worst agreement: {worst:.2f} combined standard errors")
@@ -177,11 +190,12 @@ def cmd_bootstrap(args) -> int:
             out / "estimates.csv", est, "bootstrap", args.seed,
             bootstrap={args.statistic: res},
         )
-    with open(out / "bootstrap.csv", "w", newline="") as fh:
-        fh.write(iomod.provenance_line("bootstrap", args.seed) + "\n")
-        fh.write("component,se,ci_lower,ci_upper\n")
-        for name, se, lo, hi in zip(res.components, res.se, res.ci_lower, res.ci_upper):
-            fh.write(f"{name},{_f(se)},{_f(lo)},{_f(hi)}\n")
+    iomod.write_table(
+        out / "bootstrap.csv", "bootstrap", args.seed,
+        ["component", "se", "ci_lower", "ci_upper"],
+        [(res.components, TEXT), (res.se, FLOAT), (res.ci_lower, FLOAT),
+         (res.ci_upper, FLOAT)],
+    )
     print(
         f"{args.statistic}: {res.reps - res.n_failed}/{res.reps} replications, "
         f"se = {np.array2string(res.se, precision=5)}"
@@ -194,12 +208,13 @@ def cmd_balance(args) -> int:
     cov, names = iomod.load_covariates_csv(args.covariates)
     res = balance_check(data, cov, names)
     out = _out_dir(args)
-    with open(out / "balance.csv", "w", newline="") as fh:
-        fh.write(iomod.provenance_line("balance", None) + "\n")
-        fh.write("covariate,coef,se,t\n")
-        for name, c, s, t in zip(res.names, res.coef, res.se, res.tstat):
-            fh.write(f"{name},{_f(c)},{_f(s)},{_f(t)}\n")
-        fh.write(f"joint,{_f(res.joint_f)},,{_f(res.p_value)}\n")
+    # the joint test's row: F under coef, p under t, no standard error
+    iomod.write_table(
+        out / "balance.csv", "balance", None,
+        ["covariate", "coef", "se", "t"],
+        [([*res.names, "joint"], TEXT), ([*res.coef, res.joint_f], FLOAT),
+         ([*map(_f, res.se), ""], TEXT), ([*res.tstat, res.p_value], FLOAT)],
+    )
     for name, c, s, t in zip(res.names, res.coef, res.se, res.tstat):
         print(f"{name}: coef {c:+.6f} (se {s:.6f}, t {t:+.2f})")
     print(

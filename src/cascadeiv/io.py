@@ -6,9 +6,11 @@ JSON lines. Every output CSV starts with a provenance comment line
 (``# cascadeiv <version> command=<cmd> seed=<seed>``) so reruns are
 byte-comparable.
 
-Tables are written a column at a time (``repr`` of every float, ``str`` of
-every id or label) and read by numpy's C text reader, with the same bytes
-and values as formatting and parsing row by row with the ``csv`` module.
+Every table is written by ``write_table``, a column at a time (``repr`` of
+every float, ``str`` of every id, label or preformatted cell, quoted by the
+``csv`` module), and every table is read through ``_data_lines`` and
+``_read_rows``, numpy's C text reader, with the same bytes and values as
+formatting and parsing row by row with the ``csv`` module.
 """
 
 from __future__ import annotations
@@ -49,21 +51,22 @@ def provenance_line(command: str, seed: int | None) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _float_cells(col) -> list[str]:
-    """``fmt_float`` of every entry of a float64 column."""
-    return list(map(repr, col.tolist()))
+def float_cells(col) -> list[str]:
+    """``fmt_float`` of every entry of a column of numbers."""
+    return list(map(repr, np.asarray(col, dtype=float).tolist()))
 
 
-def _str_cells(col) -> list[str]:
-    """``str`` of every entry of an id, label or integer column."""
+def text_cells(col) -> list[str]:
+    """``str`` of every entry of an id, label, integer or preformatted column."""
     return list(map(str, col))
 
 
-def _write_table(path, command: str, seed, header: list[str], columns: list):
+def write_table(path, command: str, seed, header: list[str], columns: list):
     """Provenance line, header, then one row per entry of the columns.
 
-    ``columns`` are (column, cells) pairs: ``cells`` formats a block of
-    rows of its column. Rows go out in blocks of ``WRITE_BLOCK_ROWS``.
+    ``columns`` are (column, cells) pairs: ``cells`` (``float_cells`` or
+    ``text_cells``) formats a block of rows of its column. Rows go out in
+    blocks of ``WRITE_BLOCK_ROWS``.
     """
     n = len(columns[0][0])
     with open(path, "w", newline="") as fh:
@@ -85,14 +88,14 @@ def write_dataset_csv(path, data: Dataset, command: str = "write", seed: int | N
         + [f"x_{j + 1}" for j in range(p)]
         + ["cluster"]
     )
-    columns = [(data.y, _float_cells)]
-    columns += [(block[:, j], _float_cells) for block in (data.a, data.z, data.x)
+    columns = [(data.y, float_cells)]
+    columns += [(block[:, j], float_cells) for block in (data.a, data.z, data.x)
                 for j in range(block.shape[1])]
-    columns.append((data.cluster, _str_cells))
+    columns.append((data.cluster, text_cells))
     if data.group_label is not None:
         header.append("group")
-        columns.append((data.group_label, _str_cells))
-    _write_table(path, command, seed, header, columns)
+        columns.append((data.group_label, text_cells))
+    write_table(path, command, seed, header, columns)
 
 
 def _header_layout(header: list[str]) -> dict:
@@ -147,6 +150,23 @@ def _data_lines(path) -> tuple[list[str], list[int]]:
     return [lines[no - 1] for no in linenos], linenos
 
 
+def _fields(line: str) -> list[str]:
+    """The fields of one CSV line, split as ``csv.reader`` splits them."""
+    return next(csv.reader([line]))
+
+
+def _table_lines(path) -> tuple[list[str], list[str], list[int]]:
+    """The header (names stripped of spaces), then the data lines of a CSV
+    file with their file line numbers. No header or no data line is a
+    SchemaError."""
+    rows, linenos = _data_lines(path)
+    if not rows:
+        raise SchemaError(f"{path}: no header row found")
+    if len(rows) == 1:
+        raise SchemaError(f"{path}: no data rows")
+    return [h.strip() for h in _fields(rows[0])], rows[1:], linenos[1:]
+
+
 def _parse_number(text: str) -> float:
     """``float`` limited to what numpy's text reader accepts: ASCII only,
     no digit-group underscores."""
@@ -154,6 +174,15 @@ def _parse_number(text: str) -> float:
     if "_" in body or not body.isascii():
         raise ValueError(text)
     return float(body)
+
+
+def _parse_cell(parse, cell: str, column: str, lineno: int):
+    """``parse(cell)``; a ValueError is a ParseError naming the column and
+    the file line."""
+    try:
+        return parse(cell)
+    except ValueError:
+        raise ParseError(f"could not parse {cell!r} in column {column!r}", lineno) from None
 
 
 def _scan_rows(rows, linenos, header, numeric, text=()):
@@ -166,18 +195,13 @@ def _scan_rows(rows, linenos, header, numeric, text=()):
     values = np.zeros((len(rows), len(header)))
     labels = []
     for i, (raw, lineno) in enumerate(zip(rows, linenos)):
-        row = next(csv.reader([raw]))
+        row = _fields(raw)
         if len(row) != len(header):
             raise SchemaError(
                 f"line {lineno}: row has {len(row)} fields, header has {len(header)}"
             )
         for pos in numeric:
-            try:
-                values[i, pos] = _parse_number(row[pos])
-            except ValueError:
-                raise ParseError(
-                    f"could not parse {row[pos]!r} in column {header[pos]!r}", lineno
-                ) from None
+            values[i, pos] = _parse_cell(_parse_number, row[pos], header[pos], lineno)
         labels.append([row[pos] for pos in text])
     return values, np.array(labels, dtype=str).reshape(len(rows), len(text))
 
@@ -208,14 +232,8 @@ def _read_rows(rows, linenos, header, numeric, text=()):
 
 def load_dataset_csv(path) -> Dataset:
     """Read and validate a dataset CSV; K is inferred from the header."""
-    rows, linenos = _data_lines(path)
-    if not rows:
-        raise SchemaError(f"{path}: no header row found")
-    header = [h.strip() for h in next(csv.reader(rows[:1]))]
+    header, rows, linenos = _table_lines(path)
     layout = _header_layout(header)
-    rows, linenos = rows[1:], linenos[1:]
-    if not rows:
-        raise SchemaError(f"{path}: no data rows")
     k = len(layout["a"])
     a_pos = [layout["a"][j + 1] for j in range(k)]
     z_pos = [layout["z"][j + 1] for j in range(k)]
@@ -249,47 +267,41 @@ def write_population_csv(path, pop, command: str = "write", seed=None):
         + [f"label_{name}" for name in label_names]
     )
     prefs = ["|".join(map(str, pl)) for pl in pop.prefs]
-    columns = [(pop.merit, _str_cells), (prefs, _str_cells)]
-    columns += [(pop.po[:, j], _float_cells) for j in range(k + 1)]
-    columns += [(pop.labels[name], _str_cells) for name in label_names]
-    _write_table(path, command, seed, header, columns)
+    columns = [(pop.merit, text_cells), (prefs, text_cells)]
+    columns += [(pop.po[:, j], float_cells) for j in range(k + 1)]
+    columns += [(pop.labels[name], text_cells) for name in label_names]
+    write_table(path, command, seed, header, columns)
+
+
+def _program_ids(cell: str) -> tuple[int, ...]:
+    return tuple(int(p) for p in cell.split("|")) if cell else ()
 
 
 def load_population_csv(path):
+    """Read a population CSV; every column but the ``po_*`` ones is text."""
     from .mechanism import Population
 
-    with open(path, newline="") as fh:
-        lines = [ln for ln in fh.readlines() if not ln.startswith("#") and ln.strip()]
-    if not lines:
-        raise SchemaError(f"{path}: empty population file")
-    reader = csv.reader(lines)
-    header = [h.strip() for h in next(reader)]
+    header, rows, linenos = _table_lines(path)
     if header[:2] != ["merit", "prefs"]:
         raise SchemaError("population CSV must start with merit,prefs columns")
-    po_cols = [h for h in header if h.startswith("po_")]
-    if [f"po_{j}" for j in range(len(po_cols))] != po_cols:
+    po_pos = [pos for pos, h in enumerate(header) if h.startswith("po_")]
+    if [header[pos] for pos in po_pos] != [f"po_{j}" for j in range(len(po_pos))]:
         raise SchemaError("po_* columns must be po_0..po_K in order")
-    label_names = [h[6:] for h in header if h.startswith("label_")]
-    merit, prefs, po = [], [], []
-    labels: dict = {name: [] for name in label_names}
-    for lineno, row in enumerate(reader, start=3):
-        if len(row) != len(header):
-            raise SchemaError(f"line {lineno}: wrong field count")
-        try:
-            merit.append(int(row[0]))
-            prefs.append(
-                tuple(int(p) for p in row[1].split("|")) if row[1] else ()
-            )
-            po.append([float(v) for v in row[2 : 2 + len(po_cols)]])
-        except ValueError:
-            raise ParseError("bad population value", lineno) from None
-        for j, name in enumerate(label_names):
-            labels[name].append(row[2 + len(po_cols) + j])
+    text = [pos for pos in range(len(header)) if pos not in po_pos]
+    values, cells = _read_rows(rows, linenos, header, po_pos, text)
+    merit, prefs = [], []
+    for lineno, (m, p) in zip(linenos, cells[:, :2].tolist()):
+        merit.append(_parse_cell(int, m, "merit", lineno))
+        prefs.append(_parse_cell(_program_ids, p, "prefs", lineno))
+    labels = {
+        header[pos][6:]: np.ascontiguousarray(cells[:, j])
+        for j, pos in enumerate(text) if header[pos].startswith("label_")
+    }
     return Population(
         merit=np.asarray(merit, dtype=np.int64),
         prefs=prefs,
-        po=np.asarray(po),
-        labels={name: np.asarray(vals) for name, vals in labels.items()},
+        po=np.ascontiguousarray(values[:, po_pos]),
+        labels=labels,
     )
 
 
@@ -299,25 +311,24 @@ def load_population_csv(path):
 
 
 def write_covariates_csv(path, covariates: dict, command: str = "write", seed=None):
-    columns = [(np.asarray(col, dtype=float), _float_cells) for col in covariates.values()]
-    _write_table(path, command, seed, list(covariates), columns)
+    columns = [(col, float_cells) for col in covariates.values()]
+    write_table(path, command, seed, list(covariates), columns)
 
 
 def load_covariates_csv(path) -> tuple[np.ndarray, tuple]:
-    rows, linenos = _data_lines(path)
-    if not rows:
-        raise SchemaError(f"{path}: empty covariates file")
-    names = tuple(h.strip() for h in next(csv.reader(rows[:1])))
-    rows, linenos = rows[1:], linenos[1:]
-    if not rows:
-        raise SchemaError(f"{path}: no data rows")
+    names, rows, linenos = _table_lines(path)
     values, _ = _read_rows(rows, linenos, names, range(len(names)))
-    return values, names
+    return values, tuple(names)
 
 
 # ---------------------------------------------------------------------------
 # Estimates CSV + aligned table
 # ---------------------------------------------------------------------------
+
+
+_ESTIMATE_COLUMNS = (
+    "beta", "rf", "wald", "cascade_T", "cascade_delta", "se_beta", "se_wald", "se_delta",
+)
 
 
 def write_estimates_csv(
@@ -328,30 +339,14 @@ def write_estimates_csv(
     bootstrap: dict | None = None,
 ):
     """One row per treatment; optional bootstrap columns are appended."""
-    header = [
-        "treatment", "beta", "rf", "wald", "cascade_T", "cascade_delta",
-        "se_beta", "se_wald", "se_delta",
-    ]
-    boot_cols = []
-    if bootstrap:
-        for stat, res in bootstrap.items():
-            boot_cols += [f"boot_se_{stat}", f"boot_ci_lo_{stat}", f"boot_ci_hi_{stat}"]
-    with open(path, "w", newline="") as fh:
-        fh.write(provenance_line(command, seed) + "\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header + boot_cols)
-        k = est.beta.size
-        for j in range(k):
-            row = [
-                str(j + 1),
-                fmt_float(est.beta[j]), fmt_float(est.rf[j]), fmt_float(est.wald[j]),
-                fmt_float(est.cascade_T[j]), fmt_float(est.cascade_delta[j]),
-                fmt_float(est.se_beta[j]), fmt_float(est.se_wald[j]), fmt_float(est.se_delta[j]),
-            ]
-            if bootstrap:
-                for stat, res in bootstrap.items():
-                    row += [fmt_float(res.se[j]), fmt_float(res.ci_lower[j]), fmt_float(res.ci_upper[j])]
-            writer.writerow(row)
+    header = ["treatment", *_ESTIMATE_COLUMNS]
+    columns = [(range(1, est.beta.size + 1), text_cells)]
+    columns += [(getattr(est, name), float_cells) for name in _ESTIMATE_COLUMNS]
+    for stat, res in (bootstrap or {}).items():
+        header += [f"boot_se_{stat}", f"boot_ci_lo_{stat}", f"boot_ci_hi_{stat}"]
+        columns += [(res.se, float_cells), (res.ci_lower, float_cells),
+                    (res.ci_upper, float_cells)]
+    write_table(path, command, seed, header, columns)
 
 
 def format_estimates_table(est: EstimateSet) -> str:
@@ -387,41 +382,22 @@ def format_estimates_table(est: EstimateSet) -> str:
 # ---------------------------------------------------------------------------
 
 
-def write_matrix_csv(path, mat: np.ndarray, command: str = "write", seed=None):
-    mat = np.atleast_2d(np.asarray(mat, dtype=float))
-    with open(path, "w", newline="") as fh:
-        fh.write(provenance_line(command, seed) + "\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        for row in mat:
-            writer.writerow([fmt_float(v) for v in row])
-
-
 def load_matrix_csv(path) -> np.ndarray:
-    lines, linenos = _data_lines(path)
-    rows = []
-    for lineno, row in zip(linenos, csv.reader(lines)):
-        if rows and len(row) != len(rows[0]):
-            raise SchemaError(
-                f"line {lineno}: row has {len(row)} fields, the first row has "
-                f"{len(rows[0])}"
-            )
-        try:
-            rows.append([float(v) for v in row])
-        except ValueError:
-            raise ParseError("non-numeric matrix entry", lineno) from None
+    """A headerless table of numbers; the first row sets the width, and the
+    columns are named by their 1-based position in errors."""
+    rows, linenos = _data_lines(path)
     if not rows:
         raise SchemaError(f"{path}: empty matrix file")
-    return np.asarray(rows)
+    names = [str(j + 1) for j in range(len(_fields(rows[0])))]
+    return _read_rows(rows, linenos, names, range(len(names)))[0]
 
 
 def write_trace_csv(path, rounds: list[np.ndarray], command: str = "cascade", seed=None):
-    k = rounds[0].size
-    with open(path, "w", newline="") as fh:
-        fh.write(provenance_line(command, seed) + "\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["round"] + [f"contribution_{j + 1}" for j in range(k)])
-        for n, term in enumerate(rounds):
-            writer.writerow([str(n)] + [fmt_float(v) for v in term])
+    terms = np.asarray(rounds)
+    header = ["round"] + [f"contribution_{j + 1}" for j in range(terms.shape[1])]
+    columns = [(range(len(terms)), text_cells)]
+    columns += [(terms[:, j], float_cells) for j in range(terms.shape[1])]
+    write_table(path, command, seed, header, columns)
 
 
 def write_events_jsonl(path, events: np.ndarray):

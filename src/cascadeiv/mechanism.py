@@ -51,7 +51,6 @@ __all__ = [
     "BalanceResult",
     "run_clearing",
     "luck_variable",
-    "simulate_iv_dataset",
     "simulate_run",
     "slot_expansion_oracle",
     "slot_expansion_oracles",
@@ -550,17 +549,6 @@ def simulate_run(
     )
 
 
-def simulate_iv_dataset(
-    pop: Population,
-    cfg: MechanismConfig,
-    reps: int,
-    master_seed: int,
-    label: str | None = None,
-) -> Dataset:
-    """Stacked pivotal-sample Dataset (see ``simulate_run`` for layout)."""
-    return simulate_run(pop, cfg, reps, master_seed, label=label).dataset
-
-
 # ---------------------------------------------------------------------------
 # Brute-force slot-expansion oracle
 # ---------------------------------------------------------------------------
@@ -747,8 +735,9 @@ def balance_check(data: Dataset, covariates: np.ndarray, names=None) -> BalanceR
         raise DataError("luck variable has no variation")
     cross = lt @ cov
     # cluster-constant covariates give exact balance; zero them instead of
-    # reporting t-statistics that are ratios of rounding noise
-    scale = np.sqrt(sll) * np.sqrt((cov**2).sum(axis=0)) + 1.0
+    # reporting t-statistics that are ratios of rounding noise. The bound is
+    # relative to |luck| * |covariate|, so rescaling a covariate moves it too
+    scale = np.sqrt(sll) * np.sqrt((cov**2).sum(axis=0))
     cross = np.where(np.abs(cross) <= 1e-9 * scale, 0.0, cross)
     coefs = cross / sll
     resid = (cov - cov.mean(axis=0)) - np.outer(lt, coefs)

@@ -30,7 +30,6 @@ from cascadeiv import (
     run_clearing,
     scenario_three_program,
     simulate_and_oracles,
-    simulate_iv_dataset,
     simulate_run,
     slot_expansion_oracle,
 )
@@ -262,7 +261,7 @@ def test_criterion_5_three_program_closed_form():
     sc = scenario_three_program(cfg)
     assert sc.predicted_beta2 == pytest.approx(predicted_by_hand, abs=1e-12)
     mech = MechanismConfig(capacities=sc.capacities, lottery_seed=0)
-    data = simulate_iv_dataset(sc.population, mech, reps=60, master_seed=17)
+    data = simulate_run(sc.population, mech, reps=60, master_seed=17).dataset
     est = estimate_all(data)
     beta2_z = abs(est.beta[1] - sc.predicted_beta2) / est.se_beta[1]
     pi21 = fit_first_stage(data).pi[1, 0]
@@ -475,8 +474,8 @@ def test_criterion_11_mechanism_invariants():
                       effects=(0.2, -0.1), het_scale=0.4, base_scale=0.5)
     pop = generate_population(cfg)
     mech = MechanismConfig(capacities=(300, 300), lottery_seed=0)
-    d1 = simulate_iv_dataset(pop, mech, reps=10, master_seed=5)
-    d2 = simulate_iv_dataset(pop, mech, reps=10, master_seed=5)
+    d1 = simulate_run(pop, mech, reps=10, master_seed=5).dataset
+    d2 = simulate_run(pop, mech, reps=10, master_seed=5).dataset
     o1 = slot_expansion_oracle(pop, mech, 1, reps=10, master_seed=5)
     o2 = slot_expansion_oracle(pop, mech, 1, reps=10, master_seed=5)
     deterministic = (

@@ -1,10 +1,12 @@
 import csv
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import cascadeiv.io as iomod
 from cascadeiv.cli import main
 from cascadeiv import (
     Dataset,
@@ -22,7 +24,6 @@ from cascadeiv.io import (
     load_run_config,
     write_covariates_csv,
     write_dataset_csv,
-    write_matrix_csv,
 )
 
 from conftest import bernoulli_iv_data
@@ -157,8 +158,8 @@ def test_simulate_byte_identical_reruns(tmp_path, config_path):
 
 
 def test_cascade_command_diagonal_trace(tmp_path, capsys):
-    write_matrix_csv(tmp_path / "pi.csv", np.diag([0.4, 0.3]))
-    write_matrix_csv(tmp_path / "rf.csv", np.array([[0.2, 0.15]]))
+    (tmp_path / "pi.csv").write_text("0.4,0.0\n0.0,0.3\n")
+    (tmp_path / "rf.csv").write_text("0.2,0.15\n")
     out = tmp_path / "out"
     assert run(["cascade", "--pi", tmp_path / "pi.csv", "--rf", tmp_path / "rf.csv",
                 "--out", out]) == 0
@@ -168,13 +169,24 @@ def test_cascade_command_diagonal_trace(tmp_path, capsys):
 
 
 def test_cascade_command_numerical_error_exit_code(tmp_path, capsys):
-    write_matrix_csv(tmp_path / "pi.csv", np.ones((2, 2)))
-    write_matrix_csv(tmp_path / "rf.csv", np.array([[0.2, 0.15]]))
+    (tmp_path / "pi.csv").write_text("1.0,1.0\n1.0,1.0\n")
+    (tmp_path / "rf.csv").write_text("0.2,0.15\n")
     code = run(["cascade", "--pi", tmp_path / "pi.csv", "--rf", tmp_path / "rf.csv",
                 "--out", tmp_path / "out"])
     assert code == 4
     err = json.loads(capsys.readouterr().err)
     assert err["error"]["code"] == "DivergentCascade"
+
+
+def test_cascade_reduced_form_of_another_length_is_a_data_error(tmp_path, capsys):
+    (tmp_path / "pi.csv").write_text("0.4,-0.05\n-0.04,0.3\n")
+    (tmp_path / "rf.csv").write_text("0.2,0.15,0.1\n")
+    code = run(["cascade", "--pi", tmp_path / "pi.csv", "--rf", tmp_path / "rf.csv",
+                "--out", tmp_path / "out"])
+    assert code == 3
+    err = _last_error(capsys)
+    assert err["code"] == "DataError"
+    assert "different lengths" in err["message"]
 
 
 def test_verify_command_reports_agreement(tmp_path, config_path, capsys):
@@ -316,3 +328,74 @@ def test_data_error_exit_code(tmp_path, capsys):
     assert code == 3
     err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert err["error"]["code"] == "SchemaError"
+
+
+def _table(path):
+    """The header and rows of a CLI CSV, split by the csv module."""
+    with open(path, newline="") as fh:
+        header, *rows = csv.reader(line for line in fh if not line.startswith("#"))
+    return header, rows
+
+
+def test_labels_and_names_are_quoted_in_every_table(tmp_path, capsys):
+    # group labels, a covariate name and a block name that need CSV quoting
+    d = bernoulli_iv_data(35, n=800, k=2, group_share=0.5)
+    labels = np.where(d.group_label == "f", "f,x", 'say "m"')
+    d = Dataset(y=d.y, a=d.a, z=d.z, x=d.x, cluster=d.cluster, group_label=labels)
+    write_dataset_csv(tmp_path / "d.csv", d, "test", 0)
+    write_covariates_csv(tmp_path / "c.csv", {"a,b": d.z[:, 0], "plain": d.x[:, 0]})
+    data = ["--data", tmp_path / "d.csv"]
+    assert run(["estimate", *data, "--group-col", "group",
+                "--blocks", '{"A,1": [1], "B": [2]}', "--out", tmp_path / "est"]) == 0
+    assert run(["bootstrap", *data, "--statistic", "conditional_entrant",
+                "--bootstrap-reps", 5, "--seed", 1, "--out", tmp_path / "boot"]) == 0
+    assert run(["balance", *data, "--covariates", tmp_path / "c.csv",
+                "--out", tmp_path / "bal"]) == 0
+    tables = {
+        "groups": _table(tmp_path / "est" / "groups.csv"),
+        "blocks": _table(tmp_path / "est" / "blocks.csv"),
+        "bootstrap": _table(tmp_path / "boot" / "bootstrap.csv"),
+        "balance": _table(tmp_path / "bal" / "balance.csv"),
+    }
+    for name, (header, rows) in tables.items():
+        assert rows and all(len(row) == len(header) for row in rows), name
+    levels = ["f,x", 'say "m"']
+    assert [r[0] for r in tables["groups"][1]] == [lev for lev in levels for _ in (1, 2)]
+    assert [r[0] for r in tables["blocks"][1]] == ["A,1", "B"]
+    assert [r[0] for r in tables["bootstrap"][1]] == [
+        *(f"T_{j}|{lev}" for lev in levels for j in (1, 2)),
+        *(f"T_{j}|f,x-say \"m\"" for j in (1, 2)),
+    ]
+    assert [r[0] for r in tables["balance"][1]] == ["a,b", "plain", "joint"]
+
+
+def test_every_csv_goes_through_the_one_writer(tmp_path, config_path, capsys):
+    written = []
+    write_table = iomod.write_table
+
+    def recording(path, *args):
+        written.append(str(path))
+        return write_table(path, *args)
+
+    (tmp_path / "pi.csv").write_text("0.4,-0.05\n-0.04,0.3\n")
+    (tmp_path / "rf.csv").write_text("0.2,0.15\n")
+    sim, data = tmp_path / "sim", tmp_path / "sim" / "dataset.csv"
+    commands = {
+        "sim": ["simulate", "--config", config_path, "--seed", 3, "--reps", 6],
+        "est": ["estimate", "--data", data, "--group-col", "group",
+                "--blocks", '{"AB": [1, 2]}'],
+        "casc": ["cascade", "--data", data],
+        "cascpr": ["cascade", "--pi", tmp_path / "pi.csv", "--rf", tmp_path / "rf.csv"],
+        "ver": ["verify", "--config", config_path, "--seed", 5, "--reps", 3],
+        "balance": ["balance", "--data", data, "--covariates", sim / "covariates.csv"],
+        **{f"boot_{stat}": ["bootstrap", "--data", data, "--statistic", stat,
+                            "--bootstrap-reps", 5, "--seed", 2]
+           for stat in ("beta", "wald", "cascade_delta", "conditional_entrant")},
+    }
+    with mock.patch.object(iomod, "write_table", recording):
+        for out, argv in commands.items():
+            assert run([*argv, "--out", tmp_path / out]) == 0, out
+        assert run(["fixtures"]) == 0
+    csvs = sorted(str(p) for out in commands for p in (tmp_path / out).glob("*.csv"))
+    assert len(csvs) == 17  # every table of every command
+    assert sorted(written) == csvs

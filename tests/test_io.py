@@ -22,12 +22,12 @@ from cascadeiv.io import (
     load_covariates_csv,
     load_dataset_csv,
     load_matrix_csv,
+    load_population_csv,
     provenance_line,
     write_covariates_csv,
     write_dataset_csv,
     write_estimates_csv,
     write_events_jsonl,
-    write_matrix_csv,
     write_population_csv,
 )
 from cascadeiv.mechanism import SIMULATION_EVENT_DTYPE, Population
@@ -285,8 +285,9 @@ def test_ragged_row_reports_line(tmp_path):
 def test_matrix_round_trip(tmp_path):
     m = np.random.default_rng(3).standard_normal((3, 3))
     path = tmp_path / "m.csv"
-    write_matrix_csv(path, m)
-    assert np.array_equal(load_matrix_csv(path), m)
+    path.write_text(provenance_line("test", None) + "\n"
+                    + "".join(",".join(map(fmt_float, row)) + "\n" for row in m))
+    assert same_floats(load_matrix_csv(path), m)
 
 
 def test_covariates_round_trip(tmp_path):
@@ -320,7 +321,6 @@ def test_dataset_write_deterministic(tmp_path):
 
 def test_population_round_trip(tmp_path):
     from cascadeiv import SynthConfig, generate_population
-    from cascadeiv.io import load_population_csv, write_population_csv
 
     pop = generate_population(
         SynthConfig(n=80, k=3, seed=12, het_scale=0.4, label_share=0.5)
@@ -670,3 +670,56 @@ def test_matrix_faults_report_file_line(tmp_path):
     path.write_text("# c\n0.4,0.1\n0.2\n")
     with pytest.raises(SchemaError, match="line 3: row has 1 fields"):
         load_matrix_csv(path)
+
+
+def test_matrix_reads_as_the_dataset_does(tmp_path):
+    # quoted and padded numbers, comments and blank lines anywhere
+    path = tmp_path / "m.csv"
+    path.write_text('# c\n" 0.4 ",-0.05\n\n# note\n-0.04,0.3\n')
+    assert load_matrix_csv(path).tolist() == [[0.4, -0.05], [-0.04, 0.3]]
+    path.write_text("0.4,0.1\n0.2,1_000\n")
+    with pytest.raises(ParseError, match="'1_000' in column '2'") as exc:
+        load_matrix_csv(path)
+    assert exc.value.line == 2
+    path.write_text("# c\n\n")
+    with pytest.raises(SchemaError, match="empty matrix file"):
+        load_matrix_csv(path)
+
+
+POPULATION_ROWS = (
+    "merit,prefs,po_0,po_1,po_2,label_group\n"
+    '3,2|1,0.5,0.25,-0.0,"f,x"\n'
+    '1,,1e-3,2.0,3.0,"say ""m"""\n'
+)
+
+
+def test_population_reads_quoted_labels_and_empty_prefs(tmp_path):
+    path = tmp_path / "pop.csv"
+    path.write_text("# c\n" + POPULATION_ROWS.replace("\n3,", "\n\n# note\n3,", 1))
+    pop = load_population_csv(path)
+    assert pop.merit.tolist() == [3, 1]
+    assert pop.prefs == [(2, 1), ()]
+    assert same_floats(pop.po, np.array([[0.5, 0.25, -0.0], [1e-3, 2.0, 3.0]]))
+    assert list(pop.labels["group"]) == ["f,x", 'say "m"']
+
+
+@pytest.mark.parametrize("provenance", ["# cascadeiv test\n", ""])
+def test_population_faults_report_file_line(tmp_path, provenance):
+    # a comment and a blank line before the bad row: with the provenance
+    # line it is file line 6, without it line 5
+    path = tmp_path / "pop.csv"
+    want = 6 if provenance else 5
+    cases = [
+        ("x,1,0.5,0.25,0.0,m\n", ParseError, "'x' in column 'merit'"),
+        ("2.5,1,0.5,0.25,0.0,m\n", ParseError, "'2.5' in column 'merit'"),
+        ("2,1|y,0.5,0.25,0.0,m\n", ParseError, "'1|y' in column 'prefs'"),
+        ("2,1,0.5,oops,0.0,m\n", ParseError, "'oops' in column 'po_1'"),
+        ("2,1,0.5,0.25,0.0\n", SchemaError, f"line {want}: row has 5 fields, header has 6"),
+    ]
+    for bad, error, message in cases:
+        path.write_text(provenance + POPULATION_ROWS[:POPULATION_ROWS.index("\n1,") + 1]
+                        + "# note\n\n" + bad)
+        with pytest.raises(error, match=re.escape(message)) as exc:
+            load_population_csv(path)
+        if error is ParseError:
+            assert exc.value.line == want

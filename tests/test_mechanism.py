@@ -14,7 +14,6 @@ from cascadeiv import (
     estimate_all,
     luck_variable,
     run_clearing,
-    simulate_iv_dataset,
     simulate_run,
     slot_expansion_oracle,
     slot_expansion_oracles,
@@ -223,7 +222,7 @@ def test_luck_values():
 
 
 # ---------------------------------------------------------------------------
-# simulate_iv_dataset
+# simulate_run's dataset
 # ---------------------------------------------------------------------------
 
 
@@ -242,7 +241,7 @@ def test_simulate_homogeneous_recovers_common_gain():
     gain = np.array([0.25, 0.25])
     pop = homogeneous_pop(6000, 2, gain, seed=5)
     cfg = MechanismConfig(capacities=(400, 400), lottery_seed=0)
-    data = simulate_iv_dataset(pop, cfg, reps=30, master_seed=2)
+    data = simulate_run(pop, cfg, reps=30, master_seed=2).dataset
     est = estimate_all(data)
     assert np.all(np.abs(est.beta - gain) < 3 * est.se_beta)
 
@@ -251,18 +250,18 @@ def test_simulate_no_pivotal_variation():
     pop = small_pop([3, 2, 1], [(1,), (1,), (1,)])
     cfg = MechanismConfig(capacities=(10,), lottery_seed=0)
     with pytest.raises(NoPivotalVariation):
-        simulate_iv_dataset(pop, cfg, reps=3, master_seed=0)
+        simulate_run(pop, cfg, reps=3, master_seed=0)
 
 
 def test_simulate_deterministic_given_master_seed():
     pop = homogeneous_pop(2000, 2, np.array([0.1, 0.2]), seed=6)
     cfg = MechanismConfig(capacities=(150, 150), lottery_seed=0)
-    d1 = simulate_iv_dataset(pop, cfg, reps=5, master_seed=9)
-    d2 = simulate_iv_dataset(pop, cfg, reps=5, master_seed=9)
+    d1 = simulate_run(pop, cfg, reps=5, master_seed=9).dataset
+    d2 = simulate_run(pop, cfg, reps=5, master_seed=9).dataset
     assert np.array_equal(d1.y, d2.y)
     assert np.array_equal(d1.z, d2.z)
     assert np.array_equal(d1.cluster, d2.cluster)
-    d3 = simulate_iv_dataset(pop, cfg, reps=5, master_seed=10)
+    d3 = simulate_run(pop, cfg, reps=5, master_seed=10).dataset
     assert not np.array_equal(d1.z, d3.z)
 
 
@@ -299,7 +298,7 @@ def test_simulate_cluster_ids_are_numpy_strings():
 def test_simulate_rows_are_group_memberships():
     pop = homogeneous_pop(3000, 2, np.array([0.1, 0.2]), seed=7)
     cfg = MechanismConfig(capacities=(200, 200), lottery_seed=0)
-    data = simulate_iv_dataset(pop, cfg, reps=4, master_seed=1)
+    data = simulate_run(pop, cfg, reps=4, master_seed=1).dataset
     assert np.all((data.z != 0).sum(axis=1) == 1)
     lk = pooled_luck(data)
     assert np.all((lk > 0) & (lk < 1))
@@ -360,7 +359,7 @@ def test_oracle_heterogeneous_agrees_with_2sls():
     po[:, 2] = po[:, 0] - 0.2 + 0.5 * theta * (merits / 3.0)
     pop = Population(merit=merits, prefs=prefs, po=po)
     cfg = MechanismConfig(capacities=(500, 500), lottery_seed=0)
-    data = simulate_iv_dataset(pop, cfg, reps=80, master_seed=4)
+    data = simulate_run(pop, cfg, reps=80, master_seed=4).dataset
     est = estimate_all(data)
     for kk in (1, 2):
         orc = slot_expansion_oracle(pop, cfg, kk, reps=80, master_seed=4)
@@ -392,6 +391,19 @@ def test_balance_constant_covariate_is_exactly_zero():
     res = balance_check(run.dataset, np.ones((run.dataset.n_obs, 1)), ["const"])
     assert res.coef[0] == 0.0
     assert res.tstat[0] == 0.0
+
+
+
+def test_balance_is_scale_free():
+    # the exact-zero rule is relative to the covariate's size: the same
+    # covariate scaled by 1e-12 keeps its t and p
+    run = _sim_with_covariates(5)
+    attr = run.covariates["attr"][:, None]
+    res = balance_check(run.dataset, attr, ["attr"])
+    small = balance_check(run.dataset, attr * 1e-12, ["attr"])
+    assert res.coef[0] != 0.0
+    assert_allclose(small.tstat, res.tstat, rtol=1e-9)
+    assert_allclose(small.p_value, res.p_value, rtol=1e-9)
 
 
 def test_balance_luck_on_itself_is_one():

@@ -10,7 +10,7 @@ from cascadeiv import (
     fit_first_stage,
     generate_population,
     scenario_three_program,
-    simulate_iv_dataset,
+    simulate_run,
     slot_expansion_oracle,
 )
 from cascadeiv.errors import DataError, InfeasibleComplierTargets
@@ -68,7 +68,7 @@ def test_ordered_selectivity_keeps_low_margin_off_high_program():
     )
     pop = generate_population(cfg)
     mech = MechanismConfig(capacities=(900, 600, 360), lottery_seed=0)
-    data = simulate_iv_dataset(pop, mech, reps=25, master_seed=11)
+    data = simulate_run(pop, mech, reps=25, master_seed=11).dataset
     fs = fit_first_stage(data)
     assert fs.pi[0, 0] > 0.5  # margins are strong
     se_pi21 = cluster_bootstrap(
@@ -105,7 +105,7 @@ def test_scenario_no_displacement_target():
 def test_scenario_simulated_2sls_matches_prediction():
     sc = scenario_three_program(scenario_cfg())
     mech = MechanismConfig(capacities=sc.capacities, lottery_seed=0)
-    data = simulate_iv_dataset(sc.population, mech, reps=50, master_seed=13)
+    data = simulate_run(sc.population, mech, reps=50, master_seed=13).dataset
     est = estimate_all(data)
     assert abs(est.beta[1] - sc.predicted_beta2) < 3 * est.se_beta[1]
     fs = fit_first_stage(data)
@@ -122,7 +122,7 @@ def test_scenario_homogeneous_collapse():
     )
     assert sc.predicted_beta2 == pytest.approx(0.5, abs=1e-12)
     mech = MechanismConfig(capacities=sc.capacities, lottery_seed=0)
-    data = simulate_iv_dataset(sc.population, mech, reps=50, master_seed=14)
+    data = simulate_run(sc.population, mech, reps=50, master_seed=14).dataset
     est = estimate_all(data)
     assert abs(est.beta[1] - 0.5) < 3 * est.se_beta[1]
     orc = slot_expansion_oracle(sc.population, mech, 2, reps=50, master_seed=14)
