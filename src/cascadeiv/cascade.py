@@ -59,7 +59,6 @@ class CascadeSolution:
 
     T: np.ndarray
     delta: np.ndarray
-    method: str
     rho_estimate: float
     rounds: list[np.ndarray] | None = None
 
@@ -157,7 +156,7 @@ def cascade_solve(fs: FirstStage, rf: np.ndarray) -> CascadeSolution:
     vm = VacancyMatrix.from_first_stage(fs)
     wald = rf / fs.diag
     rho = spectral_radius(vm.m)
-    return CascadeSolution(T=t, delta=t - wald, method="direct", rho_estimate=rho)
+    return CascadeSolution(T=t, delta=t - wald, rho_estimate=rho)
 
 
 def neumann_solve(
@@ -199,9 +198,7 @@ def neumann_solve(
         raise MaxRoundsExceeded(
             f"no convergence within {max_rounds} rounds (spectral radius {rho:.4f})"
         )
-    return CascadeSolution(
-        T=total, delta=total - wald, method="neumann", rho_estimate=rho, rounds=rounds
-    )
+    return CascadeSolution(T=total, delta=total - wald, rho_estimate=rho, rounds=rounds)
 
 
 def cascade_decomposition(t: np.ndarray, wald: np.ndarray) -> np.ndarray:

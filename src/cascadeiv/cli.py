@@ -232,10 +232,17 @@ def cmd_fixtures(_args) -> int:
 
 def _parse_blocks(spec: str, k: int) -> BlockSpec:
     path = Path(spec)
-    raw = json.loads(path.read_text()) if path.exists() else json.loads(spec)
+    try:
+        raw = json.loads(path.read_text() if path.exists() else spec)
+    except json.JSONDecodeError as exc:
+        raise DataError(f"--blocks is not valid JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise DataError("--blocks must be a JSON object {name: [program ids]}")
-    blocks = {name: tuple(int(m) - 1 for m in members) for name, members in raw.items()}
+    for name, members in raw.items():
+        # bool is an int subclass, and 1.5 must not pass as program 1
+        if not isinstance(members, list) or any(type(m) is not int for m in members):
+            raise DataError(f"block {name!r} must be a list of integer program ids")
+    blocks = {name: tuple(m - 1 for m in members) for name, members in raw.items()}
     return BlockSpec(blocks=blocks, k=k)
 
 

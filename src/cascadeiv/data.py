@@ -126,14 +126,14 @@ class Dataset:
     def with_outcome(self, y: np.ndarray) -> "Dataset":
         return replace(self, y=np.asarray(y, dtype=float))
 
-    def take(self, rows: np.ndarray, cluster: np.ndarray | None = None) -> "Dataset":
-        """Row subset (bootstrap draws, group subsamples); ``cluster`` replaces its ids."""
+    def take(self, rows: np.ndarray) -> "Dataset":
+        """Row subset (group subsamples)."""
         return replace(
             self,
             y=self.y[rows],
             a=self.a[rows],
             z=self.z[rows],
             x=self.x[rows],
-            cluster=self.cluster[rows] if cluster is None else cluster,
+            cluster=self.cluster[rows],
             group_label=None if self.group_label is None else self.group_label[rows],
         )

@@ -5,9 +5,10 @@ W'W of W = [x, z, a, y]. The controls are projected out (Frisch-Waugh) as
 the Schur complement of their block, and the first stage Pi' and the
 reduced form RF solve the residual instrument block; pivoted-Cholesky rank
 checks of both blocks refuse dependent controls and instruments. A fit of a
-Dataset makes that W'W with one product of its rows, and so does a callable
-bootstrap statistic that refits its drawn rows; a named bootstrap statistic
-weights per-cluster cross-products by its draw. The rows enter again only
+Dataset makes that W'W with one product of its rows. The cluster bootstrap
+has one path: every statistic is named, and a replication weights
+per-cluster cross-products by its draw; ``first_stage`` (Pi, row-major) is
+a library-only statistic beside the CLI's four. The rows enter again only
 in the cluster scores and F, as their residuals on the controls, W E with
 E = [-Mxx^-1 Mx.; I] from the same Schur step. The system is just
 identified (one instrument per treatment), so the 2SLS coefficients and the
@@ -24,7 +25,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 import scipy.linalg.lapack
@@ -382,36 +382,22 @@ def _scores(f: _Fit, resid, beta: np.ndarray, which) -> dict[str, np.ndarray]:
     return out
 
 
-def _sandwich(
-    scores: np.ndarray,
-    codes: np.ndarray,
-    n: int,
-    k_params: int,
-    factor: float | None = None,
-) -> np.ndarray:
-    """Cluster-summed score outer product times ``factor``.
-
-    The default factor is G/(G-1) * (N-1)/(N-k_params).
-    """
+def _sandwich(scores: np.ndarray, codes: np.ndarray, n: int, k_params: int) -> np.ndarray:
+    """Cluster-summed score outer product times G/(G-1) * (N-1)/(N-k_params)."""
     g = int(codes.max()) + 1
     if g < 2:
         raise TooFewClusters("cluster-robust inference needs >= 2 clusters")
     psi = np.zeros((g, scores.shape[1]))
     for j in range(scores.shape[1]):
         psi[:, j] = np.bincount(codes, weights=scores[:, j], minlength=g)
-    if factor is None:
-        factor = (g / (g - 1)) * ((n - 1) / (n - k_params))
-    return psi.T @ psi * factor
+    return psi.T @ psi * ((g / (g - 1)) * ((n - 1) / (n - k_params)))
 
 
-def cluster_robust_se(
-    data: Dataset, which: str = "beta", small_sample_factor: float | None = None
-) -> np.ndarray:
+def cluster_robust_se(data: Dataset, which: str = "beta") -> np.ndarray:
     """Cluster sandwich standard errors for ``beta``, ``rf``, ``wald`` or ``delta``.
 
-    Scores are summed within clusters; the conventional small-sample
-    factor G/(G-1) * (N-1)/(N-K-p) is applied unless an explicit
-    ``small_sample_factor`` overrides it. Wald-ratio standard errors come
+    Scores are summed within clusters, with the conventional small-sample
+    factor G/(G-1) * (N-1)/(N-K-p). Wald-ratio standard errors come
     from the delta-method influence of RF_k / pi_kk.
     """
     if which not in ("beta", "rf", "wald", "delta"):
@@ -419,9 +405,7 @@ def cluster_robust_se(
     f, resid = _fit_rows(data)
     scores = _scores(f, resid, _solve_first_stage(f.pi_t, f.rf), (which,))
     k_params = data.n_treatments + data.n_controls
-    vcov = _sandwich(
-        scores[which], data.cluster_codes(), data.n_obs, k_params, small_sample_factor
-    )
+    vcov = _sandwich(scores[which], data.cluster_codes(), data.n_obs, k_params)
     return np.sqrt(np.diag(vcov))
 
 
@@ -463,9 +447,18 @@ def _cascade_delta(f) -> np.ndarray:
     return _beta(f) - _wald(f)
 
 
+def _pi(f) -> np.ndarray:
+    return _first_stage(f).pi.ravel()
+
+
 # statistics of one fit; "conditional_entrant" fits the pooled draw and
 # each group level
-_FIT_STATISTICS = {"beta": _beta, "wald": _wald, "cascade_delta": _cascade_delta}
+_FIT_STATISTICS = {
+    "beta": _beta,
+    "wald": _wald,
+    "cascade_delta": _cascade_delta,
+    "first_stage": _pi,
+}
 
 
 def _cluster_moments(data: Dataset, codes: np.ndarray, n_codes: int):
@@ -539,24 +532,11 @@ def _moment_replicate(data: Dataset, name: str, codes: np.ndarray, g: int):
     return replicate
 
 
-def _row_replicate(data: Dataset, stat_fn, codes: np.ndarray, g: int):
-    """A callable statistic as a function of a draw of cluster indices: it
-    gets the drawn rows, with the clusters relabelled by draw position."""
-    order = np.argsort(codes, kind="stable")
-    bounds = np.searchsorted(codes[order], np.arange(g + 1))
-    group_rows = [order[bounds[i] : bounds[i + 1]] for i in range(g)]
-
-    def replicate(draw):
-        rows = np.concatenate([group_rows[gi] for gi in draw])
-        relabel = np.repeat(np.arange(g), [group_rows[gi].size for gi in draw])
-        return stat_fn(data.take(rows, cluster=relabel))
-
-    return replicate
-
-
 def _components(name: str, data: Dataset) -> tuple[str, ...]:
     """Component names of a named statistic."""
     k = data.n_treatments
+    if name == "first_stage":
+        return tuple(f"pi_{j + 1}_{m + 1}" for j in range(k) for m in range(k))
     if name in _FIT_STATISTICS:
         return tuple(f"{name}_{j + 1}" for j in range(k))
     if name != "conditional_entrant":
@@ -572,7 +552,7 @@ def _components(name: str, data: Dataset) -> tuple[str, ...]:
 
 def cluster_bootstrap(
     data: Dataset,
-    statistic: str | Callable[[Dataset], np.ndarray],
+    statistic: str,
     reps: int,
     seed: int,
     max_failure_share: float = 0.10,
@@ -581,11 +561,13 @@ def cluster_bootstrap(
 
     Each replication draws G clusters with replacement, on a seed derived
     from the master seed and the replication, so evaluation order cannot
-    matter. A named statistic (``beta``, ``wald``, ``cascade_delta``,
-    ``conditional_entrant``) is recomputed from the drawn clusters'
-    cross-products of [x, z, a, y], summed per cluster once; a callable gets
-    the drawn rows as a Dataset, clusters relabelled by draw position, and
-    the package's fits refit them through the same ``_moment_fit``.
+    matter. There is one path: the statistic is a name, ``beta``, ``wald``,
+    ``cascade_delta``, ``conditional_entrant`` or the library-only
+    ``first_stage`` (Pi in row-major order, components ``pi_<j>_<k>`` for
+    treatment j and instrument k), and each replication recomputes it from
+    the drawn clusters' cross-products of [x, z, a, y], summed per cluster
+    once, with one ``_moment_fit`` per sample; no rows are copied. Any other
+    statistic, a callable included, is a DataError.
     Replications where the statistic raises a package error (a rank-deficient
     draw, a singular first stage, a zero first-stage diagonal, too few rows,
     a lost group level) are dropped and counted; more than
@@ -593,15 +575,12 @@ def cluster_bootstrap(
     """
     if reps < 2:
         raise DataError("bootstrap needs reps >= 2")
-    components = None if callable(statistic) else _components(statistic, data)
+    components = _components(statistic, data)
     codes = data.cluster_codes()
     g = int(codes.max()) + 1
     if g < 2:
         raise TooFewClusters("cluster bootstrap needs >= 2 clusters")
-    if callable(statistic):
-        replicate = _row_replicate(data, statistic, codes, g)
-    else:
-        replicate = _moment_replicate(data, statistic, codes, g)
+    replicate = _moment_replicate(data, statistic, codes, g)
 
     results = None
     n_failed = 0
@@ -622,8 +601,6 @@ def cluster_bootstrap(
     est = results[ok]
     se = np.std(est, axis=0, ddof=1)
     lo, hi = np.percentile(est, [2.5, 97.5], axis=0)
-    if components is None:
-        components = tuple(f"stat_{j + 1}" for j in range(est.shape[1]))
     return BootstrapResult(
         se=se,
         ci_lower=lo,

@@ -185,12 +185,13 @@ def _parse_cell(parse, cell: str, column: str, lineno: int):
         raise ParseError(f"could not parse {cell!r} in column {column!r}", lineno) from None
 
 
-def _scan_rows(rows, linenos, header, numeric, text=()):
+def _scan_rows(rows, linenos, header, numeric, text=(), width="header"):
     """The rows parsed one line at a time by ``csv.reader``, each line one row.
 
     Raises the first ragged row or unparsable number in file order, the
     ``numeric`` columns checked in the order given; else returns what
-    ``_read_rows`` returns.
+    ``_read_rows`` returns. A ragged row's message names ``width`` as the
+    line that set the field count.
     """
     values = np.zeros((len(rows), len(header)))
     labels = []
@@ -198,7 +199,7 @@ def _scan_rows(rows, linenos, header, numeric, text=()):
         row = _fields(raw)
         if len(row) != len(header):
             raise SchemaError(
-                f"line {lineno}: row has {len(row)} fields, header has {len(header)}"
+                f"line {lineno}: row has {len(row)} fields, {width} has {len(header)}"
             )
         for pos in numeric:
             values[i, pos] = _parse_cell(_parse_number, row[pos], header[pos], lineno)
@@ -206,7 +207,7 @@ def _scan_rows(rows, linenos, header, numeric, text=()):
     return values, np.array(labels, dtype=str).reshape(len(rows), len(text))
 
 
-def _read_rows(rows, linenos, header, numeric, text=()):
+def _read_rows(rows, linenos, header, numeric, text=(), width="header"):
     """The data rows as an (n, len(header)) float matrix and their ``text``
     columns as an (n, len(text)) string array.
 
@@ -222,9 +223,9 @@ def _read_rows(rows, linenos, header, numeric, text=()):
             rows, dtype=float, converters=dict.fromkeys(text, len), **_CSV_READ
         )
     except ValueError:
-        return _scan_rows(rows, linenos, header, numeric, text)
+        return _scan_rows(rows, linenos, header, numeric, text, width)
     if values.shape != (len(rows), len(header)):
-        return _scan_rows(rows, linenos, header, numeric, text)
+        return _scan_rows(rows, linenos, header, numeric, text, width)
     if not text:
         return values, np.empty((len(rows), 0), dtype=str)
     return values, np.loadtxt(rows, dtype=str, usecols=text, **_CSV_READ)
@@ -389,7 +390,7 @@ def load_matrix_csv(path) -> np.ndarray:
     if not rows:
         raise SchemaError(f"{path}: empty matrix file")
     names = [str(j + 1) for j in range(len(_fields(rows[0])))]
-    return _read_rows(rows, linenos, names, range(len(names)))[0]
+    return _read_rows(rows, linenos, names, range(len(names)), width="the first row")[0]
 
 
 def write_trace_csv(path, rounds: list[np.ndarray], command: str = "cascade", seed=None):

@@ -443,7 +443,6 @@ def _replications(
 class SimulationOutput:
     dataset: Dataset
     covariates: dict
-    covariate_names: tuple
     events: np.ndarray  # SIMULATION_EVENT_DTYPE, empty unless log_events
 
 
@@ -544,7 +543,6 @@ def simulate_run(
     return SimulationOutput(
         dataset=dataset,
         covariates=covariates,
-        covariate_names=tuple(covariates),
         events=np.concatenate(events),
     )
 

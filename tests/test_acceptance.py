@@ -265,9 +265,8 @@ def test_criterion_5_three_program_closed_form():
     est = estimate_all(data)
     beta2_z = abs(est.beta[1] - sc.predicted_beta2) / est.se_beta[1]
     pi21 = fit_first_stage(data).pi[1, 0]
-    se_pi21 = cluster_bootstrap(
-        data, lambda d: np.array([fit_first_stage(d).pi[1, 0]]), reps=40, seed=9
-    ).se[0]
+    boot = cluster_bootstrap(data, "first_stage", reps=40, seed=9)
+    se_pi21 = boot.se[boot.components.index("pi_2_1")]
     pi21_ok = abs(pi21) <= max(3 * se_pi21, 1e-8)
     elapsed = time.time() - t0
     report(

@@ -238,6 +238,24 @@ def test_verify_zero_oracle_reps_is_a_data_error(tmp_path, config_path, capsys):
     assert "reps must be >= 1" in err["error"]["message"]
 
 
+@pytest.mark.parametrize("spec, message", [
+    ("{bad", "--blocks is not valid JSON"),
+    ('{"A": ["x"]}', "block 'A' must be a list of integer program ids"),
+    ('{"A": 3}', "block 'A' must be a list of integer program ids"),
+    ('{"A": [1.5], "B": [2]}', "block 'A' must be a list of integer program ids"),
+    ("[1, 2]", "--blocks must be a JSON object"),
+])
+def test_estimate_bad_blocks_is_a_data_error(tmp_path, capsys, spec, message):
+    d = bernoulli_iv_data(35, n=300, k=2)
+    write_dataset_csv(tmp_path / "d.csv", d, "test", 0)
+    code = run(["estimate", "--data", tmp_path / "d.csv", "--blocks", spec,
+                "--out", tmp_path / "out"])
+    assert code == 3
+    err = _last_error(capsys)
+    assert err["code"] == "DataError"
+    assert err["message"].startswith(message)
+
+
 def test_bootstrap_command(tmp_path, capsys):
     d = bernoulli_iv_data(31, n=600, k=2)
     write_dataset_csv(tmp_path / "d.csv", d, "test", 0)

@@ -1,9 +1,10 @@
 import warnings
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -36,6 +37,7 @@ from cascadeiv.errors import (
     ZeroDiagonal,
 )
 from cascadeiv.estimator import (
+    _FIT_STATISTICS,
     FirstStage,
     _cluster_moments,
     _first_stage,
@@ -119,13 +121,17 @@ def test_frisch_waugh_full_controls_vs_partialled():
     assert_allclose(
         fit_first_stage(d).pi, fit_first_stage(dp).pi, rtol=1e-8, atol=1e-10
     )
-    # same scores; the default small-sample factor counts the live controls,
-    # so both sides get the full-controls factor
-    n, g, k_params = d.n_obs, d.n_clusters, d.n_treatments + d.n_controls
-    factor = (g / (g - 1)) * ((n - 1) / (n - k_params))
+    # same scores; the small-sample factor counts the controls, so the
+    # constant-only side is rescaled to the full-controls factor
+    n, g = d.n_obs, d.n_clusters
+
+    def factor(k_params):
+        return (g / (g - 1)) * ((n - 1) / (n - k_params))
+
+    full, constant_only = (m.n_treatments + m.n_controls for m in (d, dp))
     assert_allclose(
         cluster_robust_se(d, "beta"),
-        cluster_robust_se(dp, "beta", small_sample_factor=factor),
+        cluster_robust_se(dp, "beta") * np.sqrt(factor(full) / factor(constant_only)),
         rtol=1e-8,
     )
 
@@ -378,9 +384,10 @@ def test_too_few_clusters():
 # ---------------------------------------------------------------------------
 
 
-def test_bootstrap_constant_statistic_has_zero_se():
+def test_bootstrap_constant_statistic_has_zero_se(monkeypatch):
     d = bernoulli_iv_data(61, n=300, k=2)
-    res = cluster_bootstrap(d, lambda _: np.array([3.14]), reps=20, seed=1)
+    monkeypatch.setitem(_FIT_STATISTICS, "constant", lambda _: np.array([3.14]))
+    res = cluster_bootstrap(d, "constant", reps=20, seed=1)
     assert_allclose(res.se, [0.0], atol=1e-15)
 
 
@@ -394,25 +401,27 @@ def test_bootstrap_same_seed_identical():
     assert not np.array_equal(r1.estimates, r3.estimates)
 
 
-def test_bootstrap_failure_policy():
+def test_bootstrap_failure_policy(monkeypatch):
     d = bernoulli_iv_data(63, n=400, k=2)
 
     def flaky(threshold):
         calls = {"n": 0}
 
-        def stat(data):
+        def stat(f):
             calls["n"] += 1
             if calls["n"] <= threshold:
                 raise SingularInstrumentGram("constructed failure")
-            return fit_2sls(data)
+            return _FIT_STATISTICS["beta"](f)
 
         return stat
 
-    res = cluster_bootstrap(d, flaky(2), reps=40, seed=5)  # 5% failures: ok
+    monkeypatch.setitem(_FIT_STATISTICS, "flaky", flaky(2))
+    res = cluster_bootstrap(d, "flaky", reps=40, seed=5)  # 5% failures: ok
     assert res.n_failed == 2
     assert res.estimates.shape[0] == 38
+    monkeypatch.setitem(_FIT_STATISTICS, "flaky", flaky(10))
     with pytest.raises(StatisticFailedInReplication):
-        cluster_bootstrap(d, flaky(10), reps=40, seed=5)  # 25%: over the ceiling
+        cluster_bootstrap(d, "flaky", reps=40, seed=5)  # 25%: over the ceiling
 
 
 def test_bootstrap_rejects_bad_inputs():
@@ -421,6 +430,9 @@ def test_bootstrap_rejects_bad_inputs():
         cluster_bootstrap(d, "beta", reps=1, seed=0)
     with pytest.raises(DataError):
         cluster_bootstrap(d, "nope", reps=10, seed=0)
+    # a callable is not a statistic: every replication is a moment replication
+    with pytest.raises(DataError, match="unknown bootstrap statistic"):
+        cluster_bootstrap(d, fit_2sls, reps=10, seed=0)
 
 
 def test_bootstrap_conditional_entrant_components():
@@ -430,6 +442,17 @@ def test_bootstrap_conditional_entrant_components():
         "T_1|f", "T_2|f", "T_1|m", "T_2|m", "T_1|f-m", "T_2|f-m"
     )
     assert np.all(res.se > 0)
+
+
+def test_bootstrap_first_stage_components():
+    # Pi in row-major order: pi_<j>_<k> is treatment j on instrument k; the
+    # cross-effects differ, so a transposed order would show
+    d = bernoulli_iv_data(65, n=4000, k=2, pi=[[0.4, -0.15], [0.0, 0.3]], n_clusters=30)
+    res = cluster_bootstrap(d, "first_stage", reps=30, seed=3)
+    assert res.components == ("pi_1_1", "pi_1_2", "pi_2_1", "pi_2_2")
+    pi = fit_first_stage(d).pi.ravel()
+    assert np.all(np.abs(res.estimates.mean(axis=0) - pi) < res.se)
+    assert np.all(np.abs(res.estimates.mean(axis=0) - pi[[0, 2, 1, 3]])[1:3] > res.se[1:3])
 
 
 def test_bootstrap_conditional_entrant_drops_level_losing_draws():
@@ -477,6 +500,10 @@ def _ref_wald(d):
 def _ref_cascade_delta(d):
     f = reference_fit(d)
     return _solve_first_stage(f.pi_t, f.rf) - wald_ratios(f.rf, _first_stage(f))
+
+
+def _ref_first_stage(d):
+    return _first_stage(reference_fit(d)).pi.ravel()
 
 
 def _ref_conditional_entrant(levels):
@@ -546,7 +573,8 @@ def reference_cluster_bootstrap(data, statistic, reps, seed):
         stat = _ref_conditional_entrant(levels)
     else:
         stat = {"beta": _ref_beta, "wald": _ref_wald,
-                "cascade_delta": _ref_cascade_delta}[statistic]
+                "cascade_delta": _ref_cascade_delta,
+                "first_stage": _ref_first_stage}[statistic]
     codes = data.cluster_codes()
     g = int(codes.max()) + 1
     group_rows = [np.flatnonzero(codes == c) for c in range(g)]
@@ -556,7 +584,7 @@ def reference_cluster_bootstrap(data, statistic, reps, seed):
         rows = np.concatenate([group_rows[c] for c in draw])
         relabel = np.repeat(np.arange(g), [group_rows[c].size for c in draw])
         try:
-            d = data.take(rows, cluster=relabel)
+            d = replace(data.take(rows), cluster=relabel)
         except DataError as exc:
             out[r] = type(exc)
             continue
@@ -583,8 +611,12 @@ def moment_replicates(data, statistic, reps, seed):
     return out
 
 
-def _size(data):
-    """The larger of the full sample's largest |beta| and |Wald ratio|."""
+def _size(data, statistic):
+    """The larger of the full sample's largest |beta| and |Wald ratio|; 0 for
+    first_stage, whose components are Pi's own entries (its full-sample Pi
+    may even be singular where the draws' Pi are not)."""
+    if statistic == "first_stage":
+        return 0.0
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         return max(np.max(np.abs(_ref_beta(data))), np.max(np.abs(_ref_wald(data))))
@@ -597,7 +629,8 @@ def assert_bootstrap_matches_reference(data, statistic, reps, seed, rep_tol=1e-1
     component's largest |value|, or of 1e-3 of the largest |value| of any
     component or of the full sample's beta and Wald ratios if that is
     larger (their rounding sets the error of a component near zero, such
-    as the cascade_delta of a first stage without cross-effects). Draws
+    as the cascade_delta of a first stage without cross-effects; see
+    ``_size``). Draws
     where rounding decides the statistic are left out; where there are
     none, ``cluster_bootstrap`` must also give the same n_failed and
     estimates and SE within ``se_rtol`` relative. Returns the failed and
@@ -616,7 +649,7 @@ def assert_bootstrap_matches_reference(data, statistic, reps, seed, rep_tol=1e-1
                 cluster_bootstrap(data, statistic, reps, seed, max_failure_share=1.0)
         return failed, noise
     ref = np.array([want[r] for r in ok])
-    floor = 1e-3 * max(np.max(np.abs(ref)), _size(data))
+    floor = 1e-3 * max(np.max(np.abs(ref)), _size(data, statistic))
     scale = np.maximum(np.max(np.abs(ref), axis=0), floor)
     assert np.all(np.abs(np.array([got[r] for r in ok]) - ref) <= rep_tol * scale)
     if noise:
@@ -636,7 +669,7 @@ def assert_bootstrap_matches_reference(data, statistic, reps, seed, rep_tol=1e-1
     return failed, noise
 
 
-STATISTICS = ["beta", "wald", "cascade_delta", "conditional_entrant"]
+STATISTICS = ["beta", "wald", "cascade_delta", "conditional_entrant", "first_stage"]
 
 
 def program_clustered_data(seed, k=3, per_program=2, rows=(8, 40), dummies=True,
@@ -695,6 +728,9 @@ def test_moment_bootstrap_matches_row_reference(seed, statistic, k, per_program,
     st.booleans(),
     st.integers(0, 2),
 )
+# the full sample's Pi' is singular (treatment 3 is never taken) while the
+# draws' first stages are not
+@example(104340, "first_stage", 3, 1, False, 0)
 def test_moment_bootstrap_failures_match_on_tiny_clusters(seed, statistic, k,
                                                           per_program, dummies, x_extra):
     # clusters of 1 to 9 rows: many draws lose a program, repeat few distinct
@@ -739,13 +775,14 @@ def test_moment_bootstrap_level_confined_to_one_cluster(statistic):
 @pytest.mark.parametrize("statistic", STATISTICS)
 def test_moment_bootstrap_zero_first_stage_diagonal(statistic):
     # treatment 2 is taken in one cluster only; a draw without that cluster
-    # has pi_22 == 0 exactly
+    # has pi_22 == 0 exactly, which fails every statistic that divides by
+    # pi_22 or solves Pi', and leaves first_stage's Pi as it is
     d = bernoulli_iv_data(69, n=2000, k=2, n_clusters=10, group_share=0.5)
     a = d.a.copy()
     a[d.cluster != d.cluster[0], 1] = 0.0
     d = Dataset(y=d.y, a=a, z=d.z, x=d.x, cluster=d.cluster, group_label=d.group_label)
     failed, noise = assert_bootstrap_matches_reference(d, statistic, reps=40, seed=6)
-    assert failed and noise == []
+    assert bool(failed) == (statistic != "first_stage") and noise == []
 
 
 @pytest.mark.parametrize("statistic", STATISTICS)
@@ -771,8 +808,7 @@ def test_every_fit_is_the_gram_fit(tmp_path):
             fit(d)
         for which in ("beta", "rf", "wald", "delta"):
             cluster_robust_se(d, which)
-        for statistic in ("beta", fit_2sls):
-            cluster_bootstrap(d, statistic, reps=5, seed=1)
+        cluster_bootstrap(d, "beta", reps=5, seed=1)
         assert main(["cascade", "--data", str(tmp_path / "d.csv"),
                      "--out", str(tmp_path / "c")]) == 0
         assert main(["estimate", "--data", str(tmp_path / "d.csv"),

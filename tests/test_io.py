@@ -668,7 +668,7 @@ def test_matrix_faults_report_file_line(tmp_path):
         load_matrix_csv(path)
     assert exc.value.line == 4
     path.write_text("# c\n0.4,0.1\n0.2\n")
-    with pytest.raises(SchemaError, match="line 3: row has 1 fields"):
+    with pytest.raises(SchemaError, match="^line 3: row has 1 fields, the first row has 2$"):
         load_matrix_csv(path)
 
 

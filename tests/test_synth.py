@@ -71,10 +71,9 @@ def test_ordered_selectivity_keeps_low_margin_off_high_program():
     data = simulate_run(pop, mech, reps=25, master_seed=11).dataset
     fs = fit_first_stage(data)
     assert fs.pi[0, 0] > 0.5  # margins are strong
-    se_pi21 = cluster_bootstrap(
-        data, lambda d: np.array([fit_first_stage(d).pi[2, 0]]), reps=40, seed=5
-    ).se[0]
-    assert abs(fs.pi[2, 0]) < max(3 * se_pi21, 1e-8)
+    boot = cluster_bootstrap(data, "first_stage", reps=40, seed=5)
+    se_pi31 = boot.se[boot.components.index("pi_3_1")]
+    assert abs(fs.pi[2, 0]) < max(3 * se_pi31, 1e-8)
 
 
 # ---------------------------------------------------------------------------
