@@ -30,7 +30,14 @@ from .errors import (
     ZeroComplierMass,
     ZeroDiagonal,
 )
-from .estimator import FirstStage, _first_stage, _fit, _solve_first_stage, fit_2sls
+from .estimator import (
+    FirstStage,
+    _Moments,
+    _design,
+    _first_stage,
+    _moment_fit,
+    _solve_first_stage,
+)
 
 __all__ = [
     "CascadeSolution",
@@ -235,29 +242,40 @@ def conditional_entrant_effect(
     return rf_g / fs_g.diag + m_g @ beta_full
 
 
+def _entrant_effects(mom, c, levels, data: Dataset, beta_full=None) -> list:
+    """``conditional_entrant_effect`` of each of ``levels`` from the moment
+    object's per-level Grams at cluster weights c (ones here, a draw's counts
+    in the bootstrap); ``beta_full`` defaults to the fit of their sum."""
+    p, k = data.n_controls, data.n_treatments
+    grams, rows = mom.grams(c)
+    if beta_full is None:
+        f = _moment_fit(grams.sum(axis=0), int(rows.sum()), p, k)
+        beta_full = _solve_first_stage(f.pi_t, f.rf)
+    out = []
+    for lev in levels:
+        j = np.flatnonzero(mom.levels == lev)[:1]
+        if not rows[j].any():
+            raise DataError(f"group level {lev!r} absent from this sample")
+        f = _moment_fit(grams[j[0]], int(rows[j[0]]), p, k)
+        out.append(conditional_entrant_effect(f.rf, _first_stage(f), beta_full))
+    return out
+
+
 def conditional_entrant_by_group(
     data: Dataset, levels=None, beta_full: np.ndarray | None = None
 ) -> dict:
     """``conditional_entrant_effect`` for each level of ``data.group_label``.
 
-    One fit per level's subsample; ``beta_full`` is fitted when not given.
-    ``levels`` defaults to the distinct labels; an absent one raises DataError.
+    One fit of each level's Gram in the moment object (one cluster);
+    ``beta_full`` is fitted when not given. ``levels`` defaults to the
+    distinct labels; an absent one raises DataError.
     """
-    labels = data.group_label
-    if labels is None:
+    if data.group_label is None:
         raise DataError("conditional-entrant effects need group labels")
-    if levels is None:
-        levels = np.unique(labels)
-    if beta_full is None:
-        beta_full = fit_2sls(data)
-    out = {}
-    for lev in levels:
-        rows = np.flatnonzero(labels == lev)
-        if rows.size == 0:
-            raise DataError(f"group level {lev!r} absent from this sample")
-        f = _fit(data.take(rows))
-        out[lev] = conditional_entrant_effect(f.rf, _first_stage(f), beta_full)
-    return out
+    mom = _Moments(_design(data), labels=data.group_label)
+    levels = mom.levels if levels is None else levels
+    return dict(zip(levels, _entrant_effects(mom, np.ones(1, dtype=np.intp), levels, data,
+                                             beta_full)))
 
 
 def group_outcome_decomposition(
@@ -268,8 +286,8 @@ def group_outcome_decomposition(
     """Full-sample 2SLS with group-masked outcomes 1[g_i = g] * Y_i.
 
     The per-group coefficients sum to the full-sample beta for every
-    treatment, up to rounding, because 2SLS is linear in the outcome. Each
-    level is ``fit_2sls`` of its masked outcome.
+    treatment, up to rounding, because 2SLS is linear in the outcome. A level
+    fits the moment object's pooled Gram with its own y row and column in.
     """
     labels = partition if partition is not None else data.group_label
     if labels is None:
@@ -277,18 +295,21 @@ def group_outcome_decomposition(
     labels = np.asarray(labels)
     if labels.shape != (data.n_obs,):
         raise LengthMismatch("partition must have one label per observation")
-    if levels is None:
-        levels = list(np.unique(labels))
+    mom = _Moments(_design(data), labels=labels)
+    grams = mom.grams(np.ones(1, dtype=np.intp))[0]
     out = {}
-    for lev in levels:
-        mask = (labels == lev).astype(float)
-        if mask.sum() == 0:
+    for lev in list(mom.levels) if levels is None else levels:
+        j = np.flatnonzero(mom.levels == lev)
+        if j.size == 0:
             warnings.warn(
                 f"group {lev!r} has no observations; its outcome vector is zero",
                 EmptyGroupWarning,
                 stacklevel=2,
             )
-        out[lev] = fit_2sls(data.with_outcome(mask * data.y))
+        gram = grams.sum(axis=0)
+        gram[-1] = gram[:, -1] = grams[j[0], -1] if j.size else 0.0
+        f = _moment_fit(gram, data.n_obs, data.n_controls, data.n_treatments)
+        out[lev] = _solve_first_stage(f.pi_t, f.rf)
     return out
 
 

@@ -116,7 +116,7 @@ def cmd_estimate(args) -> int:
 
 def cmd_cascade(args) -> int:
     if args.data:
-        f = _fit(iomod.load_dataset_csv(args.data))
+        f = _fit(iomod.load_dataset_csv(args.data))[1]
         fs, rf = _first_stage(f), f.rf
     elif args.pi and args.rf:
         fs = FirstStage(iomod.load_matrix_csv(args.pi))

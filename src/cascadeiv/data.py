@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -122,18 +122,3 @@ class Dataset:
         """Integer codes 0..G-1 for the cluster ids."""
         _, codes = np.unique(self.cluster, return_inverse=True)
         return codes
-
-    def with_outcome(self, y: np.ndarray) -> "Dataset":
-        return replace(self, y=np.asarray(y, dtype=float))
-
-    def take(self, rows: np.ndarray) -> "Dataset":
-        """Row subset (group subsamples)."""
-        return replace(
-            self,
-            y=self.y[rows],
-            a=self.a[rows],
-            z=self.z[rows],
-            x=self.x[rows],
-            cluster=self.cluster[rows],
-            group_label=None if self.group_label is None else self.group_label[rows],
-        )

@@ -1,18 +1,17 @@
 """First stage, reduced form, 2SLS, Wald ratios, and cluster inference.
 
-Every estimate comes from one fit, ``_moment_fit``, of the cross-products
-W'W of W = [x, z, a, y]. The controls are projected out (Frisch-Waugh) as
-the Schur complement of their block, and the first stage Pi' and the
-reduced form RF solve the residual instrument block; pivoted-Cholesky rank
-checks of both blocks refuse dependent controls and instruments. A fit of a
-Dataset makes that W'W with one product of its rows. The cluster bootstrap
-has one path: every statistic is named, and a replication weights
-per-cluster cross-products by its draw; ``first_stage`` (Pi, row-major) is
-a library-only statistic beside the CLI's four. The rows enter again only
-in the cluster scores and F, as their residuals on the controls, W E with
-E = [-Mxx^-1 Mx.; I] from the same Schur step. The system is just
-identified (one instrument per treatment), so the 2SLS coefficients and the
-total slot-expansion effects are the same solve
+Every statistic reads one moment object, ``_Moments``: the cross-products
+W'W of W = [x, z, a, y] summed within each cluster (and group level). For
+cluster weights c it gives the Gram sum_g c_g W_g'W_g, and ``_moment_fit``
+partials the controls out of it (Frisch-Waugh) as the Schur complement of
+their block and solves the first stage Pi' and the reduced form RF from the
+residual instrument block, with pivoted-Cholesky rank checks of both
+blocks. A point estimate is the fit at c = 1, a bootstrap replication the
+fit at its draw's cluster counts; cluster scores are the object's
+per-cluster bilinear forms L'(W_g'W_g)R, and the first-stage F is read off
+the Schur complement. The system is just identified (one instrument per
+treatment), so the 2SLS coefficients and the total slot-expansion effects
+are the same solve
 
     beta = T = solve(Pi', RF)
 
@@ -136,6 +135,61 @@ class BootstrapResult:
 # ---------------------------------------------------------------------------
 
 
+class _Moments:
+    """Per-(cluster, level) cross-products of W and their row counts, built
+    once from W's column blocks, cluster codes (default: one cluster) and
+    optional labels, whose sorted distinct values are the ``levels``. The
+    G x L x d x d tensor is kept only when G L d <= N: for clusters of a few
+    rows it would outgrow the rows, which are kept instead, row i weighted
+    by c[code_i]."""
+
+    def __init__(self, blocks, codes: np.ndarray | None = None, labels=None):
+        n = len(blocks[0])
+        codes = np.zeros(n, dtype=np.intp) if codes is None else codes
+        self.g = int(codes.max()) + 1
+        self.levels, self.level = (None, 0) if labels is None else np.unique(
+            labels, return_inverse=True
+        )
+        n_lev = 1 if labels is None else self.levels.size
+        cells = codes * n_lev + self.level
+        self.rows = np.bincount(cells, minlength=self.g * n_lev).reshape(self.g, n_lev)
+        d = sum(1 if b.ndim == 1 else b.shape[1] for b in blocks)
+        if self.g * n_lev * d > n:
+            self.m, self.w, self.codes = None, np.column_stack(blocks), codes
+            return
+        order = None
+        if np.count_nonzero(np.diff(cells)) >= np.count_nonzero(self.rows):
+            order = np.argsort(cells, kind="stable")  # one run of rows per cell
+            cells = cells[order]
+        w = np.column_stack([b if order is None else b[order] for b in blocks])
+        starts = np.flatnonzero(np.r_[True, cells[1:] != cells[:-1]])
+        self.m = np.zeros((self.g, n_lev, d, d))
+        for lo, hi in zip(starts, np.r_[starts[1:], n]):
+            self.m[divmod(cells[lo], n_lev)] = w[lo:hi].T @ w[lo:hi]
+
+    def grams(self, c: np.ndarray):
+        """Each level's Gram at cluster weights c, (L, d, d), and row count, (L,)."""
+        if self.m is not None:
+            return np.tensordot(c, self.m, 1), c @ self.rows
+        weights = [c[self.codes] * (self.level == j) for j in range(self.rows.shape[1])]
+        return np.array([(self.w * v[:, None]).T @ self.w for v in weights]), c @ self.rows
+
+    def scores(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+        """G x m sums over each cluster's rows of (w_i'left[:, j]) (w_i'right[:, j])."""
+        if self.m is not None:
+            return ((self.m.sum(axis=1) @ right) * left).sum(axis=1)
+        out = np.empty((self.g, left.shape[1]))
+        for j in range(left.shape[1]):  # N-vectors only, beside the G x m sums
+            prod = (self.w @ left[:, j]) * (self.w @ right[:, j])
+            out[:, j] = np.bincount(self.codes, weights=prod, minlength=self.g)
+        return out
+
+
+def _design(data: Dataset) -> tuple:
+    """The column blocks of W = [x, z, a, y], the columns every fit reads."""
+    return data.x, data.z, data.a, data.y
+
+
 @dataclass(frozen=True)
 class _Fit:
     """Pi' and RF solved from the cross-products W'W of W = [x, z, a, y].
@@ -143,8 +197,8 @@ class _Fit:
     ``pi_t`` is Pi' (row k holding instrument k's coefficients for every
     treatment) and ``rf`` the reduced form. ``partial`` is Mxx^-1 Mx., the
     controls' coefficients for every other column of W, so the rows net of
-    the controls are W E with E = [-partial; I]; ``instruments`` is the
-    pivoted-Cholesky factor of the residual instruments' cross-products.
+    the controls are W E with E = [-partial; I] and ``resid`` = E'W'W E;
+    ``instruments`` is the pivoted-Cholesky factor of its instrument block.
     """
 
     pi_t: np.ndarray
@@ -152,6 +206,7 @@ class _Fit:
     n_obs: int
     n_controls: int
     partial: np.ndarray
+    resid: np.ndarray
     instruments: tuple
 
 
@@ -235,29 +290,15 @@ def _moment_fit(gram: np.ndarray, n_obs: int, n_controls: int, k: int) -> _Fit:
         raise _singular_instruments(column)
     coef = _cholesky_solve(instruments, resid[:k, k:])
     coef[:, np.flatnonzero(np.diag(resid)[k : 2 * k] <= tol * raw[k : 2 * k])] = 0.0
-    return _Fit(coef[:, :k], coef[:, k], n_obs, p, partial, instruments)
+    return _Fit(coef[:, :k], coef[:, k], n_obs, p, partial, resid, instruments)
 
 
-def _design(data: Dataset) -> np.ndarray:
-    """W = [x, z, a, y], the columns every fit reads."""
-    return np.column_stack([data.x, data.z, data.a, data.y])
-
-
-def _fit(data: Dataset, w: np.ndarray | None = None) -> _Fit:
-    """``_moment_fit`` of a Dataset, on one W'W of its rows ``w``."""
-    if w is None:
-        w = _design(data)
-    return _moment_fit(w.T @ w, data.n_obs, data.n_controls, data.n_treatments)
-
-
-def _fit_rows(data: Dataset):
-    """The fit of a Dataset and its residual z, a and y on the controls,
-    W E with E = [-Mxx^-1 Mx.; I] from the fit's Schur step."""
-    w = _design(data)
-    f = _fit(data, w)
-    p, k = f.n_controls, data.n_treatments
-    r = w[:, p:] - w[:, :p] @ f.partial
-    return f, (r[:, :k], r[:, k : 2 * k], r[:, 2 * k])
+def _fit(data: Dataset, codes: np.ndarray | None = None):
+    """A Dataset's moment object (one cluster unless ``codes``), fit at weight one."""
+    mom = _Moments(_design(data), codes)
+    grams, rows = mom.grams(np.ones(mom.g, dtype=np.intp))
+    return mom, _moment_fit(grams.sum(axis=0), int(rows.sum()), data.n_controls,
+                            data.n_treatments)
 
 
 def _solve_first_stage(pi_t: np.ndarray, rf: np.ndarray) -> np.ndarray:
@@ -320,12 +361,12 @@ def fit_first_stage(
     below ``weak_threshold`` in absolute value, signalling a relevance
     failure in the population.
     """
-    return _first_stage(_fit(data), weak_threshold)
+    return _first_stage(_fit(data)[1], weak_threshold)
 
 
 def fit_reduced_form(data: Dataset) -> np.ndarray:
     """Joint regression of the outcome on all instruments (plus controls)."""
-    return _fit(data).rf
+    return _fit(data)[1].rf
 
 
 def fit_2sls(data: Dataset) -> np.ndarray:
@@ -335,7 +376,7 @@ def fit_2sls(data: Dataset) -> np.ndarray:
     z'(y - a beta) = 0. cond(Pi') above COND_CEILING is refused and above
     COND_WARN warned about.
     """
-    f = _fit(data)
+    f = _fit(data)[1]
     return _solve_first_stage(f.pi_t, f.rf)
 
 
@@ -356,40 +397,40 @@ def wald_ratios(rf: np.ndarray, fs: FirstStage) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _scores(f: _Fit, resid, beta: np.ndarray, which) -> dict[str, np.ndarray]:
-    """Per-observation influence of the estimates named in ``which``.
+def _scores(f: _Fit, mom: _Moments, beta: np.ndarray, which) -> dict[str, np.ndarray]:
+    """Cluster-summed influence (G x K) of the estimates named in ``which``.
 
-    The rows enter as ``resid``, their z, a and y net of the controls
-    (``_fit_rows``). The beta and rf scores are always returned; the wald
-    and delta ones (delta-method influence of RF_k / pi_kk) only when asked
-    for, since they need a nonzero first-stage diagonal.
+    Row i's is (w_i'l)(w_i'r), so ``mom.scores`` sums it. With the rows net
+    of the controls W E, E = [-partial; I], the beta score is Pi'^-1 (z'z)^-1
+    z_i (y_i - a_i beta) and the rf score (z'z)^-1 z_i (y_i - z_i rf); the
+    wald and delta ones need a nonzero first-stage diagonal, so are opt-in.
     """
-    z, a, y = resid
-    zz_inv = _cholesky_solve(f.instruments, np.eye(z.shape[1]))
-    proj = z @ zz_inv  # z (z'z)^-1
-    out = {
-        # row i: Pi'^-1 (z'z)^-1 z_i e_i, with e = y - a beta
-        "beta": (y - a @ beta)[:, None] * (z @ np.linalg.solve(f.pi_t, zz_inv).T),
-        "rf": (y - z @ f.rf)[:, None] * proj,
-    }
-    if "wald" in which or "delta" in which:
+    k = f.pi_t.shape[0]
+    e = np.vstack([-f.partial, np.eye(2 * k + 1)])
+    zz_inv = _cholesky_solve(f.instruments, np.eye(k))
+    proj = e[:, :k] @ zz_inv  # w_i'proj = z_i'(z'z)^-1
+    left = [e[:, :k] @ np.linalg.solve(f.pi_t, zz_inv).T, proj]
+    right = [np.tile((e @ np.r_[np.zeros(k), -beta, 1.0])[:, None], k),
+             np.tile((e @ np.r_[-f.rf, np.zeros(k), 1.0])[:, None], k)]
+    wald = "wald" in which or "delta" in which
+    if wald:
+        wald_ratios(f.rf, FirstStage(f.pi_t.T))  # ZeroDiagonal for a zero pi_kk
         diag = np.diag(f.pi_t)
-        if np.any(diag == 0.0):
-            raise ZeroDiagonal(int(np.flatnonzero(diag == 0.0)[0]))
-        s_pikk = proj * (a - z @ f.pi_t)  # column k: influence of pi_kk
-        out["wald"] = out["rf"] / diag - (f.rf / diag**2) * s_pikk
+        left.append(proj)  # column k: influence of pi_kk
+        right.append(e[:, k : 2 * k] - e[:, :k] @ f.pi_t)
+    psi = mom.scores(np.hstack(left), np.hstack(right))
+    out = {"beta": psi[:, :k], "rf": psi[:, k : 2 * k]}
+    if wald:
+        out["wald"] = out["rf"] / diag - (f.rf / diag**2) * psi[:, 2 * k :]
         out["delta"] = out["beta"] - out["wald"]
     return out
 
 
-def _sandwich(scores: np.ndarray, codes: np.ndarray, n: int, k_params: int) -> np.ndarray:
-    """Cluster-summed score outer product times G/(G-1) * (N-1)/(N-k_params)."""
-    g = int(codes.max()) + 1
+def _sandwich(psi: np.ndarray, n: int, k_params: int) -> np.ndarray:
+    """Outer product of G x m cluster-summed scores times G/(G-1) * (N-1)/(N-k)."""
+    g = psi.shape[0]
     if g < 2:
         raise TooFewClusters("cluster-robust inference needs >= 2 clusters")
-    psi = np.zeros((g, scores.shape[1]))
-    for j in range(scores.shape[1]):
-        psi[:, j] = np.bincount(codes, weights=scores[:, j], minlength=g)
     return psi.T @ psi * ((g / (g - 1)) * ((n - 1) / (n - k_params)))
 
 
@@ -402,11 +443,9 @@ def cluster_robust_se(data: Dataset, which: str = "beta") -> np.ndarray:
     """
     if which not in ("beta", "rf", "wald", "delta"):
         raise DataError(f"unknown standard-error target {which!r}")
-    f, resid = _fit_rows(data)
-    scores = _scores(f, resid, _solve_first_stage(f.pi_t, f.rf), (which,))
-    k_params = data.n_treatments + data.n_controls
-    vcov = _sandwich(scores[which], data.cluster_codes(), data.n_obs, k_params)
-    return np.sqrt(np.diag(vcov))
+    mom, f = _fit(data, data.cluster_codes())
+    psi = _scores(f, mom, _solve_first_stage(f.pi_t, f.rf), (which,))[which]
+    return np.sqrt(np.diag(_sandwich(psi, data.n_obs, data.n_treatments + data.n_controls)))
 
 
 def first_stage_f(data: Dataset) -> np.ndarray:
@@ -415,19 +454,17 @@ def first_stage_f(data: Dataset) -> np.ndarray:
     Classic (homoskedastic) F on the system net of the controls, reported as a
     relevance diagnostic alongside the weak-diagonal check.
     """
-    f, (z, a, _) = _fit_rows(data)
-    return _first_stage_f(f, z, a)
+    return _first_stage_f(_fit(data)[1])
 
 
-def _first_stage_f(f: _Fit, z: np.ndarray, a: np.ndarray) -> np.ndarray:
-    n, k = z.shape
-    u = a - z @ f.pi_t
-    rss = (u**2).sum(axis=0)
-    tss = ((a - a.mean(axis=0)) ** 2).sum(axis=0)
-    dof = n - k - f.n_controls
+def _first_stage_f(f: _Fit) -> np.ndarray:
+    """``first_stage_f`` from the fit's Schur complement."""
+    k = f.pi_t.shape[0]
+    explained = (f.pi_t * f.resid[:k, k : 2 * k]).sum(axis=0)
+    rss = np.diag(f.resid)[k : 2 * k] - explained
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.where(rss > 0, ((tss - rss) / k) / (rss / dof), np.inf)
-    return out
+        dof = f.n_obs - k - f.n_controls
+        return np.where(rss > 0, (explained / k) / (rss / dof), np.inf)
 
 
 # ---------------------------------------------------------------------------
@@ -461,83 +498,35 @@ _FIT_STATISTICS = {
 }
 
 
-def _cluster_moments(data: Dataset, codes: np.ndarray, n_codes: int):
-    """Cross-products W_c'W_c of W = [x, z, a, y] over the rows of each code c,
-    as an (n_codes, d, d) array, and the row count of each code.
-
-    Each run of rows with one code is one matrix product. Rows not already
-    grouped by code (one run per code) are sorted by code first. Memory
-    stays O(N d + n_codes d^2).
-    """
-    w = _design(data)
-    rows = np.bincount(codes, minlength=n_codes)
-    starts = np.flatnonzero(np.r_[True, codes[1:] != codes[:-1]])
-    if starts.size > np.count_nonzero(rows):
-        order = np.argsort(codes, kind="stable")
-        codes, w = codes[order], w[order]
-        starts = np.flatnonzero(np.r_[True, codes[1:] != codes[:-1]])
-    moments = np.zeros((n_codes, w.shape[1], w.shape[1]))
-    for lo, hi in zip(starts, np.r_[starts[1:], codes.size]):
-        block = w[lo:hi]
-        moments[codes[lo]] = block.T @ block
-    return moments, rows
-
-
-def _moment_replicate(data: Dataset, name: str, codes: np.ndarray, g: int):
-    """A named statistic as a function of a draw of cluster indices.
-
-    The per-cluster cross-products are built once; a draw weights them by
-    how often it took each cluster, which gives the drawn rows' W'W, so a
-    replication is one weighted sum and one ``_moment_fit`` per sample.
-    ``conditional_entrant`` keeps them per (cluster, group level) and fits
-    the pooled draw and each level's part of it.
-    """
-    # avoids a module cycle: cascade needs the fits defined above
-    from .cascade import conditional_entrant_effect
+def _moment_replicate(data: Dataset, name: str, codes: np.ndarray):
+    """A named statistic as a function of a draw of cluster indices: the moment
+    object, built once (per cluster and group level for ``conditional_entrant``,
+    whose draws go through ``conditional_entrant_by_group``'s function), at the
+    draw's cluster counts."""
+    from .cascade import _entrant_effects  # cascade needs the fits above
 
     k, p = data.n_treatments, data.n_controls
-    if name != "conditional_entrant":
-        moments, rows = _cluster_moments(data, codes, g)
-        stat = _FIT_STATISTICS[name]
-
-        def replicate(draw):
-            c = np.bincount(draw, minlength=g)
-            return stat(_moment_fit(np.tensordot(c, moments, 1), int(c @ rows), p, k))
-
-        return replicate
-
-    levels, level = np.unique(data.group_label, return_inverse=True)
-    n_lev = levels.size
-    moments, rows = _cluster_moments(data, codes * n_lev + level, g * n_lev)
-    moments = moments.reshape(g, n_lev, *moments.shape[1:])
-    rows = rows.reshape(g, n_lev)
-    pooled, pooled_rows = moments.sum(axis=1), rows.sum(axis=1)
+    entrant = name == "conditional_entrant"
+    mom = _Moments(_design(data), codes, data.group_label if entrant else None)
 
     def replicate(draw):
-        c = np.bincount(draw, minlength=g)
-        pooled_fit = _moment_fit(np.tensordot(c, pooled, 1), int(c @ pooled_rows), p, k)
-        beta_full = _beta(pooled_fit)
-        parts = []
-        for j, lev in enumerate(levels):
-            n = int(c @ rows[:, j])
-            if n == 0:
-                # the draw lost a whole level: a failed replication
-                raise DataError(f"group level {lev!r} absent from this sample")
-            f = _moment_fit(np.tensordot(c, moments[:, j], 1), n, p, k)
-            parts.append(conditional_entrant_effect(f.rf, _first_stage(f), beta_full))
-        if n_lev == 2:
-            parts.append(parts[0] - parts[1])
-        return np.concatenate(parts)
+        c = np.bincount(draw, minlength=mom.g)
+        if entrant:
+            parts = _entrant_effects(mom, c, mom.levels, data)
+            return np.concatenate(parts + [parts[0] - parts[1]] * (len(parts) == 2))
+        grams, rows = mom.grams(c)
+        return _FIT_STATISTICS[name](_moment_fit(grams.sum(axis=0), int(rows.sum()), p, k))
 
     return replicate
 
 
-def _components(name: str, data: Dataset) -> tuple[str, ...]:
-    """Component names of a named statistic."""
+def _components(name, data: Dataset) -> tuple[str, ...]:
+    """Component names of a named statistic; the two-level
+    ``conditional_entrant`` difference is ``dT_<j>``, which no label makes."""
     k = data.n_treatments
     if name == "first_stage":
         return tuple(f"pi_{j + 1}_{m + 1}" for j in range(k) for m in range(k))
-    if name in _FIT_STATISTICS:
+    if isinstance(name, str) and name in _FIT_STATISTICS:
         return tuple(f"{name}_{j + 1}" for j in range(k))
     if name != "conditional_entrant":
         raise DataError(f"unknown bootstrap statistic {name!r}")
@@ -546,7 +535,7 @@ def _components(name: str, data: Dataset) -> tuple[str, ...]:
     levels = np.unique(data.group_label)
     names = [f"T_{j + 1}|{lev}" for lev in levels for j in range(k)]
     if len(levels) == 2:
-        names += [f"T_{j + 1}|{levels[0]}-{levels[1]}" for j in range(k)]
+        names += [f"dT_{j + 1}" for j in range(k)]
     return tuple(names)
 
 
@@ -565,13 +554,12 @@ def cluster_bootstrap(
     ``cascade_delta``, ``conditional_entrant`` or the library-only
     ``first_stage`` (Pi in row-major order, components ``pi_<j>_<k>`` for
     treatment j and instrument k), and each replication recomputes it from
-    the drawn clusters' cross-products of [x, z, a, y], summed per cluster
-    once, with one ``_moment_fit`` per sample; no rows are copied. Any other
-    statistic, a callable included, is a DataError.
-    Replications where the statistic raises a package error (a rank-deficient
-    draw, a singular first stage, a zero first-stage diagonal, too few rows,
-    a lost group level) are dropped and counted; more than
-    ``max_failure_share`` failures is an error.
+    the moment object of [x, z, a, y], built once and weighted by the
+    draw's cluster counts; no rows are copied. Any other statistic is a
+    DataError. Replications where the statistic raises a package error (a
+    rank-deficient draw, a singular first stage, a zero first-stage
+    diagonal, too few rows, a lost group level) are dropped and counted;
+    more than ``max_failure_share`` failures is an error.
     """
     if reps < 2:
         raise DataError("bootstrap needs reps >= 2")
@@ -580,7 +568,7 @@ def cluster_bootstrap(
     g = int(codes.max()) + 1
     if g < 2:
         raise TooFewClusters("cluster bootstrap needs >= 2 clusters")
-    replicate = _moment_replicate(data, statistic, codes, g)
+    replicate = _moment_replicate(data, statistic, codes)
 
     results = None
     n_failed = 0
@@ -620,20 +608,20 @@ def cluster_bootstrap(
 def estimate_all(data: Dataset) -> EstimateSet:
     """Fit everything on one dataset and package it as an EstimateSet.
 
-    One fit and one solve: ``cascade_T`` is the same solve(Pi', RF) as
-    ``beta``, the three standard-error vectors share one score pass, and
-    the first stage and its F statistics are read off the same fit.
+    The bootstrap replication whose cluster counts are all one: one fit and
+    one solve. ``cascade_T`` is the same solve(Pi', RF) as ``beta``, the
+    three standard-error vectors share one score pass over the same moment
+    object, and the first stage and its F statistics are read off the fit.
     """
-    f, resid = _fit_rows(data)
+    mom, f = _fit(data, data.cluster_codes())
     fs = _first_stage(f)
-    beta = _solve_first_stage(f.pi_t, f.rf)
+    beta = _beta(f)
     wald = wald_ratios(f.rf, fs)
-    scores = _scores(f, resid, beta, ("beta", "wald", "delta"))
-    codes = data.cluster_codes()
+    scores = _scores(f, mom, beta, ("beta", "wald", "delta"))
     k_params = data.n_treatments + data.n_controls
 
     def se(which):
-        return np.sqrt(np.diag(_sandwich(scores[which], codes, data.n_obs, k_params)))
+        return np.sqrt(np.diag(_sandwich(scores[which], data.n_obs, k_params)))
 
     return EstimateSet(
         beta=beta,
@@ -645,7 +633,7 @@ def estimate_all(data: Dataset) -> EstimateSet:
         se_wald=se("wald"),
         se_delta=se("delta"),
         n_obs=data.n_obs,
-        n_clusters=int(codes.max()) + 1,
+        n_clusters=mom.g,
         first_stage=fs,
-        first_stage_f=_first_stage_f(f, *resid[:2]),
+        first_stage_f=_first_stage_f(f),
     )

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .data import Dataset
-from .estimator import _sandwich
+from .estimator import _Moments, _sandwich
 from .errors import (
     DataError,
     NoPivotalProgramWarning,
@@ -712,11 +712,12 @@ def pooled_luck(data: Dataset) -> np.ndarray:
 def balance_check(data: Dataset, covariates: np.ndarray, names=None) -> BalanceResult:
     """Regress each predetermined covariate on the pooled luck variable.
 
-    Slopes use cluster-robust standard errors; the joint test stacks the
-    per-covariate slope scores into one sandwich and refers the Wald
-    statistic over its rank to an F(rank, G-1) distribution.
+    Slopes, from one moment object over [1, luck, covariates], use
+    cluster-robust standard errors; the joint test stacks the per-covariate
+    slope scores into one sandwich and refers the Wald statistic over its
+    rank to an F(rank, G-1) distribution.
     """
-    import scipy.stats
+    import scipy.special
 
     cov = np.atleast_2d(np.asarray(covariates, dtype=float))
     if cov.shape[0] != data.n_obs:
@@ -727,22 +728,25 @@ def balance_check(data: Dataset, covariates: np.ndarray, names=None) -> BalanceR
     if names is None:
         names = tuple(f"cov_{j + 1}" for j in range(m))
     luck = pooled_luck(data)
-    lt = luck - luck.mean()
-    sll = float(lt @ lt)
-    if sll == 0.0:
+    # centred columns keep the Schur step below free of cancellation
+    mom = _Moments((np.ones(data.n_obs), luck - luck.mean(), cov - cov.mean(axis=0)),
+                   data.cluster_codes())
+    gram = mom.grams(np.ones(mom.g, dtype=np.intp))[0][0]
+    e = np.vstack([-gram[0, 1:] / gram[0, 0], np.eye(m + 1)])  # the rows net of 1: W E
+    s = e.T @ gram @ e
+    sll = s[0, 0]
+    if sll <= 0.0:
         raise DataError("luck variable has no variation")
-    cross = lt @ cov
+    cross = s[0, 1:]
     # cluster-constant covariates give exact balance; zero them instead of
     # reporting t-statistics that are ratios of rounding noise. The bound is
     # relative to |luck| * |covariate|, so rescaling a covariate moves it too
     scale = np.sqrt(sll) * np.sqrt((cov**2).sum(axis=0))
     cross = np.where(np.abs(cross) <= 1e-9 * scale, 0.0, cross)
     coefs = cross / sll
-    resid = (cov - cov.mean(axis=0)) - np.outer(lt, coefs)
-    scores = lt[:, None] * resid / sll
-    codes = data.cluster_codes()
-    g = int(codes.max()) + 1
-    v = _sandwich(scores, codes, data.n_obs, k_params=2)
+    # row i's scores: luck_i (cov_i - luck_i coefs) / sll, net of the constant
+    right = e[:, 1:] - np.outer(e[:, 0], coefs)
+    v = _sandwich(mom.scores(np.tile(e[:, :1] / sll, m), right), data.n_obs, k_params=2)
     se = np.sqrt(np.diag(v))
     with np.errstate(divide="ignore", invalid="ignore"):
         tstat = np.where(se > 0, coefs / se, 0.0)
@@ -752,7 +756,7 @@ def balance_check(data: Dataset, covariates: np.ndarray, names=None) -> BalanceR
     else:
         wald = float(coefs @ (np.linalg.pinv(v) @ coefs))
     f_stat = wald / rank if rank else 0.0
-    p = float(scipy.stats.f.sf(f_stat, rank, g - 1)) if rank else 1.0
+    p = float(scipy.special.fdtrc(rank, mom.g - 1, f_stat)) if rank else 1.0
     return BalanceResult(
         names=tuple(names),
         coef=coefs,
@@ -762,7 +766,7 @@ def balance_check(data: Dataset, covariates: np.ndarray, names=None) -> BalanceR
         joint_f=f_stat,
         df=rank,
         p_value=p,
-        n_clusters=g,
+        n_clusters=mom.g,
     )
 
 

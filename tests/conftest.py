@@ -1,4 +1,4 @@
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -45,6 +45,20 @@ def bernoulli_iv_data(
     if group_share is not None:
         group = np.where(rng.random(n) < group_share, "f", "m")
     return Dataset(y=y, a=a, z=z, x=x, cluster=cluster, group_label=group)
+
+
+def take_rows(data, rows):
+    """The Dataset of ``rows`` of ``data``, in that order: group subsamples
+    and resampled clusters in the tests."""
+    return replace(
+        data,
+        y=data.y[rows],
+        a=data.a[rows],
+        z=data.z[rows],
+        x=data.x[rows],
+        cluster=data.cluster[rows],
+        group_label=None if data.group_label is None else data.group_label[rows],
+    )
 
 
 def noiseless_iv_data(seed, n=2000, k=3, beta=(0.5, -0.2, 0.0), base=0.3):

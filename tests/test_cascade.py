@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -12,8 +14,6 @@ from cascadeiv import (
     conditional_entrant_by_group,
     conditional_entrant_effect,
     fit_2sls,
-    fit_first_stage,
-    fit_reduced_form,
     group_outcome_decomposition,
     neumann_solve,
     spectral_radius,
@@ -31,9 +31,9 @@ from cascadeiv.errors import (
     ZeroComplierMass,
     ZeroDiagonal,
 )
-from cascadeiv.estimator import FirstStage
+from cascadeiv.estimator import FirstStage, _solve_first_stage
 
-from conftest import bernoulli_iv_data, well_conditioned_pi
+from conftest import bernoulli_iv_data, reference_fit, take_rows, well_conditioned_pi
 
 
 def two_by_two(r21, r12, d1=1.0, d2=1.0):
@@ -268,16 +268,17 @@ def test_conditional_entrant_zero_diagonal():
 
 
 def test_conditional_entrant_by_group_equals_subsample_fits():
+    # each level's effect against the row reference: the QR fit of the
+    # level's rows, with beta_full from the QR fit of every row
     d = bernoulli_iv_data(85, n=3000, k=2, x_extra=1, group_share=0.4)
-    beta_full = fit_2sls(d)
+    ref = reference_fit(d)
+    beta_full = _solve_first_stage(ref.pi_t, ref.rf)
     out = conditional_entrant_by_group(d)
     assert list(out) == list(np.unique(d.group_label))
     for lev, t_g in out.items():
-        sub = d.take(np.flatnonzero(d.group_label == lev))
-        want = conditional_entrant_effect(
-            fit_reduced_form(sub), fit_first_stage(sub), beta_full
-        )
-        assert np.array_equal(t_g, want)
+        sub = reference_fit(take_rows(d, np.flatnonzero(d.group_label == lev)))
+        want = conditional_entrant_effect(sub.rf, FirstStage(sub.pi_t.T), beta_full)
+        assert_allclose(t_g, want, rtol=1e-12, atol=1e-14)
     given = conditional_entrant_by_group(d, levels=["m"], beta_full=np.zeros(2))
     assert list(given) == ["m"]
     assert not np.array_equal(given["m"], out["m"])
@@ -297,12 +298,16 @@ def test_conditional_entrant_by_group_rejects_missing_levels():
 # ---------------------------------------------------------------------------
 
 
-def test_decomposition_equals_masked_outcome_fits_bit_for_bit(rng):
+def test_decomposition_matches_masked_outcome_reference_fits(rng):
+    # each level's part against the row reference: the QR fit of the
+    # outcome masked to that level
     d = bernoulli_iv_data(87, n=2000, k=3, x_extra=2)
     labels = rng.integers(0, 3, d.n_obs)
     parts = group_outcome_decomposition(d, labels)
     for lev, part in parts.items():
-        assert np.array_equal(part, fit_2sls(d.with_outcome((labels == lev) * d.y)))
+        ref = reference_fit(replace(d, y=(labels == lev) * d.y))
+        want = _solve_first_stage(ref.pi_t, ref.rf)
+        assert_allclose(part, want, rtol=1e-12, atol=1e-14)
 
 
 def test_single_group_recovers_beta():
@@ -330,11 +335,11 @@ def test_group_specific_response():
     beta_true = np.array([0.6, -0.4])
     y = np.where(labels == "f", base.a @ beta_true, 0.0)
     y = y + 0.3 * rng.standard_normal(n)
-    d = base.with_outcome(y)
+    d = replace(base, y=y)
     beta_full = fit_2sls(d)
     parts = group_outcome_decomposition(d, labels)
-    se_f = cluster_robust_se(d.with_outcome(np.where(labels == "f", y, 0.0)), "beta")
-    se_m = cluster_robust_se(d.with_outcome(np.where(labels == "m", y, 0.0)), "beta")
+    se_f = cluster_robust_se(replace(d, y=np.where(labels == "f", y, 0.0)), "beta")
+    se_m = cluster_robust_se(replace(d, y=np.where(labels == "m", y, 0.0)), "beta")
     # all of the full-sample coefficient is carried by group f's outcomes
     assert np.all(np.abs(parts["f"] - beta_full) < 3 * np.hypot(se_f, se_m))
     assert np.all(np.abs(parts["m"]) < 3 * se_m)

@@ -1,3 +1,5 @@
+import contextlib
+import tracemalloc
 import warnings
 from dataclasses import replace
 from unittest import mock
@@ -23,6 +25,7 @@ from cascadeiv.cascade import (
     conditional_entrant_effect,
     group_outcome_decomposition,
 )
+from cascadeiv import cascade, estimator
 from cascadeiv.cli import main
 from cascadeiv.errors import (
     CascadeIVError,
@@ -39,18 +42,26 @@ from cascadeiv.errors import (
 from cascadeiv.estimator import (
     _FIT_STATISTICS,
     FirstStage,
-    _cluster_moments,
+    _Moments,
+    _design,
     _first_stage,
-    _fit_rows,
+    _fit,
     _moment_fit,
     _moment_replicate,
     _solve_first_stage,
     first_stage_f,
 )
 from cascadeiv.io import write_dataset_csv
+from cascadeiv.mechanism import balance_check
 from cascadeiv.seeds import rng_for
 
-from conftest import bernoulli_iv_data, default_pi, noiseless_iv_data, reference_fit
+from conftest import (
+    bernoulli_iv_data,
+    default_pi,
+    noiseless_iv_data,
+    reference_fit,
+    take_rows,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -78,10 +89,24 @@ def _tiny_dataset(y, x=None):
     )
 
 
+def _cluster_moments(d):
+    """The moment object of a Dataset's W and clusters."""
+    return _Moments(_design(d), d.cluster_codes())
+
+
+def _net_of_controls(d):
+    """W E, the rows net of the controls as the fit's Schur step maps them."""
+    f = _fit(d)[1]
+    return f, np.column_stack(_design(d)) @ np.vstack(
+        [-f.partial, np.eye(f.partial.shape[1])]
+    )
+
+
 def test_partial_out_demeans_with_constant_only():
     d = _tiny_dataset([1.0, 2.0, 3.0])
-    f, (_, _, y) = _fit_rows(d)
-    assert_allclose(y, [-1.0, 0.0, 1.0], atol=1e-12)
+    f, resid = _net_of_controls(d)
+    assert_allclose(resid[:, -1], [-1.0, 0.0, 1.0], atol=1e-12)
+    assert_allclose(f.resid[-1, -1], 2.0, rtol=1e-12)
     assert f.n_controls == 1
     assert_allclose(reference_fit(d).y, [-1.0, 0.0, 1.0], atol=1e-12)
 
@@ -91,7 +116,7 @@ def test_partial_out_in_span_gives_zero_residual():
     x = np.column_stack([np.ones(100), rng.standard_normal((100, 2))])
     y = x @ np.array([0.3, -2.0, 1.5])
     d = _tiny_dataset(y, x=x)
-    assert np.max(np.abs(_fit_rows(d)[1][2])) < 1e-12
+    assert np.max(np.abs(_net_of_controls(d)[1][:, -1])) < 1e-12
     assert np.max(np.abs(reference_fit(d).y)) < 1e-12
     assert np.max(np.abs(fit_reduced_form(d))) < 1e-12
 
@@ -241,7 +266,7 @@ def test_reduced_form_equals_pi_t_beta_noiseless():
 def test_reduced_form_null_when_outcome_independent():
     rng = np.random.default_rng(22)
     d = bernoulli_iv_data(22, n=20_000, k=2)
-    d = d.with_outcome(rng.standard_normal(d.n_obs))
+    d = replace(d, y=rng.standard_normal(d.n_obs))
     rf = fit_reduced_form(d)
     se = cluster_robust_se(d, "rf")
     assert np.all(np.abs(rf) < 4 * se)
@@ -336,6 +361,7 @@ def test_wald_equals_2sls_when_cross_effects_vanish():
 def test_singleton_clusters_match_heteroskedastic_sandwich():
     d = bernoulli_iv_data(51, n=800, k=2)
     d = Dataset(y=d.y, a=d.a, z=d.z, x=d.x, cluster=np.arange(d.n_obs))
+    assert _cluster_moments(d).m is None  # the rows form
     se = cluster_robust_se(d, "beta")
     # independent HC computation for the IV sandwich
     y_p, a_p, z_p = _partial(d)
@@ -351,7 +377,7 @@ def test_singleton_clusters_match_heteroskedastic_sandwich():
 def test_estimates_invariant_to_cluster_duplication():
     d = bernoulli_iv_data(52, n=600, k=2)
     rows = np.concatenate([np.arange(d.n_obs), np.arange(d.n_obs)])
-    dup = d.take(rows)
+    dup = take_rows(d, rows)
     assert_allclose(fit_2sls(dup), fit_2sls(d), atol=1e-12)
     assert_allclose(fit_reduced_form(dup), fit_reduced_form(d), atol=1e-12)
     assert_allclose(fit_first_stage(dup).pi, fit_first_stage(d).pi, atol=1e-12)
@@ -430,16 +456,19 @@ def test_bootstrap_rejects_bad_inputs():
         cluster_bootstrap(d, "beta", reps=1, seed=0)
     with pytest.raises(DataError):
         cluster_bootstrap(d, "nope", reps=10, seed=0)
-    # a callable is not a statistic: every replication is a moment replication
+    # a callable is not a statistic: every replication is a moment replication;
+    # nor is a list of names
     with pytest.raises(DataError, match="unknown bootstrap statistic"):
         cluster_bootstrap(d, fit_2sls, reps=10, seed=0)
+    with pytest.raises(DataError, match="unknown bootstrap statistic"):
+        cluster_bootstrap(d, ["beta"], reps=10, seed=0)
 
 
 def test_bootstrap_conditional_entrant_components():
     d = bernoulli_iv_data(65, n=2000, k=2, n_clusters=30, group_share=0.5)
     res = cluster_bootstrap(d, "conditional_entrant", reps=30, seed=3)
     assert res.components == (
-        "T_1|f", "T_2|f", "T_1|m", "T_2|m", "T_1|f-m", "T_2|f-m"
+        "T_1|f", "T_2|f", "T_1|m", "T_2|m", "dT_1", "dT_2"
     )
     assert np.all(res.se > 0)
 
@@ -514,7 +543,7 @@ def _ref_conditional_entrant(levels):
             rows = np.flatnonzero(d.group_label == lev)
             if rows.size == 0:
                 raise DataError(f"group level {lev!r} absent from this sample")
-            f = reference_fit(d.take(rows))
+            f = reference_fit(take_rows(d, rows))
             parts.append(conditional_entrant_effect(f.rf, _first_stage(f), beta_full))
         if len(parts) == 2:
             parts.append(parts[0] - parts[1])
@@ -538,7 +567,7 @@ def _rounding_decides(d, levels):
         rows = np.flatnonzero(d.group_label == lev)
         if rows.size:
             try:
-                samples.append(d.take(rows))
+                samples.append(take_rows(d, rows))
             except DataError:
                 pass
     for sample in samples:
@@ -584,7 +613,7 @@ def reference_cluster_bootstrap(data, statistic, reps, seed):
         rows = np.concatenate([group_rows[c] for c in draw])
         relabel = np.repeat(np.arange(g), [group_rows[c].size for c in draw])
         try:
-            d = replace(data.take(rows), cluster=relabel)
+            d = replace(take_rows(data, rows), cluster=relabel)
         except DataError as exc:
             out[r] = type(exc)
             continue
@@ -601,7 +630,7 @@ def moment_replicates(data, statistic, reps, seed):
     """{replication: estimate or error type} of the per-cluster moment path."""
     codes = data.cluster_codes()
     g = int(codes.max()) + 1
-    replicate = _moment_replicate(data, statistic, codes, g)
+    replicate = _moment_replicate(data, statistic, codes)
     out = {}
     for r in range(reps):
         try:
@@ -645,7 +674,8 @@ def assert_bootstrap_matches_reference(data, statistic, reps, seed, rep_tol=1e-1
     ok = [r for r in kept if r not in failed]
     if not ok:
         if not noise:
-            with pytest.raises(StatisticFailedInReplication):
+            with warnings.catch_warnings(), pytest.raises(StatisticFailedInReplication):
+                warnings.simplefilter("ignore")
                 cluster_bootstrap(data, statistic, reps, seed, max_failure_share=1.0)
         return failed, noise
     ref = np.array([want[r] for r in ok])
@@ -785,12 +815,102 @@ def test_moment_bootstrap_zero_first_stage_diagonal(statistic):
     assert bool(failed) == (statistic != "first_stage") and noise == []
 
 
+@contextlib.contextmanager
+def counting_moment_builds():
+    """Counts the moment objects built and the calls of ``_design``, the one
+    reader of a Dataset's rows."""
+    counts = {"built": 0, "design": 0}
+    init, design = estimator._Moments.__init__, estimator._design
+
+    def built(self, *args, **kwargs):
+        counts["built"] += 1
+        init(self, *args, **kwargs)
+
+    def designed(data):
+        counts["design"] += 1
+        return design(data)
+
+    with mock.patch.object(estimator._Moments, "__init__", built), \
+            mock.patch.object(estimator, "_design", designed), \
+            mock.patch.object(cascade, "_design", designed):
+        yield counts
+
+
 @pytest.mark.parametrize("statistic", STATISTICS)
 def test_named_statistics_never_take_rows(statistic):
+    # a bootstrap reads the rows once, into one moment object, and every
+    # replication reads that object only
     d = bernoulli_iv_data(70, n=1500, k=2, n_clusters=20, group_share=0.5)
-    with mock.patch.object(Dataset, "take", side_effect=AssertionError("take called")):
+    with counting_moment_builds() as counts:
         res = cluster_bootstrap(d, statistic, reps=10, seed=2)
     assert res.n_failed == 0
+    assert counts == {"built": 1, "design": 1}
+
+
+PUBLIC_ESTIMATORS = {
+    "fit_2sls": fit_2sls,
+    "fit_first_stage": fit_first_stage,
+    "fit_reduced_form": fit_reduced_form,
+    "first_stage_f": first_stage_f,
+    "cluster_robust_se": lambda d: cluster_robust_se(d, "delta"),
+    "estimate_all": estimate_all,
+    "group_outcome_decomposition": group_outcome_decomposition,
+    "conditional_entrant_by_group": conditional_entrant_by_group,
+}
+
+
+@pytest.mark.parametrize("singletons", [False, True])
+@pytest.mark.parametrize("name", [*PUBLIC_ESTIMATORS, "balance_check"])
+def test_every_estimator_builds_one_moment_object(name, singletons):
+    # each call reads the rows once, into one moment object, in either of
+    # its forms; balance_check builds it over its own columns
+    d = bernoulli_iv_data(70, n=1500, k=2, n_clusters=20, group_share=0.5)
+    if singletons:
+        d = replace(d, cluster=np.arange(d.n_obs))
+    covariates = np.random.default_rng(70).standard_normal((d.n_obs, 2))
+    with counting_moment_builds() as counts:
+        if name == "balance_check":
+            balance_check(d, covariates)
+        else:
+            PUBLIC_ESTIMATORS[name](d)
+    assert counts == {"built": 1, "design": int(name != "balance_check")}
+
+
+def test_point_estimates_are_the_replication_with_counts_of_one(monkeypatch):
+    # estimate_all is the bootstrap replication whose draw takes every
+    # cluster once, bit for bit, in both forms of the moment object
+    monkeypatch.setitem(_FIT_STATISTICS, "fit", lambda f: np.r_[f.pi_t.ravel(), f.rf])
+    d = bernoulli_iv_data(75, n=3000, k=3, x_extra=1, n_clusters=30)
+    for data, rows_form in ((d, False), (replace(d, cluster=np.arange(d.n_obs)), True)):
+        codes = data.cluster_codes()
+        draw = np.arange(codes.max() + 1)
+        assert (_cluster_moments(data).m is None) == rows_form
+        est = estimate_all(data)
+        fit = _moment_replicate(data, "fit", codes)(draw)
+        assert np.array_equal(est.beta, _moment_replicate(data, "beta", codes)(draw))
+        assert np.array_equal(est.first_stage.pi.T.ravel(), fit[:9])
+        assert np.array_equal(est.rf, fit[9:])
+
+
+@pytest.mark.parametrize("run", ["estimate_all", "cluster_bootstrap"])
+def test_singleton_clusters_keep_memory_within_the_rows(run):
+    # clustered by row, a per-cluster tensor would hold N d^2 floats, d times
+    # the rows: the moment object keeps the rows instead, so the peak stays
+    # within a few copies of W
+    d = bernoulli_iv_data(74, n=50_000, k=3, x_extra=2)
+    d = replace(d, cluster=np.arange(d.n_obs))
+    width = d.n_controls + 2 * d.n_treatments + 1
+    rows_bytes = d.n_obs * width * 8
+    tracemalloc.start()
+    try:
+        if run == "estimate_all":
+            estimate_all(d)
+        else:
+            cluster_bootstrap(d, "beta", reps=3, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * rows_bytes < d.n_obs * width**2 * 8
 
 
 def test_every_fit_is_the_gram_fit(tmp_path):
@@ -815,13 +935,18 @@ def test_every_fit_is_the_gram_fit(tmp_path):
                      "--out", str(tmp_path / "e")]) == 0
 
 
+def _pooled_gram(d):
+    mom = _cluster_moments(d)
+    return mom.grams(np.ones(mom.g, dtype=int))[0].sum(axis=0)
+
+
 def test_moment_fit_matches_qr_fit_and_its_rank_checks():
     d = bernoulli_iv_data(71, n=2500, k=3, x_extra=2, n_clusters=15)
-    codes = d.cluster_codes()
-    moments, rows = _cluster_moments(d, codes, int(codes.max()) + 1)
-    assert rows.sum() == d.n_obs
+    mom = _cluster_moments(d)
+    grams, rows = mom.grams(np.ones(mom.g, dtype=int))
+    assert rows.sum() == d.n_obs == mom.rows.sum()
     f = reference_fit(d)
-    m = _moment_fit(moments.sum(axis=0), d.n_obs, d.n_controls, 3)
+    m = _moment_fit(grams.sum(axis=0), d.n_obs, d.n_controls, 3)
     assert_allclose(m.pi_t, f.pi_t, rtol=1e-12, atol=1e-14)
     assert_allclose(m.rf, f.rf, rtol=1e-12, atol=1e-14)
     # a zero control and a duplicated one are named as the pivoted QR names
@@ -829,7 +954,7 @@ def test_moment_fit_matches_qr_fit_and_its_rank_checks():
     for x, columns in ((np.column_stack([d.x, np.zeros(d.n_obs)]), {3}),
                        (np.column_stack([d.x, d.x[:, 1]]), {1, 3})):
         bad = Dataset(y=d.y, a=d.a, z=d.z, x=x, cluster=d.cluster)
-        gram = _cluster_moments(bad, codes, int(codes.max()) + 1)[0].sum(axis=0)
+        gram = _pooled_gram(bad)
         with pytest.raises(RankDeficientControls) as qr:
             reference_fit(bad)
         with pytest.raises(RankDeficientControls) as gm:
@@ -838,7 +963,7 @@ def test_moment_fit_matches_qr_fit_and_its_rank_checks():
     z = d.z.copy()
     z[:, 2] = z[:, 0]
     bad = Dataset(y=d.y, a=d.a, z=z, x=d.x, cluster=d.cluster)
-    gram = _cluster_moments(bad, codes, int(codes.max()) + 1)[0].sum(axis=0)
+    gram = _pooled_gram(bad)
     with pytest.raises(SingularInstrumentGram):
         _moment_fit(gram, bad.n_obs, bad.n_controls, 3)
 
@@ -882,11 +1007,10 @@ def _cluster_se(scores, cluster, n, k_params):
     return np.sqrt(np.diag(psi.T @ psi) * factor)
 
 
-def test_fits_and_standard_errors_match_unpartialled_reference():
-    # OLS and 2SLS on the full design [x, z], no partialling; influence
-    # functions (W'W)^-1 w_i e_i and (W'X)^-1 w_i e_i, delta method for
-    # the Wald ratios
-    d = _correlated_instrument_data(81)
+def _assert_matches_unpartialled_reference(d):
+    """OLS and 2SLS on the full design [x, z], no partialling; influence
+    functions (W'W)^-1 w_i e_i and (W'X)^-1 w_i e_i, delta method for the
+    Wald ratios."""
     n, k, p = d.n_obs, d.n_treatments, d.x.shape[1]
     w = np.column_stack([d.x, d.z])
     coef = np.linalg.lstsq(w, np.column_stack([d.a, d.y]), rcond=None)[0]
@@ -915,6 +1039,24 @@ def test_fits_and_standard_errors_match_unpartialled_reference():
     assert_allclose(est.se_beta, _cluster_se(s_beta, d.cluster, n, k + p), rtol=1e-10)
     assert_allclose(est.se_wald, se_wald, rtol=1e-10)
     assert_allclose(est.se_delta, se_delta, rtol=1e-10)
+    assert_allclose(cluster_robust_se(d, "rf"), _cluster_se(s_rf, d.cluster, n, k + p),
+                    rtol=1e-10)
+
+
+def test_fits_and_standard_errors_match_unpartialled_reference():
+    # 30 clusters of about 100 rows: the moment object keeps its tensor
+    d = _correlated_instrument_data(81)
+    assert _cluster_moments(d).m is not None
+    _assert_matches_unpartialled_reference(d)
+
+
+def test_singleton_cluster_standard_errors_match_unpartialled_reference():
+    # clustered by row, the moment object keeps the rows and weights them:
+    # every estimate and standard error of that form against the same
+    # reference
+    d = replace(_correlated_instrument_data(81), cluster=np.arange(3000))
+    assert _cluster_moments(d).m is None
+    _assert_matches_unpartialled_reference(d)
 
 
 # ---------------------------------------------------------------------------
