@@ -15,7 +15,7 @@ converges when the spectral radius of M is below one.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -30,14 +30,7 @@ from .errors import (
     ZeroComplierMass,
     ZeroDiagonal,
 )
-from .estimator import (
-    FirstStage,
-    _Moments,
-    _design,
-    _first_stage,
-    _moment_fit,
-    _solve_first_stage,
-)
+from .estimator import FirstStage, _first_stage, _moment_fit, _solve_first_stage
 
 __all__ = [
     "CascadeSolution",
@@ -242,22 +235,23 @@ def conditional_entrant_effect(
     return rf_g / fs_g.diag + m_g @ beta_full
 
 
-def _entrant_effects(mom, c, levels, data: Dataset, beta_full=None) -> list:
-    """``conditional_entrant_effect`` of each of ``levels`` from the moment
-    object's per-level Grams at cluster weights c (ones here, a draw's counts
-    in the bootstrap); ``beta_full`` defaults to the fit of their sum."""
+def _entrant_effects(data: Dataset, c, levels=None, beta_full=None) -> dict:
+    """``conditional_entrant_effect`` of each of ``levels`` (default: all) from
+    the Dataset's per-level Grams at cluster weights c (ones here, a draw's
+    counts in the bootstrap); ``beta_full`` defaults to the fit of their sum."""
     p, k = data.n_controls, data.n_treatments
+    mom = data._moments
     grams, rows = mom.grams(c)
     if beta_full is None:
         f = _moment_fit(grams.sum(axis=0), int(rows.sum()), p, k)
         beta_full = _solve_first_stage(f.pi_t, f.rf)
-    out = []
-    for lev in levels:
+    out = {}
+    for lev in mom.levels if levels is None else levels:
         j = np.flatnonzero(mom.levels == lev)[:1]
         if not rows[j].any():
             raise DataError(f"group level {lev!r} absent from this sample")
         f = _moment_fit(grams[j[0]], int(rows[j[0]]), p, k)
-        out.append(conditional_entrant_effect(f.rf, _first_stage(f), beta_full))
+        out[lev] = conditional_entrant_effect(f.rf, _first_stage(f), beta_full)
     return out
 
 
@@ -266,16 +260,13 @@ def conditional_entrant_by_group(
 ) -> dict:
     """``conditional_entrant_effect`` for each level of ``data.group_label``.
 
-    One fit of each level's Gram in the moment object (one cluster);
+    One fit of each level's Gram in the Dataset's moment object;
     ``beta_full`` is fitted when not given. ``levels`` defaults to the
     distinct labels; an absent one raises DataError.
     """
     if data.group_label is None:
         raise DataError("conditional-entrant effects need group labels")
-    mom = _Moments(_design(data), labels=data.group_label)
-    levels = mom.levels if levels is None else levels
-    return dict(zip(levels, _entrant_effects(mom, np.ones(1, dtype=np.intp), levels, data,
-                                             beta_full)))
+    return _entrant_effects(data, np.ones(data.n_clusters, dtype=np.intp), levels, beta_full)
 
 
 def group_outcome_decomposition(
@@ -287,16 +278,17 @@ def group_outcome_decomposition(
 
     The per-group coefficients sum to the full-sample beta for every
     treatment, up to rounding, because 2SLS is linear in the outcome. A level
-    fits the moment object's pooled Gram with its own y row and column in.
+    fits the Dataset's pooled Gram with its own y row and column in; a
+    ``partition`` is fitted as ``replace(data, group_label=partition)``.
     """
-    labels = partition if partition is not None else data.group_label
-    if labels is None:
+    if partition is not None:
+        if np.shape(partition) != (data.n_obs,):
+            raise LengthMismatch("partition must have one label per observation")
+        data = replace(data, group_label=partition)
+    if data.group_label is None:
         raise DataError("no partition given and the dataset has no group labels")
-    labels = np.asarray(labels)
-    if labels.shape != (data.n_obs,):
-        raise LengthMismatch("partition must have one label per observation")
-    mom = _Moments(_design(data), labels=labels)
-    grams = mom.grams(np.ones(1, dtype=np.intp))[0]
+    mom = data._moments
+    grams = mom.grams(np.ones(mom.g, dtype=np.intp))[0]
     out = {}
     for lev in list(mom.levels) if levels is None else levels:
         j = np.flatnonzero(mom.levels == lev)

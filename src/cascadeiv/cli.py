@@ -28,10 +28,10 @@ from .cascade import (
 from .errors import CascadeIVError, DataError, FixtureMismatch, NumericalError
 from .estimator import (
     FirstStage,
-    _first_stage,
-    _fit,
     cluster_bootstrap,
     estimate_all,
+    fit_first_stage,
+    fit_reduced_form,
     wald_ratios,
 )
 from .fixtures import fixture_checks
@@ -79,6 +79,9 @@ def cmd_simulate(args) -> int:
 
 def cmd_estimate(args) -> int:
     data = iomod.load_dataset_csv(args.data)
+    if args.group_col and data.group_label is None:
+        raise DataError(f"--group-col {args.group_col}: {args.data} has no "
+                        f"{args.group_col!r} column")
     est = estimate_all(data)
     out = _out_dir(args)
     iomod.write_estimates_csv(out / "estimates.csv", est, "estimate", None)
@@ -99,7 +102,7 @@ def cmd_estimate(args) -> int:
              (np.concatenate([weighted.weights[n] for n in weighted.blocks]), FLOAT),
              ([implied[name] for name, _ in members], FLOAT)],
         )
-    if args.group_col or data.group_label is not None:
+    if data.group_label is not None:
         parts = group_outcome_decomposition(data)
         entrant = conditional_entrant_by_group(data, beta_full=est.beta)
         k = data.n_treatments
@@ -116,8 +119,8 @@ def cmd_estimate(args) -> int:
 
 def cmd_cascade(args) -> int:
     if args.data:
-        f = _fit(iomod.load_dataset_csv(args.data))[1]
-        fs, rf = _first_stage(f), f.rf
+        data = iomod.load_dataset_csv(args.data)
+        fs, rf = fit_first_stage(data), fit_reduced_form(data)
     elif args.pi and args.rf:
         fs = FirstStage(iomod.load_matrix_csv(args.pi))
         rf = iomod.load_matrix_csv(args.rf).ravel()
@@ -231,9 +234,9 @@ def cmd_fixtures(_args) -> int:
 
 
 def _parse_blocks(spec: str, k: int) -> BlockSpec:
-    path = Path(spec)
+    inline = spec.lstrip()[:1] in ("{", "[")  # else a file, whatever its length
     try:
-        raw = json.loads(path.read_text() if path.exists() else spec)
+        raw = json.loads(spec if inline else Path(spec).read_text())
     except json.JSONDecodeError as exc:
         raise DataError(f"--blocks is not valid JSON: {exc}") from None
     if not isinstance(raw, dict):
@@ -266,8 +269,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("estimate", help="fit estimates on a dataset CSV")
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--blocks", default=None, help="JSON (file or inline) block spec")
-    p.add_argument("--group-col", default=None)
+    p.add_argument("--blocks", default=None, help="inline JSON block spec, or a JSON file")
+    p.add_argument("--group-col", default=None, choices=["group"],
+                   help="require the group column (groups.csv needs no flag)")
     p.set_defaults(func=cmd_estimate)
 
     p = sub.add_parser("cascade", help="round-by-round solve with a trace CSV")

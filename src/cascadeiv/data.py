@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,7 +31,10 @@ class Dataset:
     binary_treatments : enforce the 0/1 invariant on ``a``.
 
     The estimators partial the controls out inside their fit; a Dataset
-    always holds the raw data.
+    always holds the raw data, as read-only views of the given arrays (the
+    caller's arrays stay writable), so the cluster coding and the moment
+    object every estimator reads, each made once on first use, stay valid;
+    ``dataclasses.replace`` gives a new Dataset, which makes its own.
     """
 
     y: np.ndarray
@@ -42,18 +46,15 @@ class Dataset:
     binary_treatments: bool = True
 
     def __post_init__(self):
-        y = np.asarray(self.y, dtype=float)
-        a = np.atleast_2d(np.asarray(self.a, dtype=float))
-        z = np.atleast_2d(np.asarray(self.z, dtype=float))
-        x = np.atleast_2d(np.asarray(self.x, dtype=float))
-        cluster = np.asarray(self.cluster)
-        object.__setattr__(self, "y", y)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "z", z)
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "cluster", cluster)
+        arrays = {"y": np.asarray(self.y, dtype=float), "cluster": np.asarray(self.cluster)}
+        for name in ("a", "z", "x"):
+            arrays[name] = np.atleast_2d(np.asarray(getattr(self, name), dtype=float))
         if self.group_label is not None:
-            object.__setattr__(self, "group_label", np.asarray(self.group_label))
+            arrays["group_label"] = np.asarray(self.group_label)
+        for name, arr in arrays.items():
+            arr = arr.view()
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
         self._validate()
 
     def _validate(self):
@@ -116,9 +117,77 @@ class Dataset:
 
     @property
     def n_clusters(self) -> int:
-        return np.unique(self.cluster).size
+        return self._coding[0]
 
     def cluster_codes(self) -> np.ndarray:
-        """Integer codes 0..G-1 for the cluster ids."""
-        _, codes = np.unique(self.cluster, return_inverse=True)
-        return codes
+        """Integer codes 0..G-1 for the cluster ids (read-only; one np.unique)."""
+        return self._coding[1]
+
+    @functools.cached_property
+    def _coding(self) -> tuple[int, np.ndarray]:
+        ids, codes = np.unique(self.cluster, return_inverse=True)
+        codes.flags.writeable = False
+        return ids.size, codes
+
+    @functools.cached_property
+    def _moments(self) -> _Moments:
+        return _Moments((self.x, self.z, self.a, self.y), self.cluster_codes(),
+                        self.group_label)
+
+
+class _Moments:
+    """Per-(cluster, level) cross-products of W and their row counts: one
+    object per Dataset, built on first use (``Dataset._moments``), over
+    W = [x, z, a, y], its cluster codes and its group labels (one level
+    without), whose sorted distinct values are the ``levels``. The
+    G x L x d x d tensor is kept only when G L d <= N: for clusters of a few
+    rows it would outgrow the rows, which are kept instead, one run of rows
+    per level, row i weighted by c[code_i]: all levels' Grams take one pass."""
+
+    def __init__(self, blocks, codes: np.ndarray, labels=None):
+        n = len(blocks[0])
+        self.g = int(codes.max()) + 1
+        self.levels, level = (None, np.zeros(n, dtype=np.intp)) if labels is None else (
+            np.unique(labels, return_inverse=True))
+        n_lev = 1 if labels is None else self.levels.size
+        d = sum(1 if b.ndim == 1 else b.shape[1] for b in blocks)
+        tensor = self.g * n_lev * d <= n
+        # one run of rows per (cluster, level) cell, or per level
+        key = codes * n_lev + level if tensor else level
+        if tensor:
+            self.rows = np.bincount(key, minlength=self.g * n_lev).reshape(self.g, n_lev)
+        w = np.column_stack(blocks)
+        if np.count_nonzero(np.diff(key)) >= (np.count_nonzero(self.rows) if tensor else n_lev):
+            order = np.argsort(key, kind="stable")
+            key, w, codes = key[order], w.take(order, axis=0), codes[order]
+        starts = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+        self.runs = [(key[lo], lo, hi) for lo, hi in zip(starts, np.r_[starts[1:], n])]
+        if not tensor:
+            self.m, self.w, self.codes = None, w, codes
+            return
+        self.m = np.zeros((self.g, n_lev, d, d))
+        for cell, lo, hi in self.runs:
+            self.m[divmod(cell, n_lev)] = w[lo:hi].T @ w[lo:hi]
+
+    def grams(self, c: np.ndarray):
+        """Each level's Gram at cluster weights c, (L, d, d), and row count, (L,)."""
+        if self.m is not None:
+            return np.tensordot(c, self.m, 1), c @ self.rows
+        v = c.astype(float)[self.codes]
+        out = np.empty((len(self.runs), self.w.shape[1], self.w.shape[1]))
+        rows = np.empty(len(self.runs), dtype=np.intp)
+        for level, lo, hi in self.runs:
+            out[level] = (self.w[lo:hi].T * v[lo:hi]) @ self.w[lo:hi]
+            rows[level] = v[lo:hi].sum()
+        return out, rows
+
+    def scores(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+        """G x m sums over each cluster's rows of (w_i'left[:, j]) (w_i'right[:, j])."""
+        if self.m is not None:
+            return ((self.m.sum(axis=1) @ right) * left).sum(axis=1)
+        out = np.empty((left.shape[1], self.g))
+        for j in range(0, left.shape[1], 4):  # 4 x N products, beside the G x m sums
+            prod = (left[:, j : j + 4].T @ self.w.T) * (right[:, j : j + 4].T @ self.w.T)
+            for i, row in enumerate(prod, start=j):
+                out[i] = np.bincount(self.codes, weights=row, minlength=self.g)
+        return out.T

@@ -1,17 +1,18 @@
 """First stage, reduced form, 2SLS, Wald ratios, and cluster inference.
 
-Every statistic reads one moment object, ``_Moments``: the cross-products
-W'W of W = [x, z, a, y] summed within each cluster (and group level). For
-cluster weights c it gives the Gram sum_g c_g W_g'W_g, and ``_moment_fit``
-partials the controls out of it (Frisch-Waugh) as the Schur complement of
-their block and solves the first stage Pi' and the reduced form RF from the
-residual instrument block, with pivoted-Cholesky rank checks of both
-blocks. A point estimate is the fit at c = 1, a bootstrap replication the
-fit at its draw's cluster counts; cluster scores are the object's
-per-cluster bilinear forms L'(W_g'W_g)R, and the first-stage F is read off
-the Schur complement. The system is just identified (one instrument per
-treatment), so the 2SLS coefficients and the total slot-expansion effects
-are the same solve
+Every statistic reads one moment object per Dataset, built on first use
+(``data._Moments``): the cross-products W'W of W = [x, z, a, y] summed
+within each cluster and group level. For cluster weights c it gives each
+level's Gram sum_g c_g W_gl'W_gl; a pooled fit sums the levels' Grams and
+a group fit reads its own. ``_moment_fit`` partials the controls out of a
+Gram (Frisch-Waugh) as the Schur complement of their block and solves the
+first stage Pi' and the reduced form RF from the residual instrument
+block, with pivoted-Cholesky rank checks of both blocks. A point estimate
+is the fit at c = 1, a bootstrap replication the fit at its draw's cluster
+counts; cluster scores are the object's per-cluster bilinear forms
+L'(W_g'W_g)R, and the first-stage F is read off the Schur complement. The
+system is just identified (one instrument per treatment), so the 2SLS
+coefficients and the total slot-expansion effects are the same solve
 
     beta = T = solve(Pi', RF)
 
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg.lapack
 
-from .data import Dataset
+from .data import Dataset, _Moments
 from .errors import (
     DataError,
     IllConditionedWarning,
@@ -135,61 +136,6 @@ class BootstrapResult:
 # ---------------------------------------------------------------------------
 
 
-class _Moments:
-    """Per-(cluster, level) cross-products of W and their row counts, built
-    once from W's column blocks, cluster codes (default: one cluster) and
-    optional labels, whose sorted distinct values are the ``levels``. The
-    G x L x d x d tensor is kept only when G L d <= N: for clusters of a few
-    rows it would outgrow the rows, which are kept instead, row i weighted
-    by c[code_i]."""
-
-    def __init__(self, blocks, codes: np.ndarray | None = None, labels=None):
-        n = len(blocks[0])
-        codes = np.zeros(n, dtype=np.intp) if codes is None else codes
-        self.g = int(codes.max()) + 1
-        self.levels, self.level = (None, 0) if labels is None else np.unique(
-            labels, return_inverse=True
-        )
-        n_lev = 1 if labels is None else self.levels.size
-        cells = codes * n_lev + self.level
-        self.rows = np.bincount(cells, minlength=self.g * n_lev).reshape(self.g, n_lev)
-        d = sum(1 if b.ndim == 1 else b.shape[1] for b in blocks)
-        if self.g * n_lev * d > n:
-            self.m, self.w, self.codes = None, np.column_stack(blocks), codes
-            return
-        order = None
-        if np.count_nonzero(np.diff(cells)) >= np.count_nonzero(self.rows):
-            order = np.argsort(cells, kind="stable")  # one run of rows per cell
-            cells = cells[order]
-        w = np.column_stack([b if order is None else b[order] for b in blocks])
-        starts = np.flatnonzero(np.r_[True, cells[1:] != cells[:-1]])
-        self.m = np.zeros((self.g, n_lev, d, d))
-        for lo, hi in zip(starts, np.r_[starts[1:], n]):
-            self.m[divmod(cells[lo], n_lev)] = w[lo:hi].T @ w[lo:hi]
-
-    def grams(self, c: np.ndarray):
-        """Each level's Gram at cluster weights c, (L, d, d), and row count, (L,)."""
-        if self.m is not None:
-            return np.tensordot(c, self.m, 1), c @ self.rows
-        weights = [c[self.codes] * (self.level == j) for j in range(self.rows.shape[1])]
-        return np.array([(self.w * v[:, None]).T @ self.w for v in weights]), c @ self.rows
-
-    def scores(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
-        """G x m sums over each cluster's rows of (w_i'left[:, j]) (w_i'right[:, j])."""
-        if self.m is not None:
-            return ((self.m.sum(axis=1) @ right) * left).sum(axis=1)
-        out = np.empty((self.g, left.shape[1]))
-        for j in range(left.shape[1]):  # N-vectors only, beside the G x m sums
-            prod = (self.w @ left[:, j]) * (self.w @ right[:, j])
-            out[:, j] = np.bincount(self.codes, weights=prod, minlength=self.g)
-        return out
-
-
-def _design(data: Dataset) -> tuple:
-    """The column blocks of W = [x, z, a, y], the columns every fit reads."""
-    return data.x, data.z, data.a, data.y
-
-
 @dataclass(frozen=True)
 class _Fit:
     """Pi' and RF solved from the cross-products W'W of W = [x, z, a, y].
@@ -293,12 +239,11 @@ def _moment_fit(gram: np.ndarray, n_obs: int, n_controls: int, k: int) -> _Fit:
     return _Fit(coef[:, :k], coef[:, k], n_obs, p, partial, resid, instruments)
 
 
-def _fit(data: Dataset, codes: np.ndarray | None = None):
-    """A Dataset's moment object (one cluster unless ``codes``), fit at weight one."""
-    mom = _Moments(_design(data), codes)
-    grams, rows = mom.grams(np.ones(mom.g, dtype=np.intp))
-    return mom, _moment_fit(grams.sum(axis=0), int(rows.sum()), data.n_controls,
-                            data.n_treatments)
+def _fit(data: Dataset, c: np.ndarray | None = None) -> _Fit:
+    """The pooled fit of the Dataset's moments at cluster weights c (default 1)."""
+    mom = data._moments
+    grams, rows = mom.grams(np.ones(mom.g, dtype=np.intp) if c is None else c)
+    return _moment_fit(grams.sum(axis=0), int(rows.sum()), data.n_controls, data.n_treatments)
 
 
 def _solve_first_stage(pi_t: np.ndarray, rf: np.ndarray) -> np.ndarray:
@@ -361,12 +306,12 @@ def fit_first_stage(
     below ``weak_threshold`` in absolute value, signalling a relevance
     failure in the population.
     """
-    return _first_stage(_fit(data)[1], weak_threshold)
+    return _first_stage(_fit(data), weak_threshold)
 
 
 def fit_reduced_form(data: Dataset) -> np.ndarray:
     """Joint regression of the outcome on all instruments (plus controls)."""
-    return _fit(data)[1].rf
+    return _fit(data).rf
 
 
 def fit_2sls(data: Dataset) -> np.ndarray:
@@ -376,8 +321,7 @@ def fit_2sls(data: Dataset) -> np.ndarray:
     z'(y - a beta) = 0. cond(Pi') above COND_CEILING is refused and above
     COND_WARN warned about.
     """
-    f = _fit(data)[1]
-    return _solve_first_stage(f.pi_t, f.rf)
+    return _beta(_fit(data))
 
 
 def wald_ratios(rf: np.ndarray, fs: FirstStage) -> np.ndarray:
@@ -443,8 +387,8 @@ def cluster_robust_se(data: Dataset, which: str = "beta") -> np.ndarray:
     """
     if which not in ("beta", "rf", "wald", "delta"):
         raise DataError(f"unknown standard-error target {which!r}")
-    mom, f = _fit(data, data.cluster_codes())
-    psi = _scores(f, mom, _solve_first_stage(f.pi_t, f.rf), (which,))[which]
+    f = _fit(data)
+    psi = _scores(f, data._moments, _beta(f), (which,))[which]
     return np.sqrt(np.diag(_sandwich(psi, data.n_obs, data.n_treatments + data.n_controls)))
 
 
@@ -454,7 +398,7 @@ def first_stage_f(data: Dataset) -> np.ndarray:
     Classic (homoskedastic) F on the system net of the controls, reported as a
     relevance diagnostic alongside the weak-diagonal check.
     """
-    return _first_stage_f(_fit(data)[1])
+    return _first_stage_f(_fit(data))
 
 
 def _first_stage_f(f: _Fit) -> np.ndarray:
@@ -498,24 +442,20 @@ _FIT_STATISTICS = {
 }
 
 
-def _moment_replicate(data: Dataset, name: str, codes: np.ndarray):
-    """A named statistic as a function of a draw of cluster indices: the moment
-    object, built once (per cluster and group level for ``conditional_entrant``,
-    whose draws go through ``conditional_entrant_by_group``'s function), at the
-    draw's cluster counts."""
+def _moment_replicate(data: Dataset, name: str):
+    """A named statistic as a function of a draw of cluster indices: the
+    Dataset's moment object at the draw's cluster counts (``conditional_entrant``
+    goes through ``conditional_entrant_by_group``'s function)."""
     from .cascade import _entrant_effects  # cascade needs the fits above
 
-    k, p = data.n_treatments, data.n_controls
-    entrant = name == "conditional_entrant"
-    mom = _Moments(_design(data), codes, data.group_label if entrant else None)
+    mom = data._moments
 
     def replicate(draw):
         c = np.bincount(draw, minlength=mom.g)
-        if entrant:
-            parts = _entrant_effects(mom, c, mom.levels, data)
+        if name == "conditional_entrant":
+            parts = list(_entrant_effects(data, c).values())
             return np.concatenate(parts + [parts[0] - parts[1]] * (len(parts) == 2))
-        grams, rows = mom.grams(c)
-        return _FIT_STATISTICS[name](_moment_fit(grams.sum(axis=0), int(rows.sum()), p, k))
+        return _FIT_STATISTICS[name](_fit(data, c))
 
     return replicate
 
@@ -532,7 +472,7 @@ def _components(name, data: Dataset) -> tuple[str, ...]:
         raise DataError(f"unknown bootstrap statistic {name!r}")
     if data.group_label is None:
         raise DataError("conditional_entrant statistic needs group labels")
-    levels = np.unique(data.group_label)
+    levels = data._moments.levels
     names = [f"T_{j + 1}|{lev}" for lev in levels for j in range(k)]
     if len(levels) == 2:
         names += [f"dT_{j + 1}" for j in range(k)]
@@ -554,8 +494,8 @@ def cluster_bootstrap(
     ``cascade_delta``, ``conditional_entrant`` or the library-only
     ``first_stage`` (Pi in row-major order, components ``pi_<j>_<k>`` for
     treatment j and instrument k), and each replication recomputes it from
-    the moment object of [x, z, a, y], built once and weighted by the
-    draw's cluster counts; no rows are copied. Any other statistic is a
+    the Dataset's moment object of [x, z, a, y], weighted by the draw's
+    cluster counts; no rows are copied. Any other statistic is a
     DataError. Replications where the statistic raises a package error (a
     rank-deficient draw, a singular first stage, a zero first-stage
     diagonal, too few rows, a lost group level) are dropped and counted;
@@ -564,11 +504,10 @@ def cluster_bootstrap(
     if reps < 2:
         raise DataError("bootstrap needs reps >= 2")
     components = _components(statistic, data)
-    codes = data.cluster_codes()
-    g = int(codes.max()) + 1
+    g = data.n_clusters
     if g < 2:
         raise TooFewClusters("cluster bootstrap needs >= 2 clusters")
-    replicate = _moment_replicate(data, statistic, codes)
+    replicate = _moment_replicate(data, statistic)
 
     results = None
     n_failed = 0
@@ -613,15 +552,13 @@ def estimate_all(data: Dataset) -> EstimateSet:
     three standard-error vectors share one score pass over the same moment
     object, and the first stage and its F statistics are read off the fit.
     """
-    mom, f = _fit(data, data.cluster_codes())
+    f = _fit(data)
     fs = _first_stage(f)
     beta = _beta(f)
     wald = wald_ratios(f.rf, fs)
-    scores = _scores(f, mom, beta, ("beta", "wald", "delta"))
+    scores = _scores(f, data._moments, beta, ("beta", "wald", "delta"))
     k_params = data.n_treatments + data.n_controls
-
-    def se(which):
-        return np.sqrt(np.diag(_sandwich(scores[which], data.n_obs, k_params)))
+    se = {w: np.sqrt(np.diag(_sandwich(psi, data.n_obs, k_params))) for w, psi in scores.items()}
 
     return EstimateSet(
         beta=beta,
@@ -629,11 +566,11 @@ def estimate_all(data: Dataset) -> EstimateSet:
         wald=wald,
         cascade_T=beta,
         cascade_delta=beta - wald,
-        se_beta=se("beta"),
-        se_wald=se("wald"),
-        se_delta=se("delta"),
+        se_beta=se["beta"],
+        se_wald=se["wald"],
+        se_delta=se["delta"],
         n_obs=data.n_obs,
-        n_clusters=mom.g,
+        n_clusters=data.n_clusters,
         first_stage=fs,
         first_stage_f=_first_stage_f(f),
     )

@@ -101,13 +101,11 @@ def write_dataset_csv(path, data: Dataset, command: str = "write", seed: int | N
 def _header_layout(header: list[str]) -> dict:
     layout: dict = {"a": {}, "z": {}, "x": [], "y": None, "cluster": None, "group": None}
     for pos, name in enumerate(header):
+        if name in header[:pos]:
+            raise SchemaError(f"duplicate column '{name}'")
         if name == "y":
-            if layout["y"] is not None:
-                raise SchemaError("duplicate column 'y'")
             layout["y"] = pos
         elif name == "cluster":
-            if layout["cluster"] is not None:
-                raise SchemaError("duplicate column 'cluster'")
             layout["cluster"] = pos
         elif name == "group":
             layout["group"] = pos

@@ -32,8 +32,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .data import Dataset
-from .estimator import _Moments, _sandwich
+from .data import Dataset, _Moments
+from .estimator import _sandwich
 from .errors import (
     DataError,
     NoPivotalProgramWarning,

@@ -1,10 +1,14 @@
+import contextlib
+import functools
 from dataclasses import dataclass, replace
+from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.linalg
 
 from cascadeiv import Dataset
+from cascadeiv.data import _Moments
 from cascadeiv.errors import RankDeficientControls, SingularInstrumentGram
 
 
@@ -59,6 +63,28 @@ def take_rows(data, rows):
         cluster=data.cluster[rows],
         group_label=None if data.group_label is None else data.group_label[rows],
     )
+
+
+@contextlib.contextmanager
+def counting_moment_builds():
+    """Counts the moment objects built and the codings of a Dataset's
+    cluster ids (its one ``np.unique`` of them)."""
+    counts = {"built": 0, "coded": 0}
+    init, coding = _Moments.__init__, Dataset._coding.func
+
+    def built(self, *args, **kwargs):
+        counts["built"] += 1
+        init(self, *args, **kwargs)
+
+    def coded(self):
+        counts["coded"] += 1
+        return coding(self)
+
+    counted = functools.cached_property(coded)
+    counted.__set_name__(Dataset, "_coding")
+    with mock.patch.object(_Moments, "__init__", built), \
+            mock.patch.object(Dataset, "_coding", counted):
+        yield counts
 
 
 def noiseless_iv_data(seed, n=2000, k=3, beta=(0.5, -0.2, 0.0), base=0.3):

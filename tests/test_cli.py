@@ -26,7 +26,7 @@ from cascadeiv.io import (
     write_dataset_csv,
 )
 
-from conftest import bernoulli_iv_data, take_rows
+from conftest import bernoulli_iv_data, counting_moment_builds, take_rows
 
 CONFIG = {
     "synth": {
@@ -254,6 +254,58 @@ def test_estimate_bad_blocks_is_a_data_error(tmp_path, capsys, spec, message):
     err = _last_error(capsys)
     assert err["code"] == "DataError"
     assert err["message"].startswith(message)
+
+
+def test_estimate_long_inline_blocks_spec(tmp_path):
+    # longer than a file name may be: read as JSON, never looked up as a path
+    d = bernoulli_iv_data(36, n=600, k=5)
+    write_dataset_csv(tmp_path / "d.csv", d, "test", 0)
+    blocks = {f"block_with_a_long_descriptive_name_for_program_{j}": [j + 1] for j in range(5)}
+    spec = "  " + json.dumps(blocks, indent=1)
+    assert 300 < len(spec.encode()) < 400
+    assert run(["estimate", "--data", tmp_path / "d.csv", "--blocks", spec,
+                "--out", tmp_path / "out"]) == 0
+    assert [r["block"] for r in _rows(tmp_path / "out" / "blocks.csv")] == list(blocks)
+    # any spec that does not start with "{" (or "[") names a file
+    (tmp_path / "spec.json").write_text(json.dumps(blocks))
+    assert run(["estimate", "--data", tmp_path / "d.csv", "--blocks", tmp_path / "spec.json",
+                "--out", tmp_path / "file"]) == 0
+    assert ((tmp_path / "file" / "blocks.csv").read_text()
+            == (tmp_path / "out" / "blocks.csv").read_text())
+
+
+def test_estimate_group_col_names_only_the_group_column(tmp_path, capsys):
+    d = bernoulli_iv_data(37, n=600, k=2)
+    write_dataset_csv(tmp_path / "d.csv", d, "test", 0)
+    with pytest.raises(SystemExit) as exc:
+        run(["estimate", "--data", tmp_path / "d.csv", "--group-col", "nonexistent",
+             "--out", tmp_path / "out"])
+    assert exc.value.code == 2
+    assert run(["estimate", "--data", tmp_path / "d.csv", "--group-col", "group",
+                "--out", tmp_path / "out"]) == 3
+    err = _last_error(capsys)
+    assert err["code"] == "DataError" and "'group' column" in err["message"]
+    assert not (tmp_path / "out" / "estimates.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["estimate", "bootstrap", "cascade", "verify", "balance"])
+def test_each_command_builds_one_moment_object(tmp_path, simulated, config_path, command):
+    # one coding of the cluster ids and one moment object per Dataset, which
+    # every fit, standard error, group fit and bootstrap of the command reads;
+    # balance builds only its own, over its own columns
+    argv = {
+        "estimate": ["estimate", "--data", simulated, "--group-col", "group",
+                     "--blocks", '{"A": [1], "B": [2]}'],
+        "bootstrap": ["bootstrap", "--data", simulated, "--statistic", "beta",
+                      "--bootstrap-reps", 5, "--seed", 2],
+        "cascade": ["cascade", "--data", simulated],
+        "verify": ["verify", "--config", config_path, "--seed", 5, "--reps", 3],
+        "balance": ["balance", "--data", simulated,
+                    "--covariates", simulated.parent / "covariates.csv"],
+    }[command]
+    with counting_moment_builds() as counts:
+        assert run([*argv, "--out", tmp_path / "out"]) == 0
+    assert counts == {"built": 1, "coded": 1}
 
 
 def test_bootstrap_command(tmp_path, capsys):

@@ -1,4 +1,4 @@
-import contextlib
+import functools
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -25,7 +25,6 @@ from cascadeiv.cascade import (
     conditional_entrant_effect,
     group_outcome_decomposition,
 )
-from cascadeiv import cascade, estimator
 from cascadeiv.cli import main
 from cascadeiv.errors import (
     CascadeIVError,
@@ -42,8 +41,6 @@ from cascadeiv.errors import (
 from cascadeiv.estimator import (
     _FIT_STATISTICS,
     FirstStage,
-    _Moments,
-    _design,
     _first_stage,
     _fit,
     _moment_fit,
@@ -57,6 +54,7 @@ from cascadeiv.seeds import rng_for
 
 from conftest import (
     bernoulli_iv_data,
+    counting_moment_builds,
     default_pi,
     noiseless_iv_data,
     reference_fit,
@@ -89,15 +87,10 @@ def _tiny_dataset(y, x=None):
     )
 
 
-def _cluster_moments(d):
-    """The moment object of a Dataset's W and clusters."""
-    return _Moments(_design(d), d.cluster_codes())
-
-
 def _net_of_controls(d):
     """W E, the rows net of the controls as the fit's Schur step maps them."""
-    f = _fit(d)[1]
-    return f, np.column_stack(_design(d)) @ np.vstack(
+    f = _fit(d)
+    return f, np.column_stack((d.x, d.z, d.a, d.y)) @ np.vstack(
         [-f.partial, np.eye(f.partial.shape[1])]
     )
 
@@ -361,7 +354,7 @@ def test_wald_equals_2sls_when_cross_effects_vanish():
 def test_singleton_clusters_match_heteroskedastic_sandwich():
     d = bernoulli_iv_data(51, n=800, k=2)
     d = Dataset(y=d.y, a=d.a, z=d.z, x=d.x, cluster=np.arange(d.n_obs))
-    assert _cluster_moments(d).m is None  # the rows form
+    assert d._moments.m is None  # the rows form
     se = cluster_robust_se(d, "beta")
     # independent HC computation for the IV sandwich
     y_p, a_p, z_p = _partial(d)
@@ -628,9 +621,8 @@ def reference_cluster_bootstrap(data, statistic, reps, seed):
 
 def moment_replicates(data, statistic, reps, seed):
     """{replication: estimate or error type} of the per-cluster moment path."""
-    codes = data.cluster_codes()
-    g = int(codes.max()) + 1
-    replicate = _moment_replicate(data, statistic, codes)
+    g = data.n_clusters
+    replicate = _moment_replicate(data, statistic)
     out = {}
     for r in range(reps):
         try:
@@ -815,27 +807,6 @@ def test_moment_bootstrap_zero_first_stage_diagonal(statistic):
     assert bool(failed) == (statistic != "first_stage") and noise == []
 
 
-@contextlib.contextmanager
-def counting_moment_builds():
-    """Counts the moment objects built and the calls of ``_design``, the one
-    reader of a Dataset's rows."""
-    counts = {"built": 0, "design": 0}
-    init, design = estimator._Moments.__init__, estimator._design
-
-    def built(self, *args, **kwargs):
-        counts["built"] += 1
-        init(self, *args, **kwargs)
-
-    def designed(data):
-        counts["design"] += 1
-        return design(data)
-
-    with mock.patch.object(estimator._Moments, "__init__", built), \
-            mock.patch.object(estimator, "_design", designed), \
-            mock.patch.object(cascade, "_design", designed):
-        yield counts
-
-
 @pytest.mark.parametrize("statistic", STATISTICS)
 def test_named_statistics_never_take_rows(statistic):
     # a bootstrap reads the rows once, into one moment object, and every
@@ -844,7 +815,7 @@ def test_named_statistics_never_take_rows(statistic):
     with counting_moment_builds() as counts:
         res = cluster_bootstrap(d, statistic, reps=10, seed=2)
     assert res.n_failed == 0
-    assert counts == {"built": 1, "design": 1}
+    assert counts == {"built": 1, "coded": 1}
 
 
 PUBLIC_ESTIMATORS = {
@@ -862,18 +833,24 @@ PUBLIC_ESTIMATORS = {
 @pytest.mark.parametrize("singletons", [False, True])
 @pytest.mark.parametrize("name", [*PUBLIC_ESTIMATORS, "balance_check"])
 def test_every_estimator_builds_one_moment_object(name, singletons):
-    # each call reads the rows once, into one moment object, in either of
-    # its forms; balance_check builds it over its own columns
+    # whichever call comes first codes the cluster ids and builds the
+    # Dataset's one moment object, in either of its forms; every later
+    # estimator and every bootstrap statistic reads that object, and
+    # balance_check builds one of its own over its own columns
     d = bernoulli_iv_data(70, n=1500, k=2, n_clusters=20, group_share=0.5)
     if singletons:
         d = replace(d, cluster=np.arange(d.n_obs))
     covariates = np.random.default_rng(70).standard_normal((d.n_obs, 2))
+    calls = {**PUBLIC_ESTIMATORS, "balance_check": lambda d: balance_check(d, covariates)}
+    calls |= {statistic: functools.partial(cluster_bootstrap, statistic=statistic, reps=5,
+                                           seed=2) for statistic in STATISTICS}
     with counting_moment_builds() as counts:
-        if name == "balance_check":
-            balance_check(d, covariates)
-        else:
-            PUBLIC_ESTIMATORS[name](d)
-    assert counts == {"built": 1, "design": int(name != "balance_check")}
+        calls.pop(name)(d)
+        assert counts == {"built": 1, "coded": 1}
+        for call in calls.values():
+            call(d)
+    assert counts == {"built": 2, "coded": 1}
+    assert (d._moments.m is None) == singletons
 
 
 def test_point_estimates_are_the_replication_with_counts_of_one(monkeypatch):
@@ -882,14 +859,76 @@ def test_point_estimates_are_the_replication_with_counts_of_one(monkeypatch):
     monkeypatch.setitem(_FIT_STATISTICS, "fit", lambda f: np.r_[f.pi_t.ravel(), f.rf])
     d = bernoulli_iv_data(75, n=3000, k=3, x_extra=1, n_clusters=30)
     for data, rows_form in ((d, False), (replace(d, cluster=np.arange(d.n_obs)), True)):
-        codes = data.cluster_codes()
-        draw = np.arange(codes.max() + 1)
-        assert (_cluster_moments(data).m is None) == rows_form
+        draw = np.arange(data.n_clusters)
+        assert (data._moments.m is None) == rows_form
         est = estimate_all(data)
-        fit = _moment_replicate(data, "fit", codes)(draw)
-        assert np.array_equal(est.beta, _moment_replicate(data, "beta", codes)(draw))
+        fit = _moment_replicate(data, "fit")(draw)
+        assert np.array_equal(est.beta, _moment_replicate(data, "beta")(draw))
         assert np.array_equal(est.first_stage.pi.T.ravel(), fit[:9])
         assert np.array_equal(est.rf, fit[9:])
+
+
+def _assert_same_estimates(got, want):
+    for name in ("beta", "rf", "wald", "cascade_delta", "se_beta", "se_wald", "se_delta",
+                 "first_stage_f"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    assert np.array_equal(got.first_stage.pi, want.first_stage.pi)
+    assert (got.n_obs, got.n_clusters) == (want.n_obs, want.n_clusters)
+
+
+def test_kept_moment_object_stays_sound():
+    # a Dataset's arrays are read-only views, so nothing reached through it
+    # can change the rows its kept object summarises; the caller's arrays
+    # stay writable, and replace() gives a Dataset that builds afresh
+    d = bernoulli_iv_data(77, n=2000, k=2, x_extra=1, n_clusters=25, group_share=0.5)
+    y = d.y.copy()
+    d = replace(d, y=y)
+    before = estimate_all(d)
+    for name in ("y", "a", "z", "x", "cluster", "group_label"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(d, name)[0] = getattr(d, name)[1]
+    with pytest.raises(ValueError, match="read-only"):
+        d.cluster_codes()[0] = 1
+    assert y.flags.writeable and np.shares_memory(y, d.y)
+    _assert_same_estimates(estimate_all(d), before)
+
+    def fresh(**fields):
+        kw = dict(y=d.y, a=d.a, z=d.z, x=d.x, cluster=d.cluster, group_label=d.group_label)
+        return Dataset(**(kw | fields))
+
+    y2 = 2.0 * d.y + d.x[:, 1]
+    _assert_same_estimates(estimate_all(replace(d, y=y2)), estimate_all(fresh(y=y2)))
+    partition = np.where(d.x[:, 1] > 0, "hi", "lo")
+    got = group_outcome_decomposition(d, partition)
+    want = group_outcome_decomposition(fresh(group_label=partition))
+    assert list(got) == list(want) == ["hi", "lo"]
+    for lev in got:
+        assert np.array_equal(got[lev], want[lev])
+    _assert_same_estimates(estimate_all(d), before)
+
+
+@pytest.mark.parametrize("n_levels", [1, 2, 8])
+def test_rows_form_level_grams_are_products_of_their_rows(n_levels):
+    # clusters of two rows and labels in no particular order: the rows form
+    # keeps the rows in level order, and each level's Gram at a draw's
+    # cluster counts is the product of that level's weighted rows
+    rng = np.random.default_rng(78)
+    d = bernoulli_iv_data(78, n=2000, k=3, x_extra=1)
+    labels = None if n_levels == 1 else rng.integers(0, n_levels, d.n_obs).astype(str)
+    d = replace(d, cluster=rng.permutation(d.n_obs) // 2, group_label=labels)
+    mom = d._moments
+    assert mom.m is None and len(mom.runs) == n_levels
+    c = rng.integers(0, 4, mom.g)
+    grams, rows = mom.grams(c)
+    w = np.column_stack((d.x, d.z, d.a, d.y))
+    weight = c[d.cluster_codes()]
+    level = np.zeros(d.n_obs) if labels is None else np.unique(labels, return_inverse=True)[1]
+    assert grams.shape == (n_levels, w.shape[1], w.shape[1]) and rows.shape == (n_levels,)
+    for j in range(n_levels):
+        keep = level == j
+        want = (w[keep] * weight[keep, None]).T @ w[keep]
+        assert_allclose(grams[j], want, rtol=1e-10, atol=1e-10 * np.abs(want).max())
+        assert rows[j] == weight[keep].sum()
 
 
 @pytest.mark.parametrize("run", ["estimate_all", "cluster_bootstrap"])
@@ -936,13 +975,13 @@ def test_every_fit_is_the_gram_fit(tmp_path):
 
 
 def _pooled_gram(d):
-    mom = _cluster_moments(d)
+    mom = d._moments
     return mom.grams(np.ones(mom.g, dtype=int))[0].sum(axis=0)
 
 
 def test_moment_fit_matches_qr_fit_and_its_rank_checks():
     d = bernoulli_iv_data(71, n=2500, k=3, x_extra=2, n_clusters=15)
-    mom = _cluster_moments(d)
+    mom = d._moments
     grams, rows = mom.grams(np.ones(mom.g, dtype=int))
     assert rows.sum() == d.n_obs == mom.rows.sum()
     f = reference_fit(d)
@@ -1046,7 +1085,7 @@ def _assert_matches_unpartialled_reference(d):
 def test_fits_and_standard_errors_match_unpartialled_reference():
     # 30 clusters of about 100 rows: the moment object keeps its tensor
     d = _correlated_instrument_data(81)
-    assert _cluster_moments(d).m is not None
+    assert d._moments.m is not None
     _assert_matches_unpartialled_reference(d)
 
 
@@ -1055,7 +1094,7 @@ def test_singleton_cluster_standard_errors_match_unpartialled_reference():
     # every estimate and standard error of that form against the same
     # reference
     d = replace(_correlated_instrument_data(81), cluster=np.arange(3000))
-    assert _cluster_moments(d).m is None
+    assert d._moments.m is None
     _assert_matches_unpartialled_reference(d)
 
 

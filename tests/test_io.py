@@ -242,6 +242,21 @@ def test_missing_cluster_column(tmp_path):
         load_dataset_csv(path)
 
 
+@pytest.mark.parametrize("header, name", [
+    ("y,a_1,z_1,x_1,cluster,group,group", "group"),
+    ("y,a_1,z_1,x_1,x_1,cluster", "x_1"),
+    ("y,a_1,z_1,x_1,cluster,y", "y"),
+    ("y,a_1,z_1,x_1,cluster,cluster", "cluster"),
+    ("y,a_1,a_01,z_1,z_2,x_1,cluster", "a_01"),
+])
+def test_duplicate_column_named(tmp_path, header, name):
+    path = tmp_path / "d.csv"
+    width = header.count(",") + 1
+    path.write_text(f"{header}\n" + ",".join(["1"] * width) + "\n")
+    with pytest.raises(SchemaError, match=f"^duplicate column '{name}'$"):
+        load_dataset_csv(path)
+
+
 def test_unknown_column_named(tmp_path):
     path = tmp_path / "d.csv"
     path.write_text("y,a_1,z_1,x_1,cluster,bogus\n1.0,0,0.5,1.0,c1,7\n")
