@@ -63,12 +63,13 @@ def cmd_simulate(args) -> int:
     mech = MechanismConfig(capacities=capacities, lottery_seed=args.seed)
     label = args.group_col if args.group_col else cfg.get("label")
     run = simulate_run(
-        pop, mech, reps=args.reps, master_seed=args.seed, label=label, log_events=True
+        pop, mech, reps=args.reps, master_seed=args.seed, label=label, log_events=args.events
     )
     out = _out_dir(args)
     iomod.write_dataset_csv(out / "dataset.csv", run.dataset, "simulate", args.seed)
     iomod.write_covariates_csv(out / "covariates.csv", run.covariates, "simulate", args.seed)
-    iomod.write_events_jsonl(out / "events.jsonl", run.events)
+    if args.events:
+        iomod.write_events_jsonl(out / "events.jsonl", run.events)
     iomod.write_population_csv(out / "population.csv", pop, "simulate", args.seed)
     print(
         f"wrote {run.dataset.n_obs} rows ({run.dataset.n_clusters} clusters) to "
@@ -264,6 +265,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reps", type=int, default=50)
     p.add_argument("--out", required=True)
     p.add_argument("--group-col", default=None)
+    p.add_argument("--events", action="store_true",
+                   help="also log the clearings' sweeps to events.jsonl")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("estimate", help="fit estimates on a dataset CSV")

@@ -83,6 +83,8 @@ class Dataset:
             raise DataError("y and x must be finite")
         if self.binary_treatments and not np.all((self.a == 0.0) | (self.a == 1.0)):
             raise DataError("treatment indicators must be 0/1")
+        if n == 0:
+            raise DataError("a Dataset needs at least one row")
         # exactly one nonzero constant column
         constant = (self.x == self.x[0]).all(axis=0)
         const_cols = np.flatnonzero(constant & (self.x[0] != 0))

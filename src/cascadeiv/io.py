@@ -6,15 +6,19 @@ JSON lines. Every output CSV starts with a provenance comment line
 (``# cascadeiv <version> command=<cmd> seed=<seed>``) so reruns are
 byte-comparable.
 
-Every table is written by ``write_table``, a column at a time (``repr`` of
-every float, ``str`` of every id, label or preformatted cell, quoted by the
-``csv`` module), and every table is read through ``_data_lines`` and
-``_read_rows``, numpy's C text reader, with the same bytes and values as
-formatting and parsing row by row with the ``csv`` module.
+Every table is written by ``write_table``, a column at a time: in each
+block of ``WRITE_BLOCK_ROWS`` rows, each distinct value of a column is
+formatted once (``repr`` of a float, told apart by its bits; ``str`` of an
+id, label or preformatted cell) and, where it could need quotes, quoted
+once by the ``csv`` module. Every table is read through ``_data_lines`` and
+``_read_rows``, one pass of numpy's C text reader per file. Both give the
+same bytes and values as formatting and parsing row by row with the
+``csv`` module.
 """
 
 from __future__ import annotations
 
+import collections
 import csv
 import io as _io
 import itertools
@@ -51,31 +55,66 @@ def provenance_line(command: str, seed: int | None) -> str:
 # ---------------------------------------------------------------------------
 
 
-def float_cells(col) -> list[str]:
-    """``fmt_float`` of every entry of a column of numbers."""
-    return list(map(repr, np.asarray(col, dtype=float).tolist()))
+def float_cells(col) -> tuple[list[str], np.ndarray]:
+    """``fmt_float`` of each distinct entry of a column of numbers, and the
+    index of each entry among them. Entries are told apart by their bits,
+    so ``-0.0`` and ``0.0`` stay two."""
+    bits, inverse = np.unique(np.asarray(col, dtype=float).view(np.int64), return_inverse=True)
+    return list(map(repr, bits.view(float).tolist())), inverse
 
 
-def text_cells(col) -> list[str]:
-    """``str`` of every entry of an id, label, integer or preformatted column."""
-    return list(map(str, col))
+def text_cells(col) -> tuple[list[str], np.ndarray]:
+    """``str`` of each distinct entry of an id, label, integer or
+    preformatted column, and the index of each entry among them."""
+    if isinstance(col, np.ndarray) and col.dtype.kind in "USiub":
+        keys, inverse = np.unique(col, return_inverse=True)
+        return list(map(str, keys)), inverse
+    # other entries (Python objects; floats, where -0.0 == 0.0) by their text
+    cells = [str(v) for v in col]
+    codes = dict(zip(dict.fromkeys(cells), itertools.count()))
+    return list(codes), np.fromiter(map(codes.__getitem__, cells), np.intp, len(cells))
+
+
+def _csv_cells(cells: list[str], lone: bool) -> list[str]:
+    """The cells as the ``csv`` module writes them: each one that could need
+    quotes (it holds a delimiter, a quote or a line break, or it is empty
+    and the only field of its row) written by ``csv.writer`` as a row of
+    its own."""
+    joined = "".join(cells)
+    if not any(c in joined for c in ',"\r\n') and not (lone and "" in cells):
+        return cells
+    quoted = []
+    for cell in cells:
+        if any(c in cell for c in ',"\r\n') or (lone and not cell):
+            buf = _io.StringIO()
+            csv.writer(buf, lineterminator="\n").writerow([cell])
+            cell = buf.getvalue()[:-1]
+        quoted.append(cell)
+    return quoted
 
 
 def write_table(path, command: str, seed, header: list[str], columns: list):
     """Provenance line, header, then one row per entry of the columns.
 
     ``columns`` are (column, cells) pairs: ``cells`` (``float_cells`` or
-    ``text_cells``) formats a block of rows of its column. Rows go out in
-    blocks of ``WRITE_BLOCK_ROWS``.
+    ``text_cells``) formats the distinct entries of a block of rows of its
+    column. Rows go out in blocks of ``WRITE_BLOCK_ROWS``, so each distinct
+    value is formatted and quoted once per block.
     """
     n = len(columns[0][0])
+    lone = len(header) == 1
     with open(path, "w", newline="") as fh:
         fh.write(provenance_line(command, seed) + "\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
+        fh.write(",".join(_csv_cells(header, lone)) + "\n")
         for lo in range(0, n, WRITE_BLOCK_ROWS):
             block = slice(lo, lo + WRITE_BLOCK_ROWS)
-            writer.writerows(zip(*(cells(col[block]) for col, cells in columns)))
+            texts = [cells(col[block]) for col, cells in columns]
+            texts = [(_csv_cells(distinct, lone), inverse) for distinct, inverse in texts]
+            # a row's line end rides on its last cell, so each row is one join
+            last, inverse = texts[-1]
+            texts[-1] = ([cell + "\n" for cell in last], inverse)
+            rows = zip(*(np.array(d, dtype=object)[i].tolist() for d, i in texts))
+            fh.writelines(map(",".join, rows))
 
 
 def write_dataset_csv(path, data: Dataset, command: str = "write", seed: int | None = None):
@@ -209,24 +248,25 @@ def _read_rows(rows, linenos, header, numeric, text=(), width="header"):
     """The data rows as an (n, len(header)) float matrix and their ``text``
     columns as an (n, len(text)) string array.
 
-    numpy's reader parses every column in one pass, the text columns as
-    their field lengths, so that it keeps checking that each row has the
-    same field count. Where it fails, or finds another number of rows than
-    there are lines (a quote left open runs on into the lines after it),
-    ``_scan_rows`` parses the file again one line at a time: it reports the
-    first fault with its file line, or returns each line as one row.
+    numpy's reader parses every column in one pass, each text field as the
+    code of its string in a table of the distinct ones, so that it keeps
+    checking that each row has the same field count. Where it fails, or
+    finds another number of rows than there are lines (a quote left open
+    runs on into the lines after it), ``_scan_rows`` parses the file again
+    one line at a time: it reports the first fault with its file line, or
+    returns each line as one row.
     """
+    codes = collections.defaultdict(itertools.count().__next__)  # string -> code
     try:
         values = np.loadtxt(
-            rows, dtype=float, converters=dict.fromkeys(text, len), **_CSV_READ
+            rows, dtype=float, converters=dict.fromkeys(text, codes.__getitem__), **_CSV_READ
         )
     except ValueError:
         return _scan_rows(rows, linenos, header, numeric, text, width)
     if values.shape != (len(rows), len(header)):
         return _scan_rows(rows, linenos, header, numeric, text, width)
-    if not text:
-        return values, np.empty((len(rows), 0), dtype=str)
-    return values, np.loadtxt(rows, dtype=str, usecols=text, **_CSV_READ)
+    strings = np.array(list(codes), dtype=str)
+    return values, strings[values[:, list(text)].astype(np.intp)]
 
 
 def load_dataset_csv(path) -> Dataset:

@@ -474,6 +474,10 @@ def simulate_run(
     """
     if reps < 1:
         raise DataError("reps must be >= 1")
+    if label is not None and label not in pop.labels:
+        raise DataError(
+            f"label {label!r} is not in the population; its labels are {sorted(pop.labels)}"
+        )
     if _clearings is None:
         _clearings = _replications(pop, cfg, reps, master_seed, log_events)
     k = pop.n_programs

@@ -53,7 +53,7 @@ def run(args):
 def test_simulate_then_estimate(tmp_path, config_path, capsys):
     out = tmp_path / "out"
     assert run(["simulate", "--config", config_path, "--seed", 3,
-                "--reps", 10, "--out", out]) == 0
+                "--reps", 10, "--out", out, "--events"]) == 0
     assert (out / "dataset.csv").exists()
     assert (out / "covariates.csv").exists()
     assert (out / "events.jsonl").exists()
@@ -152,9 +152,31 @@ def test_simulate_byte_identical_reruns(tmp_path, config_path):
     out1, out2 = tmp_path / "o1", tmp_path / "o2"
     for out in (out1, out2):
         assert run(["simulate", "--config", config_path, "--seed", 11,
-                    "--reps", 6, "--out", out]) == 0
+                    "--reps", 6, "--out", out, "--events"]) == 0
     assert (out1 / "dataset.csv").read_bytes() == (out2 / "dataset.csv").read_bytes()
     assert (out1 / "events.jsonl").read_bytes() == (out2 / "events.jsonl").read_bytes()
+
+
+def test_simulate_writes_the_event_log_only_on_request(tmp_path, config_path):
+    plain, logged = tmp_path / "plain", tmp_path / "logged"
+    for out, flags in ((plain, []), (logged, ["--events"])):
+        assert run(["simulate", "--config", config_path, "--seed", 11,
+                    "--reps", 6, "--out", out, *flags]) == 0
+    assert not (plain / "events.jsonl").exists()
+    assert (logged / "events.jsonl").stat().st_size > 0
+    assert sorted(p.name for p in plain.iterdir()) == [
+        "covariates.csv", "dataset.csv", "population.csv"]
+    for name in ("covariates.csv", "dataset.csv", "population.csv"):
+        assert (plain / name).read_bytes() == (logged / name).read_bytes(), name
+
+
+def test_simulate_unknown_group_col_names_the_labels(tmp_path, config_path, capsys):
+    code = run(["simulate", "--config", config_path, "--seed", 11, "--reps", 2,
+                "--out", tmp_path / "out", "--group-col", "nonexistent"])
+    assert code == 3
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["code"] == "DataError"
+    assert "'nonexistent'" in err["message"] and "'group'" in err["message"]
 
 
 def test_cascade_command_diagonal_trace(tmp_path, capsys):

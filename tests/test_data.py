@@ -46,6 +46,12 @@ def test_constant_column_required():
         Dataset(y=d.y, a=d.a, z=d.z, x=np.ones((50, 2)), cluster=d.cluster)
 
 
+def test_zero_row_dataset_rejected():
+    with pytest.raises(DataError, match="at least one row"):
+        Dataset(y=np.zeros(0), a=np.zeros((0, 2)), z=np.zeros((0, 2)), x=np.ones((0, 1)),
+                cluster=np.zeros(0, dtype=str))
+
+
 def test_empty_cluster_id_rejected():
     d = bernoulli_iv_data(0, n=50, k=2)
     cluster = d.cluster.astype(object)

@@ -106,6 +106,18 @@ def reference_write_events_jsonl(path, events):
             fh.write(json.dumps(ev, sort_keys=True) + "\n")
 
 
+def reference_write_table(path, command, seed, header, columns):
+    """``write_table`` row by row: ``repr`` of each float, ``str`` of each
+    text cell, every row quoted by ``csv.writer``."""
+    fmt = {iomod.float_cells: fmt_float, iomod.text_cells: str}
+    with open(path, "w", newline="") as fh:
+        fh.write(provenance_line(command, seed) + "\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for i in range(len(columns[0][0])):
+            writer.writerow([fmt[cells](col[i]) for col, cells in columns])
+
+
 def reference_load_dataset_csv(path):
     with open(path, newline="") as fh:
         lines = fh.readlines()
@@ -507,6 +519,55 @@ def test_population_and_events_writers_match_references_on_generated_data(k, n, 
         with mock.patch.object(iomod, "WRITE_BLOCK_ROWS", block):
             write_events_jsonl(got, events)
         reference_write_events_jsonl(want, records)
+        assert got.read_bytes() == want.read_bytes()
+
+
+# cells the csv module quotes, or that round or print unlike their neighbours
+EDGE_FLOATS = [
+    float("nan"), float("inf"), -float("inf"), -0.0, 0.0, 5e-324, 2.0**-1074 * 7,
+    2.2250738585072014e-308 / 3, 1e16, 1e-5, 0.1, 2.0**53, 2.0**53 + 2, 2.0**63, -(2.0**70),
+]
+EDGE_TEXTS = ["", ",", '"', "\r", "\n", "a,b", 'say "hi"', "x\r\ny", "plain", " ", "0", "z\x00"]
+TEXT_CHARS = st.characters(blacklist_categories=("Cs",))
+
+
+@st.composite
+def table_columns(draw, n):
+    """One column of n rows: floats (a float array, or integers of 2**53 and
+    more as an int64 array) or text (a list, an object array or a numpy
+    string array; strings, or strings and integers), drawn from few values
+    so that they repeat. A float column may hold both zeros."""
+    kind = draw(st.sampled_from(["float", "int", "text"]))
+    if kind == "int":
+        pool = st.integers(2**53, 2**63 - 1)
+    elif kind == "float":
+        pool = st.sampled_from(EDGE_FLOATS) | st.floats()
+    else:
+        pool = st.sampled_from(EDGE_TEXTS) | st.text(TEXT_CHARS, max_size=4) | st.integers(-3, 3)
+    values = draw(st.lists(pool, min_size=1, max_size=3))
+    if kind == "float" and draw(st.booleans()):
+        values += [-0.0, 0.0]
+    col = [values[draw(st.integers(0, len(values) - 1))] for _ in range(n)]
+    if kind == "int":
+        return np.array(col, dtype=np.int64), iomod.float_cells
+    if kind == "float":
+        return np.array(col, dtype=float), iomod.float_cells
+    wrap = draw(st.sampled_from([list, lambda c: np.array(c, dtype=object),
+                                 lambda c: np.array(c, dtype=str)]))
+    return wrap(col), iomod.text_cells
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 3), st.integers(0, 12), st.integers(1, 4), st.data())
+def test_write_table_matches_row_by_row_reference(width, n, block, data):
+    columns = [data.draw(table_columns(n)) for _ in range(width)]
+    header = data.draw(st.lists(st.sampled_from(EDGE_TEXTS) | st.text(TEXT_CHARS, max_size=4),
+                                min_size=width, max_size=width))
+    with tempfile.TemporaryDirectory() as tmp:
+        got, want = Path(tmp) / "got.csv", Path(tmp) / "want.csv"
+        with mock.patch.object(iomod, "WRITE_BLOCK_ROWS", block):
+            iomod.write_table(got, "test", 1, header, columns)
+        reference_write_table(want, "test", 1, header, columns)
         assert got.read_bytes() == want.read_bytes()
 
 

@@ -253,6 +253,15 @@ def test_simulate_no_pivotal_variation():
         simulate_run(pop, cfg, reps=3, master_seed=0)
 
 
+def test_simulate_missing_label_names_the_population_labels():
+    pop = homogeneous_pop(300, 2, np.array([0.1, 0.2]), seed=6)
+    pop = replace(pop, labels={"group": np.zeros(300), "attr": np.ones(300)})
+    cfg = MechanismConfig(capacities=(20, 20), lottery_seed=0)
+    with pytest.raises(DataError, match=r"label 'nonexistent' .* \['attr', 'group'\]"):
+        simulate_run(pop, cfg, reps=2, master_seed=0, label="nonexistent")
+    assert simulate_run(pop, cfg, reps=2, master_seed=0, label="group").dataset.n_obs > 0
+
+
 def test_simulate_deterministic_given_master_seed():
     pop = homogeneous_pop(2000, 2, np.array([0.1, 0.2]), seed=6)
     cfg = MechanismConfig(capacities=(150, 150), lottery_seed=0)
