@@ -70,6 +70,8 @@ def cmd_simulate(args) -> int:
     iomod.write_covariates_csv(out / "covariates.csv", run.covariates, "simulate", args.seed)
     if args.events:
         iomod.write_events_jsonl(out / "events.jsonl", run.events)
+    else:  # a log of an earlier run would not belong to this dataset
+        (out / "events.jsonl").unlink(missing_ok=True)
     iomod.write_population_csv(out / "population.csv", pop, "simulate", args.seed)
     print(
         f"wrote {run.dataset.n_obs} rows ({run.dataset.n_clusters} clusters) to "

@@ -305,8 +305,15 @@ def write_population_csv(path, pop, command: str = "write", seed=None):
         + [f"po_{j}" for j in range(k + 1)]
         + [f"label_{name}" for name in label_names]
     )
-    prefs = ["|".join(map(str, pl)) for pl in pop.prefs]
-    columns = [(pop.merit, text_cells), (prefs, text_cells)]
+    # each distinct row of the padded preference array is formatted once
+    arr = pop.pref_array()  # C-ordered int64
+    rows, codes = np.unique(
+        arr.view(np.dtype((np.void, arr.itemsize * arr.shape[1]))).ravel(),
+        return_inverse=True,
+    )
+    prefs = ["|".join(str(p) for p in row if p)
+             for row in rows.view(np.int64).reshape(-1, arr.shape[1]).tolist()]
+    columns = [(pop.merit, text_cells), (codes, lambda block: (prefs, block))]
     columns += [(pop.po[:, j], float_cells) for j in range(k + 1)]
     columns += [(pop.labels[name], text_cells) for name in label_names]
     write_table(path, command, seed, header, columns)

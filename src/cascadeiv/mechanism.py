@@ -16,12 +16,15 @@ are the instruments. The slot oracle re-runs the cutoff sweep on each
 replication's baseline draws with one extra slot at each program in turn:
 the brute-force measurement of the slot-expansion effect the 2SLS
 coefficients are supposed to equal. Since cutoffs only fall as seats are
-added, the cutoffs c+ with one extra seat at every program lie below those
-of each one-program expansion, so when several programs are expanded the
-oracle sweeps to c+ once and starts each expansion's sweep there; it ends
-at the same matching as a start from -inf. One replication loop clears
-each draw once and feeds the stacked dataset, the oracle, or both
-(``simulate_and_oracles``).
+added, the cutoffs c+ with one extra seat at every program measured lie
+below those of the baseline and of each one-program expansion. So the
+oracle sweeps each of its draws from -inf once, to c+, and starts the
+baseline sweep and every expansion's sweep there; each ends at the same
+matching as a start from -inf. An expansion's total outcome recomputes
+only the applicants whose seat changed. One replication loop clears each
+draw once and feeds the stacked dataset, the oracle, or both
+(``simulate_and_oracles``); draws that feed only the dataset are swept
+from -inf.
 """
 
 from __future__ import annotations
@@ -61,17 +64,38 @@ __all__ = [
 ]
 
 
+class _PrefLists:
+    """``Population.prefs``: set to the preference lists or to the padded
+    array; read as a list of int tuples, built from ``pref_array`` on the
+    first read (only diagnostics and tests read them)."""
+
+    def __get__(self, pop, owner=None):
+        if pop is None:
+            raise AttributeError("prefs")  # a field without a default
+        prefs = vars(pop)["prefs"]
+        if prefs is None:
+            rows = pop.pref_array().tolist()
+            prefs = [tuple(row[:m]) for row, m in zip(rows, pop.pref_lengths().tolist())]
+            vars(pop)["prefs"] = prefs
+        return prefs
+
+    def __set__(self, pop, value):
+        vars(pop)["prefs"] = value
+
+
 @dataclass(frozen=True)
 class Population:
     """Applicants with merit brackets, ranked preferences, potential outcomes.
 
     ``prefs[i]`` lists program ids (1..K) in descending preference; the
-    outside option is implicit last. ``po[i, 0]`` is the untreated outcome
-    and ``po[i, j]`` the outcome under program j.
+    outside option is implicit last. It may be given as a list of
+    sequences or as an (N, L) integer array, each row a list followed by
+    0s. ``po[i, 0]`` is the untreated outcome and ``po[i, j]`` the outcome
+    under program j.
     """
 
     merit: np.ndarray
-    prefs: list
+    prefs: list = _PrefLists()
     po: np.ndarray
     labels: dict = field(default_factory=dict)
 
@@ -87,19 +111,31 @@ class Population:
             raise DataError("po must be (N, K+1) with K >= 1")
         if not np.all(np.isfinite(po)):
             raise DataError("potential outcomes must be finite")
-        if len(self.prefs) != n:
+        prefs = vars(self)["prefs"]
+        if len(prefs) != n:
             raise DataError("prefs must have one list per applicant")
         k = po.shape[1] - 1
-        lengths = np.fromiter(map(len, self.prefs), dtype=np.int64, count=n)
-        flat = np.fromiter(
-            itertools.chain.from_iterable(self.prefs),
-            dtype=np.int64,
-            count=int(lengths.sum()),
-        )
-        width = max(1, int(lengths.max(initial=0)))
-        listed = np.arange(width) < lengths[:, None]
-        pref_arr = np.zeros((n, width), dtype=np.int64)
-        pref_arr[listed] = flat  # row-major order is list order
+        if isinstance(prefs, np.ndarray):
+            if prefs.ndim != 2 or prefs.dtype.kind not in "iu":
+                raise DataError("a preference array must be (N, L) integers")
+            pref_arr = (prefs.astype(np.int64, order="C") if prefs.shape[1]
+                        else np.zeros((n, 1), dtype=np.int64))
+            # a list runs to its last nonzero entry
+            width = pref_arr.shape[1]
+            nonzero = (pref_arr != 0)[:, ::-1]
+            lengths = np.where(nonzero.any(axis=1), width - nonzero.argmax(axis=1), 0)
+            listed = np.arange(width) < lengths[:, None]
+        else:
+            lengths = np.fromiter(map(len, prefs), dtype=np.int64, count=n)
+            flat = np.fromiter(
+                itertools.chain.from_iterable(prefs),
+                dtype=np.int64,
+                count=int(lengths.sum()),
+            )
+            width = max(1, int(lengths.max(initial=0)))
+            listed = np.arange(width) < lengths[:, None]
+            pref_arr = np.zeros((n, width), dtype=np.int64)
+            pref_arr[listed] = flat  # row-major order is list order
         # the first applicant who repeats a program or lists one outside
         # 1..K; a repeat is reported first when both are the same applicant.
         # Padding sorts last, so a row's sorted list is its first entries.
@@ -119,13 +155,7 @@ class Population:
         for name, arr in self.labels.items():
             if np.asarray(arr).shape != (n,):
                 raise DataError(f"label {name!r} must have length N")
-        ends = np.cumsum(lengths).tolist()
-        values = flat.tolist()
-        object.__setattr__(
-            self,
-            "prefs",
-            [tuple(values[lo:hi]) for lo, hi in zip([0] + ends, ends)],
-        )
+        object.__setattr__(self, "prefs", None)  # tuples are built on first read
         object.__setattr__(self, "_pref_array", pref_arr)
         object.__setattr__(self, "_pref_lengths", lengths)
 
@@ -359,27 +389,40 @@ def _admission_matrix(assignment: np.ndarray, k: int) -> np.ndarray:
     return admitted
 
 
-def run_clearing(
-    pop: Population, cfg: MechanismConfig, log_events: bool = False
-) -> AllocationResult:
-    """Clear the market for one lottery draw.
-
-    Deterministic given ``cfg.lottery_seed``. Computes the
-    applicant-optimal stable matching for the strict priority (merit
-    bracket, per-program lottery draw), each applicant holding one seat at
-    most. Raises ``UnresolvedPriorityTie`` if two priorities tie exactly
-    across a cutoff.
-    """
-    n, k = pop.n, pop.n_programs
+def _capacities(pop: Population, cfg: MechanismConfig) -> np.ndarray:
     caps = np.asarray(cfg.capacities, dtype=np.int64)
-    if caps.shape != (k,):
-        raise DataError(f"expected {k} capacities, got {caps.shape[0]}")
-    draws = np.random.default_rng(cfg.lottery_seed).random((n, k))
-    priority, pr_slot = _slot_priorities(pop, draws)
+    if caps.shape != (pop.n_programs,):
+        raise DataError(f"expected {pop.n_programs} capacities, got {caps.shape[0]}")
+    return caps
+
+
+def _lottery(pop: Population, seed: int):
+    """The (N, K) lottery draws of ``seed`` and the priorities they give
+    (``_slot_priorities``): what ``_clear`` takes."""
+    draws = np.random.default_rng(seed).random((pop.n, pop.n_programs))
+    return (draws, *_slot_priorities(pop, draws))
+
+
+def _clear(
+    pop: Population,
+    caps: np.ndarray,
+    lottery: tuple,
+    start: tuple | None = None,
+    log_events: bool = False,
+) -> AllocationResult:
+    """Clear the market at capacities ``caps`` on given draws.
+
+    ``lottery`` is ``(draws, priority, pr_slot)``, as ``_lottery`` returns
+    them. ``start`` is handed to ``_sweep``: a sweep result on the same
+    priorities at capacities at least ``caps`` everywhere, from which the
+    sweep ends at the same cutoffs, seats and stop positions as from -inf.
+    """
+    draws, priority, pr_slot = lottery
+    n, k = pop.n, pop.n_programs
     prefs = pop.pref_array()
     events: list = [np.empty(0, dtype=CLEARING_EVENT_DTYPE)]
     cutoffs, assignment, pos = _sweep(
-        prefs, pop.pref_lengths(), pr_slot, caps, events if log_events else None
+        prefs, pop.pref_lengths(), pr_slot, caps, events if log_events else None, start=start
     )
     admitted = _admission_matrix(assignment, k)
     oversubscribed = cutoffs > -np.inf
@@ -412,10 +455,31 @@ def run_clearing(
     )
 
 
+def run_clearing(
+    pop: Population, cfg: MechanismConfig, log_events: bool = False
+) -> AllocationResult:
+    """Clear the market for one lottery draw.
+
+    Deterministic given ``cfg.lottery_seed``. Computes the
+    applicant-optimal stable matching for the strict priority (merit
+    bracket, per-program lottery draw), each applicant holding one seat at
+    most. Raises ``UnresolvedPriorityTie`` if two priorities tie exactly
+    across a cutoff.
+    """
+    caps = _capacities(pop, cfg)
+    return _clear(pop, caps, _lottery(pop, cfg.lottery_seed), log_events=log_events)
+
+
 def realized_outcomes(pop: Population, admitted: np.ndarray) -> np.ndarray:
     """Observed outcomes under an admission matrix (additive in programs)."""
-    gains = pop.po[:, 1:] - pop.po[:, [0]]
-    return pop.po[:, 0] + (gains * admitted).sum(axis=1)
+    return _outcomes(pop.po, admitted)
+
+
+def _outcomes(po: np.ndarray, admitted: np.ndarray) -> np.ndarray:
+    # a row's outcome depends on its own entries alone: at most one admission
+    # makes its sum exact in any order, so a row subset gives the same bits
+    gains = po[:, 1:] - po[:, [0]]
+    return po[:, 0] + (gains * admitted).sum(axis=1)
 
 
 def _replications(
@@ -424,14 +488,20 @@ def _replications(
     reps: int,
     master_seed: int,
     log_events: bool = False,
+    oracle: _SlotOracles | None = None,
 ):
     """Each replication's baseline clearing, on seed ``derive_seed(master_seed,
-    rep)``; one at a time, so no clearing outlives its replication."""
+    rep)``; one at a time, so no clearing outlives its replication. The
+    first ``oracle.reps`` draws are cleared by ``oracle``, which also
+    measures their slot expansions; the others by ``run_clearing``."""
     for r in range(reps):
         seed_r = derive_seed(master_seed, r)
-        yield r, run_clearing(
-            pop, replace(cfg, lottery_seed=seed_r), log_events=log_events
-        )
+        if oracle is not None and r < oracle.reps:
+            yield r, oracle.clear(r, _lottery(pop, seed_r))
+        else:
+            yield r, run_clearing(
+                pop, replace(cfg, lottery_seed=seed_r), log_events=log_events
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -494,7 +564,6 @@ def simulate_run(
             events.append(moves)
         if not res.pivotal_groups:
             continue
-        y_all = realized_outcomes(pop, res.admitted)
         for prog, idx in sorted(res.pivotal_groups.items()):
             seen_pivotal[prog - 1] = True
             m = idx.size
@@ -502,8 +571,9 @@ def simulate_run(
             z[:, prog - 1] = res.luck[prog]
             dums = np.zeros((m, k))
             dums[:, prog - 1] = 1.0
-            y_parts.append(y_all[idx])
-            a_parts.append(res.admitted[idx].astype(float))
+            admitted = res.admitted[idx]
+            y_parts.append(_outcomes(pop.po[idx], admitted))
+            a_parts.append(admitted.astype(float))
             z_parts.append(z)
             d_parts.append(dums)
             cluster_parts.append(np.full(m, f"r{r}:p{prog}"))
@@ -567,15 +637,18 @@ class OracleResult:
 
 
 class _SlotOracles:
-    """Slot-expansion deltas per program, fed one baseline clearing at a time.
+    """Slot-expansion deltas per program, one lottery draw at a time.
 
-    For each program k the baseline oversubscribed, the cutoff sweep is
+    For each program k the baseline oversubscribes, the cutoff sweep is
     re-run on the baseline's draws with capacity k raised by one. Cutoffs
     fall weakly as any capacity rises (Azevedo & Leshno 2016), so the
-    cutoffs c+ at one extra seat on every program lie at or below those of
-    every one-program expansion, and each expansion's sweep started at c+
-    ends where the start from -inf does. One sweep to c+ pays for itself
-    once two or more programs are expanded; a single one starts from -inf.
+    cutoffs c+ at one extra seat on every program in ``programs`` lie at or
+    below those of the baseline and of every one-program expansion, and a
+    sweep started at c+ ends where the start from -inf does. So each draw
+    is swept from -inf once, to c+, and the baseline and every expansion
+    start there; with one program, c+ is its expansion. An expansion's
+    total outcome is the baseline's with the rows whose seat changed
+    recomputed, the same bits as recomputing every row.
     """
 
     def __init__(self, pop: Population, cfg: MechanismConfig, programs, reps: int):
@@ -586,27 +659,37 @@ class _SlotOracles:
         if reps < 1:
             raise DataError("reps must be >= 1")
         self.pop = pop
-        self.caps = np.asarray(cfg.capacities, dtype=np.int64)
+        self.caps = _capacities(pop, cfg)
+        self.caps_plus = self.caps.copy()  # c+: one more seat at every program measured
+        self.caps_plus[np.array(self.programs, dtype=np.intp) - 1] += 1
+        self.reps = reps
         self.deltas = np.zeros((len(self.programs), reps))
         self.oversub = np.zeros(len(self.programs), dtype=bool)
 
-    def add(self, r: int, base: AllocationResult):
-        pop = self.pop
+    def clear(self, r: int, lottery: tuple) -> AllocationResult:
+        """Draw r's baseline clearing (``lottery`` as ``_lottery`` returns
+        it), its slot expansions recorded on the way."""
+        pop, caps = self.pop, self.caps
+        prefs, lengths, pr_slot = pop.pref_array(), pop.pref_lengths(), lottery[2]
+        start = _sweep(prefs, lengths, pr_slot, self.caps_plus)
+        base = _clear(pop, caps, lottery, start=start)
         todo = [j for j, k in enumerate(self.programs) if base.oversubscribed[k - 1]]
         if not todo:
-            return
+            return base
         self.oversub[todo] = True
-        prefs, lengths = pop.pref_array(), pop.pref_lengths()
-        start = None
-        if len(todo) > 1:
-            start = _sweep(prefs, lengths, base.pr_slot, self.caps + 1)
-        base_total = realized_outcomes(pop, base.admitted).sum()
+        base_y = realized_outcomes(pop, base.admitted)
+        base_total = base_y.sum()
         for j in todo:
-            caps_plus = self.caps.copy()
-            caps_plus[self.programs[j] - 1] += 1
-            _, assignment, _ = _sweep(prefs, lengths, base.pr_slot, caps_plus, start=start)
-            expanded = _admission_matrix(assignment, pop.n_programs)
-            self.deltas[j, r] = realized_outcomes(pop, expanded).sum() - base_total
+            one_more = caps.copy()
+            one_more[self.programs[j] - 1] += 1
+            _, assignment, _ = _sweep(prefs, lengths, pr_slot, one_more, start=start)
+            moved = np.flatnonzero(assignment != base.assignment)
+            y = base_y.copy()
+            y[moved] = _outcomes(
+                pop.po[moved], _admission_matrix(assignment[moved], pop.n_programs)
+            )
+            self.deltas[j, r] = y.sum() - base_total
+        return base
 
     def results(self) -> list[OracleResult]:
         reps = self.deltas.shape[1]
@@ -633,19 +716,20 @@ def slot_expansion_oracles(
     Per replication, clears the market once at the baseline capacities
     with seed ``derive_seed(master_seed, rep)``, then, on the same lottery
     draws, re-runs the cutoff sweep with capacity k raised by one for each
-    program k in ``programs`` that the baseline oversubscribed. When two or
-    more are, one sweep first finds the cutoffs c+ with one extra seat at
-    every program, and each program's sweep starts there instead of at
-    -inf (cutoffs only fall as seats are added, so it ends at the same
-    matching). The effect is the change in realized outcomes summed over
-    the whole population (outside option included, so terminal entrants of
-    the reallocation chain count). A program that is never oversubscribed
+    program k in ``programs`` that the baseline oversubscribed. One sweep
+    from -inf finds the cutoffs c+ with one extra seat at every program in
+    ``programs``, and the baseline's sweep and each program's sweep start
+    there (cutoffs only fall as seats are added, so each ends at the same
+    matching as from -inf). The effect is the change in realized outcomes
+    summed over the whole population (outside option included, so terminal
+    entrants of the reallocation chain count); only the applicants whose
+    seat changed are recomputed. A program that is never oversubscribed
     gets 0 with ``undersubscribed`` set: its marginal slot admits no one.
     Results come in the order of ``programs``.
     """
     oracle = _SlotOracles(pop, cfg, programs, reps)
-    for r, base in _replications(pop, cfg, reps, master_seed):
-        oracle.add(r, base)
+    for _ in _replications(pop, cfg, reps, master_seed, oracle=oracle):
+        pass
     return oracle.results()
 
 
@@ -672,17 +756,18 @@ def simulate_and_oracles(
 
     Clears each of the first ``max(reps, oracle_reps)`` lottery draws once:
     the first ``reps`` are stacked into the dataset and the first
-    ``oracle_reps`` feed the oracle. Returns exactly what
-    ``simulate_run(pop, cfg, reps, master_seed)`` and
+    ``oracle_reps`` feed the oracle, which clears them from c+ (see
+    ``slot_expansion_oracles``); the others are swept from -inf. Returns
+    exactly what ``simulate_run(pop, cfg, reps, master_seed)`` and
     ``slot_expansion_oracles(pop, cfg, programs, oracle_reps, master_seed)``
     return, for one clearing per draw instead of two.
     """
     oracle = _SlotOracles(pop, cfg, programs, oracle_reps)
 
     def clearings():
-        for r, base in _replications(pop, cfg, max(reps, oracle_reps), master_seed):
-            if r < oracle_reps:
-                oracle.add(r, base)
+        for r, base in _replications(
+            pop, cfg, max(reps, oracle_reps), master_seed, oracle=oracle
+        ):
             if r < reps:
                 yield r, base
 

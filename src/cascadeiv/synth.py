@@ -95,7 +95,7 @@ def generate_population(cfg: SynthConfig) -> Population:
         util = util + label[:, None] * np.asarray(cfg.label_taste_shift, dtype=float)
     order = np.argsort(-util, axis=1, kind="stable")
     l_max = k if cfg.list_length is None else min(cfg.list_length, k)
-    prefs = list(map(tuple, (order[:, :l_max] + 1).tolist()))
+    prefs = order[:, :l_max] + 1
 
     effects = (
         np.zeros(k) if cfg.effects is None else np.asarray(cfg.effects, dtype=float)

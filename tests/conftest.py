@@ -1,5 +1,6 @@
 import contextlib
 import functools
+import inspect
 from dataclasses import dataclass, replace
 from unittest import mock
 
@@ -8,6 +9,7 @@ import pytest
 import scipy.linalg
 
 from cascadeiv import Dataset
+from cascadeiv import mechanism
 from cascadeiv.data import _Moments
 from cascadeiv.errors import RankDeficientControls, SingularInstrumentGram
 
@@ -84,6 +86,23 @@ def counting_moment_builds():
     counted.__set_name__(Dataset, "_coding")
     with mock.patch.object(_Moments, "__init__", built), \
             mock.patch.object(Dataset, "_coding", counted):
+        yield counts
+
+
+@contextlib.contextmanager
+def counting_sweeps():
+    """Counts the cutoff sweeps started from -inf (``cold``) and from an
+    earlier sweep's result (``warm``)."""
+    counts = {"cold": 0, "warm": 0}
+    sweep = mechanism._sweep
+    signature = inspect.signature(sweep)
+
+    def counted(*args, **kwargs):
+        start = signature.bind(*args, **kwargs).arguments.get("start")
+        counts["cold" if start is None else "warm"] += 1
+        return sweep(*args, **kwargs)
+
+    with mock.patch.object(mechanism, "_sweep", counted):
         yield counts
 
 

@@ -192,9 +192,9 @@ def _criterion_4_config(taste):
 
 
 def test_warm_started_oracle_sweeps_match_cold_on_acceptance_scenarios():
-    # the oracle's extra-seat sweeps start at the cutoffs with one extra
-    # seat everywhere; on the populations of criteria 3 and 4 they must end
-    # bit for bit where the sweep from -inf ends
+    # the oracle's baseline and extra-seat sweeps start at the cutoffs with
+    # one extra seat everywhere; on the populations of criteria 3 and 4 they
+    # must end bit for bit where the sweep from -inf ends
     markets = [(SynthConfig(**kw), caps, 101) for _, kw, caps in SCENARIOS]
     markets += [(_criterion_4_config(t), (2000, 2000, 2000), 7) for t in (0.3, 1.0, 8.0)]
     for cfg, caps, master in markets:
@@ -204,9 +204,10 @@ def test_warm_started_oracle_sweeps_match_cold_on_acceptance_scenarios():
             base = run_clearing(pop, MechanismConfig(
                 capacities=tuple(caps), lottery_seed=derive_seed(master, r)))
             start = _sweep(prefs, lengths, base.pr_slot, caps + 1)
-            for k in range(cfg.k):
+            for k in range(-1, cfg.k):
                 plus = caps.copy()
-                plus[k] += 1
+                if k >= 0:  # k = -1 is the baseline
+                    plus[k] += 1
                 cold = _sweep(prefs, lengths, base.pr_slot, plus)
                 warm = _sweep(prefs, lengths, base.pr_slot, plus, start=start)
                 for got, want in zip(warm, cold):

@@ -26,7 +26,7 @@ from cascadeiv.io import (
     write_dataset_csv,
 )
 
-from conftest import bernoulli_iv_data, counting_moment_builds, take_rows
+from conftest import bernoulli_iv_data, counting_moment_builds, counting_sweeps, take_rows
 
 CONFIG = {
     "synth": {
@@ -170,6 +170,17 @@ def test_simulate_writes_the_event_log_only_on_request(tmp_path, config_path):
         assert (plain / name).read_bytes() == (logged / name).read_bytes(), name
 
 
+def test_plain_simulate_removes_an_earlier_event_log(tmp_path, config_path):
+    out = tmp_path / "out"
+    assert run(["simulate", "--config", config_path, "--seed", 1, "--reps", 3,
+                "--out", out, "--events"]) == 0
+    assert (out / "events.jsonl").exists()
+    assert run(["simulate", "--config", config_path, "--seed", 2, "--reps", 5,
+                "--out", out]) == 0
+    assert sorted(p.name for p in out.iterdir()) == [
+        "covariates.csv", "dataset.csv", "population.csv"]
+
+
 def test_simulate_unknown_group_col_names_the_labels(tmp_path, config_path, capsys):
     code = run(["simulate", "--config", config_path, "--seed", 11, "--reps", 2,
                 "--out", tmp_path / "out", "--group-col", "nonexistent"])
@@ -249,6 +260,14 @@ def test_verify_equals_separate_simulation_and_oracle_loops(
         assert float(row["oracle_se"]) == orc.mc_se
         assert float(row["beta"]) == beta
         assert float(row["beta_se"]) == se
+
+
+@pytest.mark.parametrize("oracle_reps", [2, 7])
+def test_verify_sweeps_each_draw_from_minus_inf_once(tmp_path, config_path, oracle_reps):
+    with counting_sweeps() as counts:
+        assert run(["verify", "--config", config_path, "--seed", 5, "--reps", 4,
+                    "--oracle-reps", oracle_reps, "--out", tmp_path / "out"]) == 0
+    assert counts["cold"] == max(4, oracle_reps)
 
 
 def test_verify_zero_oracle_reps_is_a_data_error(tmp_path, config_path, capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 from dataclasses import replace
 
@@ -28,6 +29,10 @@ from cascadeiv.errors import (
 from cascadeiv.mechanism import (
     CLEARING_EVENT_DTYPE,
     SIMULATION_EVENT_DTYPE,
+    AllocationResult,
+    _capacities,
+    _clear,
+    _lottery,
     _pivotal_groups,
     _sweep,
     find_blocking_pairs,
@@ -35,6 +40,8 @@ from cascadeiv.mechanism import (
     realized_outcomes,
 )
 from cascadeiv.seeds import derive_seed
+
+from conftest import counting_sweeps
 
 
 def small_pop(merits, prefs, gains=None, k=None):
@@ -91,6 +98,17 @@ def test_population_names_first_bad_applicant(prefs, message):
     with pytest.raises(DataError) as exc:
         make_pop(prefs, 2)
     assert str(exc.value) == message
+    with pytest.raises(DataError) as exc:
+        make_pop(padded(prefs), 2)
+    assert str(exc.value) == message
+
+
+def padded(prefs):
+    """The lists as one (N, L) array, each followed by 0s."""
+    arr = np.zeros((len(prefs), max(map(len, prefs), default=1)), dtype=np.int64)
+    for i, pl in enumerate(prefs):
+        arr[i, : len(pl)] = pl
+    return arr
 
 
 def test_population_pads_empty_lists():
@@ -124,6 +142,29 @@ def test_population_prefs_match_loop_reference(case):
         assert all(type(p) is int for pl in pop.prefs for p in pl)
         assert np.array_equal(pop.pref_array(), want[1])
         assert np.array_equal(pop.pref_lengths(), (want[1] > 0).sum(axis=1))
+    if any(pl and pl[-1] == 0 for pl in prefs):
+        return  # a padded array cannot hold a list that ends in 0
+    # the same lists as one padded array, wider than the longest list
+    arr = np.hstack([padded(prefs), np.zeros((len(prefs), 1), dtype=np.int32)])
+    if isinstance(want, str):
+        with pytest.raises(DataError) as exc:
+            make_pop(arr, k)
+        assert str(exc.value) == want
+    else:
+        pop = make_pop(arr, k)
+        assert pop.prefs == want[0]
+        assert all(type(p) is int for pl in pop.prefs for p in pl)
+        assert np.array_equal(pop.pref_lengths(), (want[1] > 0).sum(axis=1))
+        assert np.array_equal(pop.pref_array()[:, : want[1].shape[1]], want[1])
+        assert not pop.pref_array()[:, want[1].shape[1]:].any()
+
+
+def test_population_preference_array_of_floats_or_no_columns():
+    with pytest.raises(DataError, match="preference array must be"):
+        make_pop(np.ones((2, 1)), 2)
+    assert make_pop(np.zeros((2, 0), dtype=np.int64), 2).prefs == [(), ()]
+    pop = make_pop(np.asfortranarray([[2, 1], [1, 0]]), 2)
+    assert pop.pref_array().flags.c_contiguous and pop.prefs == [(2, 1), (1,)]
 
 
 # ---------------------------------------------------------------------------
@@ -675,6 +716,49 @@ def test_sweep_started_at_one_extra_seat_everywhere_matches_cold_start(market):
         for got, want in zip(warm, cold):
             assert got.dtype == want.dtype
             assert np.array_equal(got, want)
+
+
+def assert_same_clearing(got: AllocationResult, want: AllocationResult):
+    for f in dataclasses.fields(AllocationResult):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        if f.name == "cutoffs":
+            assert a == b
+        elif isinstance(b, dict):
+            assert a.keys() == b.keys(), f.name
+            for key in b:
+                assert a[key].dtype == b[key].dtype, f.name
+                assert np.array_equal(a[key], b[key]), f.name
+        else:
+            assert a.dtype == b.dtype, f.name
+            assert np.array_equal(a, b), f.name
+
+
+@settings(max_examples=300, deadline=None)
+@given(tiny_markets(), st.data())
+def test_baseline_started_at_more_seats_matches_run_clearing(market, data):
+    # the oracle clears a draw's baseline from the sweep with one extra
+    # seat at every program it measures, one program or all of them
+    pop, cfg = market
+    want = run_clearing(pop, cfg)
+    caps = _capacities(pop, cfg)
+    lottery = _lottery(pop, cfg.lottery_seed)
+    one = caps.copy()
+    one[data.draw(st.integers(0, pop.n_programs - 1))] += 1
+    for plus in (caps + 1, one):
+        start = _sweep(pop.pref_array(), pop.pref_lengths(), lottery[2], plus)
+        assert_same_clearing(_clear(pop, caps, lottery, start=start), want)
+
+
+@pytest.mark.parametrize("programs, warm", [((1,), 2), ((1, 2, 3), 3), ((3, 1), 2)])
+def test_oracle_sweeps_each_draw_from_minus_inf_once(programs, warm):
+    # per draw: one sweep from -inf (to one extra seat at every program
+    # measured), then the baseline and each oversubscribed program's
+    # expansion from there; program 3 is never oversubscribed
+    pop = homogeneous_pop(300, 3, np.array([0.2, -0.1, 0.3]), seed=12)
+    cfg = MechanismConfig(capacities=(20, 60, 400), lottery_seed=0)
+    with counting_sweeps() as counts:
+        slot_expansion_oracles(pop, cfg, programs, reps=4, master_seed=8)
+    assert counts == {"cold": 4, "warm": 4 * warm}
 
 
 @settings(max_examples=60, deadline=None)
