@@ -122,12 +122,12 @@ class Dataset:
         return self._coding[0]
 
     def cluster_codes(self) -> np.ndarray:
-        """Integer codes 0..G-1 for the cluster ids (read-only; one np.unique)."""
+        """Integer codes 0..G-1 for the cluster ids (read-only; made once)."""
         return self._coding[1]
 
     @functools.cached_property
     def _coding(self) -> tuple[int, np.ndarray]:
-        ids, codes = np.unique(self.cluster, return_inverse=True)
+        ids, codes = _factorize(self.cluster)
         codes.flags.writeable = False
         return ids.size, codes
 
@@ -137,39 +137,55 @@ class Dataset:
                         self.group_label)
 
 
+def _factorize(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(values, return_inverse=True)`` without a sorted copy of
+    every entry: only the first entry of each run of equal entries is
+    sorted, and each entry is looked up among the distinct values."""
+    starts = np.flatnonzero(np.r_[True, values[1:] != values[:-1]])
+    distinct = np.unique(values[starts])
+    return distinct, np.searchsorted(distinct, values)
+
+
 class _Moments:
     """Per-(cluster, level) cross-products of W and their row counts: one
     object per Dataset, built on first use (``Dataset._moments``), over
     W = [x, z, a, y], its cluster codes and its group labels (one level
     without), whose sorted distinct values are the ``levels``. The
-    G x L x d x d tensor is kept only when G L d <= N: for clusters of a few
-    rows it would outgrow the rows, which are kept instead, one run of rows
-    per level, row i weighted by c[code_i]: all levels' Grams take one pass."""
+    G x L x d x d tensor is kept only when G L d <= N, and W is never
+    stacked for it: each cell's rows are gathered from the blocks, in row
+    order, into one C-contiguous array, so the object holds one cell's rows
+    beside the blocks. For clusters of a few rows the tensor would outgrow
+    the rows, which are kept instead, as one copy of W sorted into a run of
+    rows per level, row i weighted by c[code_i]: all levels' Grams take one
+    pass."""
 
     def __init__(self, blocks, codes: np.ndarray, labels=None):
         n = len(blocks[0])
         self.g = int(codes.max()) + 1
         self.levels, level = (None, np.zeros(n, dtype=np.intp)) if labels is None else (
-            np.unique(labels, return_inverse=True))
+            _factorize(labels))
         n_lev = 1 if labels is None else self.levels.size
-        d = sum(1 if b.ndim == 1 else b.shape[1] for b in blocks)
+        blocks = [b.reshape(n, -1) for b in blocks]
+        d = sum(b.shape[1] for b in blocks)
         tensor = self.g * n_lev * d <= n
         # one run of rows per (cluster, level) cell, or per level
         key = codes * n_lev + level if tensor else level
         if tensor:
             self.rows = np.bincount(key, minlength=self.g * n_lev).reshape(self.g, n_lev)
-        w = np.column_stack(blocks)
+        order = slice(None)
         if np.count_nonzero(np.diff(key)) >= (np.count_nonzero(self.rows) if tensor else n_lev):
             order = np.argsort(key, kind="stable")
-            key, w, codes = key[order], w.take(order, axis=0), codes[order]
+            key = key[order]
         starts = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
         self.runs = [(key[lo], lo, hi) for lo, hi in zip(starts, np.r_[starts[1:], n])]
         if not tensor:
-            self.m, self.w, self.codes = None, w, codes
+            self.m, self.w, self.codes = None, _stack(blocks, order, n, d), codes[order]
             return
         self.m = np.zeros((self.g, n_lev, d, d))
         for cell, lo, hi in self.runs:
-            self.m[divmod(cell, n_lev)] = w[lo:hi].T @ w[lo:hi]
+            rows = slice(lo, hi) if isinstance(order, slice) else order[lo:hi]
+            wc = _stack(blocks, rows, hi - lo, d)
+            self.m[divmod(cell, n_lev)] = wc.T @ wc
 
     def grams(self, c: np.ndarray):
         """Each level's Gram at cluster weights c, (L, d, d), and row count, (L,)."""
@@ -193,3 +209,26 @@ class _Moments:
             for i, row in enumerate(prod, start=j):
                 out[i] = np.bincount(self.codes, weights=row, minlength=self.g)
         return out.T
+
+
+def _stack(blocks, rows, n: int, d: int) -> np.ndarray:
+    """Rows ``rows`` (n of them; an index array or a slice) of W = [blocks]
+    as one C-contiguous (n, d) array, filled a block at a time."""
+    w = np.empty((n, d))
+    col = 0
+    for b in blocks:
+        w[:, col : col + b.shape[1]] = b[rows]
+        col += b.shape[1]
+    return w
+
+
+def _mapped(shape, dtype=float) -> np.ndarray:
+    """A zeroed array in a memory map of its own, for the rows a command
+    holds: the map goes back to the system as soon as the array's last view
+    does, so arrays of rows that come and go never fragment the heap, and
+    pages never written (rows allocated but never read) take no memory."""
+    import mmap
+
+    count = int(np.prod(shape))
+    buf = mmap.mmap(-1, max(1, count * np.dtype(dtype).itemsize))
+    return np.frombuffer(buf, dtype=dtype, count=count).reshape(shape)

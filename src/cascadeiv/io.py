@@ -10,10 +10,13 @@ Every table is written by ``write_table``, a column at a time: in each
 block of ``WRITE_BLOCK_ROWS`` rows, each distinct value of a column is
 formatted once (``repr`` of a float, told apart by its bits; ``str`` of an
 id, label or preformatted cell) and, where it could need quotes, quoted
-once by the ``csv`` module. Every table is read through ``_data_lines`` and
-``_read_rows``, one pass of numpy's C text reader per file. Both give the
-same bytes and values as formatting and parsing row by row with the
-``csv`` module.
+once by the ``csv`` module. Every table is read by ``_read_rows``: the
+file's lines stream past, and each block of ``READ_BLOCK_ROWS`` data lines
+goes through one pass of numpy's C text reader, its columns copied into
+arrays allocated once for the whole file. So a loader holds the parsed
+columns and one block of lines, never the file's lines. Both give the same
+bytes and values as formatting and parsing row by row with the ``csv``
+module.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ import re
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, _mapped
 from .errors import ParseError, SchemaError
 from .estimator import EstimateSet
 
@@ -35,6 +38,8 @@ DATASET_COLUMNS = "y, a_1..a_K, z_1..z_K, x_*, cluster, optional group"
 
 # Rows formatted per write: bounds the strings alive at once
 WRITE_BLOCK_ROWS = 8192
+# Lines parsed per read: bounds the lines alive at once
+READ_BLOCK_ROWS = 8192
 
 # numpy's text reader, splitting fields the way csv.reader does
 _CSV_READ = dict(delimiter=",", quotechar='"', comments=None, ndmin=2)
@@ -66,6 +71,8 @@ def float_cells(col) -> tuple[list[str], np.ndarray]:
 def text_cells(col) -> tuple[list[str], np.ndarray]:
     """``str`` of each distinct entry of an id, label, integer or
     preformatted column, and the index of each entry among them."""
+    if isinstance(col, np.ndarray) and col.dtype == np.float64:
+        return float_cells(col)  # str of a float64 is repr of the float
     if isinstance(col, np.ndarray) and col.dtype.kind in "USiub":
         keys, inverse = np.unique(col, return_inverse=True)
         return list(map(str, keys)), inverse
@@ -175,16 +182,22 @@ def _header_layout(header: list[str]) -> dict:
     return layout
 
 
-def _data_lines(path) -> tuple[list[str], list[int]]:
-    """The lines of a CSV file that are not comments (``#`` first) or blank,
-    with their 1-based file line numbers."""
-    with open(path, newline="") as fh:
-        lines = fh.readlines()
-    linenos = [
-        no for no, ln in enumerate(lines, start=1)
-        if not (ln.startswith("#") or ln.isspace())
-    ]
-    return [lines[no - 1] for no in linenos], linenos
+def _data_lines(lines, start: int = 1) -> list[tuple[int, str]]:
+    """(file line number, line) of each of ``lines``, the file's lines from
+    line ``start`` on, that is not a comment (``#`` first) or blank."""
+    return [(no, ln) for no, ln in enumerate(lines, start)
+            if not (ln.startswith("#") or ln.isspace())]
+
+
+def _first_lines(fh, count: int) -> list[tuple[int, str]]:
+    """The first ``count`` data lines of an open CSV file (fewer if it has
+    fewer), as ``_data_lines`` gives them; the file is left after the last."""
+    found = []
+    for no, line in enumerate(fh, start=1):
+        found += _data_lines([line], no)
+        if len(found) == count:
+            break
+    return found
 
 
 def _fields(line: str) -> list[str]:
@@ -192,16 +205,31 @@ def _fields(line: str) -> list[str]:
     return next(csv.reader([line]))
 
 
-def _table_lines(path) -> tuple[list[str], list[str], list[int]]:
-    """The header (names stripped of spaces), then the data lines of a CSV
-    file with their file line numbers. No header or no data line is a
-    SchemaError."""
-    rows, linenos = _data_lines(path)
-    if not rows:
+def _table(path, fh):
+    """The header of an open CSV file (names stripped of spaces) and its
+    first data line (``_data_lines``); the file is left after that line. No
+    header or no data line is a SchemaError."""
+    found = _first_lines(fh, 2)
+    if not found:
         raise SchemaError(f"{path}: no header row found")
-    if len(rows) == 1:
+    if len(found) == 1:
         raise SchemaError(f"{path}: no data rows")
-    return [h.strip() for h in _fields(rows[0])], rows[1:], linenos[1:]
+    return [h.strip() for h in _fields(found[0][1])], found[1]
+
+
+def _line_bound(path) -> int:
+    """More than the file's lines: one more than its line breaks."""
+    bound = 1
+    with open(path, "rb") as fh:
+        while chunk := fh.read(1 << 20):
+            bound += chunk.count(b"\n") + chunk.count(b"\r")
+    return bound
+
+
+def _row_line(path, i: int) -> int:
+    """The file line of data row ``i`` (0-based; the header is not a row)."""
+    with open(path, newline="") as fh:
+        return _first_lines(fh, i + 2)[-1][0]
 
 
 def _parse_number(text: str) -> float:
@@ -222,16 +250,15 @@ def _parse_cell(parse, cell: str, column: str, lineno: int):
         raise ParseError(f"could not parse {cell!r} in column {column!r}", lineno) from None
 
 
-def _scan_rows(rows, linenos, header, numeric, text=(), width="header"):
-    """The rows parsed one line at a time by ``csv.reader``, each line one row.
+def _scan_rows(rows, linenos, header, numeric, text, codes, width):
+    """A block parsed one line at a time by ``csv.reader``, each line one
+    row, as ``_parse_block`` returns it.
 
     Raises the first ragged row or unparsable number in file order, the
-    ``numeric`` columns checked in the order given; else returns what
-    ``_read_rows`` returns. A ragged row's message names ``width`` as the
-    line that set the field count.
+    ``numeric`` columns checked in the order given. A ragged row's message
+    names ``width`` as the line that set the field count.
     """
     values = np.zeros((len(rows), len(header)))
-    labels = []
     for i, (raw, lineno) in enumerate(zip(rows, linenos)):
         row = _fields(raw)
         if len(row) != len(header):
@@ -240,54 +267,99 @@ def _scan_rows(rows, linenos, header, numeric, text=(), width="header"):
             )
         for pos in numeric:
             values[i, pos] = _parse_cell(_parse_number, row[pos], header[pos], lineno)
-        labels.append([row[pos] for pos in text])
-    return values, np.array(labels, dtype=str).reshape(len(rows), len(text))
+        for pos in text:
+            values[i, pos] = codes[row[pos]]
+    return values
 
 
-def _read_rows(rows, linenos, header, numeric, text=(), width="header"):
-    """The data rows as an (n, len(header)) float matrix and their ``text``
-    columns as an (n, len(text)) string array.
+def _parse_block(lines, start, header, numeric, text, codes, width):
+    """The data lines among ``lines`` (the file's lines from line ``start``
+    on) as a float matrix of len(header) columns, each ``text`` field as
+    the code of its string in ``codes`` (string -> code, each new string the
+    next code).
 
-    numpy's reader parses every column in one pass, each text field as the
-    code of its string in a table of the distinct ones, so that it keeps
-    checking that each row has the same field count. Where it fails, or
-    finds another number of rows than there are lines (a quote left open
-    runs on into the lines after it), ``_scan_rows`` parses the file again
-    one line at a time: it reports the first fault with its file line, or
-    returns each line as one row.
+    numpy's reader parses the block in one pass, so that it keeps checking
+    that each row has the same field count. Where it fails, or finds
+    another number of rows than there are lines (a quote left open runs on
+    into the lines after it), the codes it gave are taken back and
+    ``_scan_rows`` parses the block again one line at a time: it reports
+    the first fault with its file line, or returns each line as one row.
     """
-    codes = collections.defaultdict(itertools.count().__next__)  # string -> code
+    rows = [ln for ln in lines if not (ln.startswith("#") or ln.isspace())]
+    if not rows:  # comments and blank lines only
+        return np.empty((0, len(header)))
+    known = len(codes)
     try:
         values = np.loadtxt(
             rows, dtype=float, converters=dict.fromkeys(text, codes.__getitem__), **_CSV_READ
         )
+        if values.shape == (len(rows), len(header)):
+            return values
     except ValueError:
-        return _scan_rows(rows, linenos, header, numeric, text, width)
-    if values.shape != (len(rows), len(header)):
-        return _scan_rows(rows, linenos, header, numeric, text, width)
+        pass
+    for string in list(itertools.islice(codes, known, None)):
+        del codes[string]
+    codes.default_factory = itertools.count(known).__next__
+    linenos = [no for no, _ in _data_lines(lines, start)]
+    return _scan_rows(rows, linenos, header, numeric, text, codes, width)
+
+
+def _read_rows(path, fh, first, header, columns, numeric, text=(), width="header"):
+    """The data lines of an open CSV file, read ``READ_BLOCK_ROWS`` lines at
+    a time and parsed into their final arrays.
+
+    ``first`` is the first data line after the header, as ``_data_lines``
+    gives it, and ``fh`` is left after it. ``columns`` lists the float
+    arrays to fill: a position gives the (n,) array of that column, a list
+    of positions the (n, len) array of those columns. Each array is
+    allocated once, for more rows than the file has lines (``_line_bound``;
+    ``_mapped``, so the rows never read take no memory), filled block by
+    block as ``_parse_block`` parses the block, and cut to the rows read.
+    Blocks are parsed in file order and each block reports its first
+    fault, so the first fault of the file is the one raised. Returns the
+    arrays, and one string array per ``text`` column.
+    """
+    bound = _line_bound(path)
+    outs = [_mapped(bound if isinstance(c, int) else (bound, len(c))) for c in columns]
+    text = list(text)
+    text_codes = _mapped((bound, len(text)), np.intp)
+    codes = collections.defaultdict(itertools.count().__next__)  # string -> code
+    start, line = first
+    lines = itertools.chain([line], fh)
+    n = 0
+    while block := list(itertools.islice(lines, READ_BLOCK_ROWS)):
+        values = _parse_block(block, start, header, numeric, text, codes, width)
+        start += len(block)
+        m = len(values)
+        for out, cols in zip(outs, columns):
+            out[n : n + m] = values[:, cols]
+        text_codes[n : n + m] = values[:, text]
+        n += m
     strings = np.array(list(codes), dtype=str)
-    return values, strings[values[:, list(text)].astype(np.intp)]
+    labels = [_mapped(n, strings.dtype) for _ in text]
+    for j, out in enumerate(labels):
+        np.take(strings, text_codes[:n, j], out=out, mode="clip")  # "raise" would buffer
+    return [out[:n] for out in outs], labels
 
 
 def load_dataset_csv(path) -> Dataset:
     """Read and validate a dataset CSV; K is inferred from the header."""
-    header, rows, linenos = _table_lines(path)
-    layout = _header_layout(header)
-    k = len(layout["a"])
-    a_pos = [layout["a"][j + 1] for j in range(k)]
-    z_pos = [layout["z"][j + 1] for j in range(k)]
-    text = [layout["cluster"]]
-    if layout["group"] is not None:
-        text.append(layout["group"])
-    numeric = [layout["y"], *itertools.chain(*zip(a_pos, z_pos)), *layout["x"]]
-    values, labels = _read_rows(rows, linenos, header, numeric, text)
+    with open(path, newline="") as fh:
+        header, first = _table(path, fh)
+        layout = _header_layout(header)
+        k = len(layout["a"])
+        a_pos = [layout["a"][j + 1] for j in range(k)]
+        z_pos = [layout["z"][j + 1] for j in range(k)]
+        text = [layout["cluster"]]
+        if layout["group"] is not None:
+            text.append(layout["group"])
+        numeric = [layout["y"], *itertools.chain(*zip(a_pos, z_pos)), *layout["x"]]
+        (y, a, z, x), labels = _read_rows(
+            path, fh, first, header, [layout["y"], a_pos, z_pos, layout["x"]], numeric, text
+        )
     return Dataset(
-        y=np.ascontiguousarray(values[:, layout["y"]]),
-        a=np.ascontiguousarray(values[:, a_pos]),
-        z=np.ascontiguousarray(values[:, z_pos]),
-        x=np.ascontiguousarray(values[:, layout["x"]]),
-        cluster=np.ascontiguousarray(labels[:, 0]),
-        group_label=np.ascontiguousarray(labels[:, 1]) if len(text) == 2 else None,
+        y=y, a=a, z=z, x=x, cluster=labels[0],
+        group_label=labels[1] if len(labels) == 2 else None,
     )
 
 
@@ -327,28 +399,27 @@ def load_population_csv(path):
     """Read a population CSV; every column but the ``po_*`` ones is text."""
     from .mechanism import Population
 
-    header, rows, linenos = _table_lines(path)
-    if header[:2] != ["merit", "prefs"]:
-        raise SchemaError("population CSV must start with merit,prefs columns")
-    po_pos = [pos for pos, h in enumerate(header) if h.startswith("po_")]
-    if [header[pos] for pos in po_pos] != [f"po_{j}" for j in range(len(po_pos))]:
-        raise SchemaError("po_* columns must be po_0..po_K in order")
-    text = [pos for pos in range(len(header)) if pos not in po_pos]
-    values, cells = _read_rows(rows, linenos, header, po_pos, text)
+    with open(path, newline="") as fh:
+        header, first = _table(path, fh)
+        if header[:2] != ["merit", "prefs"]:
+            raise SchemaError("population CSV must start with merit,prefs columns")
+        po_pos = [pos for pos, h in enumerate(header) if h.startswith("po_")]
+        if [header[pos] for pos in po_pos] != [f"po_{j}" for j in range(len(po_pos))]:
+            raise SchemaError("po_* columns must be po_0..po_K in order")
+        text = [pos for pos in range(len(header)) if pos not in po_pos]
+        (po,), cells = _read_rows(path, fh, first, header, [po_pos], po_pos, text)
     merit, prefs = [], []
-    for lineno, (m, p) in zip(linenos, cells[:, :2].tolist()):
-        merit.append(_parse_cell(int, m, "merit", lineno))
-        prefs.append(_parse_cell(_program_ids, p, "prefs", lineno))
+    for i, row in enumerate(zip(cells[0].tolist(), cells[1].tolist())):
+        for parse, cell, column, out in zip((int, _program_ids), row, header, (merit, prefs)):
+            try:
+                out.append(parse(cell))
+            except ValueError:
+                raise ParseError(f"could not parse {cell!r} in column {column!r}",
+                                 _row_line(path, i)) from None
     labels = {
-        header[pos][6:]: np.ascontiguousarray(cells[:, j])
-        for j, pos in enumerate(text) if header[pos].startswith("label_")
+        header[pos][6:]: col for pos, col in zip(text, cells) if header[pos].startswith("label_")
     }
-    return Population(
-        merit=np.asarray(merit, dtype=np.int64),
-        prefs=prefs,
-        po=np.ascontiguousarray(values[:, po_pos]),
-        labels=labels,
-    )
+    return Population(merit=np.asarray(merit, dtype=np.int64), prefs=prefs, po=po, labels=labels)
 
 
 # ---------------------------------------------------------------------------
@@ -362,8 +433,10 @@ def write_covariates_csv(path, covariates: dict, command: str = "write", seed=No
 
 
 def load_covariates_csv(path) -> tuple[np.ndarray, tuple]:
-    names, rows, linenos = _table_lines(path)
-    values, _ = _read_rows(rows, linenos, names, range(len(names)))
+    with open(path, newline="") as fh:
+        names, first = _table(path, fh)
+        cols = list(range(len(names)))
+        (values,), _ = _read_rows(path, fh, first, names, [cols], cols)
     return values, tuple(names)
 
 
@@ -431,11 +504,14 @@ def format_estimates_table(est: EstimateSet) -> str:
 def load_matrix_csv(path) -> np.ndarray:
     """A headerless table of numbers; the first row sets the width, and the
     columns are named by their 1-based position in errors."""
-    rows, linenos = _data_lines(path)
-    if not rows:
-        raise SchemaError(f"{path}: empty matrix file")
-    names = [str(j + 1) for j in range(len(_fields(rows[0])))]
-    return _read_rows(rows, linenos, names, range(len(names)), width="the first row")[0]
+    with open(path, newline="") as fh:
+        found = _first_lines(fh, 1)
+        if not found:
+            raise SchemaError(f"{path}: empty matrix file")
+        cols = list(range(len(_fields(found[0][1]))))
+        names = [str(j + 1) for j in cols]
+        (values,), _ = _read_rows(path, fh, found[0], names, [cols], cols, width="the first row")
+    return values
 
 
 def write_trace_csv(path, rounds: list[np.ndarray], command: str = "cascade", seed=None):

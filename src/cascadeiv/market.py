@@ -102,10 +102,11 @@ def market_oracle(
 
     Clears the market at the baseline supply and at supply + step * e_k,
     and aggregates the induced outcome changes across consumers. Also emits
-    a consumer-by-market panel with prices as instruments: supply is
-    jittered across ``n_markets`` independent markets, holding consumers
-    fixed, so the price variation identifies the same linear system and
-    2SLS on the panel can be compared against the oracle.
+    a consumer-by-market panel with prices as instruments, clustered by
+    market index: supply is jittered across ``n_markets`` independent
+    markets, holding consumers fixed, so the price variation identifies the
+    same linear system and 2SLS on the panel can be compared against the
+    oracle.
     """
     if not 1 <= k <= cfg.n_goods:
         raise DataError(f"good id {k} out of range 1..{cfg.n_goods}")
@@ -129,7 +130,7 @@ def market_oracle(
         y_rows.append((cfg.outcome_coefs * q_m).sum(axis=1))
         a_rows.append(q_m)
         z_rows.append(np.broadcast_to(p_m, (n, kk)))
-        cl_rows.append(np.full(n, f"m{m}"))
+        cl_rows.append(np.full(n, m))
     dataset = Dataset(
         y=np.concatenate(y_rows),
         a=np.vstack(a_rows),

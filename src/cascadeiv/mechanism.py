@@ -35,7 +35,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .data import Dataset, _Moments
+from .data import Dataset, _mapped, _Moments
 from .estimator import _sandwich
 from .errors import (
     DataError,
@@ -67,7 +67,7 @@ __all__ = [
 class _PrefLists:
     """``Population.prefs``: set to the preference lists or to the padded
     array; read as a list of int tuples, built from ``pref_array`` on the
-    first read (only diagnostics and tests read them)."""
+    first read (nothing in the package reads them)."""
 
     def __get__(self, pop, owner=None):
         if pop is None:
@@ -536,7 +536,11 @@ def simulate_run(
     clusters are (replication, pivotal group). Covariates for balance
     checks (merit, first choice, labels) ride along, aligned row by row.
     With ``log_events`` the replications' sweep logs are stacked in
-    ``events``, each record tagged with its replication.
+    ``events``, each record tagged with its replication. Until the last
+    replication each pivotal group is held as one compact record (its
+    members, their luck and admission rows); then each output array is
+    allocated once, at its final size and in a memory map of its own
+    (``data._mapped``), and filled record by record.
 
     ``_clearings`` (internal) stands in for the replication loop with an
     iterable of ``(rep, AllocationResult)`` pairs; ``simulate_and_oracles``
@@ -551,10 +555,8 @@ def simulate_run(
     if _clearings is None:
         _clearings = _replications(pop, cfg, reps, master_seed, log_events)
     k = pop.n_programs
-    y_parts, a_parts, z_parts, d_parts = [], [], [], []
-    cluster_parts, applicant_parts = [], []
+    records = []  # (rep, program, members, luck, admission rows) per pivotal group
     events: list = [np.empty(0, dtype=SIMULATION_EVENT_DTYPE)]
-    seen_pivotal = np.zeros(k, dtype=bool)
     for r, res in _clearings:
         if log_events:
             moves = np.empty(res.events.size, dtype=SIMULATION_EVENT_DTYPE)
@@ -562,44 +564,42 @@ def simulate_run(
                 moves[name] = res.events[name]
             moves["replication"] = r
             events.append(moves)
-        if not res.pivotal_groups:
-            continue
         for prog, idx in sorted(res.pivotal_groups.items()):
-            seen_pivotal[prog - 1] = True
-            m = idx.size
-            z = np.zeros((m, k))
-            z[:, prog - 1] = res.luck[prog]
-            dums = np.zeros((m, k))
-            dums[:, prog - 1] = 1.0
-            admitted = res.admitted[idx]
-            y_parts.append(_outcomes(pop.po[idx], admitted))
-            a_parts.append(admitted.astype(float))
-            z_parts.append(z)
-            d_parts.append(dums)
-            cluster_parts.append(np.full(m, f"r{r}:p{prog}"))
-            applicant_parts.append(idx)
-    if not y_parts:
+            records.append((r, prog, idx, res.luck[prog], res.admitted[idx]))
+    if not records:
         raise NoPivotalVariation("no program was oversubscribed in any replication")
-    if not seen_pivotal.all():
-        missing = [int(j) + 1 for j in np.flatnonzero(~seen_pivotal)]
+    progs = np.array([rec[1] for rec in records])
+    sizes = np.array([rec[2].size for rec in records])
+    counts = np.bincount(progs - 1, weights=sizes, minlength=k)
+    if not counts.all():
+        missing = [int(j) + 1 for j in np.flatnonzero(counts == 0)]
         warnings.warn(
             f"programs {missing} produced no pivotal group in any replication; "
             "their instrument columns are identically zero",
             NoPivotalProgramWarning,
             stacklevel=2,
         )
-    y = np.concatenate(y_parts)
-    a = np.vstack(a_parts)
-    z = np.vstack(z_parts)
-    dums = np.vstack(d_parts)
-    cluster = np.concatenate(cluster_parts)
-    applicants = np.concatenate(applicant_parts)
-
-    counts = dums.sum(axis=0)
-    baseline = int(np.argmax(counts))  # modal margin anchors the dummies
-    keep = [j for j in range(k) if j != baseline and counts[j] > 0]
-    x = np.column_stack([np.ones(y.size)] + [dums[:, j] for j in keep])
-
+    baseline = int(np.argmax(counts))  # the modal margin anchors the dummies
+    margins = [j + 1 for j in range(k) if j != baseline and counts[j] > 0]
+    dummy = {prog: col for col, prog in enumerate(margins, start=1)}  # x column
+    names = [f"r{r}:p{prog}" for r, prog, *_ in records]
+    n = int(sizes.sum())
+    y, a, z, x = _mapped(n), _mapped((n, k)), _mapped((n, k)), _mapped((n, 1 + len(dummy)))
+    x[:, 0] = 1.0
+    cluster = _mapped(n, f"<U{max(map(len, names))}")
+    applicants = np.empty(n, dtype=np.int64)
+    lo = 0
+    for (_, prog, idx, luck, admitted), name in zip(records, names):
+        rows = slice(lo, lo + idx.size)
+        y[rows] = _outcomes(pop.po[idx], admitted)
+        a[rows] = admitted
+        z[rows, prog - 1] = luck
+        if prog in dummy:
+            x[rows, dummy[prog]] = 1.0
+        cluster[rows] = name
+        applicants[rows] = idx
+        lo = rows.stop
+    del records
     group_label = None
     if label is not None:
         group_label = np.asarray(pop.labels[label])[applicants]
@@ -816,10 +816,11 @@ def balance_check(data: Dataset, covariates: np.ndarray, names=None) -> BalanceR
     m = cov.shape[1]
     if names is None:
         names = tuple(f"cov_{j + 1}" for j in range(m))
-    luck = pooled_luck(data)
+    codes = data.cluster_codes()  # coded before the centred copies are made
     # centred columns keep the Schur step below free of cancellation
-    mom = _Moments((np.ones(data.n_obs), luck - luck.mean(), cov - cov.mean(axis=0)),
-                   data.cluster_codes())
+    luck = pooled_luck(data)
+    luck -= luck.mean()
+    mom = _Moments((np.broadcast_to(1.0, data.n_obs), luck, cov - cov.mean(axis=0)), codes)
     gram = mom.grams(np.ones(mom.g, dtype=np.intp))[0][0]
     e = np.vstack([-gram[0, 1:] / gram[0, 0], np.eye(m + 1)])  # the rows net of 1: W E
     s = e.T @ gram @ e
@@ -870,23 +871,23 @@ def find_blocking_pairs(
     """Exhaustive stability scan from the assignment alone.
 
     (i, k) blocks when applicant i ranks k above their assignment and k
-    either has spare capacity or admitted someone with lower priority.
+    either has spare capacity or admitted someone with lower priority. The
+    programs i ranks above their assignment are the ones the assignment
+    says rejected i (``reached & ~admitted`` of a clearing): those listed
+    before it, or every listed one when i holds no listed seat. Pairs come
+    by applicant, then in preference order.
     """
-    n, k = pop.n, pop.n_programs
     caps = np.asarray(cfg.capacities)
     priority = pop.merit[:, None].astype(float) + result.draws
-    admitted_counts = result.admitted.sum(axis=0)
-    min_admitted = np.full(k, np.inf)
-    for kk in range(k):
-        adm = np.flatnonzero(result.admitted[:, kk])
-        if adm.size:
-            min_admitted[kk] = priority[adm, kk].min()
-    pairs = []
-    for i in range(n):
-        for prog in pop.prefs[i]:
-            if result.assignment[i] == prog:
-                break
-            kk = prog - 1
-            if admitted_counts[kk] < caps[kk] or priority[i, kk] > min_admitted[kk]:
-                pairs.append((i, prog))
-    return pairs
+    free = result.admitted.sum(axis=0) < caps
+    lowest = np.where(result.admitted, priority, np.inf).min(axis=0)
+    prefs, lengths = pop.pref_array(), pop.pref_lengths()
+    slot = np.arange(prefs.shape[1])
+    held = (slot < lengths[:, None]) & (prefs == result.assignment[:, None])
+    stop = np.where(held.any(axis=1), held.argmax(axis=1), lengths)
+    prog = np.maximum(prefs - 1, 0)  # padding is never before the stop
+    blocking = (slot < stop[:, None]) & (
+        free[prog] | (np.take_along_axis(priority, prog, axis=1) > lowest[prog])
+    )
+    ii, ll = np.nonzero(blocking)
+    return list(zip(ii.tolist(), prefs[ii, ll].tolist()))

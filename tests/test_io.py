@@ -1,5 +1,6 @@
 import csv
 import io
+import itertools
 import json
 import re
 import tempfile
@@ -16,6 +17,7 @@ import cascadeiv.io as iomod
 from cascadeiv import Dataset, estimate_all
 from cascadeiv.errors import DataError, ParseError, SchemaError
 from cascadeiv.io import (
+    READ_BLOCK_ROWS,
     WRITE_BLOCK_ROWS,
     _header_layout,
     fmt_float,
@@ -465,7 +467,9 @@ def test_dataset_io_matches_references_on_generated_data(d, block):
             write_dataset_csv(got, d, "test", None)
         reference_write_dataset_csv(want, d, "test", None)
         assert got.read_bytes() == want.read_bytes()
-        assert_same_dataset(load_dataset_csv(got), reference_load_dataset_csv(want))
+        with mock.patch.object(iomod, "READ_BLOCK_ROWS", block):
+            back = load_dataset_csv(got)
+        assert_same_dataset(back, reference_load_dataset_csv(want))
 
 
 @settings(max_examples=150, deadline=None)
@@ -485,7 +489,8 @@ def test_covariates_io_matches_references_on_generated_data(names, n, block, dat
             write_covariates_csv(got, cov, "test", 2)
         reference_write_covariates_csv(want, cov, "test", 2)
         assert got.read_bytes() == want.read_bytes()
-        mat, got_names = load_covariates_csv(got)
+        with mock.patch.object(iomod, "READ_BLOCK_ROWS", block):
+            mat, got_names = load_covariates_csv(got)
         ref_mat, ref_names = reference_load_covariates_csv(want)
         assert got_names == ref_names == tuple(names)
         assert same_floats(mat, ref_mat)
@@ -550,8 +555,9 @@ def table_columns(draw, n):
     col = [values[draw(st.integers(0, len(values) - 1))] for _ in range(n)]
     if kind == "int":
         return np.array(col, dtype=np.int64), iomod.float_cells
-    if kind == "float":
-        return np.array(col, dtype=float), iomod.float_cells
+    if kind == "float":  # a float64 column writes alike as a number or as text
+        return np.array(col, dtype=float), draw(st.sampled_from([iomod.float_cells,
+                                                                  iomod.text_cells]))
     wrap = draw(st.sampled_from([list, lambda c: np.array(c, dtype=object),
                                  lambda c: np.array(c, dtype=str)]))
     return wrap(col), iomod.text_cells
@@ -569,6 +575,28 @@ def test_write_table_matches_row_by_row_reference(width, n, block, data):
             iomod.write_table(got, "test", 1, header, columns)
         reference_write_table(want, "test", 1, header, columns)
         assert got.read_bytes() == want.read_bytes()
+
+
+@pytest.mark.parametrize("block", [1, 3, WRITE_BLOCK_ROWS])
+def test_float64_text_cells_write_as_row_by_row(tmp_path, monkeypatch, block):
+    # float64 text columns (such as float population labels) take the
+    # bit-keyed float path, where repr of the float is str of the float64;
+    # float32 stays on the text path: str(np.float32(0.1)) is '0.1'
+    values = np.array([-0.0, 0.0, np.nan, np.inf, -np.inf, 1e16, 0.1, 1e-5, 2.0**53, 5e-324] * 3)
+    assert iomod.text_cells(values)[0] == iomod.float_cells(values)[0]
+    assert iomod.text_cells(values.astype(np.float32))[0][:3] == ["-0.0", "0.0", "nan"]
+    columns = [(values, iomod.text_cells), (values.astype(np.float32), iomod.text_cells),
+               (values.tolist(), iomod.text_cells), (values, iomod.float_cells)]
+    monkeypatch.setattr(iomod, "WRITE_BLOCK_ROWS", block)
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    iomod.write_table(got, "test", 1, ["f64", "f32", "list", "float"], columns)
+    reference_write_table(want, "test", 1, ["f64", "f32", "list", "float"], columns)
+    assert got.read_bytes() == want.read_bytes()
+
+
+# lines per read block: every line its own block, blocks of two and three
+# lines, and the default
+READ_BLOCKS = [1, 2, 3, READ_BLOCK_ROWS]
 
 
 def _raised(load, path):
@@ -619,9 +647,44 @@ def test_loader_faults_match_reference(d, data):
             lines.insert(at, data.draw(st.sampled_from(["# note\n", "\n", "  \n"])))
         path.write_text("".join(lines))
         want = _raised(reference_load_dataset_csv, path)
-        assert _raised(load_dataset_csv, path) == want
-        if want is None:
-            assert_same_dataset(load_dataset_csv(path), reference_load_dataset_csv(path))
+        with mock.patch.object(iomod, "READ_BLOCK_ROWS", data.draw(st.sampled_from(READ_BLOCKS))):
+            assert _raised(load_dataset_csv, path) == want
+            if want is None:
+                assert_same_dataset(load_dataset_csv(path), reference_load_dataset_csv(path))
+
+
+GOOD_ROW = "1.0,0,0.5,1.0,c1\n"
+BLOCK_CASES = {
+    # a fault of each kind behind rows that parse
+    "ragged": [GOOD_ROW, GOOD_ROW, "1.0,0,0.5\n", GOOD_ROW],
+    "parse_error": [GOOD_ROW, GOOD_ROW, GOOD_ROW, "1.0,0,bad,1.0,c1\n"],
+    "extra_field": [GOOD_ROW, "1.0,0,0.5,1.0,c2,x\n", GOOD_ROW],
+    # the first fault in file order wins, in whichever block it falls
+    "parse_error_then_ragged": [GOOD_ROW, GOOD_ROW, "1.0,0,bad,1.0,c1\n", "1.0,0,0.5\n"],
+    "ragged_then_parse_error": [GOOD_ROW, "1.0,0,0.5\n", "1.0,0,bad,1.0,c1\n"],
+    # a quote left open at a line end: in the last field the line keeps its
+    # field count, before it the fields after it are lost
+    "open_quote_then_ragged": ['0.0,0.0,0.5,1.0,"c\n', "0.0,1.0,0.5,1.0,c,7\n", GOOD_ROW],
+    "open_quote": [GOOD_ROW, '0.0,0.0,0.5,1.0,"c\n', GOOD_ROW, '0.5,1,0.25,1.0,"c,2\n', GOOD_ROW],
+    "open_quote_in_number": [GOOD_ROW, '0.5,1,"0.25\n', GOOD_ROW],
+    # comments and blank lines on both sides of block boundaries
+    "comments": ["# a\n", GOOD_ROW, "\n", "  \n", "# b\n", "2.0,1,0.25,1.0,c2\n", "# c\n",
+                 GOOD_ROW, "\n"],
+    "comments_then_fault": [GOOD_ROW, "# a\n", "\n", GOOD_ROW, "# b\n", "1.0,0,0.5,1.0,c1,x\n"],
+}
+
+
+@pytest.mark.parametrize("block", READ_BLOCKS)
+@pytest.mark.parametrize("case", sorted(BLOCK_CASES))
+def test_loader_matches_reference_across_read_blocks(tmp_path, monkeypatch, case, block):
+    monkeypatch.setattr(iomod, "READ_BLOCK_ROWS", block)
+    path = tmp_path / "d.csv"
+    path.write_text("# c\ny,a_1,z_1,x_1,cluster\n" + "".join(BLOCK_CASES[case]))
+    want = _raised(reference_load_dataset_csv, path)
+    assert (want is None) == (case in ("open_quote", "comments"))
+    assert _raised(load_dataset_csv, path) == want
+    if want is None:
+        assert_same_dataset(load_dataset_csv(path), reference_load_dataset_csv(path))
 
 
 # ---------------------------------------------------------------------------
@@ -712,22 +775,26 @@ def test_dataset_ids_keep_quotes_commas_and_spaces(tmp_path):
     assert d.z[:, 0].tolist() == [0.5, 0.25]
 
 
-def test_covariates_ragged_row_reports_file_line(tmp_path):
+def test_covariates_ragged_row_reports_file_line(tmp_path, monkeypatch):
     path = tmp_path / "c.csv"
-    path.write_text("# c\nattr,flag\n0.1,1.0\n\n0.2\n")
-    with pytest.raises(SchemaError, match=re.escape("line 5: row has 1 fields, header has 2")):
-        load_covariates_csv(path)
-    path.write_text("# c\nattr,flag\n0.1,1.0,3.0\n0.2,0.0,1.0\n")
-    with pytest.raises(SchemaError, match="line 3: row has 3 fields"):
-        load_covariates_csv(path)
+    for block in READ_BLOCKS:
+        monkeypatch.setattr(iomod, "READ_BLOCK_ROWS", block)
+        path.write_text("# c\nattr,flag\n0.1,1.0\n\n0.2\n")
+        with pytest.raises(SchemaError, match=re.escape("line 5: row has 1 fields, header has 2")):
+            load_covariates_csv(path)
+        path.write_text("# c\nattr,flag\n0.1,1.0,3.0\n0.2,0.0,1.0\n")
+        with pytest.raises(SchemaError, match="line 3: row has 3 fields"):
+            load_covariates_csv(path)
 
 
-def test_covariates_parse_error_reports_file_line(tmp_path):
+def test_covariates_parse_error_reports_file_line(tmp_path, monkeypatch):
     path = tmp_path / "c.csv"
-    path.write_text("# c\nattr,flag\n0.1,1.0\n0.2,yes\n")
-    with pytest.raises(ParseError, match="'yes' in column 'flag'") as exc:
-        load_covariates_csv(path)
-    assert exc.value.line == 4
+    path.write_text("# c\nattr,flag\n0.1,1.0\n0.3,0.0\n0.2,yes\n")
+    for block in READ_BLOCKS:
+        monkeypatch.setattr(iomod, "READ_BLOCK_ROWS", block)
+        with pytest.raises(ParseError, match="'yes' in column 'flag'") as exc:
+            load_covariates_csv(path)
+        assert exc.value.line == 5
 
 
 def test_covariates_without_rows_rejected(tmp_path):
@@ -737,15 +804,17 @@ def test_covariates_without_rows_rejected(tmp_path):
         load_covariates_csv(path)
 
 
-def test_matrix_faults_report_file_line(tmp_path):
+def test_matrix_faults_report_file_line(tmp_path, monkeypatch):
     path = tmp_path / "m.csv"
-    path.write_text("# c\n0.4,0.1\n\n0.2,x\n")
-    with pytest.raises(ParseError) as exc:
-        load_matrix_csv(path)
-    assert exc.value.line == 4
-    path.write_text("# c\n0.4,0.1\n0.2\n")
-    with pytest.raises(SchemaError, match="^line 3: row has 1 fields, the first row has 2$"):
-        load_matrix_csv(path)
+    for block in READ_BLOCKS:
+        monkeypatch.setattr(iomod, "READ_BLOCK_ROWS", block)
+        path.write_text("# c\n0.4,0.1\n\n0.2,x\n")
+        with pytest.raises(ParseError) as exc:
+            load_matrix_csv(path)
+        assert exc.value.line == 4
+        path.write_text("# c\n0.4,0.1\n0.2\n")
+        with pytest.raises(SchemaError, match="^line 3: row has 1 fields, the first row has 2$"):
+            load_matrix_csv(path)
 
 
 def test_matrix_reads_as_the_dataset_does(tmp_path):
@@ -780,7 +849,7 @@ def test_population_reads_quoted_labels_and_empty_prefs(tmp_path):
 
 
 @pytest.mark.parametrize("provenance", ["# cascadeiv test\n", ""])
-def test_population_faults_report_file_line(tmp_path, provenance):
+def test_population_faults_report_file_line(tmp_path, monkeypatch, provenance):
     # a comment and a blank line before the bad row: with the provenance
     # line it is file line 6, without it line 5
     path = tmp_path / "pop.csv"
@@ -792,7 +861,8 @@ def test_population_faults_report_file_line(tmp_path, provenance):
         ("2,1,0.5,oops,0.0,m\n", ParseError, "'oops' in column 'po_1'"),
         ("2,1,0.5,0.25,0.0\n", SchemaError, f"line {want}: row has 5 fields, header has 6"),
     ]
-    for bad, error, message in cases:
+    for block, (bad, error, message) in itertools.product(READ_BLOCKS, cases):
+        monkeypatch.setattr(iomod, "READ_BLOCK_ROWS", block)
         path.write_text(provenance + POPULATION_ROWS[:POPULATION_ROWS.index("\n1,") + 1]
                         + "# note\n\n" + bad)
         with pytest.raises(error, match=re.escape(message)) as exc:

@@ -47,12 +47,13 @@ def test_two_good_substitutes_oracle_equals_2sls():
         assert abs(res.value - beta[k - 1]) < 1e-6
 
 
-def test_oracle_dataset_cluster_ids_are_numpy_strings():
+def test_oracle_dataset_cluster_ids_are_market_indices():
+    # integer ids code without a string sort in every fit
     res = market_oracle(substitutes_config(), 1, step=1.0, n_markets=12)
     cluster = res.dataset.cluster
-    assert cluster.dtype.kind == "U"
+    assert cluster.dtype.kind == "i"
     assert res.dataset.n_clusters == 12
-    assert list(np.unique(cluster)) == sorted(f"m{m}" for m in range(12))
+    assert np.array_equal(cluster, np.repeat(np.arange(12), res.dataset.n_obs // 12))
 
 
 def test_oracle_locally_linear_in_step():

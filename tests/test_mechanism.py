@@ -718,6 +718,44 @@ def test_sweep_started_at_one_extra_seat_everywhere_matches_cold_start(market):
             assert np.array_equal(got, want)
 
 
+def reference_blocking_pairs(pop, cfg, result):
+    """``find_blocking_pairs`` applicant by applicant, down each list."""
+    caps = np.asarray(cfg.capacities)
+    priority = pop.merit[:, None].astype(float) + result.draws
+    admitted_counts = result.admitted.sum(axis=0)
+    min_admitted = np.full(pop.n_programs, np.inf)
+    for kk in range(pop.n_programs):
+        adm = np.flatnonzero(result.admitted[:, kk])
+        if adm.size:
+            min_admitted[kk] = priority[adm, kk].min()
+    pairs = []
+    for i in range(pop.n):
+        for prog in pop.prefs[i]:
+            if result.assignment[i] == prog:
+                break
+            kk = prog - 1
+            if admitted_counts[kk] < caps[kk] or priority[i, kk] > min_admitted[kk]:
+                pairs.append((i, prog))
+    return pairs
+
+
+@settings(max_examples=300, deadline=None)
+@given(tiny_markets(), st.data())
+def test_blocking_pairs_match_reference_scan(market, data):
+    # the clearing has none; a perturbed assignment (anyone to any program
+    # or none, listed or not, capacities ignored) mostly has some
+    pop, cfg = market
+    res = run_clearing(pop, cfg)
+    assert find_blocking_pairs(pop, cfg, res) == reference_blocking_pairs(pop, cfg, res) == []
+    assignment = np.array(data.draw(st.lists(
+        st.integers(0, pop.n_programs), min_size=pop.n, max_size=pop.n)), dtype=np.int64)
+    admitted = assignment[:, None] == np.arange(1, pop.n_programs + 1)
+    moved = replace(res, assignment=assignment, admitted=admitted)
+    got = find_blocking_pairs(pop, cfg, moved)
+    assert got == reference_blocking_pairs(pop, cfg, moved)
+    assert all(type(i) is int and type(p) is int for i, p in got)
+
+
 def assert_same_clearing(got: AllocationResult, want: AllocationResult):
     for f in dataclasses.fields(AllocationResult):
         a, b = getattr(got, f.name), getattr(want, f.name)

@@ -1,0 +1,85 @@
+"""Each CLI command holds its rows once.
+
+Every command runs in a fresh interpreter at ``--reps 5`` and ``--reps 20``
+on an n=50k, K=5 population, and reports its peak resident set
+(``ru_maxrss``). From 5 to 20 replications the peak may grow by at most
+``BOUND`` times the growth of the arrays the command must hold: the
+Dataset's arrays, and for ``simulate`` and ``balance`` the covariates
+matrix too. Interpreter, imports and population cancel in the difference.
+The two sizes run side by side, so the test takes about 15-20 s on two
+cores.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+
+from cascadeiv.io import load_covariates_csv, load_dataset_csv
+
+BOUND = 1.75  # fixed; a command that needs more holds its rows more than once
+SRC = Path(__file__).resolve().parents[1] / "src"
+RUN = (
+    "import resource, sys\n"
+    "from cascadeiv.cli import main\n"
+    "rc = main(sys.argv[1:])\n"
+    "print('maxrss_kib', resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)\n"
+    "sys.exit(rc)\n"
+)
+CONFIG = {
+    "synth": dict(n=50_000, k=5, seed=5, taste_scale=1.2, het_scale=0.5, het_merit_mix=0.5,
+                  effects=[0.2, -0.1, 0.05, 0.15, 0.0], base_scale=0.5, label_share=0.5),
+    "capacities": [2000] * 5,
+    "label": "group",
+}
+
+
+def commands(config: Path, out: Path, reps: int) -> dict:
+    data, cov = str(out / "sim" / "dataset.csv"), str(out / "sim" / "covariates.csv")
+    return {
+        "simulate": ["simulate", "--config", str(config), "--seed", "3", "--reps", str(reps),
+                     "--out", str(out / "sim")],
+        "estimate": ["estimate", "--data", data, "--group-col", "group", "--out", str(out / "est")],
+        "bootstrap": ["bootstrap", "--data", data, "--statistic", "cascade_delta",
+                      "--bootstrap-reps", "5", "--seed", "4", "--out", str(out / "boot")],
+        "balance": ["balance", "--data", data, "--covariates", cov, "--out", str(out / "bal")],
+        "verify": ["verify", "--config", str(config), "--seed", "3", "--reps", str(reps),
+                   "--oracle-reps", "1", "--out", str(out / "ver")],
+    }
+
+
+def held_bytes(out: Path) -> tuple[int, int]:
+    """Bytes of the Dataset's arrays, and of the covariates matrix."""
+    data = load_dataset_csv(out / "sim" / "dataset.csv")
+    arrays = (data.y, data.a, data.z, data.x, data.cluster, data.group_label)
+    covariates, _ = load_covariates_csv(out / "sim" / "covariates.csv")
+    return sum(arr.nbytes for arr in arrays), covariates.nbytes
+
+
+def test_command_peak_memory_grows_with_the_rows_it_must_hold(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(CONFIG))
+    env = dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS="1")
+    runs = {reps: commands(config, tmp_path / f"reps{reps}", reps) for reps in (5, 20)}
+    peaks: dict = {5: {}, 20: {}}
+    for name in runs[5]:
+        # both sizes at once, one process each
+        procs = {reps: subprocess.Popen([sys.executable, "-c", RUN, *argv[name]], env=env,
+                                        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+                                        text=True)
+                 for reps, argv in runs.items()}
+        for reps, proc in procs.items():
+            _, err = proc.communicate(timeout=120)
+            assert proc.returncode == 0, err
+            peaks[reps][name] = int(err.split("maxrss_kib")[-1]) * 1024
+    (data5, cov5), (data20, cov20) = held_bytes(tmp_path / "reps5"), held_bytes(tmp_path / "reps20")
+    ratios = {}
+    for name in runs[5]:
+        held = data20 - data5 + (cov20 - cov5 if name in ("simulate", "balance") else 0)
+        ratios[name] = (peaks[20][name] - peaks[5][name]) / held
+    print({name: round(r, 2) for name, r in ratios.items()})
+    assert all(np.isfinite(r) for r in ratios.values())
+    assert max(ratios.values()) <= BOUND, ratios
