@@ -268,15 +268,15 @@ def _scan_rows(rows, linenos, header, numeric, text, codes, width):
         for pos in numeric:
             values[i, pos] = _parse_cell(_parse_number, row[pos], header[pos], lineno)
         for pos in text:
-            values[i, pos] = codes[row[pos]]
+            values[i, pos] = codes[pos][row[pos]]
     return values
 
 
 def _parse_block(lines, start, header, numeric, text, codes, width):
     """The data lines among ``lines`` (the file's lines from line ``start``
     on) as a float matrix of len(header) columns, each ``text`` field as
-    the code of its string in ``codes`` (string -> code, each new string the
-    next code).
+    the code of its string in its column's table ``codes[pos]`` (string ->
+    code, each new string the next code).
 
     numpy's reader parses the block in one pass, so that it keeps checking
     that each row has the same field count. Where it fails, or finds
@@ -288,18 +288,20 @@ def _parse_block(lines, start, header, numeric, text, codes, width):
     rows = [ln for ln in lines if not (ln.startswith("#") or ln.isspace())]
     if not rows:  # comments and blank lines only
         return np.empty((0, len(header)))
-    known = len(codes)
+    known = {pos: len(table) for pos, table in codes.items()}
     try:
         values = np.loadtxt(
-            rows, dtype=float, converters=dict.fromkeys(text, codes.__getitem__), **_CSV_READ
+            rows, dtype=float,
+            converters={pos: table.__getitem__ for pos, table in codes.items()}, **_CSV_READ
         )
         if values.shape == (len(rows), len(header)):
             return values
     except ValueError:
         pass
-    for string in list(itertools.islice(codes, known, None)):
-        del codes[string]
-    codes.default_factory = itertools.count(known).__next__
+    for pos, table in codes.items():
+        for string in list(itertools.islice(table, known[pos], None)):
+            del table[string]
+        table.default_factory = itertools.count(known[pos]).__next__
     linenos = [no for no, _ in _data_lines(lines, start)]
     return _scan_rows(rows, linenos, header, numeric, text, codes, width)
 
@@ -323,7 +325,9 @@ def _read_rows(path, fh, first, header, columns, numeric, text=(), width="header
     outs = [_mapped(bound if isinstance(c, int) else (bound, len(c))) for c in columns]
     text = list(text)
     text_codes = _mapped((bound, len(text)), np.intp)
-    codes = collections.defaultdict(itertools.count().__next__)  # string -> code
+    # one table per text column (string -> code), so each column's strings
+    # take the width of its own longest one
+    codes = {pos: collections.defaultdict(itertools.count().__next__) for pos in text}
     start, line = first
     lines = itertools.chain([line], fh)
     n = 0
@@ -335,10 +339,12 @@ def _read_rows(path, fh, first, header, columns, numeric, text=(), width="header
             out[n : n + m] = values[:, cols]
         text_codes[n : n + m] = values[:, text]
         n += m
-    strings = np.array(list(codes), dtype=str)
-    labels = [_mapped(n, strings.dtype) for _ in text]
-    for j, out in enumerate(labels):
+    labels = []
+    for j, pos in enumerate(text):
+        strings = np.array(list(codes[pos]), dtype=str)
+        out = _mapped(n, strings.dtype)
         np.take(strings, text_codes[:n, j], out=out, mode="clip")  # "raise" would buffer
+        labels.append(out)
     return [out[:n] for out in outs], labels
 
 

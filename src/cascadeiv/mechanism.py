@@ -3,11 +3,17 @@
 Programs fill fixed capacities from ranked queues with strict priority
 (merit bracket, then an independent per-program lottery draw). Every
 applicant takes one seat at most. Clearing is computed as the minimal
-market-clearing cutoff vector, raised sweep by sweep from below; this
+market-clearing cutoff vector, raised round by round from below; this
 yields the applicant-optimal stable matching, identical to
 applicant-proposing deferred acceptance under the same strict priorities.
-Cutoffs only rise (Azevedo & Leshno 2016), so each sweep re-scans only the
-applicants its raises rejected.
+Cutoffs only rise (Azevedo & Leshno 2016), so a raise takes seats only
+from the holders of the program raised. The sweep keeps each program's
+holders as an index array with their priorities: a round partitions the
+holders of the over-capacity programs and walks only the rejected down
+their lists, so it costs time in those holders and the applicants who
+move, not in N. A clearing reads its cutoffs and lottery margins from
+that state and scans all N rows only for the reached-program matrix and
+each pivotal group's members.
 
 A program's pivotal group is the set of applicants who reached it in the
 proposal order and whose merit equals the cutoff bracket; among them,
@@ -19,8 +25,9 @@ coefficients are supposed to equal. Since cutoffs only fall as seats are
 added, the cutoffs c+ with one extra seat at every program measured lie
 below those of the baseline and of each one-program expansion. So the
 oracle sweeps each of its draws from -inf once, to c+, and starts the
-baseline sweep and every expansion's sweep there; each ends at the same
-matching as a start from -inf. An expansion's total outcome recomputes
+baseline sweep and every expansion's sweep there, from a copy of its
+cutoffs, seats and holder arrays; each ends at the same matching as a
+start from -inf. An expansion's total outcome recomputes
 only the applicants whose seat changed. One replication loop clears each
 draw once and feeds the stacked dataset, the oracle, or both
 (``simulate_and_oracles``); draws that feed only the dataset are swept
@@ -29,6 +36,7 @@ from -inf.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import warnings
 from dataclasses import dataclass, field, replace
@@ -245,48 +253,39 @@ def luck_variable(draws: np.ndarray) -> np.ndarray:
     return (n + 1 - ranks) / (n + 1.0)
 
 
-def _pivotal_groups(
-    merit: np.ndarray,
-    priority: np.ndarray,
-    reached: np.ndarray,
-    assignment_matrix: np.ndarray,
-    oversubscribed: np.ndarray,
-    draws: np.ndarray,
-) -> tuple[dict, dict]:
-    """Lottery margins: reached applicants in the straddled cutoff bracket."""
-    k = priority.shape[1]
-    groups: dict = {}
-    luck: dict = {}
-    for kk in range(k):
-        if not oversubscribed[kk]:
-            continue
-        admitted = assignment_matrix[:, kk]
-        adm_idx = np.flatnonzero(admitted)
-        rej_idx = np.flatnonzero(reached[:, kk] & ~admitted)
-        if adm_idx.size == 0 or rej_idx.size == 0:
-            continue
-        cutoff_bracket = int(np.floor(priority[adm_idx, kk].min()))
-        best_rejected = int(np.floor(priority[rej_idx, kk].max()))
-        if cutoff_bracket != best_rejected:
-            # clean break between brackets: the lottery decided nothing
-            continue
-        members = np.flatnonzero(reached[:, kk] & (merit == cutoff_bracket))
-        groups[kk + 1] = members
-        luck[kk + 1] = luck_variable(draws[members, kk])
-    return groups, luck
-
-
-def _slot_priorities(pop: Population, draws: np.ndarray):
-    """The (N, K) priority matrix and the priority at each listed slot of
-    the (N, L) preference matrix (-inf at padding)."""
+def _slot_priorities(pop: Population, draws: np.ndarray) -> np.ndarray:
+    """The priority (merit bracket plus draw) at each listed slot of the
+    (N, L) preference matrix, -inf at padding."""
     priority = pop.merit[:, None].astype(float) + draws
     prefs = pop.pref_array()
-    pr_slot = np.where(
+    return np.where(
         prefs > 0,
         np.take_along_axis(priority, np.maximum(prefs - 1, 0), axis=1),
         -np.inf,
     )
-    return priority, pr_slot
+
+
+@dataclass(frozen=True)
+class _Sweep:
+    """The state a cutoff sweep ends in.
+
+    ``cutoffs`` (-inf where a program was never over capacity), each
+    applicant's program (``assignment``, 0 = outside option) and the
+    preference position where their scan stopped (``pos``: the last listed
+    one if they hold no seat, 0 for an empty list). ``holders[k]`` lists
+    the applicants holding program k+1, in no particular order, and
+    ``held[k]`` their priorities there. ``best_rejected[k]`` is the highest
+    priority among the applicants who reached program k+1 and do not hold
+    it (-inf if none). A later sweep reads it all as its ``start``; nothing
+    in it is written after the sweep returns.
+    """
+
+    cutoffs: np.ndarray
+    assignment: np.ndarray
+    pos: np.ndarray
+    holders: tuple
+    held: tuple
+    best_rejected: np.ndarray
 
 
 def _sweep(
@@ -295,89 +294,111 @@ def _sweep(
     pr_slot: np.ndarray,
     caps: np.ndarray,
     events: list | None = None,
-    start: tuple | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    start: _Sweep | None = None,
+) -> _Sweep:
     """Minimal market-clearing cutoffs, raised from below.
 
     ``prefs`` and ``lengths`` are the population's padded preference matrix
     and list lengths (``Population.pref_array`` and ``pref_lengths``), and
     ``pr_slot`` the priority at each listed slot.
 
-    Each sweep counts every applicant at their first listed program whose
-    cutoff they clear, and raises the cutoff of each over-capacity program
-    to the priority that leaves exactly its capacity at or above it.
-    Cutoffs only rise, so an applicant whose program did not reject them
-    keeps it; only the rejected walk on down their lists, from the next
-    listed program. Every sweep must reject someone: a sweep that rejects
-    nobody while a program is over capacity would repeat forever, which
-    happens only when tied priorities straddle the cutoff, and raises
-    ``UnresolvedPriorityTie``. So there are at most as many sweeps as
+    Each program keeps its holders as an index array and a priority array.
+    A round raises the cutoff of each over-capacity program to the priority
+    that leaves exactly its capacity at or above it: it partitions only
+    that program's holders and rejects those below. Cutoffs only rise, so
+    nobody else loses a seat; the rejected walk on down their lists, from
+    the next listed program, and join the holders of the first whose
+    cutoff they clear. A round costs time in the holders of the
+    over-capacity programs and the slots the rejected walk past, not in N.
+    Every round must reject someone: a round that rejects nobody while a
+    program is over capacity would repeat forever, which happens only when
+    tied priorities straddle the cutoff, and raises
+    ``UnresolvedPriorityTie``. So there are at most as many rounds as
     listed slots.
 
     The cutoffs start at -inf, with every applicant at their first choice.
     ``start``, the result of a sweep on the same priorities at capacities
-    at least ``caps`` everywhere, starts them instead at its cutoffs, with
-    each applicant at the first listed program whose cutoff they clear (its
-    programs and stop positions). Minimal clearing cutoffs fall weakly as
-    capacities rise, so that start lies at or below the target and the
-    sweep ends at the same result as the start from -inf, in fewer sweeps.
+    at least ``caps`` everywhere, starts them instead at its state: its
+    cutoffs, seats, stop positions and holder arrays, copied as they are.
+    Minimal clearing cutoffs fall weakly as capacities rise, so that start
+    lies at or below the target and the sweep ends at the same result as
+    the start from -inf (holders aside, in another order), in fewer rounds.
 
-    Returns the cutoffs (-inf where never over capacity), each applicant's
-    program (0 = outside option) and the preference position where their
-    scan stopped (the last listed one if they hold no seat, 0 for an empty
-    list). ``events``, when a list, receives one ``CLEARING_EVENT_DTYPE``
-    array per sweep with a record for each applicant who moved, in
-    applicant order.
+    ``events``, when a list, receives one ``CLEARING_EVENT_DTYPE`` array
+    per round with a record for each applicant who moved, in applicant
+    order.
     """
     n, width = prefs.shape
-    k = caps.shape[0]
-    end = np.arange(n) * width + lengths  # flat index one past each list
+    k, seats = caps.shape[0], caps.tolist()
     prog_at, pr_at = prefs.ravel(), pr_slot.ravel()
+    last = prog_at.size - 1
+    # cutoffs and best rejected priorities by program id; id 0, the
+    # outside option, admits everyone
+    cut, best = np.full(k + 1, -np.inf), np.full(k + 1, -np.inf)
+    cutoffs, best_rejected = cut[1:], best[1:]
     if start is None:
-        cutoffs = np.full(k, -np.inf)
-        demand = prefs[:, 0].copy()
+        assignment = prefs[:, 0].copy()  # each at their first choice
         pos = np.zeros(n, dtype=np.int64)
-        held = pr_slot[:, 0].copy()  # priority at the current program
+        holders = [np.flatnonzero(assignment == kk + 1) for kk in range(k)]
+        held = [pr_slot[:, 0][ids] for ids in holders]
     else:
-        cutoffs, demand, pos = (a.copy() for a in start)
-        held = np.where(demand > 0, pr_at[np.arange(n) * width + pos], -np.inf)
+        cutoffs[:], best_rejected[:] = start.cutoffs, start.best_rejected
+        assignment, pos = start.assignment.copy(), start.pos.copy()
+        holders, held = list(start.holders), list(start.held)
     sweep = 0
     while True:
-        counts = np.bincount(demand, minlength=k + 1)[1:]
-        over = np.flatnonzero(counts > caps)
-        if over.size == 0:
-            return cutoffs, demand, pos
+        over = [kk for kk, cap in enumerate(seats) if len(holders[kk]) > cap]
+        if not over:
+            return _Sweep(cutoffs, assignment, pos, tuple(holders), tuple(held), best_rejected)
+        rejected = []
         for kk in over:
-            excess = counts[kk] - caps[kk]
-            cutoffs[kk] = np.partition(held[demand == kk + 1], excess)[excess]
-        rej = np.flatnonzero(held < np.concatenate(([-np.inf], cutoffs))[demand])
-        if rej.size == 0:
-            raise UnresolvedPriorityTie(over + 1)
-        moved_from = demand[rej]
-        # one listed slot per pass, until each rejected applicant clears a
-        # cutoff or runs past the end of their list
-        walk, at = rej, rej * width + pos[rej] + 1
-        while walk.size:
-            done = at >= end[walk]
-            out = walk[done]
-            demand[out] = 0
-            held[out] = -np.inf
-            pos[out] = lengths[out] - 1
-            walk, at = walk[~done], at[~done]
-            prog, pr = prog_at[at], pr_at[at]
-            ok = pr >= cutoffs[prog - 1]
-            got = walk[ok]
-            demand[got] = prog[ok]
-            held[got] = pr[ok]
-            pos[got] = at[ok] - got * width
-            walk, at = walk[~ok], at[~ok] + 1
+            pr = held[kk]
+            excess = len(pr) - seats[kk]
+            cutoffs[kk] = np.partition(pr, excess)[excess]
+            stay = pr >= cutoffs[kk]
+            # rows are picked by index arrays, not masks: on large, mixed
+            # masks a masked take costs several times an indexed one
+            lost, stay = (~stay).nonzero()[0], stay.nonzero()[0]
+            rejected.append(holders[kk][lost])
+            best_rejected[kk] = max(best_rejected[kk], pr[lost].max(initial=-np.inf))
+            holders[kk], held[kk] = holders[kk][stay], pr[stay]
+        walk = np.concatenate(rejected)
+        if walk.size == 0:
+            raise UnresolvedPriorityTie([kk + 1 for kk in over])
         sweep += 1
         if events is not None:
-            moves = np.empty(rej.size, dtype=CLEARING_EVENT_DTYPE)
-            moves["applicant"] = rej
-            moves["program_from"] = moved_from
-            moves["program_to"] = demand[rej]
+            walk = np.sort(walk)
+            moves = np.empty(walk.size, dtype=CLEARING_EVENT_DTYPE)
+            moves["applicant"] = walk
+            moves["program_from"] = assignment[walk]
             moves["round"] = sweep
+        # the rejected walk on, one listed program per pass from the one
+        # after their stop position, to the first whose cutoff they clear;
+        # past the end of their list is the outside option, held at the
+        # last listed position
+        base = walk * width
+        at, end = base + pos[walk] + 1, base + lengths[walk]  # flat slots
+        arrived = []
+        while at.size:
+            done = at >= end
+            slot = np.minimum(at, last)  # a done walker reads any slot
+            prog, pr = prog_at[slot], pr_at[slot]
+            prog[done] = 0
+            ok = pr >= cut[prog]
+            ok, passed = ok.nonzero()[0], (~ok).nonzero()[0]
+            np.maximum.at(best, prog[passed], pr[passed])
+            arrived.append((base[ok], at[ok] - done[ok], prog[ok], pr[ok]))
+            base, at, end = base[passed], at[passed] + 1, end[passed]
+        base, at, prog, pr = (np.concatenate(a) for a in zip(*arrived))
+        got = base // width
+        assignment[got] = prog
+        pos[got] = at - base
+        for kk in np.bincount(prog, minlength=k + 1)[1:].nonzero()[0]:
+            joins = (prog == kk + 1).nonzero()[0]
+            holders[kk] = np.concatenate((holders[kk], got[joins]))
+            held[kk] = np.concatenate((held[kk], pr[joins]))
+        if events is not None:
+            moves["program_to"] = assignment[walk]
             events.append(moves)
 
 
@@ -397,54 +418,68 @@ def _capacities(pop: Population, cfg: MechanismConfig) -> np.ndarray:
 
 
 def _lottery(pop: Population, seed: int):
-    """The (N, K) lottery draws of ``seed`` and the priorities they give
-    (``_slot_priorities``): what ``_clear`` takes."""
+    """The (N, K) lottery draws of ``seed`` and the priority at each listed
+    slot they give (``_slot_priorities``): what ``_clear`` takes."""
     draws = np.random.default_rng(seed).random((pop.n, pop.n_programs))
-    return (draws, *_slot_priorities(pop, draws))
+    return draws, _slot_priorities(pop, draws)
 
 
 def _clear(
     pop: Population,
     caps: np.ndarray,
     lottery: tuple,
-    start: tuple | None = None,
+    start: _Sweep | None = None,
     log_events: bool = False,
 ) -> AllocationResult:
     """Clear the market at capacities ``caps`` on given draws.
 
-    ``lottery`` is ``(draws, priority, pr_slot)``, as ``_lottery`` returns
-    them. ``start`` is handed to ``_sweep``: a sweep result on the same
+    ``lottery`` is ``(draws, pr_slot)``, as ``_lottery`` returns them.
+    ``start`` is handed to ``_sweep``: a sweep result on the same
     priorities at capacities at least ``caps`` everywhere, from which the
     sweep ends at the same cutoffs, seats and stop positions as from -inf.
+
+    The margins are read from the sweep's state: a program's lowest
+    admitted priority is the lowest its holders hold (for an over-capacity
+    program, the final cutoff: the holder at the last raise's partition
+    point stays), and the best rejected priority is the sweep's. Only a
+    program whose cutoff bracket the lottery splits reads its reached
+    column, once, for its pivotal group.
     """
-    draws, priority, pr_slot = lottery
+    draws, pr_slot = lottery
     n, k = pop.n, pop.n_programs
     prefs = pop.pref_array()
     events: list = [np.empty(0, dtype=CLEARING_EVENT_DTYPE)]
-    cutoffs, assignment, pos = _sweep(
+    sweep = _sweep(
         prefs, pop.pref_lengths(), pr_slot, caps, events if log_events else None, start=start
     )
-    admitted = _admission_matrix(assignment, k)
-    oversubscribed = cutoffs > -np.inf
-    # proposal prefix: every listed program up to where the scan stopped
-    posmask = (prefs > 0) & (np.arange(prefs.shape[1]) <= pos[:, None])
-    reached = np.zeros((n, k), dtype=bool)
-    ii, ll = np.nonzero(posmask)
-    reached[ii, prefs[ii, ll] - 1] = True
-
-    cutoff_repr = {}
-    for kk in range(k):
-        adm = np.flatnonzero(admitted[:, kk])
-        if adm.size:
-            p_last = priority[adm, kk].min()
-            cutoff_repr[kk + 1] = (int(np.floor(p_last)), float(p_last % 1.0))
-    groups, luck = _pivotal_groups(
-        pop.merit, priority, reached, admitted, oversubscribed, draws
+    admitted = np.zeros((n, k), dtype=bool)
+    for kk, holders in enumerate(sweep.holders):
+        admitted[holders, kk] = True
+    # proposal prefix: every listed program up to where the scan stopped;
+    # padding (program 0) lands in column 0, which is dropped
+    reached = np.zeros((n, k + 1), dtype=bool)
+    np.put_along_axis(
+        reached, prefs, np.arange(prefs.shape[1]) <= sweep.pos[:, None], axis=1
     )
+    reached = reached[:, 1:]
+    oversubscribed = sweep.cutoffs > -np.inf
+    cutoffs, groups, luck = {}, {}, {}
+    for kk, held in enumerate(sweep.held):
+        if held.size == 0:
+            continue
+        p_last = held.min()
+        bracket = int(np.floor(p_last))
+        cutoffs[kk + 1] = (bracket, float(p_last % 1.0))
+        # the lottery decided something only if a rejected applicant shares
+        # the bracket of the last admit; then the bracket is the margin
+        if oversubscribed[kk] and np.floor(sweep.best_rejected[kk]) == bracket:
+            members = np.flatnonzero(reached[:, kk] & (pop.merit == bracket))
+            groups[kk + 1] = members
+            luck[kk + 1] = luck_variable(draws[members, kk])
     return AllocationResult(
-        assignment=assignment,
+        assignment=sweep.assignment,
         admitted=admitted,
-        cutoffs=cutoff_repr,
+        cutoffs=cutoffs,
         pivotal_groups=groups,
         luck=luck,
         oversubscribed=oversubscribed,
@@ -511,9 +546,29 @@ def _replications(
 
 @dataclass(frozen=True)
 class SimulationOutput:
+    """A stacked dataset, the population row of each of its rows
+    (``applicants``) and the sweep log (``SIMULATION_EVENT_DTYPE``, empty
+    unless ``log_events``). ``covariates``, for balance checks, is built
+    from ``applicants`` on its first read."""
+
     dataset: Dataset
-    covariates: dict
-    events: np.ndarray  # SIMULATION_EVENT_DTYPE, empty unless log_events
+    events: np.ndarray
+    applicants: np.ndarray
+    population: Population = field(repr=False)
+
+    @functools.cached_property
+    def covariates(self) -> dict:
+        """Merit, first choice (0 for an empty list) and every population
+        label (coded by sorted level if not numeric) of each row, as floats."""
+        pop, rows = self.population, self.applicants
+        covariates = {"merit": pop.merit[rows].astype(float)}
+        covariates["first_choice"] = pop.pref_array()[rows, 0].astype(float)
+        for name, arr in pop.labels.items():
+            arr = np.asarray(arr)
+            if arr.dtype.kind not in "fiub":
+                _, arr = np.unique(arr, return_inverse=True)
+            covariates[name] = arr[rows].astype(float)
+        return covariates
 
 
 def simulate_run(
@@ -533,8 +588,9 @@ def simulate_run(
     pivotal at two margins contributes two records, one per group, so every
     record's luck is uniform within its own cluster). Controls are a
     constant plus applied-at-margin dummies (modal margin as baseline) and
-    clusters are (replication, pivotal group). Covariates for balance
-    checks (merit, first choice, labels) ride along, aligned row by row.
+    clusters are (replication, pivotal group). ``applicants`` gives each
+    row's population row, from which the covariates for balance checks
+    (merit, first choice, labels) are built, row by row, when first read.
     With ``log_events`` the replications' sweep logs are stacked in
     ``events``, each record tagged with its replication. Until the last
     replication each pivotal group is held as one compact record (its
@@ -606,18 +662,11 @@ def simulate_run(
     dataset = Dataset(
         y=y, a=a, z=z, x=x, cluster=cluster, group_label=group_label
     )
-    covariates = {"merit": pop.merit[applicants].astype(float)}
-    # padding is 0, so an empty list gives first choice 0
-    covariates["first_choice"] = pop.pref_array()[applicants, 0].astype(float)
-    for name, arr in pop.labels.items():
-        arr = np.asarray(arr)
-        if arr.dtype.kind not in "fiub":
-            _, arr = np.unique(arr, return_inverse=True)
-        covariates[name] = arr[applicants].astype(float)
     return SimulationOutput(
         dataset=dataset,
-        covariates=covariates,
         events=np.concatenate(events),
+        applicants=applicants,
+        population=pop,
     )
 
 
@@ -670,7 +719,7 @@ class _SlotOracles:
         """Draw r's baseline clearing (``lottery`` as ``_lottery`` returns
         it), its slot expansions recorded on the way."""
         pop, caps = self.pop, self.caps
-        prefs, lengths, pr_slot = pop.pref_array(), pop.pref_lengths(), lottery[2]
+        prefs, lengths, pr_slot = pop.pref_array(), pop.pref_lengths(), lottery[1]
         start = _sweep(prefs, lengths, pr_slot, self.caps_plus)
         base = _clear(pop, caps, lottery, start=start)
         todo = [j for j, k in enumerate(self.programs) if base.oversubscribed[k - 1]]
@@ -682,7 +731,7 @@ class _SlotOracles:
         for j in todo:
             one_more = caps.copy()
             one_more[self.programs[j] - 1] += 1
-            _, assignment, _ = _sweep(prefs, lengths, pr_slot, one_more, start=start)
+            assignment = _sweep(prefs, lengths, pr_slot, one_more, start=start).assignment
             moved = np.flatnonzero(assignment != base.assignment)
             y = base_y.copy()
             y[moved] = _outcomes(

@@ -106,6 +106,21 @@ def counting_sweeps():
         yield counts
 
 
+def assert_same_sweep(got, want):
+    """Two cutoff sweeps end in the same state, bit for bit: cutoffs, seats,
+    stop positions and best rejected priorities, and each program's holders
+    with their priorities, compared in applicant order (a sweep keeps them
+    in no particular order)."""
+    for name in ("cutoffs", "assignment", "pos", "best_rejected"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype, name
+        assert np.array_equal(a, b), name
+    for ids, held, want_ids, want_held in zip(got.holders, got.held, want.holders, want.held):
+        order, want_order = np.argsort(ids), np.argsort(want_ids)
+        assert np.array_equal(ids[order], want_ids[want_order])
+        assert np.array_equal(held[order], want_held[want_order])
+
+
 def noiseless_iv_data(seed, n=2000, k=3, beta=(0.5, -0.2, 0.0), base=0.3):
     """y built exactly from the treatments; no residual noise."""
     rng = np.random.default_rng(seed)

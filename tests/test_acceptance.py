@@ -38,7 +38,7 @@ from cascadeiv.estimator import FirstStage, cluster_bootstrap
 from cascadeiv.mechanism import _sweep, balance_check, find_blocking_pairs
 from cascadeiv.seeds import derive_seed
 
-from conftest import bernoulli_iv_data, well_conditioned_pi
+from conftest import assert_same_sweep, bernoulli_iv_data, well_conditioned_pi
 
 
 def report(criterion: str, passed: bool, detail: str):
@@ -210,8 +210,7 @@ def test_warm_started_oracle_sweeps_match_cold_on_acceptance_scenarios():
                     plus[k] += 1
                 cold = _sweep(prefs, lengths, base.pr_slot, plus)
                 warm = _sweep(prefs, lengths, base.pr_slot, plus, start=start)
-                for got, want in zip(warm, cold):
-                    assert np.array_equal(got, want)
+                assert_same_sweep(warm, cold)
 
 
 # ---------------------------------------------------------------------------

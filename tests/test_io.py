@@ -687,6 +687,21 @@ def test_loader_matches_reference_across_read_blocks(tmp_path, monkeypatch, case
         assert_same_dataset(load_dataset_csv(path), reference_load_dataset_csv(path))
 
 
+@pytest.mark.parametrize("block", READ_BLOCKS)
+def test_each_text_column_takes_the_width_of_its_own_strings(tmp_path, monkeypatch, block):
+    # two group labels beside longer cluster ids, as simulate writes them
+    monkeypatch.setattr(iomod, "READ_BLOCK_ROWS", block)
+    d = bernoulli_iv_data(3, n=40, k=2)
+    ids = np.array([f"r{c}:p{c % 5 + 1}" for c in d.cluster])
+    d = Dataset(y=d.y, a=d.a, z=d.z, x=d.x, cluster=ids, group_label=np.where(d.y > 1, "1", "0"))
+    path = tmp_path / "d.csv"
+    write_dataset_csv(path, d, "test", 1)
+    back = load_dataset_csv(path)
+    assert back.group_label.dtype == np.dtype("<U1")
+    assert back.cluster.dtype == np.dtype(f"<U{max(map(len, ids))}")
+    assert_same_dataset(back, reference_load_dataset_csv(path))
+
+
 # ---------------------------------------------------------------------------
 # loader faults reported with their file line
 # ---------------------------------------------------------------------------

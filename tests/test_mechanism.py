@@ -11,8 +11,10 @@ from numpy.testing import assert_allclose
 from cascadeiv import (
     MechanismConfig,
     Population,
+    SynthConfig,
     balance_check,
     estimate_all,
+    generate_population,
     luck_variable,
     run_clearing,
     simulate_run,
@@ -33,7 +35,7 @@ from cascadeiv.mechanism import (
     _capacities,
     _clear,
     _lottery,
-    _pivotal_groups,
+    _slot_priorities,
     _sweep,
     find_blocking_pairs,
     pooled_luck,
@@ -41,7 +43,7 @@ from cascadeiv.mechanism import (
 )
 from cascadeiv.seeds import derive_seed
 
-from conftest import counting_sweeps
+from conftest import assert_same_sweep, counting_sweeps
 
 
 def small_pop(merits, prefs, gains=None, k=None):
@@ -357,6 +359,22 @@ def test_simulate_rows_are_group_memberships():
         assert lk[data.cluster == cl].mean() == pytest.approx(0.5, abs=1e-12)
 
 
+def test_simulate_builds_covariates_on_first_read():
+    pop = homogeneous_pop(3000, 2, np.array([0.1, 0.2]), seed=7)
+    pop = replace(pop, labels={"tag": np.where(pop.merit > 2, "hi", "lo")})
+    run = simulate_run(pop, MechanismConfig(capacities=(200, 200), lottery_seed=0),
+                       reps=3, master_seed=1)
+    assert "covariates" not in vars(run)
+    rows = run.applicants
+    assert rows.shape == (run.dataset.n_obs,)
+    cov = run.covariates
+    assert cov is run.covariates
+    assert list(cov) == ["merit", "first_choice", "tag"]
+    assert np.array_equal(cov["merit"], pop.merit[rows].astype(float))
+    assert np.array_equal(cov["first_choice"], pop.pref_array()[rows, 0].astype(float))
+    assert np.array_equal(cov["tag"], (pop.merit[rows] <= 2).astype(float))  # "hi" < "lo"
+
+
 # ---------------------------------------------------------------------------
 # slot_expansion_oracle
 # ---------------------------------------------------------------------------
@@ -488,9 +506,113 @@ def test_config_validation():
 
 
 # ---------------------------------------------------------------------------
-# reference paths: full-recompute sweep, brute-force stable matchings,
-# brute-force oracle
+# reference paths: N-row sweep, full-recompute clearing, N-row margins,
+# brute-force stable matchings, brute-force oracle
 # ---------------------------------------------------------------------------
+
+
+def reference_sweep(prefs, lengths, pr_slot, caps, events=None, start=None):
+    """The cutoff sweep that scans all N applicants every round: counts by
+    ``bincount``, each over-capacity program's holders by a mask over N,
+    the rejected by one ``held < cutoff`` pass. ``start`` is an earlier
+    result, ``(cutoffs, assignment, pos)``; returns the same triple."""
+    n, width = prefs.shape
+    k = caps.shape[0]
+    end = np.arange(n) * width + lengths  # flat index one past each list
+    prog_at, pr_at = prefs.ravel(), pr_slot.ravel()
+    if start is None:
+        cutoffs = np.full(k, -np.inf)
+        demand = prefs[:, 0].copy()
+        pos = np.zeros(n, dtype=np.int64)
+        held = pr_slot[:, 0].copy()  # priority at the current program
+    else:
+        cutoffs, demand, pos = (a.copy() for a in start)
+        held = np.where(demand > 0, pr_at[np.arange(n) * width + pos], -np.inf)
+    sweep = 0
+    while True:
+        counts = np.bincount(demand, minlength=k + 1)[1:]
+        over = np.flatnonzero(counts > caps)
+        if over.size == 0:
+            return cutoffs, demand, pos
+        for kk in over:
+            excess = counts[kk] - caps[kk]
+            cutoffs[kk] = np.partition(held[demand == kk + 1], excess)[excess]
+        rej = np.flatnonzero(held < np.concatenate(([-np.inf], cutoffs))[demand])
+        if rej.size == 0:
+            raise UnresolvedPriorityTie(over + 1)
+        moved_from = demand[rej]
+        walk, at = rej, rej * width + pos[rej] + 1
+        while walk.size:
+            done = at >= end[walk]
+            out = walk[done]
+            demand[out] = 0
+            held[out] = -np.inf
+            pos[out] = lengths[out] - 1
+            walk, at = walk[~done], at[~done]
+            prog, pr = prog_at[at], pr_at[at]
+            ok = pr >= cutoffs[prog - 1]
+            got = walk[ok]
+            demand[got] = prog[ok]
+            held[got] = pr[ok]
+            pos[got] = at[ok] - got * width
+            walk, at = walk[~ok], at[~ok] + 1
+        sweep += 1
+        if events is not None:
+            moves = np.empty(rej.size, dtype=CLEARING_EVENT_DTYPE)
+            moves["applicant"] = rej
+            moves["program_from"] = moved_from
+            moves["program_to"] = demand[rej]
+            moves["round"] = sweep
+            events.append(moves)
+
+
+def reference_pivotal_groups(merit, priority, reached, assignment_matrix, oversubscribed, draws):
+    """Lottery margins from N-row scans: each oversubscribed program's
+    admitted and reached-but-rejected applicants found by masks over N."""
+    groups: dict = {}
+    luck: dict = {}
+    for kk in range(priority.shape[1]):
+        if not oversubscribed[kk]:
+            continue
+        admitted = assignment_matrix[:, kk]
+        adm_idx = np.flatnonzero(admitted)
+        rej_idx = np.flatnonzero(reached[:, kk] & ~admitted)
+        if adm_idx.size == 0 or rej_idx.size == 0:
+            continue
+        cutoff_bracket = int(np.floor(priority[adm_idx, kk].min()))
+        best_rejected = int(np.floor(priority[rej_idx, kk].max()))
+        if cutoff_bracket != best_rejected:
+            continue
+        members = np.flatnonzero(reached[:, kk] & (merit == cutoff_bracket))
+        groups[kk + 1] = members
+        luck[kk + 1] = luck_variable(draws[members, kk])
+    return groups, luck
+
+
+def reference_margins(pop, draws, assignment, pos, cutoffs):
+    """``reached``, the cutoff reprs, the pivotal groups and luck of a
+    sweep's result, built from N-row scans: ``reached`` by ``np.nonzero``
+    of the (N, L) stop-position mask, each cutoff repr by a mask over N."""
+    n, k = pop.n, pop.n_programs
+    prefs = pop.pref_array()
+    priority = pop.merit[:, None].astype(float) + draws
+    admitted = np.zeros((n, k), dtype=bool)
+    rows = np.flatnonzero(assignment > 0)
+    admitted[rows, assignment[rows] - 1] = True
+    posmask = (prefs > 0) & (np.arange(prefs.shape[1]) <= pos[:, None])
+    reached = np.zeros((n, k), dtype=bool)
+    ii, ll = np.nonzero(posmask)
+    reached[ii, prefs[ii, ll] - 1] = True
+    cutoff_repr = {}
+    for kk in range(k):
+        adm = np.flatnonzero(admitted[:, kk])
+        if adm.size:
+            p_last = priority[adm, kk].min()
+            cutoff_repr[kk + 1] = (int(np.floor(p_last)), float(p_last % 1.0))
+    groups, luck = reference_pivotal_groups(
+        pop.merit, priority, reached, admitted, cutoffs > -np.inf, draws
+    )
+    return reached, cutoff_repr, groups, luck
 
 
 def reference_clearing(pop, cfg, log_events=False):
@@ -542,25 +664,12 @@ def reference_clearing(pop, cfg, log_events=False):
     admitted = np.zeros((n, k), dtype=bool)
     pos = np.flatnonzero(demand > 0)
     admitted[pos, demand[pos] - 1] = True
-    oversubscribed = cutoffs > -np.inf
     eligible = has_pref & (pr_slot >= cutoffs[pref_ix])
     any_el = eligible.any(axis=1)
     first = np.argmax(eligible, axis=1)
     lengths = has_pref.sum(axis=1)
     last_pos = np.where(any_el, first, np.maximum(lengths - 1, 0))
-    posmask = has_pref & (np.arange(prefs.shape[1]) <= last_pos[:, None])
-    reached = np.zeros((n, k), dtype=bool)
-    ii, ll = np.nonzero(posmask)
-    reached[ii, prefs[ii, ll] - 1] = True
-    cutoff_repr = {}
-    for kk in range(k):
-        adm = np.flatnonzero(admitted[:, kk])
-        if adm.size:
-            p_last = priority[adm, kk].min()
-            cutoff_repr[kk + 1] = (int(np.floor(p_last)), float(p_last % 1.0))
-    groups, luck = _pivotal_groups(
-        pop.merit, priority, reached, admitted, oversubscribed, draws
-    )
+    reached, cutoff_repr, groups, luck = reference_margins(pop, draws, demand, last_pos, cutoffs)
     return dict(
         assignment=demand, admitted=admitted, cutoffs=cutoff_repr,
         reached=reached, pivotal_groups=groups, luck=luck, events=events,
@@ -679,12 +788,14 @@ def test_one_more_seat_lowers_cutoffs_and_stays_applicant_optimal(market):
     prefs, lengths = pop.pref_array(), pop.pref_lengths()
     caps = np.asarray(cfg.capacities)
     priority = pop.merit[:, None] + res.draws
-    cutoffs, assignment, _ = _sweep(prefs, lengths, res.pr_slot, caps)
+    base = _sweep(prefs, lengths, res.pr_slot, caps)
+    cutoffs, assignment = base.cutoffs, base.assignment
     assert np.array_equal(assignment, res.assignment)
     for k in range(pop.n_programs):
         plus = caps.copy()
         plus[k] += 1
-        cut_plus, assign_plus, _ = _sweep(prefs, lengths, res.pr_slot, plus)
+        expanded = _sweep(prefs, lengths, res.pr_slot, plus)
+        cut_plus, assign_plus = expanded.cutoffs, expanded.assignment
         assert np.all(cut_plus <= cutoffs)
         for i in range(pop.n):
             assert applicant_rank(pop, i, assign_plus[i]) <= applicant_rank(
@@ -713,9 +824,139 @@ def test_sweep_started_at_one_extra_seat_everywhere_matches_cold_start(market):
         plus[k] += 1
         cold = _sweep(prefs, lengths, res.pr_slot, plus)
         warm = _sweep(prefs, lengths, res.pr_slot, plus, start=start)
-        for got, want in zip(warm, cold):
-            assert got.dtype == want.dtype
-            assert np.array_equal(got, want)
+        assert_same_sweep(warm, cold)
+
+
+def sweep_or_tie(sweep, *args, **kwargs):
+    """A sweep's result, or the programs of the ``UnresolvedPriorityTie`` it
+    raised."""
+    try:
+        return sweep(*args, **kwargs)
+    except UnresolvedPriorityTie as exc:
+        return exc.programs
+
+
+def log(events):
+    return np.concatenate([np.empty(0, dtype=CLEARING_EVENT_DTYPE), *events])
+
+
+@settings(max_examples=300, deadline=None)
+@given(tiny_markets(), st.booleans(), st.data())
+def test_sweep_matches_reference_sweep(market, tied, data):
+    # cold, and warm from one extra seat everywhere and from one extra seat
+    # at each program: the holder-list sweep ends where the N-row sweep
+    # ends, logs the same moves, and raises on the same tied programs
+    pop, cfg = market
+    n, k = pop.n, pop.n_programs
+    prefs, lengths = pop.pref_array(), pop.pref_lengths()
+    caps = np.asarray(cfg.capacities)
+    if tied:  # three priority levels: ties often straddle a cutoff
+        levels = data.draw(st.lists(st.integers(0, 2), min_size=n * k, max_size=n * k))
+        priority = np.asarray(levels, dtype=float).reshape(n, k)
+        pr_slot = np.where(
+            prefs > 0, np.take_along_axis(priority, np.maximum(prefs - 1, 0), axis=1), -np.inf
+        )
+    else:
+        pr_slot = _lottery(pop, cfg.lottery_seed)[1]
+    listed = np.arange(prefs.shape[1]) < lengths[:, None]
+
+    def check(target, start=None):
+        got_events, want_events = [], []
+        got = sweep_or_tie(_sweep, prefs, lengths, pr_slot, target, got_events,
+                           start=None if start is None else start[0])
+        want = sweep_or_tie(reference_sweep, prefs, lengths, pr_slot, target, want_events,
+                            start=None if start is None else start[1])
+        if isinstance(want, list):
+            assert got == want
+            return None
+        for name, b in zip(("cutoffs", "assignment", "pos"), want):
+            a = getattr(got, name)
+            assert a.dtype == b.dtype, name
+            assert np.array_equal(a, b), name
+        assert np.array_equal(log(got_events), log(want_events))
+        cutoffs, assignment, pos = want
+        # reached and not held: slots before the stop, and the stop itself
+        # when it holds no seat
+        slot = np.arange(prefs.shape[1])
+        stop = slot == pos[:, None]
+        passed = listed & ((slot < pos[:, None]) | (stop & (assignment == 0)[:, None]))
+        for kk in range(k):
+            order = np.argsort(got.holders[kk])
+            ids = got.holders[kk][order]
+            assert np.array_equal(ids, np.flatnonzero(assignment == kk + 1))
+            assert np.array_equal(got.held[kk][order], pr_slot[ids, pos[ids]])
+            rejected = pr_slot[passed & (prefs == kk + 1)]
+            assert got.best_rejected[kk] == rejected.max(initial=-np.inf)
+        return got, want
+
+    one_more = [caps + np.eye(k, dtype=caps.dtype)[j] for j in range(k)]
+    for target in [caps, *one_more]:
+        check(target)
+    plus = check(caps + 1)
+    if plus is not None:
+        for target in [caps, *one_more]:
+            check(target, plus)
+    for target in one_more:
+        start = check(target)
+        if start is not None:
+            check(caps, start)
+            check(target, start)
+
+
+def assert_margins_match_n_row_construction(pop, caps, lottery, start=None):
+    res = _clear(pop, caps, lottery, start=start)
+    sweep = _sweep(pop.pref_array(), pop.pref_lengths(), lottery[1], caps)
+    reached, cutoffs, groups, luck = reference_margins(
+        pop, lottery[0], sweep.assignment, sweep.pos, sweep.cutoffs
+    )
+    assert res.reached.dtype == reached.dtype
+    assert np.array_equal(res.reached, reached)
+    assert res.cutoffs == cutoffs
+    assert res.pivotal_groups.keys() == groups.keys() == luck.keys()
+    for prog in groups:
+        assert res.pivotal_groups[prog].dtype == groups[prog].dtype
+        assert np.array_equal(res.pivotal_groups[prog], groups[prog])
+        assert res.luck[prog].dtype == luck[prog].dtype
+        assert np.array_equal(res.luck[prog], luck[prog])
+    return res
+
+
+@settings(max_examples=200, deadline=None)
+@given(tiny_markets())
+def test_clear_margins_match_n_row_construction_on_tiny_markets(market):
+    pop, cfg = market
+    caps = _capacities(pop, cfg)
+    lottery = _lottery(pop, cfg.lottery_seed)
+    assert_margins_match_n_row_construction(pop, caps, lottery)
+    start = _sweep(pop.pref_array(), pop.pref_lengths(), lottery[1], caps + 1)
+    assert_margins_match_n_row_construction(pop, caps, lottery, start)
+
+
+@pytest.mark.parametrize("k, brackets", [(2, 2), (3, 4), (5, 8)])
+def test_clear_margins_match_n_row_construction(k, brackets):
+    # large pivotal groups (two brackets) to many small ones, cold and warm
+    pop = generate_population(SynthConfig(n=3000, k=k, seed=k, n_merit_brackets=brackets,
+                                          taste_scale=1.2))
+    caps = np.full(k, 3000 // (2 * k), dtype=np.int64)
+    for r in range(3):
+        lottery = _lottery(pop, derive_seed(17, r))
+        res = assert_margins_match_n_row_construction(pop, caps, lottery)
+        assert res.pivotal_groups
+        start = _sweep(pop.pref_array(), pop.pref_lengths(), lottery[1], caps + 1)
+        assert_margins_match_n_row_construction(pop, caps, lottery, start)
+
+
+def test_pivotal_group_when_a_lower_bracket_priority_rounds_up_to_the_cutoff_bracket():
+    # 1 + (1 - 2**-53) rounds to 2.0: the rejected applicant of bracket 1
+    # sits in bracket 2 by priority, so program 1's margin is bracket 2,
+    # with the admitted applicant its only member
+    pop = small_pop([2, 1], [(1,), (1,)])
+    draws = np.array([[0.5], [1 - 2.0**-53]])
+    res = _clear(pop, np.array([1]), (draws, _slot_priorities(pop, draws)))
+    assert list(res.assignment) == [1, 0]
+    assert res.cutoffs == {1: (2, 0.5)}
+    assert list(res.pivotal_groups[1]) == [0]
+    assert list(res.luck[1]) == [0.5]
 
 
 def reference_blocking_pairs(pop, cfg, result):
@@ -783,7 +1024,7 @@ def test_baseline_started_at_more_seats_matches_run_clearing(market, data):
     one = caps.copy()
     one[data.draw(st.integers(0, pop.n_programs - 1))] += 1
     for plus in (caps + 1, one):
-        start = _sweep(pop.pref_array(), pop.pref_lengths(), lottery[2], plus)
+        start = _sweep(pop.pref_array(), pop.pref_lengths(), lottery[1], plus)
         assert_same_clearing(_clear(pop, caps, lottery, start=start), want)
 
 
@@ -841,11 +1082,9 @@ def test_sweep_raises_on_tied_priorities_at_the_cutoff():
     assert isinstance(exc.value, NumericalError)
     # the same queue with the tie broken clears in one raise
     events = []
-    cutoffs, demand, _ = _sweep(
-        prefs, lengths, np.array([[4.5], [4.6], [4.1]]), np.array([1]), events
-    )
-    assert list(demand) == [0, 1, 0]
-    assert cutoffs[0] == 4.6
+    res = _sweep(prefs, lengths, np.array([[4.5], [4.6], [4.1]]), np.array([1]), events)
+    assert list(res.assignment) == [0, 1, 0]
+    assert res.cutoffs[0] == 4.6
     log = np.concatenate(events)
     assert log.dtype == CLEARING_EVENT_DTYPE
     assert [(e["round"], e["applicant"]) for e in log] == [(1, 0), (1, 2)]
