@@ -279,17 +279,15 @@ def _solve_first_stage(pi_t: np.ndarray, rf: np.ndarray) -> np.ndarray:
     return t
 
 
-def _first_stage(
-    f: _Fit, weak_threshold: float = WEAK_DIAGONAL_THRESHOLD
-) -> FirstStage:
+def _first_stage(f: _Fit) -> FirstStage:
     """The fit's FirstStage, warning about weak own-instrument coefficients."""
     if f.n_obs <= f.pi_t.shape[0] + f.n_controls:
         raise DataError("need N > K + p observations to fit the first stage")
     fs = FirstStage(f.pi_t.T)
-    weak = np.flatnonzero(np.abs(fs.diag) < weak_threshold)
+    weak = np.flatnonzero(np.abs(fs.diag) < WEAK_DIAGONAL_THRESHOLD)
     if weak.size:
         warnings.warn(
-            f"own-instrument first-stage coefficients below {weak_threshold:g} "
+            f"own-instrument first-stage coefficients below {WEAK_DIAGONAL_THRESHOLD:g} "
             f"for treatments {[int(k) + 1 for k in weak]}",
             WeakDiagonalWarning,
             stacklevel=3,
@@ -297,16 +295,14 @@ def _first_stage(
     return fs
 
 
-def fit_first_stage(
-    data: Dataset, weak_threshold: float = WEAK_DIAGONAL_THRESHOLD
-) -> FirstStage:
+def fit_first_stage(data: Dataset) -> FirstStage:
     """Joint regression of each treatment on all instruments (plus controls).
 
     Warns with WeakDiagonalWarning when any own-instrument coefficient is
-    below ``weak_threshold`` in absolute value, signalling a relevance
-    failure in the population.
+    below ``WEAK_DIAGONAL_THRESHOLD`` in absolute value, signalling a
+    relevance failure in the population.
     """
-    return _first_stage(_fit(data), weak_threshold)
+    return _first_stage(_fit(data))
 
 
 def fit_reduced_form(data: Dataset) -> np.ndarray:

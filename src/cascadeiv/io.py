@@ -556,6 +556,9 @@ def build_scenario(cfg: dict, default_seed: int):
 
     if "synth" not in cfg or "capacities" not in cfg:
         raise SchemaError("run config needs 'synth' and 'capacities' entries")
+    caps, three_program = cfg["capacities"], cfg.get("scenario") == "three_program"
+    if not (isinstance(caps, (list, tuple)) or caps == "auto" and three_program):
+        raise SchemaError("'capacities' must be a list, or \"auto\" for a three_program scenario")
     synth_kwargs = dict(cfg["synth"])
     synth_kwargs.setdefault("seed", default_seed)
     for tuple_key in (
@@ -569,12 +572,7 @@ def build_scenario(cfg: dict, default_seed: int):
         synth_cfg = SynthConfig(**synth_kwargs)
     except TypeError as exc:
         raise SchemaError(f"bad synth config: {exc}") from None
-    if cfg.get("scenario") == "three_program":
-        scenario = scenario_three_program(synth_cfg)
-        pop = scenario.population
-        capacities = tuple(cfg["capacities"]) if cfg.get("capacities") != "auto" else scenario.capacities
-    else:
-        scenario = None
-        pop = generate_population(synth_cfg)
-        capacities = tuple(cfg["capacities"])
+    scenario = scenario_three_program(synth_cfg) if three_program else None
+    pop = scenario.population if three_program else generate_population(synth_cfg)
+    capacities = scenario.capacities if caps == "auto" else tuple(caps)
     return pop, capacities, scenario

@@ -20,6 +20,8 @@ from .seeds import rng_for
 
 __all__ = ["MarketConfig", "MarketOracleResult", "market_clearing_prices", "market_oracle"]
 
+SUPPLY_JITTER = 0.05  # sd of a panel market's supply shocks, relative to supply
+
 
 @dataclass(frozen=True)
 class MarketConfig:
@@ -96,7 +98,6 @@ def market_oracle(
     step: float,
     n_markets: int = 40,
     seed: int = 0,
-    supply_jitter: float = 0.05,
 ) -> MarketOracleResult:
     """Total outcome change per unit of extra supply of good k.
 
@@ -104,9 +105,9 @@ def market_oracle(
     and aggregates the induced outcome changes across consumers. Also emits
     a consumer-by-market panel with prices as instruments, clustered by
     market index: supply is jittered across ``n_markets`` independent
-    markets, holding consumers fixed, so the price variation identifies the
-    same linear system and 2SLS on the panel can be compared against the
-    oracle.
+    markets (normal shocks of ``SUPPLY_JITTER`` times the supply in sd),
+    holding consumers fixed, so the price variation identifies the same
+    linear system and 2SLS on the panel can be compared against the oracle.
     """
     if not 1 <= k <= cfg.n_goods:
         raise DataError(f"good id {k} out of range 1..{cfg.n_goods}")
@@ -122,7 +123,7 @@ def market_oracle(
 
     rng = rng_for(seed)
     n, kk = cfg.n_consumers, cfg.n_goods
-    shocks = supply_jitter * np.abs(cfg.supply) * rng.standard_normal((n_markets, kk))
+    shocks = SUPPLY_JITTER * np.abs(cfg.supply) * rng.standard_normal((n_markets, kk))
     y_rows, a_rows, z_rows, cl_rows = [], [], [], []
     for m in range(n_markets):
         p_m = market_clearing_prices(cfg, cfg.supply + shocks[m])

@@ -11,9 +11,8 @@ from the holders of the program raised. The sweep keeps each program's
 holders as an index array with their priorities: a round partitions the
 holders of the over-capacity programs and walks only the rejected down
 their lists, so it costs time in those holders and the applicants who
-move, not in N. A clearing reads its cutoffs and lottery margins from
-that state and scans all N rows only for the reached-program matrix and
-each pivotal group's members.
+move, not in N. The sweep returns only the matching; a clearing reads
+its cutoffs and lottery margins from it.
 
 A program's pivotal group is the set of applicants who reached it in the
 proposal order and whose merit equals the cutoff bracket; among them,
@@ -163,9 +162,14 @@ class Population:
         for name, arr in self.labels.items():
             if np.asarray(arr).shape != (n,):
                 raise DataError(f"label {name!r} must have length N")
+        slots = np.full((k, n), width, dtype=np.min_scalar_type(width))
+        for col in range(width):  # a column at a time: no (N, L) index arrays
+            rows = listed[:, col].nonzero()[0]
+            slots[pref_arr[rows, col] - 1, rows] = col
         object.__setattr__(self, "prefs", None)  # tuples are built on first read
         object.__setattr__(self, "_pref_array", pref_arr)
         object.__setattr__(self, "_pref_lengths", lengths)
+        object.__setattr__(self, "_pref_slots", slots)
 
     @property
     def n(self) -> int:
@@ -183,6 +187,21 @@ class Population:
         """Length of each applicant's preference list (its listed slots)."""
         return self._pref_lengths
 
+    def pref_slots(self) -> np.ndarray:
+        """(K, N) position of each program in each applicant's list, the
+        list width (``pref_array().shape[1]``) where it is not listed."""
+        return self._pref_slots
+
+
+def _seat_count(c) -> int:
+    """``c`` as an int; a bool or a number that is not whole is refused."""
+    try:
+        if not isinstance(c, (bool, np.bool_)) and c == int(c):
+            return int(c)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise DataError(f"capacities must be whole seat counts, got {c!r}")
+
 
 @dataclass(frozen=True)
 class MechanismConfig:
@@ -190,7 +209,7 @@ class MechanismConfig:
     lottery_seed: int
 
     def __post_init__(self):
-        caps = tuple(int(c) for c in self.capacities)
+        caps = tuple(map(_seat_count, self.capacities))
         if any(c < 1 for c in caps):
             raise DataError("capacities must all be >= 1")
         object.__setattr__(self, "capacities", caps)
@@ -218,10 +237,8 @@ class AllocationResult:
     programs that admitted anyone. ``pivotal_groups[k]`` lists the members
     of program k's lottery margin and ``luck[k]`` their normalized ranks.
     ``admitted`` is the (N, K) admission indicator matrix, one-hot on
-    admitted rows. ``pr_slot`` is each applicant's priority at each listed
-    slot of ``Population.pref_array()`` (-inf at padding), what a re-run of
-    the cutoff sweep on the same draws needs. ``events`` is the sweep log, a
-    ``CLEARING_EVENT_DTYPE`` array (empty unless ``log_events``).
+    admitted rows. ``events`` is the sweep log, a ``CLEARING_EVENT_DTYPE``
+    array (empty unless ``log_events``).
     """
 
     assignment: np.ndarray
@@ -231,8 +248,6 @@ class AllocationResult:
     luck: dict
     oversubscribed: np.ndarray
     draws: np.ndarray
-    reached: np.ndarray
-    pr_slot: np.ndarray
     events: np.ndarray
 
 
@@ -274,10 +289,9 @@ class _Sweep:
     preference position where their scan stopped (``pos``: the last listed
     one if they hold no seat, 0 for an empty list). ``holders[k]`` lists
     the applicants holding program k+1, in no particular order, and
-    ``held[k]`` their priorities there. ``best_rejected[k]`` is the highest
-    priority among the applicants who reached program k+1 and do not hold
-    it (-inf if none). A later sweep reads it all as its ``start``; nothing
-    in it is written after the sweep returns.
+    ``held[k]`` their priorities there. That is the whole matching: a later
+    sweep reads it as its ``start`` and a clearing reads its margins from
+    it; nothing in it is written after the sweep returns.
     """
 
     cutoffs: np.ndarray
@@ -285,7 +299,6 @@ class _Sweep:
     pos: np.ndarray
     holders: tuple
     held: tuple
-    best_rejected: np.ndarray
 
 
 def _sweep(
@@ -332,24 +345,23 @@ def _sweep(
     k, seats = caps.shape[0], caps.tolist()
     prog_at, pr_at = prefs.ravel(), pr_slot.ravel()
     last = prog_at.size - 1
-    # cutoffs and best rejected priorities by program id; id 0, the
-    # outside option, admits everyone
-    cut, best = np.full(k + 1, -np.inf), np.full(k + 1, -np.inf)
-    cutoffs, best_rejected = cut[1:], best[1:]
+    # cutoffs by program id; id 0, the outside option, admits everyone
+    cut = np.full(k + 1, -np.inf)
+    cutoffs = cut[1:]
     if start is None:
         assignment = prefs[:, 0].copy()  # each at their first choice
         pos = np.zeros(n, dtype=np.int64)
         holders = [np.flatnonzero(assignment == kk + 1) for kk in range(k)]
         held = [pr_slot[:, 0][ids] for ids in holders]
     else:
-        cutoffs[:], best_rejected[:] = start.cutoffs, start.best_rejected
+        cutoffs[:] = start.cutoffs
         assignment, pos = start.assignment.copy(), start.pos.copy()
         holders, held = list(start.holders), list(start.held)
     sweep = 0
     while True:
         over = [kk for kk, cap in enumerate(seats) if len(holders[kk]) > cap]
         if not over:
-            return _Sweep(cutoffs, assignment, pos, tuple(holders), tuple(held), best_rejected)
+            return _Sweep(cutoffs, assignment, pos, tuple(holders), tuple(held))
         rejected = []
         for kk in over:
             pr = held[kk]
@@ -360,7 +372,6 @@ def _sweep(
             # masks a masked take costs several times an indexed one
             lost, stay = (~stay).nonzero()[0], stay.nonzero()[0]
             rejected.append(holders[kk][lost])
-            best_rejected[kk] = max(best_rejected[kk], pr[lost].max(initial=-np.inf))
             holders[kk], held[kk] = holders[kk][stay], pr[stay]
         walk = np.concatenate(rejected)
         if walk.size == 0:
@@ -386,7 +397,6 @@ def _sweep(
             prog[done] = 0
             ok = pr >= cut[prog]
             ok, passed = ok.nonzero()[0], (~ok).nonzero()[0]
-            np.maximum.at(best, prog[passed], pr[passed])
             arrived.append((base[ok], at[ok] - done[ok], prog[ok], pr[ok]))
             base, at, end = base[passed], at[passed] + 1, end[passed]
         base, at, prog, pr = (np.concatenate(a) for a in zip(*arrived))
@@ -438,31 +448,24 @@ def _clear(
     priorities at capacities at least ``caps`` everywhere, from which the
     sweep ends at the same cutoffs, seats and stop positions as from -inf.
 
-    The margins are read from the sweep's state: a program's lowest
+    The margins are read from the final matching. A program's lowest
     admitted priority is the lowest its holders hold (for an over-capacity
-    program, the final cutoff: the holder at the last raise's partition
-    point stays), and the best rejected priority is the sweep's. Only a
-    program whose cutoff bracket the lottery splits reads its reached
-    column, once, for its pivotal group.
+    program, the final cutoff). Cutoffs only rise, so whoever reached an
+    over-capacity program (``Population.pref_slots`` at or before their
+    stop) and does not hold it was rejected there. If their best priority
+    lies in the last admit's bracket, everyone who reached the program with
+    that merit is pivotal.
     """
     draws, pr_slot = lottery
     n, k = pop.n, pop.n_programs
-    prefs = pop.pref_array()
     events: list = [np.empty(0, dtype=CLEARING_EVENT_DTYPE)]
-    sweep = _sweep(
-        prefs, pop.pref_lengths(), pr_slot, caps, events if log_events else None, start=start
-    )
+    sweep = _sweep(pop.pref_array(), pop.pref_lengths(), pr_slot, caps,
+                   events if log_events else None, start=start)
     admitted = np.zeros((n, k), dtype=bool)
     for kk, holders in enumerate(sweep.holders):
         admitted[holders, kk] = True
-    # proposal prefix: every listed program up to where the scan stopped;
-    # padding (program 0) lands in column 0, which is dropped
-    reached = np.zeros((n, k + 1), dtype=bool)
-    np.put_along_axis(
-        reached, prefs, np.arange(prefs.shape[1]) <= sweep.pos[:, None], axis=1
-    )
-    reached = reached[:, 1:]
     oversubscribed = sweep.cutoffs > -np.inf
+    merit = pop.merit.astype(float)  # with a draw, the sweep's priority
     cutoffs, groups, luck = {}, {}, {}
     for kk, held in enumerate(sweep.held):
         if held.size == 0:
@@ -470,10 +473,13 @@ def _clear(
         p_last = held.min()
         bracket = int(np.floor(p_last))
         cutoffs[kk + 1] = (bracket, float(p_last % 1.0))
-        # the lottery decided something only if a rejected applicant shares
-        # the bracket of the last admit; then the bracket is the margin
-        if oversubscribed[kk] and np.floor(sweep.best_rejected[kk]) == bracket:
-            members = np.flatnonzero(reached[:, kk] & (pop.merit == bracket))
+        if not oversubscribed[kk]:
+            continue
+        reached = pop.pref_slots()[kk] <= sweep.pos
+        rejected = reached & (sweep.assignment != kk + 1)
+        best = np.where(rejected, merit + draws[:, kk], -np.inf).max(initial=-np.inf)
+        if np.floor(best) == bracket:
+            members = np.flatnonzero(reached & (pop.merit == bracket))
             groups[kk + 1] = members
             luck[kk + 1] = luck_variable(draws[members, kk])
     return AllocationResult(
@@ -484,8 +490,6 @@ def _clear(
         luck=luck,
         oversubscribed=oversubscribed,
         draws=draws,
-        reached=reached,
-        pr_slot=pr_slot,
         events=np.concatenate(events),
     )
 
@@ -922,9 +926,9 @@ def find_blocking_pairs(
     (i, k) blocks when applicant i ranks k above their assignment and k
     either has spare capacity or admitted someone with lower priority. The
     programs i ranks above their assignment are the ones the assignment
-    says rejected i (``reached & ~admitted`` of a clearing): those listed
-    before it, or every listed one when i holds no listed seat. Pairs come
-    by applicant, then in preference order.
+    says rejected i: those listed before it, or every listed one when i
+    holds no listed seat (for a clearing, the programs i reached and does
+    not hold). Pairs come by applicant, then in preference order.
     """
     caps = np.asarray(cfg.capacities)
     priority = pop.merit[:, None].astype(float) + result.draws

@@ -107,11 +107,11 @@ def counting_sweeps():
 
 
 def assert_same_sweep(got, want):
-    """Two cutoff sweeps end in the same state, bit for bit: cutoffs, seats,
-    stop positions and best rejected priorities, and each program's holders
-    with their priorities, compared in applicant order (a sweep keeps them
-    in no particular order)."""
-    for name in ("cutoffs", "assignment", "pos", "best_rejected"):
+    """Two cutoff sweeps end in the same state, bit for bit: cutoffs, seats
+    and stop positions, and each program's holders with their priorities,
+    compared in applicant order (a sweep keeps them in no particular
+    order)."""
+    for name in ("cutoffs", "assignment", "pos"):
         a, b = getattr(got, name), getattr(want, name)
         assert a.dtype == b.dtype, name
         assert np.array_equal(a, b), name

@@ -35,7 +35,7 @@ from cascadeiv import (
 )
 from cascadeiv.errors import DivergentCascade
 from cascadeiv.estimator import FirstStage, cluster_bootstrap
-from cascadeiv.mechanism import _sweep, balance_check, find_blocking_pairs
+from cascadeiv.mechanism import _lottery, _sweep, balance_check, find_blocking_pairs
 from cascadeiv.seeds import derive_seed
 
 from conftest import assert_same_sweep, bernoulli_iv_data, well_conditioned_pi
@@ -201,15 +201,14 @@ def test_warm_started_oracle_sweeps_match_cold_on_acceptance_scenarios():
         pop = generate_population(cfg)
         prefs, lengths, caps = pop.pref_array(), pop.pref_lengths(), np.asarray(caps)
         for r in range(2):
-            base = run_clearing(pop, MechanismConfig(
-                capacities=tuple(caps), lottery_seed=derive_seed(master, r)))
-            start = _sweep(prefs, lengths, base.pr_slot, caps + 1)
+            pr_slot = _lottery(pop, derive_seed(master, r))[1]
+            start = _sweep(prefs, lengths, pr_slot, caps + 1)
             for k in range(-1, cfg.k):
                 plus = caps.copy()
                 if k >= 0:  # k = -1 is the baseline
                     plus[k] += 1
-                cold = _sweep(prefs, lengths, base.pr_slot, plus)
-                warm = _sweep(prefs, lengths, base.pr_slot, plus, start=start)
+                cold = _sweep(prefs, lengths, pr_slot, plus)
+                warm = _sweep(prefs, lengths, pr_slot, plus, start=start)
                 assert_same_sweep(warm, cold)
 
 

@@ -1,11 +1,16 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import cascadeiv
 import cascadeiv.io as iomod
 from cascadeiv.cli import main
 from cascadeiv import (
@@ -279,6 +284,32 @@ def test_verify_zero_oracle_reps_is_a_data_error(tmp_path, config_path, capsys):
     assert "reps must be >= 1" in err["error"]["message"]
 
 
+@pytest.mark.parametrize("capacities, code, message", [
+    ("auto", "SchemaError", "'capacities' must be a list, or \"auto\" for a three_program"),
+    (5, "SchemaError", "'capacities' must be a list, or \"auto\" for a three_program"),
+    ([1.5, 2], "DataError", "capacities must be whole seat counts, got 1.5"),
+    ([True, 2], "DataError", "capacities must be whole seat counts, got True"),
+])
+def test_malformed_capacities_are_data_errors(tmp_path, capsys, capacities, code, message):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(dict(CONFIG, capacities=capacities)))
+    assert run(["simulate", "--config", path, "--seed", 3, "--reps", 2,
+                "--out", tmp_path / "out"]) == 3
+    err = _last_error(capsys)
+    assert err["code"] == code
+    assert err["message"].startswith(message)
+
+
+def test_auto_capacities_come_from_the_three_program_scenario():
+    synth = dict(n=2000, k=2, het_scale=0.3, base_scale=0.5,
+                 complier_targets=[0.5, 0.5], scenario_effects=[1.0, 0.3, 0.4])
+    cfg = {"synth": synth, "capacities": "auto", "scenario": "three_program"}
+    _, capacities, scenario = build_scenario(cfg, 7)
+    assert capacities == scenario.capacities
+    _, capacities, _ = build_scenario(dict(cfg, capacities=[300, 400]), 7)
+    assert capacities == (300, 400)
+
+
 @pytest.mark.parametrize("spec, message", [
     ("{bad", "--blocks is not valid JSON"),
     ('{"A": ["x"]}', "block 'A' must be a list of integer program ids"),
@@ -510,3 +541,13 @@ def test_every_csv_goes_through_the_one_writer(tmp_path, config_path, capsys):
     csvs = sorted(str(p) for out in commands for p in (tmp_path / out).glob("*.csv"))
     assert len(csvs) == 17  # every table of every command
     assert sorted(written) == csvs
+
+
+def test_importing_the_cli_does_not_import_scipy_stats():
+    # scipy.stats alone takes over a second to import, so a fresh process
+    # that only imports the package and its CLI must not load it
+    src = Path(cascadeiv.__file__).resolve().parents[1]
+    code = "import sys, cascadeiv, cascadeiv.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(src)),
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

@@ -165,6 +165,9 @@ def test_population_preference_array_of_floats_or_no_columns():
     with pytest.raises(DataError, match="preference array must be"):
         make_pop(np.ones((2, 1)), 2)
     assert make_pop(np.zeros((2, 0), dtype=np.int64), 2).prefs == [(), ()]
+    assert make_pop(np.zeros((2, 0), dtype=np.int64), 2).pref_slots().tolist() == [[1, 1]] * 2
+    wide = make_pop(np.zeros((1, 300), dtype=np.int64), 1).pref_slots()
+    assert wide.dtype == np.uint16 and wide.tolist() == [[300]]
     pop = make_pop(np.asfortranarray([[2, 1], [1, 0]]), 2)
     assert pop.pref_array().flags.c_contiguous and pop.prefs == [(2, 1), (1,)]
 
@@ -498,6 +501,11 @@ def test_balance_predetermined_attributes_near_zero():
 def test_config_validation():
     with pytest.raises(DataError):
         MechanismConfig(capacities=(0, 2), lottery_seed=1)
+    for bad in (True, np.bool_(True), 1.5, float("nan"), float("inf"), "2", None):
+        with pytest.raises(DataError, match="whole seat counts"):
+            MechanismConfig(capacities=(bad, 2), lottery_seed=1)
+    whole = (2.0, np.int64(3), np.float64(4.0), np.uint8(5))
+    assert MechanismConfig(capacities=whole, lottery_seed=1).capacities == (2, 3, 4, 5)
     pop = small_pop([1], [(1,)])
     with pytest.raises(DataError):
         run_clearing(pop, MechanismConfig(capacities=(1, 1), lottery_seed=0))
@@ -590,9 +598,9 @@ def reference_pivotal_groups(merit, priority, reached, assignment_matrix, oversu
 
 
 def reference_margins(pop, draws, assignment, pos, cutoffs):
-    """``reached``, the cutoff reprs, the pivotal groups and luck of a
-    sweep's result, built from N-row scans: ``reached`` by ``np.nonzero``
-    of the (N, L) stop-position mask, each cutoff repr by a mask over N."""
+    """The cutoff reprs, the pivotal groups and luck of a sweep's result,
+    built from N-row scans: the reached programs by ``np.nonzero`` of the
+    (N, L) stop-position mask, each cutoff repr by a mask over N."""
     n, k = pop.n, pop.n_programs
     prefs = pop.pref_array()
     priority = pop.merit[:, None].astype(float) + draws
@@ -612,7 +620,7 @@ def reference_margins(pop, draws, assignment, pos, cutoffs):
     groups, luck = reference_pivotal_groups(
         pop.merit, priority, reached, admitted, cutoffs > -np.inf, draws
     )
-    return reached, cutoff_repr, groups, luck
+    return cutoff_repr, groups, luck
 
 
 def reference_clearing(pop, cfg, log_events=False):
@@ -669,10 +677,10 @@ def reference_clearing(pop, cfg, log_events=False):
     first = np.argmax(eligible, axis=1)
     lengths = has_pref.sum(axis=1)
     last_pos = np.where(any_el, first, np.maximum(lengths - 1, 0))
-    reached, cutoff_repr, groups, luck = reference_margins(pop, draws, demand, last_pos, cutoffs)
+    cutoff_repr, groups, luck = reference_margins(pop, draws, demand, last_pos, cutoffs)
     return dict(
         assignment=demand, admitted=admitted, cutoffs=cutoff_repr,
-        reached=reached, pivotal_groups=groups, luck=luck, events=events,
+        pivotal_groups=groups, luck=luck, events=events,
     )
 
 
@@ -740,6 +748,23 @@ def tiny_markets(draw):
 
 
 @settings(max_examples=200, deadline=None)
+@given(tiny_markets(), st.integers(0, 2))
+def test_pref_slots_match_list_index(market, extra):
+    # the lists as given, and as one padded array with ``extra`` more
+    # columns of 0s: zero columns wide when every list is empty
+    pop, _ = market
+    n, k = pop.n, pop.n_programs
+    lists = [list(pl) for pl in pop.prefs]
+    arr = np.hstack([padded(lists), np.zeros((n, extra), dtype=np.int64)])
+    for p in (pop, make_pop(arr, k)):
+        width = p.pref_array().shape[1]
+        want = [[pl.index(prog) if prog in pl else width for pl in lists]
+                for prog in range(1, k + 1)]
+        assert p.pref_slots().dtype == np.uint8
+        assert np.array_equal(p.pref_slots(), np.array(want).reshape(k, n))
+
+
+@settings(max_examples=200, deadline=None)
 @given(tiny_markets())
 def test_clearing_matches_full_recompute_reference(market):
     pop, cfg = market
@@ -747,7 +772,6 @@ def test_clearing_matches_full_recompute_reference(market):
     ref = reference_clearing(pop, cfg, log_events=True)
     assert np.array_equal(res.assignment, ref["assignment"])
     assert np.array_equal(res.admitted, ref["admitted"])
-    assert np.array_equal(res.reached, ref["reached"])
     assert res.cutoffs == ref["cutoffs"]
     want = np.array(
         [
@@ -788,13 +812,14 @@ def test_one_more_seat_lowers_cutoffs_and_stays_applicant_optimal(market):
     prefs, lengths = pop.pref_array(), pop.pref_lengths()
     caps = np.asarray(cfg.capacities)
     priority = pop.merit[:, None] + res.draws
-    base = _sweep(prefs, lengths, res.pr_slot, caps)
+    pr_slot = _lottery(pop, cfg.lottery_seed)[1]
+    base = _sweep(prefs, lengths, pr_slot, caps)
     cutoffs, assignment = base.cutoffs, base.assignment
     assert np.array_equal(assignment, res.assignment)
     for k in range(pop.n_programs):
         plus = caps.copy()
         plus[k] += 1
-        expanded = _sweep(prefs, lengths, res.pr_slot, plus)
+        expanded = _sweep(prefs, lengths, pr_slot, plus)
         cut_plus, assign_plus = expanded.cutoffs, expanded.assignment
         assert np.all(cut_plus <= cutoffs)
         for i in range(pop.n):
@@ -815,15 +840,15 @@ def test_one_more_seat_lowers_cutoffs_and_stays_applicant_optimal(market):
 @given(tiny_markets())
 def test_sweep_started_at_one_extra_seat_everywhere_matches_cold_start(market):
     pop, cfg = market
-    res = run_clearing(pop, cfg)
+    pr_slot = _lottery(pop, cfg.lottery_seed)[1]
     prefs, lengths = pop.pref_array(), pop.pref_lengths()
     caps = np.asarray(cfg.capacities)
-    start = _sweep(prefs, lengths, res.pr_slot, caps + 1)
+    start = _sweep(prefs, lengths, pr_slot, caps + 1)
     for k in range(pop.n_programs):
         plus = caps.copy()
         plus[k] += 1
-        cold = _sweep(prefs, lengths, res.pr_slot, plus)
-        warm = _sweep(prefs, lengths, res.pr_slot, plus, start=start)
+        cold = _sweep(prefs, lengths, pr_slot, plus)
+        warm = _sweep(prefs, lengths, pr_slot, plus, start=start)
         assert_same_sweep(warm, cold)
 
 
@@ -858,7 +883,6 @@ def test_sweep_matches_reference_sweep(market, tied, data):
         )
     else:
         pr_slot = _lottery(pop, cfg.lottery_seed)[1]
-    listed = np.arange(prefs.shape[1]) < lengths[:, None]
 
     def check(target, start=None):
         got_events, want_events = [], []
@@ -875,18 +899,11 @@ def test_sweep_matches_reference_sweep(market, tied, data):
             assert np.array_equal(a, b), name
         assert np.array_equal(log(got_events), log(want_events))
         cutoffs, assignment, pos = want
-        # reached and not held: slots before the stop, and the stop itself
-        # when it holds no seat
-        slot = np.arange(prefs.shape[1])
-        stop = slot == pos[:, None]
-        passed = listed & ((slot < pos[:, None]) | (stop & (assignment == 0)[:, None]))
         for kk in range(k):
             order = np.argsort(got.holders[kk])
             ids = got.holders[kk][order]
             assert np.array_equal(ids, np.flatnonzero(assignment == kk + 1))
             assert np.array_equal(got.held[kk][order], pr_slot[ids, pos[ids]])
-            rejected = pr_slot[passed & (prefs == kk + 1)]
-            assert got.best_rejected[kk] == rejected.max(initial=-np.inf)
         return got, want
 
     one_more = [caps + np.eye(k, dtype=caps.dtype)[j] for j in range(k)]
@@ -906,11 +923,9 @@ def test_sweep_matches_reference_sweep(market, tied, data):
 def assert_margins_match_n_row_construction(pop, caps, lottery, start=None):
     res = _clear(pop, caps, lottery, start=start)
     sweep = _sweep(pop.pref_array(), pop.pref_lengths(), lottery[1], caps)
-    reached, cutoffs, groups, luck = reference_margins(
+    cutoffs, groups, luck = reference_margins(
         pop, lottery[0], sweep.assignment, sweep.pos, sweep.cutoffs
     )
-    assert res.reached.dtype == reached.dtype
-    assert np.array_equal(res.reached, reached)
     assert res.cutoffs == cutoffs
     assert res.pivotal_groups.keys() == groups.keys() == luck.keys()
     for prog in groups:
