@@ -35,12 +35,7 @@ from .estimator import (
     wald_ratios,
 )
 from .fixtures import fixture_checks
-from .mechanism import (
-    MechanismConfig,
-    balance_check,
-    simulate_and_oracles,
-    simulate_run,
-)
+from .mechanism import MechanismConfig, _records_and_oracles, balance_check, simulate_run
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -72,11 +67,11 @@ def cmd_simulate(args) -> int:
         iomod.write_events_jsonl(out / "events.jsonl", run.events)
     else:  # a log of an earlier run would not belong to this dataset
         (out / "events.jsonl").unlink(missing_ok=True)
+    done = (f"wrote {run.dataset.n_obs} rows ({run.dataset.n_clusters} clusters) to "
+            f"{out / 'dataset.csv'}")
+    del run  # its rows go back to the system before population.csv is formatted
     iomod.write_population_csv(out / "population.csv", pop, "simulate", args.seed)
-    print(
-        f"wrote {run.dataset.n_obs} rows ({run.dataset.n_clusters} clusters) to "
-        f"{out / 'dataset.csv'}"
-    )
+    print(done)
     return EXIT_OK
 
 
@@ -150,10 +145,11 @@ def cmd_verify(args) -> int:
     pop, capacities, scenario = iomod.build_scenario(cfg, args.seed)
     mech = MechanismConfig(capacities=capacities, lottery_seed=args.seed)
     oracle_reps = args.reps if args.oracle_reps is None else args.oracle_reps
-    run, oracles = simulate_and_oracles(
+    # the fit reads the pivotal records' moment object: the rows are never stacked
+    records, oracles = _records_and_oracles(
         pop, mech, args.reps, args.seed, range(1, pop.n_programs + 1), oracle_reps
     )
-    est = estimate_all(run.dataset)
+    est = estimate_all(records)
     out = _out_dir(args)
     lines, zs = [], []
     worst = 0.0

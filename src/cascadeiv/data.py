@@ -157,7 +157,8 @@ class _Moments:
     beside the blocks. For clusters of a few rows the tensor would outgrow
     the rows, which are kept instead, as one copy of W sorted into a run of
     rows per level, row i weighted by c[code_i]: all levels' Grams take one
-    pass."""
+    pass. ``of_clusters`` builds the same object from rows that are never
+    stacked (a simulation's pivotal records), one cluster at a time."""
 
     def __init__(self, blocks, codes: np.ndarray, labels=None):
         n = len(blocks[0])
@@ -184,8 +185,40 @@ class _Moments:
         self.m = np.zeros((self.g, n_lev, d, d))
         for cell, lo, hi in self.runs:
             rows = slice(lo, hi) if isinstance(order, slice) else order[lo:hi]
-            wc = _stack(blocks, rows, hi - lo, d)
-            self.m[divmod(cell, n_lev)] = wc.T @ wc
+            self._cell(divmod(cell, n_lev), _stack(blocks, rows, hi - lo, d))
+
+    @classmethod
+    def of_clusters(cls, codes: np.ndarray, sizes: np.ndarray, d: int, fill) -> _Moments:
+        """The object of rows given one cluster at a time, in row order and
+        of one level: cluster i has code ``codes[i]`` and ``sizes[i]`` rows
+        of W, d wide, which ``fill(i, w)`` writes into a zeroed C-contiguous
+        array ``w``. Each cluster is then one run of rows, so this is, bit
+        for bit, the object of the stacked rows and their codes, built
+        without them: in the tensor form each cluster's rows are written
+        into the array its product is taken of; in the rows form, into the
+        copy of W the object keeps."""
+        mom = cls.__new__(cls)
+        n = int(sizes.sum())
+        mom.g, mom.levels, mom.runs = codes.size, None, [(0, 0, n)]
+        if mom.g * d > n:
+            w = np.zeros((n, d))
+            for i, hi in enumerate(np.cumsum(sizes)):
+                fill(i, w[hi - sizes[i] : hi])
+            mom.m, mom.w, mom.codes = None, w, np.repeat(codes, sizes)
+            return mom
+        mom.rows = np.zeros((mom.g, 1), dtype=np.intp)
+        mom.rows[codes, 0] = sizes
+        mom.m = np.zeros((mom.g, 1, d, d))
+        for i, code in enumerate(codes):
+            wc = np.zeros((sizes[i], d))
+            fill(i, wc)
+            mom._cell((code, 0), wc)
+        return mom
+
+    def _cell(self, cell, wc: np.ndarray):
+        """Cell ``cell``'s cross-products, from its rows of W in row order as
+        one C-contiguous array: the one product every cell is built by."""
+        self.m[cell] = wc.T @ wc
 
     def grams(self, c: np.ndarray):
         """Each level's Gram at cluster weights c, (L, d, d), and row count, (L,)."""

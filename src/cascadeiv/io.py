@@ -559,6 +559,8 @@ def build_scenario(cfg: dict, default_seed: int):
     caps, three_program = cfg["capacities"], cfg.get("scenario") == "three_program"
     if not (isinstance(caps, (list, tuple)) or caps == "auto" and three_program):
         raise SchemaError("'capacities' must be a list, or \"auto\" for a three_program scenario")
+    if not isinstance(cfg["synth"], dict):
+        raise SchemaError("'synth' must be an object")
     synth_kwargs = dict(cfg["synth"])
     synth_kwargs.setdefault("seed", default_seed)
     for tuple_key in (
@@ -566,8 +568,11 @@ def build_scenario(cfg: dict, default_seed: int):
         "label_effect_shift", "label_taste_shift", "complier_targets",
         "scenario_effects",
     ):
-        if synth_kwargs.get(tuple_key) is not None:
-            synth_kwargs[tuple_key] = tuple(synth_kwargs[tuple_key])
+        value = synth_kwargs.get(tuple_key)
+        if value is not None:
+            if not isinstance(value, (list, tuple)):
+                raise SchemaError(f"synth {tuple_key!r} must be a list, got {value!r}")
+            synth_kwargs[tuple_key] = tuple(value)
     try:
         synth_cfg = SynthConfig(**synth_kwargs)
     except TypeError as exc:

@@ -28,9 +28,11 @@ baseline sweep and every expansion's sweep there, from a copy of its
 cutoffs, seats and holder arrays; each ends at the same matching as a
 start from -inf. An expansion's total outcome recomputes
 only the applicants whose seat changed. One replication loop clears each
-draw once and feeds the stacked dataset, the oracle, or both
+draw once and feeds the dataset's pivotal records, the oracle, or both
 (``simulate_and_oracles``); draws that feed only the dataset are swept
-from -inf.
+from -inf, and only the draws that feed the dataset have their margins
+read. The records are stacked into a Dataset only for a caller that asks
+for the rows; a fit reads their moment object, built one cluster at a time.
 """
 
 from __future__ import annotations
@@ -270,14 +272,18 @@ def luck_variable(draws: np.ndarray) -> np.ndarray:
 
 def _slot_priorities(pop: Population, draws: np.ndarray) -> np.ndarray:
     """The priority (merit bracket plus draw) at each listed slot of the
-    (N, L) preference matrix, -inf at padding."""
-    priority = pop.merit[:, None].astype(float) + draws
+    (N, L) preference matrix, -inf at padding. The draw of each slot is
+    gathered through one flat index array and the merit added in place, so
+    no (N, K) priority matrix is made; each priority is still one rounding
+    of merit plus draw."""
     prefs = pop.pref_array()
-    return np.where(
-        prefs > 0,
-        np.take_along_axis(priority, np.maximum(prefs - 1, 0), axis=1),
-        -np.inf,
-    )
+    slot = np.maximum(prefs - 1, 0)
+    slot += np.arange(0, draws.size, draws.shape[1])[:, None]  # row i starts at i K
+    out = np.take(draws, slot)
+    del slot
+    out += pop.merit[:, None]
+    out[prefs == 0] = -np.inf
+    return out
 
 
 @dataclass(frozen=True)
@@ -412,14 +418,6 @@ def _sweep(
             events.append(moves)
 
 
-def _admission_matrix(assignment: np.ndarray, k: int) -> np.ndarray:
-    """(N, K) one-hot admission indicators of an assignment vector."""
-    admitted = np.zeros((assignment.shape[0], k), dtype=bool)
-    pos = np.flatnonzero(assignment > 0)
-    admitted[pos, assignment[pos] - 1] = True
-    return admitted
-
-
 def _capacities(pop: Population, cfg: MechanismConfig) -> np.ndarray:
     caps = np.asarray(cfg.capacities, dtype=np.int64)
     if caps.shape != (pop.n_programs,):
@@ -441,12 +439,27 @@ def _clear(
     start: _Sweep | None = None,
     log_events: bool = False,
 ) -> AllocationResult:
-    """Clear the market at capacities ``caps`` on given draws.
+    """Clear the market at capacities ``caps`` on given draws: the sweep,
+    then its margins (``_margins``).
 
     ``lottery`` is ``(draws, pr_slot)``, as ``_lottery`` returns them.
     ``start`` is handed to ``_sweep``: a sweep result on the same
     priorities at capacities at least ``caps`` everywhere, from which the
     sweep ends at the same cutoffs, seats and stop positions as from -inf.
+    The slot oracle needs only the sweep; the simulation paths read the
+    margins too.
+    """
+    draws, pr_slot = lottery
+    events: list = [np.empty(0, dtype=CLEARING_EVENT_DTYPE)]
+    sweep = _sweep(pop.pref_array(), pop.pref_lengths(), pr_slot, caps,
+                   events if log_events else None, start=start)
+    return _margins(pop, sweep, draws, np.concatenate(events))
+
+
+def _margins(
+    pop: Population, sweep: _Sweep, draws: np.ndarray, events: np.ndarray | None = None
+) -> AllocationResult:
+    """The clearing a sweep on ``draws`` ended in, with its lottery margins.
 
     The margins are read from the final matching. A program's lowest
     admitted priority is the lowest its holders hold (for an over-capacity
@@ -454,13 +467,9 @@ def _clear(
     over-capacity program (``Population.pref_slots`` at or before their
     stop) and does not hold it was rejected there. If their best priority
     lies in the last admit's bracket, everyone who reached the program with
-    that merit is pivotal.
+    that merit is pivotal. ``events`` is the sweep's log (none by default).
     """
-    draws, pr_slot = lottery
     n, k = pop.n, pop.n_programs
-    events: list = [np.empty(0, dtype=CLEARING_EVENT_DTYPE)]
-    sweep = _sweep(pop.pref_array(), pop.pref_lengths(), pr_slot, caps,
-                   events if log_events else None, start=start)
     admitted = np.zeros((n, k), dtype=bool)
     for kk, holders in enumerate(sweep.holders):
         admitted[holders, kk] = True
@@ -490,7 +499,7 @@ def _clear(
         luck=luck,
         oversubscribed=oversubscribed,
         draws=draws,
-        events=np.concatenate(events),
+        events=np.empty(0, dtype=CLEARING_EVENT_DTYPE) if events is None else events,
     )
 
 
@@ -510,15 +519,30 @@ def run_clearing(
 
 
 def realized_outcomes(pop: Population, admitted: np.ndarray) -> np.ndarray:
-    """Observed outcomes under an admission matrix (additive in programs)."""
-    return _outcomes(pop.po, admitted)
+    """Observed outcomes under an (N, K) 0/1 admission matrix with one
+    admission per row at most, such as ``AllocationResult.admitted``."""
+    admitted = np.asarray(admitted)
+    one_seat = admitted.shape == (pop.n, pop.n_programs)
+    if one_seat:
+        rows, cols = np.nonzero(admitted)  # row-major: a row's entries are adjacent
+        one_seat = np.all(admitted[rows, cols] == 1) and not np.any(rows[1:] == rows[:-1])
+    if not one_seat:
+        raise DataError("admitted must be an (N, K) 0/1 matrix with one admission per row at most")
+    assignment = np.zeros(pop.n, dtype=np.int64)
+    assignment[rows] = cols + 1
+    return _outcomes(pop.po, assignment)
 
 
-def _outcomes(po: np.ndarray, admitted: np.ndarray) -> np.ndarray:
-    # a row's outcome depends on its own entries alone: at most one admission
-    # makes its sum exact in any order, so a row subset gives the same bits
-    gains = po[:, 1:] - po[:, [0]]
-    return po[:, 0] + (gains * admitted).sum(axis=1)
+def _outcomes(po: np.ndarray, assignment: np.ndarray) -> np.ndarray:
+    """po[i, 0] + sum_j (po[i, j] - po[i, 0]) [assignment[i] == j], bit for
+    bit as numpy sums the (N, K) products, without making them. A row's
+    outcome depends on its own entries alone, so a row subset gives the
+    same bits. The sum starts at +0.0 and gains at most one nonzero term, so
+    it is the row's one gain or +0.0, which turns a -0.0 outcome into +0.0."""
+    y = po[:, 0] + 0.0
+    rows = np.flatnonzero(assignment)
+    y[rows] += po[rows, assignment[rows]] - po[rows, 0]
+    return y
 
 
 def _replications(
@@ -529,14 +553,19 @@ def _replications(
     log_events: bool = False,
     oracle: _SlotOracles | None = None,
 ):
-    """Each replication's baseline clearing, on seed ``derive_seed(master_seed,
-    rep)``; one at a time, so no clearing outlives its replication. The
-    first ``oracle.reps`` draws are cleared by ``oracle``, which also
-    measures their slot expansions; the others by ``run_clearing``."""
-    for r in range(reps):
+    """The baseline clearings of the first ``reps`` replications, on seed
+    ``derive_seed(master_seed, rep)``; one at a time, so no clearing
+    outlives its replication. The first ``oracle.reps`` draws are swept by
+    ``oracle``, which also measures their slot expansions; their margins
+    are read only for the draws yielded, and draws past ``reps`` feed the
+    oracle alone. The other draws are cleared by ``run_clearing``."""
+    for r in range(reps if oracle is None else max(reps, oracle.reps)):
         seed_r = derive_seed(master_seed, r)
         if oracle is not None and r < oracle.reps:
-            yield r, oracle.clear(r, _lottery(pop, seed_r))
+            lottery = _lottery(pop, seed_r)
+            sweep = oracle.clear(r, lottery)
+            if r < reps:
+                yield r, _margins(pop, sweep, lottery[0])
         else:
             yield r, run_clearing(
                 pop, replace(cfg, lottery_seed=seed_r), log_events=log_events
@@ -582,7 +611,6 @@ def simulate_run(
     master_seed: int,
     label: str | None = None,
     log_events: bool = False,
-    _clearings=None,
 ) -> SimulationOutput:
     """Stack pivotal-group records across lottery replications.
 
@@ -597,14 +625,10 @@ def simulate_run(
     (merit, first choice, labels) are built, row by row, when first read.
     With ``log_events`` the replications' sweep logs are stacked in
     ``events``, each record tagged with its replication. Until the last
-    replication each pivotal group is held as one compact record (its
-    members, their luck and admission rows); then each output array is
-    allocated once, at its final size and in a memory map of its own
-    (``data._mapped``), and filled record by record.
-
-    ``_clearings`` (internal) stands in for the replication loop with an
-    iterable of ``(rep, AllocationResult)`` pairs; ``simulate_and_oracles``
-    passes one that also feeds the slot oracle.
+    replication each pivotal group is held as one compact record
+    (``_PivotalRecords``); then each output array is allocated once, at its
+    final size and in a memory map of its own (``data._mapped``), and
+    filled record by record.
     """
     if reps < 1:
         raise DataError("reps must be >= 1")
@@ -612,66 +636,102 @@ def simulate_run(
         raise DataError(
             f"label {label!r} is not in the population; its labels are {sorted(pop.labels)}"
         )
-    if _clearings is None:
-        _clearings = _replications(pop, cfg, reps, master_seed, log_events)
-    k = pop.n_programs
-    records = []  # (rep, program, members, luck, admission rows) per pivotal group
-    events: list = [np.empty(0, dtype=SIMULATION_EVENT_DTYPE)]
-    for r, res in _clearings:
-        if log_events:
-            moves = np.empty(res.events.size, dtype=SIMULATION_EVENT_DTYPE)
-            for name in CLEARING_EVENT_DTYPE.names:
-                moves[name] = res.events[name]
-            moves["replication"] = r
-            events.append(moves)
-        for prog, idx in sorted(res.pivotal_groups.items()):
-            records.append((r, prog, idx, res.luck[prog], res.admitted[idx]))
-    if not records:
-        raise NoPivotalVariation("no program was oversubscribed in any replication")
-    progs = np.array([rec[1] for rec in records])
-    sizes = np.array([rec[2].size for rec in records])
-    counts = np.bincount(progs - 1, weights=sizes, minlength=k)
-    if not counts.all():
-        missing = [int(j) + 1 for j in np.flatnonzero(counts == 0)]
-        warnings.warn(
-            f"programs {missing} produced no pivotal group in any replication; "
-            "their instrument columns are identically zero",
-            NoPivotalProgramWarning,
-            stacklevel=2,
+    clearings = _replications(pop, cfg, reps, master_seed, log_events)
+    return _PivotalRecords(pop, clearings, log_events).output(label)
+
+
+class _PivotalRecords:
+    """The pivotal groups of a run of replications, one compact record each.
+
+    A record holds the replication, the program, the members (population
+    rows), their luck and their assignment (as ``np.min_scalar_type(K)``):
+    17 bytes a member, where a stacked row takes about 150 at K = 5. The
+    rows are made from the records one group at a time: ``output`` stacks
+    them into the Dataset of ``simulate_run``, and ``_moments`` builds that
+    Dataset's moment object (without a group label) cluster by cluster,
+    bit for bit, without stacking them. With it the object carries the
+    Dataset's sizes (``n_obs``, ``n_clusters``, ``n_treatments``,
+    ``n_controls``), which is all ``estimate_all`` reads of a Dataset.
+    """
+
+    def __init__(self, pop: Population, clearings, log_events: bool = False):
+        k = pop.n_programs
+        asg_type = np.min_scalar_type(k)
+        records = []  # (rep, program, members, luck, assignment) per pivotal group
+        events: list = [np.empty(0, dtype=SIMULATION_EVENT_DTYPE)]
+        for r, res in clearings:
+            if log_events:
+                moves = np.empty(res.events.size, dtype=SIMULATION_EVENT_DTYPE)
+                for name in CLEARING_EVENT_DTYPE.names:
+                    moves[name] = res.events[name]
+                moves["replication"] = r
+                events.append(moves)
+            for prog, idx in sorted(res.pivotal_groups.items()):
+                records.append((r, prog, idx, res.luck[prog], res.assignment[idx].astype(asg_type)))
+        if not records:
+            raise NoPivotalVariation("no program was oversubscribed in any replication")
+        progs = np.array([rec[1] for rec in records])
+        self.sizes = np.array([rec[2].size for rec in records])
+        counts = np.bincount(progs - 1, weights=self.sizes, minlength=k)
+        if not counts.all():
+            missing = [int(j) + 1 for j in np.flatnonzero(counts == 0)]
+            warnings.warn(
+                f"programs {missing} produced no pivotal group in any replication; "
+                "their instrument columns are identically zero",
+                NoPivotalProgramWarning,
+                stacklevel=3,
+            )
+        baseline = int(np.argmax(counts))  # the modal margin anchors the dummies
+        margins = [j + 1 for j in range(k) if j != baseline and counts[j] > 0]
+        self.dummy = {prog: col for col, prog in enumerate(margins, start=1)}  # x column
+        self.names = [f"r{r}:p{prog}" for r, prog, *_ in records]
+        self.pop, self.records, self.events = pop, records, np.concatenate(events)
+        self.n_obs, self.n_clusters = int(self.sizes.sum()), len(records)
+        self.n_treatments, self.n_controls = k, 1 + len(self.dummy)
+
+    def _write(self, i: int, y, a, z, x):
+        """Record i's rows of y, a, z and x, into zeroed arrays."""
+        _, prog, idx, luck, assignment = self.records[i]
+        y[:] = _outcomes(self.pop.po[idx], assignment)
+        held = np.flatnonzero(assignment)
+        a[held, assignment[held] - 1] = 1.0
+        z[:, prog - 1] = luck
+        x[:, 0] = 1.0
+        if prog in self.dummy:
+            x[:, self.dummy[prog]] = 1.0
+
+    def output(self, label: str | None = None) -> SimulationOutput:
+        """The stacked dataset, record after record."""
+        pop, n, k, p = self.pop, self.n_obs, self.n_treatments, self.n_controls
+        y, a, z, x = _mapped(n), _mapped((n, k)), _mapped((n, k)), _mapped((n, p))
+        cluster = _mapped(n, f"<U{max(map(len, self.names))}")
+        applicants = np.empty(n, dtype=np.int64)
+        labels = None if label is None else np.asarray(pop.labels[label])
+        group_label = None if labels is None else np.empty(n, dtype=labels.dtype)
+        lo = 0
+        for i, ((_, _, idx, *_), name) in enumerate(zip(self.records, self.names)):
+            rows = slice(lo, lo + idx.size)
+            self._write(i, y[rows], a[rows], z[rows], x[rows])
+            cluster[rows] = name
+            applicants[rows] = idx
+            if labels is not None:
+                group_label[rows] = labels[idx]
+            lo = rows.stop
+        dataset = Dataset(y=y, a=a, z=z, x=x, cluster=cluster, group_label=group_label)
+        return SimulationOutput(
+            dataset=dataset, events=self.events, applicants=applicants, population=pop
         )
-    baseline = int(np.argmax(counts))  # the modal margin anchors the dummies
-    margins = [j + 1 for j in range(k) if j != baseline and counts[j] > 0]
-    dummy = {prog: col for col, prog in enumerate(margins, start=1)}  # x column
-    names = [f"r{r}:p{prog}" for r, prog, *_ in records]
-    n = int(sizes.sum())
-    y, a, z, x = _mapped(n), _mapped((n, k)), _mapped((n, k)), _mapped((n, 1 + len(dummy)))
-    x[:, 0] = 1.0
-    cluster = _mapped(n, f"<U{max(map(len, names))}")
-    applicants = np.empty(n, dtype=np.int64)
-    lo = 0
-    for (_, prog, idx, luck, admitted), name in zip(records, names):
-        rows = slice(lo, lo + idx.size)
-        y[rows] = _outcomes(pop.po[idx], admitted)
-        a[rows] = admitted
-        z[rows, prog - 1] = luck
-        if prog in dummy:
-            x[rows, dummy[prog]] = 1.0
-        cluster[rows] = name
-        applicants[rows] = idx
-        lo = rows.stop
-    del records
-    group_label = None
-    if label is not None:
-        group_label = np.asarray(pop.labels[label])[applicants]
-    dataset = Dataset(
-        y=y, a=a, z=z, x=x, cluster=cluster, group_label=group_label
-    )
-    return SimulationOutput(
-        dataset=dataset,
-        events=np.concatenate(events),
-        applicants=applicants,
-        population=pop,
-    )
+
+    @functools.cached_property
+    def _moments(self) -> _Moments:
+        """The moment object of ``output().dataset``, one cluster at a time."""
+        p, k = self.n_controls, self.n_treatments
+        codes = np.unique(np.array(self.names), return_inverse=True)[1]  # as the Dataset codes them
+
+        def fill(i, w):
+            self._write(i, w[:, -1], w[:, p + k : -1], w[:, p : p + k], w[:, :p])
+
+        return _Moments.of_clusters(codes, self.sizes, p + 2 * k + 1, fill)
 
 
 # ---------------------------------------------------------------------------
@@ -719,18 +779,19 @@ class _SlotOracles:
         self.deltas = np.zeros((len(self.programs), reps))
         self.oversub = np.zeros(len(self.programs), dtype=bool)
 
-    def clear(self, r: int, lottery: tuple) -> AllocationResult:
-        """Draw r's baseline clearing (``lottery`` as ``_lottery`` returns
-        it), its slot expansions recorded on the way."""
+    def clear(self, r: int, lottery: tuple) -> _Sweep:
+        """Draw r's baseline sweep (``lottery`` as ``_lottery`` returns it),
+        its slot expansions recorded on the way; its margins are left to
+        the caller that needs them (``_margins``)."""
         pop, caps = self.pop, self.caps
         prefs, lengths, pr_slot = pop.pref_array(), pop.pref_lengths(), lottery[1]
         start = _sweep(prefs, lengths, pr_slot, self.caps_plus)
-        base = _clear(pop, caps, lottery, start=start)
-        todo = [j for j, k in enumerate(self.programs) if base.oversubscribed[k - 1]]
+        base = _sweep(prefs, lengths, pr_slot, caps, start=start)
+        todo = [j for j, k in enumerate(self.programs) if base.cutoffs[k - 1] > -np.inf]
         if not todo:
             return base
         self.oversub[todo] = True
-        base_y = realized_outcomes(pop, base.admitted)
+        base_y = _outcomes(pop.po, base.assignment)
         base_total = base_y.sum()
         for j in todo:
             one_more = caps.copy()
@@ -738,9 +799,7 @@ class _SlotOracles:
             assignment = _sweep(prefs, lengths, pr_slot, one_more, start=start).assignment
             moved = np.flatnonzero(assignment != base.assignment)
             y = base_y.copy()
-            y[moved] = _outcomes(
-                pop.po[moved], _admission_matrix(assignment[moved], pop.n_programs)
-            )
+            y[moved] = _outcomes(pop.po[moved], assignment[moved])
             self.deltas[j, r] = y.sum() - base_total
         return base
 
@@ -781,8 +840,8 @@ def slot_expansion_oracles(
     Results come in the order of ``programs``.
     """
     oracle = _SlotOracles(pop, cfg, programs, reps)
-    for _ in _replications(pop, cfg, reps, master_seed, oracle=oracle):
-        pass
+    for _ in _replications(pop, cfg, 0, master_seed, oracle=oracle):
+        pass  # no draw's margins are read: each is only swept
     return oracle.results()
 
 
@@ -809,23 +868,33 @@ def simulate_and_oracles(
 
     Clears each of the first ``max(reps, oracle_reps)`` lottery draws once:
     the first ``reps`` are stacked into the dataset and the first
-    ``oracle_reps`` feed the oracle, which clears them from c+ (see
+    ``oracle_reps`` feed the oracle, which sweeps them from c+ (see
     ``slot_expansion_oracles``); the others are swept from -inf. Returns
     exactly what ``simulate_run(pop, cfg, reps, master_seed)`` and
     ``slot_expansion_oracles(pop, cfg, programs, oracle_reps, master_seed)``
-    return, for one clearing per draw instead of two.
+    return, for one clearing per draw instead of two. The dataset is
+    stacked from the pivotal records of ``_records_and_oracles``; a caller
+    that only fits it (``verify``) reads the records instead and never
+    holds the rows.
     """
+    records, oracles = _records_and_oracles(pop, cfg, reps, master_seed, programs, oracle_reps)
+    return records.output(), oracles
+
+
+def _records_and_oracles(
+    pop: Population,
+    cfg: MechanismConfig,
+    reps: int,
+    master_seed: int,
+    programs,
+    oracle_reps: int,
+) -> tuple[_PivotalRecords, list[OracleResult]]:
+    """``simulate_and_oracles`` with the dataset left as its pivotal records."""
     oracle = _SlotOracles(pop, cfg, programs, oracle_reps)
-
-    def clearings():
-        for r, base in _replications(
-            pop, cfg, max(reps, oracle_reps), master_seed, oracle=oracle
-        ):
-            if r < reps:
-                yield r, base
-
-    run = simulate_run(pop, cfg, reps, master_seed, _clearings=clearings())
-    return run, oracle.results()
+    if reps < 1:
+        raise DataError("reps must be >= 1")
+    records = _PivotalRecords(pop, _replications(pop, cfg, reps, master_seed, oracle=oracle))
+    return records, oracle.results()
 
 
 # ---------------------------------------------------------------------------

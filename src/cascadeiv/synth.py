@@ -63,7 +63,13 @@ def _merit_z(merit: np.ndarray, n_brackets: int) -> np.ndarray:
 
 
 def generate_population(cfg: SynthConfig) -> Population:
-    """Draw a population; deterministic given ``cfg.seed``."""
+    """Draw a population; deterministic given ``cfg.seed``.
+
+    The (N, K) utilities and gains are computed in place, each in one array
+    (the gains in the columns of ``po``), with the operands of every step
+    those of the formulas in ``SynthConfig``, so the bits are theirs; the
+    temporaries are released before ``Population`` validates the lists.
+    """
     n, k = cfg.n, cfg.k
     rng_merit = rng_for(cfg.seed, 0)
     rng_taste = rng_for(cfg.seed, 1)
@@ -89,13 +95,23 @@ def generate_population(cfg: SynthConfig) -> Population:
         if cfg.selectivity is None
         else np.asarray(cfg.selectivity, dtype=float)
     )
-    util = -cfg.assortative * (mz[:, None] - sel[None, :]) ** 2
-    util = util + cfg.taste_scale * rng_taste.standard_normal((n, k))
+    # -assortative (mz - sel)^2 + taste_scale noise [+ label taste_shift]
+    util = np.subtract(mz[:, None], sel)
+    np.square(util, out=util)
+    util *= -cfg.assortative
+    noise = rng_taste.standard_normal((n, k))
+    noise *= cfg.taste_scale
+    util += noise
+    del noise
     if label is not None and cfg.label_taste_shift is not None:
-        util = util + label[:, None] * np.asarray(cfg.label_taste_shift, dtype=float)
-    order = np.argsort(-util, axis=1, kind="stable")
+        for j, shift in enumerate(np.asarray(cfg.label_taste_shift, dtype=float)):
+            util[:, j] += label * shift
+    np.negative(util, out=util)  # ranked by descending utility
+    order = np.argsort(util, axis=1, kind="stable")
+    del util
     l_max = k if cfg.list_length is None else min(cfg.list_length, k)
-    prefs = order[:, :l_max] + 1
+    prefs = order[:, :l_max]
+    prefs += 1
 
     effects = (
         np.zeros(k) if cfg.effects is None else np.asarray(cfg.effects, dtype=float)
@@ -109,10 +125,20 @@ def generate_population(cfg: SynthConfig) -> Population:
     mix = np.clip(cfg.het_merit_mix, -1.0, 1.0)
     theta = mix * mz + np.sqrt(1.0 - mix**2) * rng_outcome.standard_normal(n)
     idio = rng_outcome.standard_normal((n, k))
-    gains = effects[None, :] + cfg.het_scale * (theta[:, None] * loadings[None, :] + 0.5 * idio)
+    # gains: effects + het_scale (theta loadings + idio / 2) [+ label effect_shift]
+    po = np.empty((n, k + 1))
+    po[:, 0] = y0
+    gains = po[:, 1:]
+    np.multiply(theta[:, None], loadings, out=gains)
+    idio *= 0.5
+    gains += idio
+    del idio
+    gains *= cfg.het_scale
+    gains += effects
     if label is not None and cfg.label_effect_shift is not None:
-        gains = gains + label[:, None] * np.asarray(cfg.label_effect_shift, dtype=float)
-    po = np.column_stack([y0, y0[:, None] + gains])
+        for j, shift in enumerate(np.asarray(cfg.label_effect_shift, dtype=float)):
+            gains[:, j] += label * shift
+    gains += y0[:, None]  # each program's outcome, y0 + gain
     # attr is a predetermined continuous attribute, handy for balance checks
     labels = {"attr": attr}
     if label is not None:

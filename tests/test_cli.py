@@ -300,6 +300,21 @@ def test_malformed_capacities_are_data_errors(tmp_path, capsys, capacities, code
     assert err["message"].startswith(message)
 
 
+@pytest.mark.parametrize("synth, message", [
+    (5, "'synth' must be an object"),
+    (dict(CONFIG["synth"], effects=3), "synth 'effects' must be a list, got 3"),
+])
+def test_malformed_synth_is_a_schema_error(tmp_path, capsys, synth, message):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(dict(CONFIG, synth=synth)))
+    assert run(["simulate", "--config", path, "--seed", 3, "--reps", 2,
+                "--out", tmp_path / "out"]) == 3
+    err = _last_error(capsys)
+    assert err["code"] == "SchemaError"
+    assert err["message"] == message
+    assert not (tmp_path / "out").exists()
+
+
 def test_auto_capacities_come_from_the_three_program_scenario():
     synth = dict(n=2000, k=2, het_scale=0.3, base_scale=0.5,
                  complier_targets=[0.5, 0.5], scenario_effects=[1.0, 0.3, 0.4])
@@ -377,7 +392,9 @@ def test_each_command_builds_one_moment_object(tmp_path, simulated, config_path,
     }[command]
     with counting_moment_builds() as counts:
         assert run([*argv, "--out", tmp_path / "out"]) == 0
-    assert counts == {"built": 1, "coded": 1}
+    # verify fits the simulation's pivotal records: it makes no Dataset, so
+    # it codes no Dataset's cluster ids
+    assert counts == {"built": 1, "coded": 0 if command == "verify" else 1}
 
 
 def test_bootstrap_command(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -17,12 +18,15 @@ from cascadeiv import (
     generate_population,
     luck_variable,
     run_clearing,
+    simulate_and_oracles,
     simulate_run,
     slot_expansion_oracle,
     slot_expansion_oracles,
 )
 from cascadeiv.errors import (
+    CascadeIVError,
     DataError,
+    NoPivotalProgramWarning,
     NoPivotalVariation,
     NumericalError,
     TooFewClusters,
@@ -35,6 +39,8 @@ from cascadeiv.mechanism import (
     _capacities,
     _clear,
     _lottery,
+    _outcomes,
+    _records_and_oracles,
     _slot_priorities,
     _sweep,
     find_blocking_pairs,
@@ -1103,3 +1109,150 @@ def test_sweep_raises_on_tied_priorities_at_the_cutoff():
     log = np.concatenate(events)
     assert log.dtype == CLEARING_EVENT_DTYPE
     assert [(e["round"], e["applicant"]) for e in log] == [(1, 0), (1, 2)]
+
+
+# ---------------------------------------------------------------------------
+# Rewrites without (N, K) temporaries, and the verify path, against what
+# they replaced
+# ---------------------------------------------------------------------------
+
+
+def reference_slot_priorities(pop, draws):
+    """The slot priorities gathered from the (N, K) priority matrix."""
+    priority = pop.merit[:, None].astype(float) + draws
+    prefs = pop.pref_array()
+    return np.where(
+        prefs > 0,
+        np.take_along_axis(priority, np.maximum(prefs - 1, 0), axis=1),
+        -np.inf,
+    )
+
+
+def reference_outcomes(po, admitted):
+    """Realized outcomes as the (N, K) gains times admissions, summed per row."""
+    gains = po[:, 1:] - po[:, [0]]
+    return po[:, 0] + (gains * admitted).sum(axis=1)
+
+
+def same_bits(got, want):
+    """Equal float arrays, bit for bit: signed zeros differ."""
+    return got.dtype == want.dtype and np.array_equal(
+        np.ascontiguousarray(got).view(np.int64), np.ascontiguousarray(want).view(np.int64)
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(tiny_markets(), st.integers(0, 2), st.integers(-3, 3))
+def test_slot_priorities_match_the_priority_matrix_gather(market, extra, shift):
+    # lists as given and padded with extra zero columns, merits shifted
+    # down to zero and below, draws in C and Fortran order
+    pop, cfg = market
+    n, k = pop.n, pop.n_programs
+    arr = np.hstack([padded(list(pop.prefs)), np.zeros((n, extra), dtype=np.int64)])
+    merit = pop.merit + shift
+    draws = np.random.default_rng(cfg.lottery_seed).random((n, k))
+    for p in (Population(merit=merit, prefs=list(pop.prefs), po=pop.po),
+              Population(merit=merit, prefs=arr, po=pop.po)):
+        for d in (draws, np.asfortranarray(draws)):
+            assert same_bits(_slot_priorities(p, d), reference_slot_priorities(p, d))
+
+
+OUTCOME_VALUES = st.sampled_from([0.0, -0.0, 1.5, -1.5, 3.0, -3.0, 1e20, -1e-300, 5e-324])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 4), st.data())
+def test_outcomes_match_the_summed_products(k, data):
+    # signed zeros, cancellation and rounding in po; at most one seat a row
+    n = data.draw(st.integers(1, 8))
+    po = np.array(data.draw(st.lists(st.lists(OUTCOME_VALUES, min_size=k + 1, max_size=k + 1),
+                                     min_size=n, max_size=n)))
+    assignment = np.array(data.draw(st.lists(st.integers(0, k), min_size=n, max_size=n)))
+    admitted = np.zeros((n, k), dtype=bool)
+    held = np.flatnonzero(assignment)
+    admitted[held, assignment[held] - 1] = True
+    want = reference_outcomes(po, admitted)
+    assert same_bits(_outcomes(po, assignment), want)
+    assert same_bits(_outcomes(po, assignment.astype(np.uint8)), want)
+    pop = Population(merit=np.zeros(n, dtype=np.int64), prefs=[()] * n, po=po)
+    assert same_bits(realized_outcomes(pop, admitted), want)
+    assert same_bits(realized_outcomes(pop, admitted.astype(float)), want)
+
+
+def test_realized_outcomes_refuses_more_than_one_seat_a_row():
+    pop = small_pop([1, 1], [(1, 2), (2,)], gains=[[1.0, 2.0], [3.0, 4.0]])
+    for admitted in ([[1, 1], [0, 0]], [[0.5, 0], [0, 0]], [[-1, 0], [0, 0]], [[1, 0]], [1, 0]):
+        with pytest.raises(DataError, match="one admission per row at most"):
+            realized_outcomes(pop, np.array(admitted))
+
+
+def fit_or_error(data):
+    """``estimate_all`` of a Dataset or of pivotal records, or the class of
+    the package error it raises."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        try:
+            return estimate_all(data)
+        except CascadeIVError as exc:
+            return type(exc)
+
+
+def assert_same_estimates(got, want):
+    if isinstance(want, type):
+        assert got is want
+        return
+    for f in dataclasses.fields(want):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        if f.name == "first_stage":
+            a, b = a.pi, b.pi
+        if isinstance(b, np.ndarray):
+            assert same_bits(a, b), f.name
+        else:
+            assert a == b, f.name
+
+
+def assert_verify_path_matches_stacked(pop, cfg, reps, oracle_reps, master_seed=5):
+    """``verify``'s records path against the stacked dataset and the
+    standalone oracle: the same estimates and per-draw deltas, bit for bit.
+    Returns the records (None when no program was ever oversubscribed)."""
+    programs = range(1, pop.n_programs + 1)
+    args = (pop, cfg, reps, master_seed, programs, oracle_reps)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", NoPivotalProgramWarning)
+        try:
+            records, oracles = _records_and_oracles(*args)
+        except NoPivotalVariation:
+            with pytest.raises(NoPivotalVariation):
+                simulate_and_oracles(*args)
+            return None
+        run, stacked = simulate_and_oracles(*args)
+    assert (records.n_obs, records.n_clusters) == (run.dataset.n_obs, run.dataset.n_clusters)
+    assert (records.n_treatments, records.n_controls) == (
+        run.dataset.n_treatments, run.dataset.n_controls)
+    assert_same_estimates(fit_or_error(records), fit_or_error(run.dataset))
+    alone = slot_expansion_oracles(pop, cfg, programs, oracle_reps, master_seed)
+    for got, want in itertools.chain(zip(oracles, alone), zip(stacked, alone)):
+        assert same_bits(got.per_rep, want.per_rep)
+        assert (got.value, got.mc_se, got.undersubscribed) == (
+            want.value, want.mc_se, want.undersubscribed)
+    return records
+
+
+@settings(max_examples=150, deadline=None)
+@given(tiny_markets(), st.integers(1, 4), st.integers(1, 4))
+def test_verify_records_match_the_stacked_dataset_on_tiny_markets(market, reps, oracle_reps):
+    pop, cfg = market
+    assert_verify_path_matches_stacked(pop, cfg, reps, oracle_reps, cfg.lottery_seed)
+
+
+@pytest.mark.parametrize("k, caps, brackets, tensor", [
+    (2, 300, 5, True), (5, 150, 8, True), (3, 200, 300, False),
+])
+def test_verify_records_match_the_stacked_dataset(k, caps, brackets, tensor):
+    # n = 3000: pivotal groups of hundreds keep the per-cluster tensor;
+    # 300 merit brackets leave groups of a few, whose rows are kept instead
+    pop = generate_population(SynthConfig(n=3000, k=k, seed=k, n_merit_brackets=brackets,
+                                          het_scale=0.5, effects=tuple(np.linspace(-0.2, 0.2, k))))
+    cfg = MechanismConfig(capacities=(caps,) * k, lottery_seed=0)
+    records = assert_verify_path_matches_stacked(pop, cfg, reps=4, oracle_reps=3)
+    assert (records._moments.m is not None) == tensor

@@ -1,13 +1,15 @@
-"""Each CLI command holds its rows once.
+"""Each CLI command holds its rows once, and ``verify`` holds none.
 
 Every command runs in a fresh interpreter at ``--reps 5`` and ``--reps 20``
 on an n=50k, K=5 population, and reports its peak resident set
-(``ru_maxrss``). From 5 to 20 replications the peak may grow by at most
+(VmHWM). From 5 to 20 replications the peak may grow by at most
 ``BOUND`` times the growth of the arrays the command must hold: the
 Dataset's arrays, and for ``simulate`` and ``balance`` the covariates
 matrix too. Interpreter, imports and population cancel in the difference.
 The two sizes run side by side, so the test takes about 15-20 s on two
-cores.
+cores. ``verify`` fits each replication's compact pivotal-group records
+and never stacks the rows, so from 10 to 40 replications its peak may
+grow by at most ``VERIFY_MARGIN_MB``.
 """
 
 import json
@@ -21,12 +23,21 @@ import numpy as np
 from cascadeiv.io import load_covariates_csv, load_dataset_csv
 
 BOUND = 1.75  # fixed; a command that needs more holds its rows more than once
+# fixed before the test first ran: the records of 30 more replications take
+# about 11 MB, their stacked rows about 125 MB
+VERIFY_MARGIN_MB = 25
 SRC = Path(__file__).resolve().parents[1] / "src"
+# The peak is VmHWM, the high-water mark of the process's own memory since
+# it started the interpreter. ru_maxrss survives exec, so it would report the
+# test process's resident set whenever that is the larger: the whole suite's
+# pytest process outgrows every command here, so both sizes read its size.
 RUN = (
-    "import resource, sys\n"
+    "import sys\n"
     "from cascadeiv.cli import main\n"
     "rc = main(sys.argv[1:])\n"
-    "print('maxrss_kib', resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)\n"
+    "with open('/proc/self/status') as status:\n"
+    "    peak = next(line.split()[1] for line in status if line.startswith('VmHWM:'))\n"
+    "print('peak_kib', peak, file=sys.stderr)\n"
     "sys.exit(rc)\n"
 )
 CONFIG = {
@@ -59,22 +70,29 @@ def held_bytes(out: Path) -> tuple[int, int]:
     return sum(arr.nbytes for arr in arrays), covariates.nbytes
 
 
+def peak_bytes(runs: dict, name: str) -> dict:
+    """Each size's peak resident set running command ``name``: both sizes
+    at once, one fresh process each."""
+    env = dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS="1")
+    procs = {reps: subprocess.Popen([sys.executable, "-c", RUN, *argv[name]], env=env,
+                                    stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+             for reps, argv in runs.items()}
+    peaks = {}
+    for reps, proc in procs.items():
+        _, err = proc.communicate(timeout=120)
+        assert proc.returncode == 0, err
+        peaks[reps] = int(err.split("peak_kib")[-1]) * 1024
+    return peaks
+
+
 def test_command_peak_memory_grows_with_the_rows_it_must_hold(tmp_path):
     config = tmp_path / "config.json"
     config.write_text(json.dumps(CONFIG))
-    env = dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS="1")
     runs = {reps: commands(config, tmp_path / f"reps{reps}", reps) for reps in (5, 20)}
     peaks: dict = {5: {}, 20: {}}
     for name in runs[5]:
-        # both sizes at once, one process each
-        procs = {reps: subprocess.Popen([sys.executable, "-c", RUN, *argv[name]], env=env,
-                                        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
-                                        text=True)
-                 for reps, argv in runs.items()}
-        for reps, proc in procs.items():
-            _, err = proc.communicate(timeout=120)
-            assert proc.returncode == 0, err
-            peaks[reps][name] = int(err.split("maxrss_kib")[-1]) * 1024
+        for reps, peak in peak_bytes(runs, name).items():
+            peaks[reps][name] = peak
     (data5, cov5), (data20, cov20) = held_bytes(tmp_path / "reps5"), held_bytes(tmp_path / "reps20")
     ratios = {}
     for name in runs[5]:
@@ -83,3 +101,13 @@ def test_command_peak_memory_grows_with_the_rows_it_must_hold(tmp_path):
     print({name: round(r, 2) for name, r in ratios.items()})
     assert all(np.isfinite(r) for r in ratios.values())
     assert max(ratios.values()) <= BOUND, ratios
+
+
+def test_verify_peak_memory_is_flat_in_reps(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(CONFIG))
+    runs = {reps: commands(config, tmp_path / f"reps{reps}", reps) for reps in (10, 40)}
+    peaks = peak_bytes(runs, "verify")
+    growth_mb = (peaks[40] - peaks[10]) / 2**20
+    print(f"verify peak growth from 10 to 40 replications: {growth_mb:.1f} MB")
+    assert growth_mb <= VERIFY_MARGIN_MB

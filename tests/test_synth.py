@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from cascadeiv import (
@@ -14,6 +16,8 @@ from cascadeiv import (
     slot_expansion_oracle,
 )
 from cascadeiv.errors import DataError, InfeasibleComplierTargets
+from cascadeiv.seeds import rng_for
+from cascadeiv.synth import _merit_z
 
 
 def test_homogeneity_switch_is_exact():
@@ -154,3 +158,93 @@ def test_config_validation():
         SynthConfig(n=10, k=2, seed=1, het_scale=-0.1)
     with pytest.raises(DataError):
         SynthConfig(n=10, k=2, seed=1, effects=(0.1,))
+
+
+def reference_generate_population(cfg: SynthConfig):
+    """The generator as one expression per step, each making a new array:
+    merit, padded preferences, potential outcomes and labels."""
+    n, k = cfg.n, cfg.k
+    rng_merit, rng_taste = rng_for(cfg.seed, 0), rng_for(cfg.seed, 1)
+    rng_outcome, rng_label = rng_for(cfg.seed, 2), rng_for(cfg.seed, 3)
+    weights = cfg.merit_weights
+    if weights is None:
+        weights = np.full(cfg.n_merit_brackets, 1.0 / cfg.n_merit_brackets)
+    else:
+        weights = np.asarray(weights, dtype=float)
+        weights = weights / weights.sum()
+    merit = rng_merit.choice(np.arange(1, cfg.n_merit_brackets + 1), size=n, p=weights)
+    mz = _merit_z(merit, cfg.n_merit_brackets)
+    attr = rng_label.standard_normal(n)
+    label = None
+    if cfg.label_share is not None:
+        label = (rng_label.random(n) < cfg.label_share).astype(np.int64)
+    sel = (np.linspace(-1.0, 2.0, k) if cfg.selectivity is None
+           else np.asarray(cfg.selectivity, dtype=float))
+    util = -cfg.assortative * (mz[:, None] - sel[None, :]) ** 2
+    util = util + cfg.taste_scale * rng_taste.standard_normal((n, k))
+    if label is not None and cfg.label_taste_shift is not None:
+        util = util + label[:, None] * np.asarray(cfg.label_taste_shift, dtype=float)
+    order = np.argsort(-util, axis=1, kind="stable")
+    l_max = k if cfg.list_length is None else min(cfg.list_length, k)
+    prefs = order[:, :l_max] + 1
+    effects = np.zeros(k) if cfg.effects is None else np.asarray(cfg.effects, dtype=float)
+    loadings = (np.linspace(-1.0, 1.0, k) if cfg.het_loadings is None
+                else np.asarray(cfg.het_loadings, dtype=float))
+    y0 = cfg.base_scale * rng_outcome.standard_normal(n)
+    mix = np.clip(cfg.het_merit_mix, -1.0, 1.0)
+    theta = mix * mz + np.sqrt(1.0 - mix**2) * rng_outcome.standard_normal(n)
+    idio = rng_outcome.standard_normal((n, k))
+    gains = effects[None, :] + cfg.het_scale * (theta[:, None] * loadings[None, :] + 0.5 * idio)
+    if label is not None and cfg.label_effect_shift is not None:
+        gains = gains + label[:, None] * np.asarray(cfg.label_effect_shift, dtype=float)
+    po = np.column_stack([y0, y0[:, None] + gains])
+    labels = {"attr": attr}
+    if label is not None:
+        labels["group"] = label
+    return merit, prefs, po, labels
+
+
+FACTORS = st.sampled_from([0.0, -0.0, 0.5, 1.0, -1.0, 2.5])
+
+
+@st.composite
+def synth_configs(draw):
+    k = draw(st.integers(1, 5))
+    brackets = draw(st.integers(1, 6))
+
+    def vector():
+        return draw(st.none() | st.lists(FACTORS | st.floats(-2, 2), min_size=k,
+                                         max_size=k).map(tuple))
+
+    return SynthConfig(
+        n=draw(st.integers(1, 60)), k=k, seed=draw(st.integers(0, 2**32 - 1)),
+        n_merit_brackets=brackets,
+        merit_weights=draw(st.none() | st.lists(st.floats(0.1, 3), min_size=brackets,
+                                                max_size=brackets).map(tuple)),
+        selectivity=vector(), assortative=draw(FACTORS), taste_scale=draw(FACTORS),
+        list_length=draw(st.none() | st.integers(1, k + 1)),
+        base_scale=draw(FACTORS), effects=vector(), het_scale=draw(st.sampled_from([0.0, 0.5])),
+        het_loadings=vector(), het_merit_mix=draw(st.sampled_from([0.5, 1.0, -0.3, 2.0])),
+        label_share=draw(st.none() | st.sampled_from([0.0, 0.5, 1.0])),
+        label_effect_shift=vector(), label_taste_shift=vector(),
+    )
+
+
+def bits(a):
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+@settings(max_examples=300, deadline=None)
+@given(synth_configs())
+def test_generator_matches_the_one_array_per_step_reference(cfg):
+    # label shifts, list lengths, het_scale 0, tied utilities and signed
+    # zeros (a zero scale gives -0.0 outcomes) all give the same bits
+    merit, prefs, po, labels = reference_generate_population(cfg)
+    pop = generate_population(cfg)
+    assert pop.merit.dtype == merit.dtype and np.array_equal(pop.merit, merit)
+    assert np.array_equal(pop.pref_array(), prefs)
+    assert pop.po.dtype == po.dtype and np.array_equal(bits(pop.po), bits(po))
+    assert pop.labels.keys() == labels.keys()
+    for name, arr in labels.items():
+        assert pop.labels[name].dtype == arr.dtype
+        assert np.array_equal(bits(pop.labels[name]), bits(arr))
