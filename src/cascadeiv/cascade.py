@@ -145,9 +145,10 @@ def cascade_solve(fs: FirstStage, rf: np.ndarray) -> CascadeSolution:
     """Solve (I - M) T = W exactly, i.e. T = solve(Pi', RF).
 
     The solve is the one ``fit_2sls`` and ``estimate_all`` use, under the
-    same policy: cond(Pi') above 1e12 is refused with SingularFirstStage,
-    above 1e8 warned about with IllConditionedWarning, and the residual
-    ||Pi' T - RF||_inf is refined below 1e-10 * ||RF||_inf.
+    same policy: cond(Pi') above ``estimator.COND_CEILING`` is refused with
+    SingularFirstStage, above ``estimator.COND_WARN`` warned about with
+    IllConditionedWarning, and the residual ||Pi' T - RF||_inf is refined
+    below 1e-10 * ||RF||_inf.
     """
     rf = np.asarray(rf, dtype=float)
     if rf.shape != (fs.k,):
@@ -289,6 +290,7 @@ def group_outcome_decomposition(
         raise DataError("no partition given and the dataset has no group labels")
     mom = data._moments
     grams = mom.grams(np.ones(mom.g, dtype=np.intp))[0]
+    pooled = grams.sum(axis=0)
     out = {}
     for lev in list(mom.levels) if levels is None else levels:
         j = np.flatnonzero(mom.levels == lev)
@@ -298,7 +300,7 @@ def group_outcome_decomposition(
                 EmptyGroupWarning,
                 stacklevel=2,
             )
-        gram = grams.sum(axis=0)
+        gram = pooled.copy()
         gram[-1] = gram[:, -1] = grams[j[0], -1] if j.size else 0.0
         f = _moment_fit(gram, data.n_obs, data.n_controls, data.n_treatments)
         out[lev] = _solve_first_stage(f.pi_t, f.rf)

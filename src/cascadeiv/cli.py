@@ -35,7 +35,7 @@ from .estimator import (
     wald_ratios,
 )
 from .fixtures import fixture_checks
-from .mechanism import MechanismConfig, _records_and_oracles, balance_check, simulate_run
+from .mechanism import MechanismConfig, _PivotalRecords, _SlotOracles, balance_check, simulate_run
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -145,11 +145,10 @@ def cmd_verify(args) -> int:
     pop, capacities, scenario = iomod.build_scenario(cfg, args.seed)
     mech = MechanismConfig(capacities=capacities, lottery_seed=args.seed)
     oracle_reps = args.reps if args.oracle_reps is None else args.oracle_reps
+    oracle = _SlotOracles(pop, mech, range(1, pop.n_programs + 1), oracle_reps)
     # the fit reads the pivotal records' moment object: the rows are never stacked
-    records, oracles = _records_and_oracles(
-        pop, mech, args.reps, args.seed, range(1, pop.n_programs + 1), oracle_reps
-    )
-    est = estimate_all(records)
+    est = estimate_all(_PivotalRecords(pop, mech, args.reps, args.seed, oracle=oracle))
+    oracles = oracle.results()
     out = _out_dir(args)
     lines, zs = [], []
     worst = 0.0

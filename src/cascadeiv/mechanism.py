@@ -26,13 +26,14 @@ below those of the baseline and of each one-program expansion. So the
 oracle sweeps each of its draws from -inf once, to c+, and starts the
 baseline sweep and every expansion's sweep there, from a copy of its
 cutoffs, seats and holder arrays; each ends at the same matching as a
-start from -inf. An expansion's total outcome recomputes
-only the applicants whose seat changed. One replication loop clears each
-draw once and feeds the dataset's pivotal records, the oracle, or both
-(``simulate_and_oracles``); draws that feed only the dataset are swept
-from -inf, and only the draws that feed the dataset have their margins
-read. The records are stacked into a Dataset only for a caller that asks
-for the rows; a fit reads their moment object, built one cluster at a time.
+start from -inf. An expansion's total outcome recomputes only the
+applicants whose seat changed. Every replication takes one path: its
+lottery, one baseline sweep (from c+ for a draw the oracle measures, from
+-inf otherwise) and the margins read from that matching. One builder
+turns them into pivotal records for ``simulate_run``,
+``simulate_and_oracles`` and ``verify`` alike; the records are stacked
+into a Dataset only for a caller that asks for the rows, and a fit reads
+their moment object, built one cluster at a time.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from __future__ import annotations
 import functools
 import itertools
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -127,7 +128,7 @@ class Population:
         if isinstance(prefs, np.ndarray):
             if prefs.ndim != 2 or prefs.dtype.kind not in "iu":
                 raise DataError("a preference array must be (N, L) integers")
-            pref_arr = (prefs.astype(np.int64, order="C") if prefs.shape[1]
+            pref_arr = (np.ascontiguousarray(prefs, dtype=np.int64) if prefs.shape[1]
                         else np.zeros((n, 1), dtype=np.int64))
             # a list runs to its last nonzero entry
             width = pref_arr.shape[1]
@@ -169,6 +170,8 @@ class Population:
             rows = listed[:, col].nonzero()[0]
             slots[pref_arr[rows, col] - 1, rows] = col
         object.__setattr__(self, "prefs", None)  # tuples are built on first read
+        pref_arr = pref_arr.view()  # read-only, the caller's array left as it is
+        pref_arr.flags.writeable = False
         object.__setattr__(self, "_pref_array", pref_arr)
         object.__setattr__(self, "_pref_lengths", lengths)
         object.__setattr__(self, "_pref_slots", slots)
@@ -238,19 +241,23 @@ class AllocationResult:
     ``cutoffs[k]`` is (merit bracket, lottery draw) of the last admit for
     programs that admitted anyone. ``pivotal_groups[k]`` lists the members
     of program k's lottery margin and ``luck[k]`` their normalized ranks.
-    ``admitted`` is the (N, K) admission indicator matrix, one-hot on
-    admitted rows. ``events`` is the sweep log, a ``CLEARING_EVENT_DTYPE``
-    array (empty unless ``log_events``).
+    ``events`` is the sweep log, a ``CLEARING_EVENT_DTYPE`` array (empty
+    unless ``log_events``). ``admitted``, the (N, K) admission indicator
+    matrix, is derived from ``assignment`` on its first read.
     """
 
     assignment: np.ndarray
-    admitted: np.ndarray
     cutoffs: dict
     pivotal_groups: dict
     luck: dict
     oversubscribed: np.ndarray
     draws: np.ndarray
     events: np.ndarray
+
+    @functools.cached_property
+    def admitted(self) -> np.ndarray:
+        """One-hot on admitted rows: ``admitted[i, k-1]`` iff i holds k."""
+        return self.assignment[:, None] == np.arange(1, self.draws.shape[1] + 1)
 
 
 def luck_variable(draws: np.ndarray) -> np.ndarray:
@@ -427,37 +434,14 @@ def _capacities(pop: Population, cfg: MechanismConfig) -> np.ndarray:
 
 def _lottery(pop: Population, seed: int):
     """The (N, K) lottery draws of ``seed`` and the priority at each listed
-    slot they give (``_slot_priorities``): what ``_clear`` takes."""
+    slot they give (``_slot_priorities``): what ``_sweep`` and ``_margins``
+    take."""
     draws = np.random.default_rng(seed).random((pop.n, pop.n_programs))
     return draws, _slot_priorities(pop, draws)
 
 
-def _clear(
-    pop: Population,
-    caps: np.ndarray,
-    lottery: tuple,
-    start: _Sweep | None = None,
-    log_events: bool = False,
-) -> AllocationResult:
-    """Clear the market at capacities ``caps`` on given draws: the sweep,
-    then its margins (``_margins``).
-
-    ``lottery`` is ``(draws, pr_slot)``, as ``_lottery`` returns them.
-    ``start`` is handed to ``_sweep``: a sweep result on the same
-    priorities at capacities at least ``caps`` everywhere, from which the
-    sweep ends at the same cutoffs, seats and stop positions as from -inf.
-    The slot oracle needs only the sweep; the simulation paths read the
-    margins too.
-    """
-    draws, pr_slot = lottery
-    events: list = [np.empty(0, dtype=CLEARING_EVENT_DTYPE)]
-    sweep = _sweep(pop.pref_array(), pop.pref_lengths(), pr_slot, caps,
-                   events if log_events else None, start=start)
-    return _margins(pop, sweep, draws, np.concatenate(events))
-
-
 def _margins(
-    pop: Population, sweep: _Sweep, draws: np.ndarray, events: np.ndarray | None = None
+    pop: Population, sweep: _Sweep, draws: np.ndarray, events: list | None = None
 ) -> AllocationResult:
     """The clearing a sweep on ``draws`` ended in, with its lottery margins.
 
@@ -467,12 +451,9 @@ def _margins(
     over-capacity program (``Population.pref_slots`` at or before their
     stop) and does not hold it was rejected there. If their best priority
     lies in the last admit's bracket, everyone who reached the program with
-    that merit is pivotal. ``events`` is the sweep's log (none by default).
+    that merit is pivotal. ``events`` is the list the sweep logged its
+    rounds in (none by default).
     """
-    n, k = pop.n, pop.n_programs
-    admitted = np.zeros((n, k), dtype=bool)
-    for kk, holders in enumerate(sweep.holders):
-        admitted[holders, kk] = True
     oversubscribed = sweep.cutoffs > -np.inf
     merit = pop.merit.astype(float)  # with a draw, the sweep's priority
     cutoffs, groups, luck = {}, {}, {}
@@ -493,13 +474,12 @@ def _margins(
             luck[kk + 1] = luck_variable(draws[members, kk])
     return AllocationResult(
         assignment=sweep.assignment,
-        admitted=admitted,
         cutoffs=cutoffs,
         pivotal_groups=groups,
         luck=luck,
         oversubscribed=oversubscribed,
         draws=draws,
-        events=np.empty(0, dtype=CLEARING_EVENT_DTYPE) if events is None else events,
+        events=np.concatenate([np.empty(0, dtype=CLEARING_EVENT_DTYPE), *(events or ())]),
     )
 
 
@@ -515,7 +495,10 @@ def run_clearing(
     across a cutoff.
     """
     caps = _capacities(pop, cfg)
-    return _clear(pop, caps, _lottery(pop, cfg.lottery_seed), log_events=log_events)
+    draws, pr_slot = _lottery(pop, cfg.lottery_seed)
+    events = [] if log_events else None
+    sweep = _sweep(pop.pref_array(), pop.pref_lengths(), pr_slot, caps, events)
+    return _margins(pop, sweep, draws, events)
 
 
 def realized_outcomes(pop: Population, admitted: np.ndarray) -> np.ndarray:
@@ -547,29 +530,29 @@ def _outcomes(po: np.ndarray, assignment: np.ndarray) -> np.ndarray:
 
 def _replications(
     pop: Population,
-    cfg: MechanismConfig,
+    caps: np.ndarray,
     reps: int,
     master_seed: int,
     log_events: bool = False,
     oracle: _SlotOracles | None = None,
 ):
-    """The baseline clearings of the first ``reps`` replications, on seed
-    ``derive_seed(master_seed, rep)``; one at a time, so no clearing
-    outlives its replication. The first ``oracle.reps`` draws are swept by
-    ``oracle``, which also measures their slot expansions; their margins
-    are read only for the draws yielded, and draws past ``reps`` feed the
-    oracle alone. The other draws are cleared by ``run_clearing``."""
+    """The baseline clearings at capacities ``caps`` of the first ``reps``
+    replications, on seed ``derive_seed(master_seed, rep)``; one at a time,
+    so no clearing outlives its replication. Each draw is its lottery, one
+    sweep and its margins. The first ``oracle.reps`` draws are swept by
+    ``oracle``, which also measures their slot expansions (and logs no
+    events), the others from -inf; draws past ``reps`` feed the oracle
+    alone, and their margins are not read."""
+    prefs, lengths = pop.pref_array(), pop.pref_lengths()
     for r in range(reps if oracle is None else max(reps, oracle.reps)):
-        seed_r = derive_seed(master_seed, r)
+        draws, pr_slot = _lottery(pop, derive_seed(master_seed, r))
+        events = [] if log_events else None
         if oracle is not None and r < oracle.reps:
-            lottery = _lottery(pop, seed_r)
-            sweep = oracle.clear(r, lottery)
-            if r < reps:
-                yield r, _margins(pop, sweep, lottery[0])
+            sweep = oracle.clear(r, pr_slot)
         else:
-            yield r, run_clearing(
-                pop, replace(cfg, lottery_seed=seed_r), log_events=log_events
-            )
+            sweep = _sweep(prefs, lengths, pr_slot, caps, events)
+        if r < reps:
+            yield r, _margins(pop, sweep, draws, events)
 
 
 # ---------------------------------------------------------------------------
@@ -630,18 +613,13 @@ def simulate_run(
     final size and in a memory map of its own (``data._mapped``), and
     filled record by record.
     """
-    if reps < 1:
-        raise DataError("reps must be >= 1")
-    if label is not None and label not in pop.labels:
-        raise DataError(
-            f"label {label!r} is not in the population; its labels are {sorted(pop.labels)}"
-        )
-    clearings = _replications(pop, cfg, reps, master_seed, log_events)
-    return _PivotalRecords(pop, clearings, log_events).output(label)
+    return _PivotalRecords(pop, cfg, reps, master_seed, label, log_events).output()
 
 
 class _PivotalRecords:
-    """The pivotal groups of a run of replications, one compact record each.
+    """The pivotal groups of ``simulate_run``'s replications, one compact
+    record each; ``oracle``, if given, sweeps its draws and measures their
+    slot expansions on the way (``_replications``).
 
     A record holds the replication, the program, the members (population
     rows), their luck and their assignment (as ``np.min_scalar_type(K)``):
@@ -654,12 +632,21 @@ class _PivotalRecords:
     ``n_controls``), which is all ``estimate_all`` reads of a Dataset.
     """
 
-    def __init__(self, pop: Population, clearings, log_events: bool = False):
+    def __init__(self, pop: Population, cfg: MechanismConfig, reps: int, master_seed: int,
+                 label: str | None = None, log_events: bool = False,
+                 oracle: _SlotOracles | None = None):
+        if reps < 1:
+            raise DataError("reps must be >= 1")
+        if label is not None and label not in pop.labels:
+            raise DataError(
+                f"label {label!r} is not in the population; its labels are {sorted(pop.labels)}"
+            )
         k = pop.n_programs
         asg_type = np.min_scalar_type(k)
         records = []  # (rep, program, members, luck, assignment) per pivotal group
         events: list = [np.empty(0, dtype=SIMULATION_EVENT_DTYPE)]
-        for r, res in clearings:
+        caps = _capacities(pop, cfg)
+        for r, res in _replications(pop, caps, reps, master_seed, log_events, oracle):
             if log_events:
                 moves = np.empty(res.events.size, dtype=SIMULATION_EVENT_DTYPE)
                 for name in CLEARING_EVENT_DTYPE.names:
@@ -685,7 +672,8 @@ class _PivotalRecords:
         margins = [j + 1 for j in range(k) if j != baseline and counts[j] > 0]
         self.dummy = {prog: col for col, prog in enumerate(margins, start=1)}  # x column
         self.names = [f"r{r}:p{prog}" for r, prog, *_ in records]
-        self.pop, self.records, self.events = pop, records, np.concatenate(events)
+        self.pop, self.label, self.records = pop, label, records
+        self.events = np.concatenate(events)
         self.n_obs, self.n_clusters = int(self.sizes.sum()), len(records)
         self.n_treatments, self.n_controls = k, 1 + len(self.dummy)
 
@@ -700,23 +688,20 @@ class _PivotalRecords:
         if prog in self.dummy:
             x[:, self.dummy[prog]] = 1.0
 
-    def output(self, label: str | None = None) -> SimulationOutput:
+    def output(self) -> SimulationOutput:
         """The stacked dataset, record after record."""
         pop, n, k, p = self.pop, self.n_obs, self.n_treatments, self.n_controls
         y, a, z, x = _mapped(n), _mapped((n, k)), _mapped((n, k)), _mapped((n, p))
         cluster = _mapped(n, f"<U{max(map(len, self.names))}")
         applicants = np.empty(n, dtype=np.int64)
-        labels = None if label is None else np.asarray(pop.labels[label])
-        group_label = None if labels is None else np.empty(n, dtype=labels.dtype)
         lo = 0
         for i, ((_, _, idx, *_), name) in enumerate(zip(self.records, self.names)):
             rows = slice(lo, lo + idx.size)
             self._write(i, y[rows], a[rows], z[rows], x[rows])
             cluster[rows] = name
             applicants[rows] = idx
-            if labels is not None:
-                group_label[rows] = labels[idx]
             lo = rows.stop
+        group_label = None if self.label is None else np.asarray(pop.labels[self.label])[applicants]
         dataset = Dataset(y=y, a=a, z=z, x=x, cluster=cluster, group_label=group_label)
         return SimulationOutput(
             dataset=dataset, events=self.events, applicants=applicants, population=pop
@@ -779,12 +764,12 @@ class _SlotOracles:
         self.deltas = np.zeros((len(self.programs), reps))
         self.oversub = np.zeros(len(self.programs), dtype=bool)
 
-    def clear(self, r: int, lottery: tuple) -> _Sweep:
-        """Draw r's baseline sweep (``lottery`` as ``_lottery`` returns it),
+    def clear(self, r: int, pr_slot: np.ndarray) -> _Sweep:
+        """Draw r's baseline sweep (``pr_slot`` as ``_lottery`` returns it),
         its slot expansions recorded on the way; its margins are left to
         the caller that needs them (``_margins``)."""
         pop, caps = self.pop, self.caps
-        prefs, lengths, pr_slot = pop.pref_array(), pop.pref_lengths(), lottery[1]
+        prefs, lengths = pop.pref_array(), pop.pref_lengths()
         start = _sweep(prefs, lengths, pr_slot, self.caps_plus)
         base = _sweep(prefs, lengths, pr_slot, caps, start=start)
         todo = [j for j, k in enumerate(self.programs) if base.cutoffs[k - 1] > -np.inf]
@@ -840,7 +825,7 @@ def slot_expansion_oracles(
     Results come in the order of ``programs``.
     """
     oracle = _SlotOracles(pop, cfg, programs, reps)
-    for _ in _replications(pop, cfg, 0, master_seed, oracle=oracle):
+    for _ in _replications(pop, oracle.caps, 0, master_seed, oracle=oracle):
         pass  # no draw's margins are read: each is only swept
     return oracle.results()
 
@@ -873,28 +858,12 @@ def simulate_and_oracles(
     exactly what ``simulate_run(pop, cfg, reps, master_seed)`` and
     ``slot_expansion_oracles(pop, cfg, programs, oracle_reps, master_seed)``
     return, for one clearing per draw instead of two. The dataset is
-    stacked from the pivotal records of ``_records_and_oracles``; a caller
-    that only fits it (``verify``) reads the records instead and never
-    holds the rows.
+    stacked from the pivotal records (``_PivotalRecords``); a caller that
+    only fits it (``verify``) reads the records instead and never holds the
+    rows.
     """
-    records, oracles = _records_and_oracles(pop, cfg, reps, master_seed, programs, oracle_reps)
-    return records.output(), oracles
-
-
-def _records_and_oracles(
-    pop: Population,
-    cfg: MechanismConfig,
-    reps: int,
-    master_seed: int,
-    programs,
-    oracle_reps: int,
-) -> tuple[_PivotalRecords, list[OracleResult]]:
-    """``simulate_and_oracles`` with the dataset left as its pivotal records."""
     oracle = _SlotOracles(pop, cfg, programs, oracle_reps)
-    if reps < 1:
-        raise DataError("reps must be >= 1")
-    records = _PivotalRecords(pop, _replications(pop, cfg, reps, master_seed, oracle=oracle))
-    return records, oracle.results()
+    return _PivotalRecords(pop, cfg, reps, master_seed, oracle=oracle).output(), oracle.results()
 
 
 # ---------------------------------------------------------------------------

@@ -37,11 +37,12 @@ from cascadeiv.mechanism import (
     SIMULATION_EVENT_DTYPE,
     AllocationResult,
     _capacities,
-    _clear,
     _lottery,
+    _margins,
     _outcomes,
-    _records_and_oracles,
+    _PivotalRecords,
     _slot_priorities,
+    _SlotOracles,
     _sweep,
     find_blocking_pairs,
     pooled_luck,
@@ -176,6 +177,23 @@ def test_population_preference_array_of_floats_or_no_columns():
     assert wide.dtype == np.uint16 and wide.tolist() == [[300]]
     pop = make_pop(np.asfortranarray([[2, 1], [1, 0]]), 2)
     assert pop.pref_array().flags.c_contiguous and pop.prefs == [(2, 1), (1,)]
+
+
+def test_population_keeps_an_int64_c_preference_array_read_only():
+    # an int64, C-ordered array is kept as a read-only view, not copied;
+    # the caller's array stays writable. Another dtype or order is copied
+    prefs = np.array([[2, 1], [1, 0]], dtype=np.int64)
+    pop = make_pop(prefs, 2)
+    assert np.shares_memory(pop.pref_array(), prefs)
+    assert not pop.pref_array().flags.writeable and prefs.flags.writeable
+    with pytest.raises(ValueError):
+        pop.pref_array()[0, 0] = 1
+    for other in (np.asfortranarray(prefs), prefs.astype(np.int32)):
+        pop = make_pop(other, 2)
+        assert not np.shares_memory(pop.pref_array(), other)
+        assert not pop.pref_array().flags.writeable
+        assert np.array_equal(pop.pref_array(), prefs)
+    assert not make_pop([(2, 1), (1,)], 2).pref_array().flags.writeable
 
 
 # ---------------------------------------------------------------------------
@@ -344,6 +362,14 @@ def test_simulation_event_log_stacks_replications():
     quiet = simulate_run(pop, cfg, reps=3, master_seed=5)
     assert quiet.events.dtype == SIMULATION_EVENT_DTYPE and quiet.events.size == 0
     assert run_clearing(pop, cfg).events.size == 0
+
+
+def test_simulation_sweeps_each_draw_from_minus_inf_once():
+    pop = homogeneous_pop(300, 3, np.array([0.2, -0.1, 0.3]), seed=12)
+    cfg = MechanismConfig(capacities=(20, 60, 40), lottery_seed=0)
+    with counting_sweeps() as counts:
+        simulate_run(pop, cfg, reps=5, master_seed=5, log_events=True)
+    assert counts == {"cold": 5, "warm": 0}
 
 
 def test_simulate_cluster_ids_are_numpy_strings():
@@ -926,8 +952,15 @@ def test_sweep_matches_reference_sweep(market, tied, data):
             check(target, start)
 
 
+def clear(pop, caps, lottery, start=None):
+    """The clearing at ``caps`` on ``lottery`` (as ``_lottery`` returns it),
+    its sweep started at ``start``."""
+    sweep = _sweep(pop.pref_array(), pop.pref_lengths(), lottery[1], caps, start=start)
+    return _margins(pop, sweep, lottery[0])
+
+
 def assert_margins_match_n_row_construction(pop, caps, lottery, start=None):
-    res = _clear(pop, caps, lottery, start=start)
+    res = clear(pop, caps, lottery, start=start)
     sweep = _sweep(pop.pref_array(), pop.pref_lengths(), lottery[1], caps)
     cutoffs, groups, luck = reference_margins(
         pop, lottery[0], sweep.assignment, sweep.pos, sweep.cutoffs
@@ -973,7 +1006,7 @@ def test_pivotal_group_when_a_lower_bracket_priority_rounds_up_to_the_cutoff_bra
     # with the admitted applicant its only member
     pop = small_pop([2, 1], [(1,), (1,)])
     draws = np.array([[0.5], [1 - 2.0**-53]])
-    res = _clear(pop, np.array([1]), (draws, _slot_priorities(pop, draws)))
+    res = clear(pop, np.array([1]), (draws, _slot_priorities(pop, draws)))
     assert list(res.assignment) == [1, 0]
     assert res.cutoffs == {1: (2, 0.5)}
     assert list(res.pivotal_groups[1]) == [0]
@@ -1011,26 +1044,29 @@ def test_blocking_pairs_match_reference_scan(market, data):
     assert find_blocking_pairs(pop, cfg, res) == reference_blocking_pairs(pop, cfg, res) == []
     assignment = np.array(data.draw(st.lists(
         st.integers(0, pop.n_programs), min_size=pop.n, max_size=pop.n)), dtype=np.int64)
-    admitted = assignment[:, None] == np.arange(1, pop.n_programs + 1)
-    moved = replace(res, assignment=assignment, admitted=admitted)
+    moved = replace(res, assignment=assignment)
+    admitted = moved.admitted  # derived from the new assignment
+    assert admitted.dtype == bool
+    assert np.array_equal(admitted, assignment[:, None] == np.arange(1, pop.n_programs + 1))
     got = find_blocking_pairs(pop, cfg, moved)
     assert got == reference_blocking_pairs(pop, cfg, moved)
     assert all(type(i) is int and type(p) is int for i, p in got)
 
 
 def assert_same_clearing(got: AllocationResult, want: AllocationResult):
-    for f in dataclasses.fields(AllocationResult):
-        a, b = getattr(got, f.name), getattr(want, f.name)
-        if f.name == "cutoffs":
+    # ``admitted`` is derived, not a field: compared by name
+    for name in [f.name for f in dataclasses.fields(AllocationResult)] + ["admitted"]:
+        a, b = getattr(got, name), getattr(want, name)
+        if name == "cutoffs":
             assert a == b
         elif isinstance(b, dict):
-            assert a.keys() == b.keys(), f.name
+            assert a.keys() == b.keys(), name
             for key in b:
-                assert a[key].dtype == b[key].dtype, f.name
-                assert np.array_equal(a[key], b[key]), f.name
+                assert a[key].dtype == b[key].dtype, name
+                assert np.array_equal(a[key], b[key]), name
         else:
-            assert a.dtype == b.dtype, f.name
-            assert np.array_equal(a, b), f.name
+            assert a.dtype == b.dtype, name
+            assert np.array_equal(a, b), name
 
 
 @settings(max_examples=300, deadline=None)
@@ -1046,7 +1082,7 @@ def test_baseline_started_at_more_seats_matches_run_clearing(market, data):
     one[data.draw(st.integers(0, pop.n_programs - 1))] += 1
     for plus in (caps + 1, one):
         start = _sweep(pop.pref_array(), pop.pref_lengths(), lottery[1], plus)
-        assert_same_clearing(_clear(pop, caps, lottery, start=start), want)
+        assert_same_clearing(clear(pop, caps, lottery, start=start), want)
 
 
 @pytest.mark.parametrize("programs, warm", [((1,), 2), ((1, 2, 3), 3), ((3, 1), 2)])
@@ -1219,8 +1255,10 @@ def assert_verify_path_matches_stacked(pop, cfg, reps, oracle_reps, master_seed=
     args = (pop, cfg, reps, master_seed, programs, oracle_reps)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", NoPivotalProgramWarning)
+        oracle = _SlotOracles(pop, cfg, programs, oracle_reps)
         try:
-            records, oracles = _records_and_oracles(*args)
+            records = _PivotalRecords(pop, cfg, reps, master_seed, oracle=oracle)
+            oracles = oracle.results()
         except NoPivotalVariation:
             with pytest.raises(NoPivotalVariation):
                 simulate_and_oracles(*args)
@@ -1256,3 +1294,65 @@ def test_verify_records_match_the_stacked_dataset(k, caps, brackets, tensor):
     cfg = MechanismConfig(capacities=(caps,) * k, lottery_seed=0)
     records = assert_verify_path_matches_stacked(pop, cfg, reps=4, oracle_reps=3)
     assert (records._moments.m is not None) == tensor
+
+
+def stack_clearings(pop, clearings):
+    """The rows (y, a, z, x, cluster, applicants) and event log of a
+    simulation, stacked from its per-draw clearings pivotal group by pivotal
+    group; None for the rows when no draw has a pivotal group."""
+    k = pop.n_programs
+    groups = [(r, prog, res) for r, res in enumerate(clearings) for prog in sorted(res.luck)]
+    counts = np.zeros(k)
+    for _, prog, res in groups:
+        counts[prog - 1] += res.pivotal_groups[prog].size
+    baseline = int(np.argmax(counts))
+    dummies = [j + 1 for j in range(k) if j != baseline and counts[j] > 0]
+    rows = []
+    for r, prog, res in groups:
+        idx = res.pivotal_groups[prog]
+        z = np.zeros((idx.size, k))
+        z[:, prog - 1] = res.luck[prog]
+        x = np.zeros((idx.size, 1 + len(dummies)))
+        x[:, 0] = 1.0
+        if prog in dummies:
+            x[:, 1 + dummies.index(prog)] = 1.0
+        y = realized_outcomes(pop, res.admitted)[idx]
+        rows.append((y, res.admitted[idx].astype(float), z, x, [f"r{r}:p{prog}"] * idx.size, idx))
+    events = []
+    for r, res in enumerate(clearings):
+        part = np.empty(res.events.size, dtype=SIMULATION_EVENT_DTYPE)
+        for name in CLEARING_EVENT_DTYPE.names:
+            part[name] = res.events[name]
+        part["replication"] = r
+        events.append(part)
+    stacked = [np.concatenate(part) for part in zip(*rows)] if rows else None
+    return stacked, np.concatenate(events)
+
+
+@settings(max_examples=150, deadline=None)
+@given(tiny_markets(), st.integers(1, 4))
+def test_simulation_stacks_per_draw_clearings_on_tiny_markets(market, reps):
+    # each replication is the clearing ``run_clearing`` gives at the
+    # replication's seed: the rows and the log of every draw, bit for bit
+    pop, cfg = market
+    clearings = [
+        run_clearing(pop, replace(cfg, lottery_seed=derive_seed(cfg.lottery_seed, r)),
+                     log_events=True)
+        for r in range(reps)
+    ]
+    stacked, events = stack_clearings(pop, clearings)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", NoPivotalProgramWarning)
+        if stacked is None:
+            with pytest.raises(NoPivotalVariation):
+                simulate_run(pop, cfg, reps, cfg.lottery_seed, log_events=True)
+            return
+        run = simulate_run(pop, cfg, reps, cfg.lottery_seed, log_events=True)
+    y, a, z, x, cluster, applicants = stacked
+    data = run.dataset
+    for got, want in ((data.y, y), (data.a, a), (data.z, z), (data.x, x)):
+        assert same_bits(got, want)
+    assert np.array_equal(data.cluster, cluster) and data.group_label is None
+    assert np.array_equal(run.applicants, applicants)
+    assert run.events.dtype == SIMULATION_EVENT_DTYPE
+    assert np.array_equal(run.events, events)
