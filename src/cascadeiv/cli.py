@@ -35,7 +35,7 @@ from .estimator import (
     wald_ratios,
 )
 from .fixtures import fixture_checks
-from .mechanism import MechanismConfig, _PivotalRecords, _SlotOracles, balance_check, simulate_run
+from .mechanism import MechanismConfig, balance_check, simulate_and_oracles, simulate_run
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -67,8 +67,7 @@ def cmd_simulate(args) -> int:
         iomod.write_events_jsonl(out / "events.jsonl", run.events)
     else:  # a log of an earlier run would not belong to this dataset
         (out / "events.jsonl").unlink(missing_ok=True)
-    done = (f"wrote {run.dataset.n_obs} rows ({run.dataset.n_clusters} clusters) to "
-            f"{out / 'dataset.csv'}")
+    done = f"wrote {run.n_obs} rows ({run.n_clusters} clusters) to {out / 'dataset.csv'}"
     del run  # its rows go back to the system before population.csv is formatted
     iomod.write_population_csv(out / "population.csv", pop, "simulate", args.seed)
     print(done)
@@ -145,10 +144,9 @@ def cmd_verify(args) -> int:
     pop, capacities, scenario = iomod.build_scenario(cfg, args.seed)
     mech = MechanismConfig(capacities=capacities, lottery_seed=args.seed)
     oracle_reps = args.reps if args.oracle_reps is None else args.oracle_reps
-    oracle = _SlotOracles(pop, mech, range(1, pop.n_programs + 1), oracle_reps)
-    # the fit reads the pivotal records' moment object: the rows are never stacked
-    est = estimate_all(_PivotalRecords(pop, mech, args.reps, args.seed, oracle=oracle))
-    oracles = oracle.results()
+    programs = range(1, pop.n_programs + 1)
+    run, oracles = simulate_and_oracles(pop, mech, args.reps, args.seed, programs, oracle_reps)
+    est = estimate_all(run)  # fits the pivotal records: the rows are never stacked
     out = _out_dir(args)
     lines, zs = [], []
     worst = 0.0

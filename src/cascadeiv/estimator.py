@@ -547,9 +547,10 @@ def estimate_all(data: Dataset) -> EstimateSet:
     one solve. ``cascade_T`` is the same solve(Pi', RF) as ``beta``, the
     three standard-error vectors share one score pass over the same moment
     object, and the first stage and its F statistics are read off the fit.
-    ``data`` is read only through its moment object and its sizes, so a
-    simulation's pivotal records (``mechanism._PivotalRecords``) stand in
-    for the Dataset they would stack, with the same result, bit for bit.
+    ``data`` is read only through its moment object and its sizes, so the
+    pivotal records a simulation returns (``mechanism.SimulationOutput``)
+    stand in for the Dataset they would stack without a group label, with
+    the same result, bit for bit, and without stacking it.
     """
     f = _fit(data)
     fs = _first_stage(f)

@@ -30,10 +30,10 @@ start from -inf. An expansion's total outcome recomputes only the
 applicants whose seat changed. Every replication takes one path: its
 lottery, one baseline sweep (from c+ for a draw the oracle measures, from
 -inf otherwise) and the margins read from that matching. One builder
-turns them into pivotal records for ``simulate_run``,
-``simulate_and_oracles`` and ``verify`` alike; the records are stacked
-into a Dataset only for a caller that asks for the rows, and a fit reads
-their moment object, built one cluster at a time.
+turns them into pivotal records, and those records are what
+``simulate_run`` and ``simulate_and_oracles`` return (``SimulationOutput``):
+the rows are stacked into a Dataset only when a caller reads them, and a
+fit reads the records' moment object, built one cluster at a time.
 """
 
 from __future__ import annotations
@@ -146,13 +146,25 @@ class Population:
             listed = np.arange(width) < lengths[:, None]
             pref_arr = np.zeros((n, width), dtype=np.int64)
             pref_arr[listed] = flat  # row-major order is list order
-        # the first applicant who repeats a program or lists one outside
-        # 1..K; a repeat is reported first when both are the same applicant.
-        # Padding sorts last, so a row's sorted list is its first entries.
-        ranked = np.sort(np.where(listed, pref_arr, np.iinfo(np.int64).max), axis=1)
-        repeat_rows = ((ranked[:, 1:] == ranked[:, :-1]) & listed[:, 1:]).any(axis=1)
         invalid = listed & ((pref_arr < 1) | (pref_arr > k))
         invalid_rows = invalid.any(axis=1)
+        # a column at a time, with no (N, L) index arrays: a valid id whose
+        # slot is already set is a repeat
+        slots = np.full((k, n), width, dtype=np.min_scalar_type(width))
+        repeat_rows = np.zeros(n, dtype=bool)
+        for col in range(width):
+            rows = (listed[:, col] & ~invalid[:, col]).nonzero()[0]
+            ids = pref_arr[rows, col] - 1
+            repeat_rows[rows[slots[ids, rows] != width]] = True
+            slots[ids, rows] = col
+        # a row that lists an id outside 1..K (an interior zero, say) may
+        # repeat it: its sorted list, padding last, shows every repeat
+        odd = invalid_rows.nonzero()[0]
+        if odd.size:
+            ranked = np.sort(np.where(listed[odd], pref_arr[odd], np.iinfo(np.int64).max), axis=1)
+            repeat_rows[odd] |= ((ranked[:, 1:] == ranked[:, :-1]) & listed[odd, 1:]).any(axis=1)
+        # the first applicant who repeats a program or lists one outside
+        # 1..K; a repeat is reported first when both are the same applicant
         first_repeat = int(repeat_rows.argmax()) if repeat_rows.any() else n
         first_invalid = int(invalid_rows.argmax()) if invalid_rows.any() else n
         if first_repeat < n and first_repeat <= first_invalid:
@@ -165,10 +177,6 @@ class Population:
         for name, arr in self.labels.items():
             if np.asarray(arr).shape != (n,):
                 raise DataError(f"label {name!r} must have length N")
-        slots = np.full((k, n), width, dtype=np.min_scalar_type(width))
-        for col in range(width):  # a column at a time: no (N, L) index arrays
-            rows = listed[:, col].nonzero()[0]
-            slots[pref_arr[rows, col] - 1, rows] = col
         object.__setattr__(self, "prefs", None)  # tuples are built on first read
         pref_arr = pref_arr.view()  # read-only, the caller's array left as it is
         pref_arr.flags.writeable = False
@@ -560,76 +568,22 @@ def _replications(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class SimulationOutput:
-    """A stacked dataset, the population row of each of its rows
-    (``applicants``) and the sweep log (``SIMULATION_EVENT_DTYPE``, empty
-    unless ``log_events``). ``covariates``, for balance checks, is built
-    from ``applicants`` on its first read."""
-
-    dataset: Dataset
-    events: np.ndarray
-    applicants: np.ndarray
-    population: Population = field(repr=False)
-
-    @functools.cached_property
-    def covariates(self) -> dict:
-        """Merit, first choice (0 for an empty list) and every population
-        label (coded by sorted level if not numeric) of each row, as floats."""
-        pop, rows = self.population, self.applicants
-        covariates = {"merit": pop.merit[rows].astype(float)}
-        covariates["first_choice"] = pop.pref_array()[rows, 0].astype(float)
-        for name, arr in pop.labels.items():
-            arr = np.asarray(arr)
-            if arr.dtype.kind not in "fiub":
-                _, arr = np.unique(arr, return_inverse=True)
-            covariates[name] = arr[rows].astype(float)
-        return covariates
-
-
-def simulate_run(
-    pop: Population,
-    cfg: MechanismConfig,
-    reps: int,
-    master_seed: int,
-    label: str | None = None,
-    log_events: bool = False,
-) -> SimulationOutput:
-    """Stack pivotal-group records across lottery replications.
-
-    Each replication clears the market with seed ``derive_seed(master_seed,
-    rep)``. One record per pivotal-group membership: Z_ij is the member's
-    normalized lottery rank at margin j and zero elsewhere (an applicant
-    pivotal at two margins contributes two records, one per group, so every
-    record's luck is uniform within its own cluster). Controls are a
-    constant plus applied-at-margin dummies (modal margin as baseline) and
-    clusters are (replication, pivotal group). ``applicants`` gives each
-    row's population row, from which the covariates for balance checks
-    (merit, first choice, labels) are built, row by row, when first read.
-    With ``log_events`` the replications' sweep logs are stacked in
-    ``events``, each record tagged with its replication. Until the last
-    replication each pivotal group is held as one compact record
-    (``_PivotalRecords``); then each output array is allocated once, at its
-    final size and in a memory map of its own (``data._mapped``), and
-    filled record by record.
-    """
-    return _PivotalRecords(pop, cfg, reps, master_seed, label, log_events).output()
-
-
-class _PivotalRecords:
-    """The pivotal groups of ``simulate_run``'s replications, one compact
-    record each; ``oracle``, if given, sweeps its draws and measures their
-    slot expansions on the way (``_replications``).
+    """The pivotal groups of a simulation's replications, one compact record
+    each, and the sweep log (``events``, a ``SIMULATION_EVENT_DTYPE`` array,
+    empty unless ``log_events``); ``oracle``, if given, sweeps its draws and
+    measures their slot expansions on the way (``_replications``).
 
     A record holds the replication, the program, the members (population
-    rows), their luck and their assignment (as ``np.min_scalar_type(K)``):
-    17 bytes a member, where a stacked row takes about 150 at K = 5. The
-    rows are made from the records one group at a time: ``output`` stacks
-    them into the Dataset of ``simulate_run``, and ``_moments`` builds that
-    Dataset's moment object (without a group label) cluster by cluster,
-    bit for bit, without stacking them. With it the object carries the
-    Dataset's sizes (``n_obs``, ``n_clusters``, ``n_treatments``,
-    ``n_controls``), which is all ``estimate_all`` reads of a Dataset.
+    rows), their luck and their assignment (as ``np.min_scalar_type(K)``): 17
+    bytes a member, where a stacked row takes about 150 at K = 5. The rows are
+    made from the records one group at a time, on first read: ``dataset``
+    stacks them, ``applicants`` gives each row's population row and
+    ``covariates`` is built from it. The moment object of ``dataset`` without
+    its group label is built cluster by cluster, bit for bit, without the
+    rows; with the Dataset's sizes (``n_obs``, ``n_clusters``,
+    ``n_treatments``, ``n_controls``) it is all ``estimate_all`` reads, so
+    ``estimate_all(run)`` fits the records and leaves ``run.dataset`` unbuilt.
     """
 
     def __init__(self, pop: Population, cfg: MechanismConfig, reps: int, master_seed: int,
@@ -658,8 +612,8 @@ class _PivotalRecords:
         if not records:
             raise NoPivotalVariation("no program was oversubscribed in any replication")
         progs = np.array([rec[1] for rec in records])
-        self.sizes = np.array([rec[2].size for rec in records])
-        counts = np.bincount(progs - 1, weights=self.sizes, minlength=k)
+        self._sizes = np.array([rec[2].size for rec in records])
+        counts = np.bincount(progs - 1, weights=self._sizes, minlength=k)
         if not counts.all():
             missing = [int(j) + 1 for j in np.flatnonzero(counts == 0)]
             warnings.warn(
@@ -670,53 +624,96 @@ class _PivotalRecords:
             )
         baseline = int(np.argmax(counts))  # the modal margin anchors the dummies
         margins = [j + 1 for j in range(k) if j != baseline and counts[j] > 0]
-        self.dummy = {prog: col for col, prog in enumerate(margins, start=1)}  # x column
-        self.names = [f"r{r}:p{prog}" for r, prog, *_ in records]
-        self.pop, self.label, self.records = pop, label, records
+        self._dummy = {prog: col for col, prog in enumerate(margins, start=1)}  # x column
+        self._names = [f"r{r}:p{prog}" for r, prog, *_ in records]
+        self.population, self._label, self._records = pop, label, records
         self.events = np.concatenate(events)
-        self.n_obs, self.n_clusters = int(self.sizes.sum()), len(records)
-        self.n_treatments, self.n_controls = k, 1 + len(self.dummy)
+        self.n_obs, self.n_clusters = int(self._sizes.sum()), len(records)
+        self.n_treatments, self.n_controls = k, 1 + len(self._dummy)
 
     def _write(self, i: int, y, a, z, x):
         """Record i's rows of y, a, z and x, into zeroed arrays."""
-        _, prog, idx, luck, assignment = self.records[i]
-        y[:] = _outcomes(self.pop.po[idx], assignment)
+        _, prog, idx, luck, assignment = self._records[i]
+        y[:] = _outcomes(self.population.po[idx], assignment)
         held = np.flatnonzero(assignment)
         a[held, assignment[held] - 1] = 1.0
         z[:, prog - 1] = luck
         x[:, 0] = 1.0
-        if prog in self.dummy:
-            x[:, self.dummy[prog]] = 1.0
+        if prog in self._dummy:
+            x[:, self._dummy[prog]] = 1.0
 
-    def output(self) -> SimulationOutput:
-        """The stacked dataset, record after record."""
-        pop, n, k, p = self.pop, self.n_obs, self.n_treatments, self.n_controls
+    @functools.cached_property
+    def applicants(self) -> np.ndarray:
+        """The population row of each stacked row."""
+        return np.concatenate([idx for _, _, idx, *_ in self._records], dtype=np.int64)
+
+    @functools.cached_property
+    def dataset(self) -> Dataset:
+        """The stacked rows, record after record: each array is allocated
+        once, at its final size and in a memory map of its own
+        (``data._mapped``), and filled record by record."""
+        n, k, p = self.n_obs, self.n_treatments, self.n_controls
         y, a, z, x = _mapped(n), _mapped((n, k)), _mapped((n, k)), _mapped((n, p))
-        cluster = _mapped(n, f"<U{max(map(len, self.names))}")
-        applicants = np.empty(n, dtype=np.int64)
-        lo = 0
-        for i, ((_, _, idx, *_), name) in enumerate(zip(self.records, self.names)):
-            rows = slice(lo, lo + idx.size)
-            self._write(i, y[rows], a[rows], z[rows], x[rows])
-            cluster[rows] = name
-            applicants[rows] = idx
-            lo = rows.stop
-        group_label = None if self.label is None else np.asarray(pop.labels[self.label])[applicants]
-        dataset = Dataset(y=y, a=a, z=z, x=x, cluster=cluster, group_label=group_label)
-        return SimulationOutput(
-            dataset=dataset, events=self.events, applicants=applicants, population=pop
-        )
+        cluster = _mapped(n, f"<U{max(map(len, self._names))}")
+        ends = np.cumsum(self._sizes).tolist()
+        for i, (lo, hi, name) in enumerate(zip([0, *ends], ends, self._names)):
+            self._write(i, y[lo:hi], a[lo:hi], z[lo:hi], x[lo:hi])
+            cluster[lo:hi] = name
+        group_label = (None if self._label is None
+                       else np.asarray(self.population.labels[self._label])[self.applicants])
+        return Dataset(y=y, a=a, z=z, x=x, cluster=cluster, group_label=group_label)
+
+    @functools.cached_property
+    def covariates(self) -> dict:
+        """Merit, first choice (0 for an empty list) and every population
+        label (coded by sorted level if not numeric) of each row, as floats."""
+        pop, rows = self.population, self.applicants
+        covariates = {"merit": pop.merit[rows].astype(float)}
+        covariates["first_choice"] = pop.pref_array()[rows, 0].astype(float)
+        for name, arr in pop.labels.items():
+            arr = np.asarray(arr)
+            if arr.dtype.kind not in "fiub":
+                _, arr = np.unique(arr, return_inverse=True)
+            covariates[name] = arr[rows].astype(float)
+        return covariates
 
     @functools.cached_property
     def _moments(self) -> _Moments:
-        """The moment object of ``output().dataset``, one cluster at a time."""
+        """``dataset``'s moment object without its group label, built cluster by cluster."""
         p, k = self.n_controls, self.n_treatments
-        codes = np.unique(np.array(self.names), return_inverse=True)[1]  # as the Dataset codes them
+        codes = np.unique(np.array(self._names), return_inverse=True)[1]  # as the Dataset codes them
 
         def fill(i, w):
             self._write(i, w[:, -1], w[:, p + k : -1], w[:, p : p + k], w[:, :p])
 
-        return _Moments.of_clusters(codes, self.sizes, p + 2 * k + 1, fill)
+        return _Moments.of_clusters(codes, self._sizes, p + 2 * k + 1, fill)
+
+
+def simulate_run(
+    pop: Population,
+    cfg: MechanismConfig,
+    reps: int,
+    master_seed: int,
+    label: str | None = None,
+    log_events: bool = False,
+) -> SimulationOutput:
+    """Pivotal-group records across lottery replications.
+
+    Each replication clears the market with seed ``derive_seed(master_seed,
+    rep)``. One record per pivotal-group membership: Z_ij is the member's
+    normalized lottery rank at margin j and zero elsewhere (an applicant
+    pivotal at two margins contributes two records, one per group, so every
+    record's luck is uniform within its own cluster). Controls are a
+    constant plus applied-at-margin dummies (modal margin as baseline) and
+    clusters are (replication, pivotal group); ``label`` names the group
+    label. ``applicants`` gives each row's population row, and
+    ``covariates`` for balance checks (merit, first choice, labels). With
+    ``log_events`` the replications' sweep logs are stacked in ``events``,
+    each record tagged with its replication. Each pivotal group is held as
+    one compact record, and the rows are stacked when first read
+    (``SimulationOutput``).
+    """
+    return SimulationOutput(pop, cfg, reps, master_seed, label, log_events)
 
 
 # ---------------------------------------------------------------------------
@@ -781,7 +778,10 @@ class _SlotOracles:
         for j in todo:
             one_more = caps.copy()
             one_more[self.programs[j] - 1] += 1
-            assignment = _sweep(prefs, lengths, pr_slot, one_more, start=start).assignment
+            if np.array_equal(one_more, self.caps_plus):  # one program: c+ is its expansion
+                assignment = start.assignment
+            else:
+                assignment = _sweep(prefs, lengths, pr_slot, one_more, start=start).assignment
             moved = np.flatnonzero(assignment != base.assignment)
             y = base_y.copy()
             y[moved] = _outcomes(pop.po[moved], assignment[moved])
@@ -852,18 +852,17 @@ def simulate_and_oracles(
     """``simulate_run`` and ``slot_expansion_oracles`` on shared clearings.
 
     Clears each of the first ``max(reps, oracle_reps)`` lottery draws once:
-    the first ``reps`` are stacked into the dataset and the first
+    the first ``reps`` give the pivotal records and the first
     ``oracle_reps`` feed the oracle, which sweeps them from c+ (see
     ``slot_expansion_oracles``); the others are swept from -inf. Returns
     exactly what ``simulate_run(pop, cfg, reps, master_seed)`` and
     ``slot_expansion_oracles(pop, cfg, programs, oracle_reps, master_seed)``
-    return, for one clearing per draw instead of two. The dataset is
-    stacked from the pivotal records (``_PivotalRecords``); a caller that
-    only fits it (``verify``) reads the records instead and never holds the
-    rows.
+    return, for one clearing per draw instead of two. A caller that only
+    fits the records (``estimate_all(run)``, as ``verify`` does) never
+    holds the stacked rows.
     """
     oracle = _SlotOracles(pop, cfg, programs, oracle_reps)
-    return _PivotalRecords(pop, cfg, reps, master_seed, oracle=oracle).output(), oracle.results()
+    return SimulationOutput(pop, cfg, reps, master_seed, oracle=oracle), oracle.results()
 
 
 # ---------------------------------------------------------------------------

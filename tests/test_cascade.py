@@ -6,6 +6,8 @@ from numpy.testing import assert_allclose
 
 from cascadeiv import (
     BlockSpec,
+    MechanismConfig,
+    SynthConfig,
     VacancyMatrix,
     block_weights,
     cascade_decomposition,
@@ -14,8 +16,10 @@ from cascadeiv import (
     conditional_entrant_by_group,
     conditional_entrant_effect,
     fit_2sls,
+    generate_population,
     group_outcome_decomposition,
     neumann_solve,
+    simulate_run,
     spectral_radius,
     three_program_beta2,
 )
@@ -352,6 +356,49 @@ def test_empty_group_warns_but_stays_exact():
         parts = group_outcome_decomposition(d, labels, levels=[0, 1])
     assert_allclose(parts[1], 0.0, atol=1e-12)
     assert_allclose(parts[0] + parts[1], fit_2sls(d), atol=1e-10)
+
+
+def longdouble_solve(a, b):
+    """solve(a, b) by Gaussian elimination with partial pivoting, in
+    ``np.longdouble`` (``np.linalg`` takes no long doubles)."""
+    a, b = a.astype(np.longdouble), b.astype(np.longdouble).reshape(a.shape[0], -1)
+    n = a.shape[0]
+    for i in range(n):
+        piv = i + int(np.argmax(np.abs(a[i:, i])))
+        a[[i, piv]], b[[i, piv]] = a[[piv, i]], b[[piv, i]]
+        f = a[i + 1 :, i : i + 1] / a[i, i]
+        a[i + 1 :, i:] -= f * a[i, i:]
+        b[i + 1 :] -= f * b[i]
+    x = np.zeros_like(b)
+    for i in range(n - 1, -1, -1):
+        x[i] = (b[i] - a[i, i + 1 :] @ x[i + 1 :]) / a[i, i]
+    return x
+
+
+def longdouble_masked_fit(d, lev):
+    """2SLS of the outcome masked to level ``lev`` from the long-double
+    Gram of its rows: the just-identified beta = S_za^-1 S_zy of the
+    cross-products S net of the controls."""
+    w = np.column_stack([d.x, d.z, d.a, d.y * (d.group_label == lev)]).astype(np.longdouble)
+    gram = w.T @ w
+    p, k = d.n_controls, d.n_treatments
+    s = gram[p:, p:] - gram[p:, :p] @ longdouble_solve(gram[:p, :p], gram[:p, p:])
+    return longdouble_solve(s[:k, k : 2 * k], s[:k, 2 * k]).ravel()
+
+
+def test_decomposition_is_within_1e_14_of_the_long_double_masked_fits():
+    # a simulated K=3 dataset with two group levels (46,302 rows, 24
+    # clusters, the tensor form); the bound is relative to the largest part
+    pop = generate_population(SynthConfig(n=20_000, k=3, seed=3, het_scale=0.5, label_share=0.5,
+                                          effects=(0.2, -0.1, 0.05), base_scale=0.5))
+    cfg = MechanismConfig(capacities=(1500,) * 3, lottery_seed=0)
+    d = simulate_run(pop, cfg, reps=8, master_seed=2, label="group").dataset
+    parts = group_outcome_decomposition(d)
+    assert len(parts) == 2
+    scale = max(np.abs(part).max() for part in parts.values())
+    for lev, part in parts.items():
+        err = np.abs(part - longdouble_masked_fit(d, lev)).max()
+        assert err <= 1e-14 * scale, (lev, err / scale)
 
 
 # ---------------------------------------------------------------------------

@@ -40,7 +40,6 @@ from cascadeiv.mechanism import (
     _lottery,
     _margins,
     _outcomes,
-    _PivotalRecords,
     _slot_priorities,
     _SlotOracles,
     _sweep,
@@ -166,6 +165,62 @@ def test_population_prefs_match_loop_reference(case):
         assert np.array_equal(pop.pref_lengths(), (want[1] > 0).sum(axis=1))
         assert np.array_equal(pop.pref_array()[:, : want[1].shape[1]], want[1])
         assert not pop.pref_array()[:, want[1].shape[1]:].any()
+
+
+def reference_pref_error(prefs, k):
+    """The whole-array check ``Population`` used to make of its preference
+    lists, through an (N, L) ``np.where`` and a sorted copy of it: the
+    message of its DataError, or None. ``prefs`` is a list of lists or an
+    (N, L) integer array, whose rows run to their last nonzero entry."""
+    if isinstance(prefs, np.ndarray):
+        pref_arr = prefs.astype(np.int64)
+        nonzero = (pref_arr != 0)[:, ::-1]
+        lengths = np.where(nonzero.any(axis=1), pref_arr.shape[1] - nonzero.argmax(axis=1), 0)
+    else:
+        pref_arr, lengths = padded(prefs), np.array([len(pl) for pl in prefs], dtype=np.int64)
+    listed = np.arange(pref_arr.shape[1]) < lengths[:, None]
+    n = pref_arr.shape[0]
+    ranked = np.sort(np.where(listed, pref_arr, np.iinfo(np.int64).max), axis=1)
+    repeat_rows = ((ranked[:, 1:] == ranked[:, :-1]) & listed[:, 1:]).any(axis=1)
+    invalid = listed & ((pref_arr < 1) | (pref_arr > k))
+    invalid_rows = invalid.any(axis=1)
+    first_repeat = int(repeat_rows.argmax()) if repeat_rows.any() else n
+    first_invalid = int(invalid_rows.argmax()) if invalid_rows.any() else n
+    if first_repeat < n and first_repeat <= first_invalid:
+        return f"applicant {first_repeat} ranks a program twice"
+    if first_invalid < n:
+        bad = pref_arr[first_invalid][invalid[first_invalid]]
+        return f"applicant {first_invalid} ranks invalid program {bad[0]} (K={k})"
+    return None
+
+
+@st.composite
+def pref_inputs(draw):
+    """K and preference lists, as lists or as a padded array, with interior
+    zeros, repeats and ids outside 1..K, down to the int64 extremes."""
+    k = draw(st.integers(1, 4))
+    n = draw(st.integers(0, 6))
+    extremes = st.sampled_from([0, -1, k + 1, np.iinfo(np.int64).min, np.iinfo(np.int64).max])
+    ids = st.one_of(st.integers(1, k), st.integers(1, k), st.integers(0, k), extremes)
+    if draw(st.booleans()):
+        width = draw(st.integers(1, k + 2))
+        rows = draw(st.lists(st.lists(ids, min_size=width, max_size=width),
+                             min_size=n, max_size=n))
+        return k, np.array(rows, dtype=np.int64).reshape(n, width)
+    return k, draw(st.lists(st.lists(ids, max_size=k + 2), min_size=n, max_size=n))
+
+
+@settings(max_examples=400, deadline=None)
+@given(pref_inputs())
+def test_population_pref_errors_match_the_whole_array_check(case):
+    k, prefs = case
+    want = reference_pref_error(prefs, k)
+    if want is None:
+        make_pop(prefs, k)
+        return
+    with pytest.raises(DataError) as exc:
+        make_pop(prefs, k)
+    assert type(exc.value) is DataError and str(exc.value) == want
 
 
 def test_population_preference_array_of_floats_or_no_columns():
@@ -1085,16 +1140,28 @@ def test_baseline_started_at_more_seats_matches_run_clearing(market, data):
         assert_same_clearing(clear(pop, caps, lottery, start=start), want)
 
 
-@pytest.mark.parametrize("programs, warm", [((1,), 2), ((1, 2, 3), 3), ((3, 1), 2)])
+@pytest.mark.parametrize("programs, warm", [((1,), 1), ((1, 2, 3), 3), ((3, 1), 2)])
 def test_oracle_sweeps_each_draw_from_minus_inf_once(programs, warm):
     # per draw: one sweep from -inf (to one extra seat at every program
     # measured), then the baseline and each oversubscribed program's
-    # expansion from there; program 3 is never oversubscribed
+    # expansion from there, except that with one program measured c+ is
+    # its expansion; program 3 is never oversubscribed
     pop = homogeneous_pop(300, 3, np.array([0.2, -0.1, 0.3]), seed=12)
     cfg = MechanismConfig(capacities=(20, 60, 400), lottery_seed=0)
     with counting_sweeps() as counts:
         slot_expansion_oracles(pop, cfg, programs, reps=4, master_seed=8)
     assert counts == {"cold": 4, "warm": 4 * warm}
+
+
+@settings(max_examples=60, deadline=None)
+@given(tiny_markets(), st.integers(1, 3), st.data())
+def test_single_program_oracle_matches_brute_force(market, reps, data):
+    pop, cfg = market
+    k = data.draw(st.integers(1, pop.n_programs))
+    got = slot_expansion_oracle(pop, cfg, k, reps, master_seed=cfg.lottery_seed)
+    per_rep, under = brute_force_oracle(pop, cfg, k, reps, cfg.lottery_seed)
+    assert same_bits(got.per_rep, per_rep)
+    assert got.undersubscribed == under
 
 
 @settings(max_examples=60, deadline=None)
@@ -1223,8 +1290,8 @@ def test_realized_outcomes_refuses_more_than_one_seat_a_row():
 
 
 def fit_or_error(data):
-    """``estimate_all`` of a Dataset or of pivotal records, or the class of
-    the package error it raises."""
+    """``estimate_all`` of a Dataset or of a simulation's pivotal records,
+    or the class of the package error it raises."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         try:
@@ -1247,33 +1314,43 @@ def assert_same_estimates(got, want):
             assert a == b, f.name
 
 
+def assert_records_fit_as_stacked(run):
+    """``estimate_all(run)`` fits the records without stacking them, with
+    the bits of ``estimate_all(run.dataset)``, the same sizes and the same
+    error."""
+    got = fit_or_error(run)
+    assert not {"dataset", "applicants", "covariates"} & set(vars(run))
+    data = run.dataset
+    assert (run.n_obs, run.n_clusters, run.n_treatments, run.n_controls) == (
+        data.n_obs, data.n_clusters, data.n_treatments, data.n_controls)
+    assert_same_estimates(got, fit_or_error(data))
+
+
 def assert_verify_path_matches_stacked(pop, cfg, reps, oracle_reps, master_seed=5):
-    """``verify``'s records path against the stacked dataset and the
-    standalone oracle: the same estimates and per-draw deltas, bit for bit.
-    Returns the records (None when no program was ever oversubscribed)."""
+    """``verify``'s path, ``estimate_all`` of ``simulate_and_oracles``'
+    records, against the fit of its stacked dataset, and its oracles against
+    the standalone oracle: the same estimates and per-draw deltas, bit for
+    bit; ``simulate_run``'s records fit as their rows do too. Returns the
+    run (None when no program was ever oversubscribed)."""
     programs = range(1, pop.n_programs + 1)
     args = (pop, cfg, reps, master_seed, programs, oracle_reps)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", NoPivotalProgramWarning)
-        oracle = _SlotOracles(pop, cfg, programs, oracle_reps)
         try:
-            records = _PivotalRecords(pop, cfg, reps, master_seed, oracle=oracle)
-            oracles = oracle.results()
+            run, oracles = simulate_and_oracles(*args)
         except NoPivotalVariation:
             with pytest.raises(NoPivotalVariation):
-                simulate_and_oracles(*args)
+                simulate_run(pop, cfg, reps, master_seed)
             return None
-        run, stacked = simulate_and_oracles(*args)
-    assert (records.n_obs, records.n_clusters) == (run.dataset.n_obs, run.dataset.n_clusters)
-    assert (records.n_treatments, records.n_controls) == (
-        run.dataset.n_treatments, run.dataset.n_controls)
-    assert_same_estimates(fit_or_error(records), fit_or_error(run.dataset))
-    alone = slot_expansion_oracles(pop, cfg, programs, oracle_reps, master_seed)
-    for got, want in itertools.chain(zip(oracles, alone), zip(stacked, alone)):
+        alone = simulate_run(pop, cfg, reps, master_seed)
+    assert_records_fit_as_stacked(run)
+    assert_records_fit_as_stacked(alone)
+    for got, want in zip(oracles, slot_expansion_oracles(pop, cfg, programs, oracle_reps,
+                                                         master_seed)):
         assert same_bits(got.per_rep, want.per_rep)
         assert (got.value, got.mc_se, got.undersubscribed) == (
             want.value, want.mc_se, want.undersubscribed)
-    return records
+    return run
 
 
 @settings(max_examples=150, deadline=None)
@@ -1292,8 +1369,22 @@ def test_verify_records_match_the_stacked_dataset(k, caps, brackets, tensor):
     pop = generate_population(SynthConfig(n=3000, k=k, seed=k, n_merit_brackets=brackets,
                                           het_scale=0.5, effects=tuple(np.linspace(-0.2, 0.2, k))))
     cfg = MechanismConfig(capacities=(caps,) * k, lottery_seed=0)
-    records = assert_verify_path_matches_stacked(pop, cfg, reps=4, oracle_reps=3)
-    assert (records._moments.m is not None) == tensor
+    run = assert_verify_path_matches_stacked(pop, cfg, reps=4, oracle_reps=3)
+    assert (run._moments.m is not None) == tensor
+
+
+def test_fitting_a_simulation_leaves_its_rows_unstacked():
+    # with a label the records fit as the stacked rows without it; reading
+    # the rows afterwards gives them with the label
+    pop = homogeneous_pop(3000, 2, np.array([0.1, 0.2]), seed=7)
+    pop = replace(pop, labels={"group": np.arange(3000) % 2})
+    cfg = MechanismConfig(capacities=(200, 200), lottery_seed=0)
+    run = simulate_run(pop, cfg, reps=4, master_seed=1, label="group")
+    est = estimate_all(run)
+    assert vars(run).keys().isdisjoint({"dataset", "applicants", "covariates"})
+    assert run.dataset.group_label is not None
+    assert_same_estimates(est, estimate_all(replace(run.dataset, group_label=None)))
+    assert (est.n_obs, est.n_clusters) == (run.n_obs, run.n_clusters)
 
 
 def stack_clearings(pop, clearings):
