@@ -177,8 +177,8 @@ def neumann_solve(
     wald = np.asarray(wald, dtype=float)
     if wald.shape != (vm.m.shape[0],):
         raise LengthMismatch("Wald vector length does not match the vacancy matrix")
-    if tol <= 0:
-        raise DataError("tol must be positive")
+    if not (np.isfinite(tol) and tol > 0) or max_rounds < 1:
+        raise DataError(f"need a finite tol > 0 and max_rounds >= 1; got {tol!r}, {max_rounds!r}")
     rho = spectral_radius(vm.m)
     if rho >= 1.0:
         raise DivergentCascade(rho)
@@ -237,11 +237,11 @@ def conditional_entrant_effect(
 
 
 def _entrant_effects(data: Dataset, c, levels=None, beta_full=None) -> dict:
-    """``conditional_entrant_effect`` of each of ``levels`` (default: all) from
-    the Dataset's per-level Grams at cluster weights c (ones here, a draw's
-    counts in the bootstrap); ``beta_full`` defaults to the fit of their sum."""
-    p, k = data.n_controls, data.n_treatments
-    mom = data._moments
+    """``conditional_entrant_effect`` of each of ``levels`` (default: all) from the
+    per-level Grams at cluster weights c; ``beta_full`` defaults to their sum's fit."""
+    p, k, mom = data.n_controls, data.n_treatments, data._moments
+    if mom.levels is None:
+        raise DataError("conditional-entrant effects need group labels")
     grams, rows = mom.grams(c)
     if beta_full is None:
         f = _moment_fit(grams.sum(axis=0), int(rows.sum()), p, k)
@@ -259,14 +259,12 @@ def _entrant_effects(data: Dataset, c, levels=None, beta_full=None) -> dict:
 def conditional_entrant_by_group(
     data: Dataset, levels=None, beta_full: np.ndarray | None = None
 ) -> dict:
-    """``conditional_entrant_effect`` for each level of ``data.group_label``.
+    """``conditional_entrant_effect`` for each level of the group labels.
 
-    One fit of each level's Gram in the Dataset's moment object;
-    ``beta_full`` is fitted when not given. ``levels`` defaults to the
-    distinct labels; an absent one raises DataError.
+    One fit of each level's Gram in the moment object of ``data`` (a
+    Dataset or a labelled run); ``beta_full`` is fitted when not given.
+    ``levels`` defaults to the distinct labels; an absent one is a DataError.
     """
-    if data.group_label is None:
-        raise DataError("conditional-entrant effects need group labels")
     return _entrant_effects(data, np.ones(data.n_clusters, dtype=np.intp), levels, beta_full)
 
 
@@ -279,16 +277,19 @@ def group_outcome_decomposition(
 
     The per-group coefficients sum to the full-sample beta for every
     treatment, up to rounding, because 2SLS is linear in the outcome. A level
-    fits the Dataset's pooled Gram with its own y row and column in; a
-    ``partition`` is fitted as ``replace(data, group_label=partition)``.
+    fits the pooled Gram of ``data`` (a Dataset or a labelled run) with its
+    own y row and column in; a ``partition`` of a Dataset's rows is fitted as
+    ``replace(data, group_label=partition)``.
     """
     if partition is not None:
+        if not isinstance(data, Dataset):
+            raise DataError("a partition labels the rows: pass a simulation's run.dataset")
         if np.shape(partition) != (data.n_obs,):
             raise LengthMismatch("partition must have one label per observation")
         data = replace(data, group_label=partition)
-    if data.group_label is None:
-        raise DataError("no partition given and the dataset has no group labels")
     mom = data._moments
+    if mom.levels is None:
+        raise DataError("no partition given and the dataset has no group labels")
     grams = mom.grams(np.ones(mom.g, dtype=np.intp))[0]
     pooled = grams.sum(axis=0)
     out = {}

@@ -133,7 +133,7 @@ class Dataset:
 
     @functools.cached_property
     def _moments(self) -> _Moments:
-        return _Moments((self.x, self.z, self.a, self.y), self.cluster_codes(),
+        return _Moments(self.cluster_codes(), *_block_writer((self.x, self.z, self.a, self.y)),
                         self.group_label)
 
 
@@ -141,84 +141,52 @@ def _factorize(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``np.unique(values, return_inverse=True)`` without a sorted copy of
     every entry: only the first entry of each run of equal entries is
     sorted, and each entry is looked up among the distinct values."""
-    starts = np.flatnonzero(np.r_[True, values[1:] != values[:-1]])
-    distinct = np.unique(values[starts])
+    distinct = np.unique(values[_run_starts(values)])
     return distinct, np.searchsorted(distinct, values)
 
 
 class _Moments:
-    """Per-(cluster, level) cross-products of W and their row counts: one
-    object per Dataset, built on first use (``Dataset._moments``), over
-    W = [x, z, a, y], its cluster codes and its group labels (one level
-    without), whose sorted distinct values are the ``levels``. The
-    G x L x d x d tensor is kept only when G L d <= N, and W is never
-    stacked for it: each cell's rows are gathered from the blocks, in row
-    order, into one C-contiguous array, so the object holds one cell's rows
-    beside the blocks. For clusters of a few rows the tensor would outgrow
-    the rows, which are kept instead, as one copy of W sorted into a run of
-    rows per level, row i weighted by c[code_i]: all levels' Grams take one
-    pass. ``of_clusters`` builds the same object from rows that are never
-    stacked (a simulation's pivotal records), one cluster at a time."""
+    """Per-(cluster, level) cross-products of W = [x, z, a, y] and their row
+    counts, built on first use by a Dataset or a simulation run from each
+    row's cluster code, W's width d, a writer ``write(rows, out)`` of rows
+    ``rows`` (a slice or an ascending index array) of W into a zeroed
+    ``out``, and the rows' group labels (one level without), whose sorted
+    distinct values are the ``levels``. The G x L x d x d tensor is kept
+    only when G L d <= N, each cell's rows written into one array and W
+    never stacked; for clusters of a few rows it would outgrow the rows,
+    which are kept instead, sorted into a run per level, row i weighted by
+    c[code_i]. The same rows, codes and labels give the same bits whoever
+    writes them."""
 
-    def __init__(self, blocks, codes: np.ndarray, labels=None):
-        n = len(blocks[0])
+    def __init__(self, codes: np.ndarray, d: int, write, labels=None):
+        n = codes.size
         self.g = int(codes.max()) + 1
-        self.levels, level = (None, np.zeros(n, dtype=np.intp)) if labels is None else (
-            _factorize(labels))
+        self.levels, level = (None, None) if labels is None else _factorize(labels)
         n_lev = 1 if labels is None else self.levels.size
-        blocks = [b.reshape(n, -1) for b in blocks]
-        d = sum(b.shape[1] for b in blocks)
         tensor = self.g * n_lev * d <= n
-        # one run of rows per (cluster, level) cell, or per level
-        key = codes * n_lev + level if tensor else level
+        # one run of rows per (cluster, level) cell, or per level; codes may
+        # be narrow, so they are widened before a product that could wrap
+        key = (level if not tensor else codes if labels is None
+               else codes.astype(np.intp) * n_lev + level)
+        order, self.runs = slice(None), [(0, 0, n)]
+        if key is not None:
+            starts = _run_starts(key)
+            if starts.size > np.unique(key[starts]).size:  # a cell split into runs
+                order = np.argsort(key, kind="stable")
+                key = key[order]
+                starts = _run_starts(key)
+            ends = np.r_[starts[1:], n]
+            self.runs = list(zip(key[starts].tolist(), starts.tolist(), ends.tolist()))
         if tensor:
-            self.rows = np.bincount(key, minlength=self.g * n_lev).reshape(self.g, n_lev)
-        order = slice(None)
-        if np.count_nonzero(np.diff(key)) >= (np.count_nonzero(self.rows) if tensor else n_lev):
-            order = np.argsort(key, kind="stable")
-            key = key[order]
-        starts = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
-        self.runs = [(key[lo], lo, hi) for lo, hi in zip(starts, np.r_[starts[1:], n])]
-        if not tensor:
-            self.m, self.w, self.codes = None, _stack(blocks, order, n, d), codes[order]
-            return
-        self.m = np.zeros((self.g, n_lev, d, d))
+            self.rows = np.bincount(key[starts], ends - starts, self.g * n_lev).astype(np.intp)
+            self.rows, self.m = self.rows.reshape(self.g, n_lev), np.zeros((self.g, n_lev, d, d))
+        else:
+            self.m, self.w, self.codes = None, np.zeros((n, d)), codes[order]
         for cell, lo, hi in self.runs:
-            rows = slice(lo, hi) if isinstance(order, slice) else order[lo:hi]
-            self._cell(divmod(cell, n_lev), _stack(blocks, rows, hi - lo, d))
-
-    @classmethod
-    def of_clusters(cls, codes: np.ndarray, sizes: np.ndarray, d: int, fill) -> _Moments:
-        """The object of rows given one cluster at a time, in row order and
-        of one level: cluster i has code ``codes[i]`` and ``sizes[i]`` rows
-        of W, d wide, which ``fill(i, w)`` writes into a zeroed C-contiguous
-        array ``w``. Each cluster is then one run of rows, so this is, bit
-        for bit, the object of the stacked rows and their codes, built
-        without them: in the tensor form each cluster's rows are written
-        into the array its product is taken of; in the rows form, into the
-        copy of W the object keeps."""
-        mom = cls.__new__(cls)
-        n = int(sizes.sum())
-        mom.g, mom.levels, mom.runs = codes.size, None, [(0, 0, n)]
-        if mom.g * d > n:
-            w = np.zeros((n, d))
-            for i, hi in enumerate(np.cumsum(sizes)):
-                fill(i, w[hi - sizes[i] : hi])
-            mom.m, mom.w, mom.codes = None, w, np.repeat(codes, sizes)
-            return mom
-        mom.rows = np.zeros((mom.g, 1), dtype=np.intp)
-        mom.rows[codes, 0] = sizes
-        mom.m = np.zeros((mom.g, 1, d, d))
-        for i, code in enumerate(codes):
-            wc = np.zeros((sizes[i], d))
-            fill(i, wc)
-            mom._cell((code, 0), wc)
-        return mom
-
-    def _cell(self, cell, wc: np.ndarray):
-        """Cell ``cell``'s cross-products, from its rows of W in row order as
-        one C-contiguous array: the one product every cell is built by."""
-        self.m[cell] = wc.T @ wc
+            wc = np.zeros((hi - lo, d)) if tensor else self.w[lo:hi]
+            write(slice(lo, hi) if isinstance(order, slice) else order[lo:hi], wc)
+            if tensor:
+                self.m[divmod(cell, n_lev)] = wc.T @ wc
 
     def grams(self, c: np.ndarray):
         """Each level's Gram at cluster weights c, (L, d, d), and row count, (L,)."""
@@ -244,15 +212,23 @@ class _Moments:
         return out.T
 
 
-def _stack(blocks, rows, n: int, d: int) -> np.ndarray:
-    """Rows ``rows`` (n of them; an index array or a slice) of W = [blocks]
-    as one C-contiguous (n, d) array, filled a block at a time."""
-    w = np.empty((n, d))
-    col = 0
-    for b in blocks:
-        w[:, col : col + b.shape[1]] = b[rows]
-        col += b.shape[1]
-    return w
+def _run_starts(key: np.ndarray) -> np.ndarray:
+    """Where each run of equal keys starts."""
+    return np.r_[0, np.flatnonzero(key[1:] != key[:-1]) + 1]
+
+
+def _block_writer(blocks) -> tuple:
+    """The width d of W = [blocks], each an (N,) or (N, m) array, and its
+    writer for ``_Moments``: rows ``rows`` of each block into its columns."""
+    blocks = [b.reshape(len(b), -1) for b in blocks]
+
+    def write(rows, out):
+        col = 0
+        for b in blocks:
+            out[:, col : col + b.shape[1]] = b[rows]
+            col += b.shape[1]
+
+    return sum(b.shape[1] for b in blocks), write
 
 
 def _mapped(shape, dtype=float) -> np.ndarray:

@@ -83,14 +83,13 @@ class TooFewClusters(NumericalError):
 
 
 class StatisticFailedInReplication(NumericalError):
-    """More than the tolerated share of bootstrap replications failed."""
+    """More than the tolerated share of bootstrap replications failed, or all did."""
 
-    def __init__(self, n_failed: int, reps: int):
+    def __init__(self, n_failed: int, reps: int, max_share: float = 0.10):
         self.n_failed = n_failed
         self.reps = reps
-        super().__init__(
-            f"{n_failed} of {reps} bootstrap replications failed (> 10% ceiling)"
-        )
+        why = f"> {max_share * 100:g}% ceiling" if n_failed > max_share * reps else "none succeeded"
+        super().__init__(f"{n_failed} of {reps} bootstrap replications failed ({why})")
 
 
 class DivergentCascade(NumericalError):

@@ -1,13 +1,14 @@
 """First stage, reduced form, 2SLS, Wald ratios, and cluster inference.
 
-Every statistic reads one moment object per Dataset, built on first use
-(``data._Moments``): the cross-products W'W of W = [x, z, a, y] summed
-within each cluster and group level. For cluster weights c it gives each
-level's Gram sum_g c_g W_gl'W_gl; a pooled fit sums the levels' Grams and
-a group fit reads its own. ``_moment_fit`` partials the controls out of a
-Gram (Frisch-Waugh) as the Schur complement of their block and solves the
-first stage Pi' and the reduced form RF from the residual instrument
-block, with pivoted-Cholesky rank checks of both blocks. A point estimate
+Every statistic reads one moment object per Dataset or simulation run,
+built on first use (``data._Moments``): the cross-products W'W of
+W = [x, z, a, y] summed within each cluster and group level. For cluster
+weights c it gives each level's Gram sum_g c_g W_gl'W_gl; a pooled fit
+sums the levels' Grams and a group fit reads its own. ``_moment_fit``
+partials the controls out of a Gram (Frisch-Waugh) as the Schur
+complement of their block and solves the first stage Pi' and the reduced
+form RF from the residual instrument block, with pivoted-Cholesky rank
+checks of both blocks. A point estimate
 is the fit at c = 1, a bootstrap replication the fit at its draw's cluster
 counts; cluster scores are the object's per-cluster bilinear forms
 L'(W_g'W_g)R, and the first-stage F is read off the Schur complement. The
@@ -371,6 +372,8 @@ def _sandwich(psi: np.ndarray, n: int, k_params: int) -> np.ndarray:
     g = psi.shape[0]
     if g < 2:
         raise TooFewClusters("cluster-robust inference needs >= 2 clusters")
+    if n <= k_params:
+        raise DataError(f"cluster-robust inference needs N > {k_params} observations")
     return psi.T @ psi * ((g / (g - 1)) * ((n - 1) / (n - k_params)))
 
 
@@ -450,7 +453,7 @@ def _moment_replicate(data: Dataset, name: str):
         c = np.bincount(draw, minlength=mom.g)
         if name == "conditional_entrant":
             parts = list(_entrant_effects(data, c).values())
-            return np.concatenate(parts + [parts[0] - parts[1]] * (len(parts) == 2))
+            return np.concatenate(parts + [parts[0] - parts[1]] if len(parts) == 2 else parts)
         return _FIT_STATISTICS[name](_fit(data, c))
 
     return replicate
@@ -466,9 +469,9 @@ def _components(name, data: Dataset) -> tuple[str, ...]:
         return tuple(f"{name}_{j + 1}" for j in range(k))
     if name != "conditional_entrant":
         raise DataError(f"unknown bootstrap statistic {name!r}")
-    if data.group_label is None:
-        raise DataError("conditional_entrant statistic needs group labels")
     levels = data._moments.levels
+    if levels is None:
+        raise DataError("conditional_entrant statistic needs group labels")
     names = [f"T_{j + 1}|{lev}" for lev in levels for j in range(k)]
     if len(levels) == 2:
         names += [f"dT_{j + 1}" for j in range(k)]
@@ -518,7 +521,7 @@ def cluster_bootstrap(
             results = np.full((reps, value.size), np.nan)
         results[r] = value
     if n_failed > max_failure_share * reps or results is None:
-        raise StatisticFailedInReplication(n_failed, reps)
+        raise StatisticFailedInReplication(n_failed, reps, max_failure_share)
 
     ok = ~np.isnan(results[:, 0])
     est = results[ok]
@@ -548,9 +551,9 @@ def estimate_all(data: Dataset) -> EstimateSet:
     three standard-error vectors share one score pass over the same moment
     object, and the first stage and its F statistics are read off the fit.
     ``data`` is read only through its moment object and its sizes, so the
-    pivotal records a simulation returns (``mechanism.SimulationOutput``)
-    stand in for the Dataset they would stack without a group label, with
-    the same result, bit for bit, and without stacking it.
+    pivotal records a simulation returns (``mechanism.SimulationOutput``),
+    whose row writer fills the same moment object, stand in for the Dataset
+    they would stack, group label included, bit for bit, unstacked.
     """
     f = _fit(data)
     fs = _first_stage(f)

@@ -50,8 +50,8 @@ class MarketConfig:
             raise DataError("intercepts, outcome_coefs, and supply must agree on K")
         if np.any(s <= 0):
             raise DataError("supply must be strictly positive")
-        if abs(np.linalg.det(b)) < np.finfo(float).eps * k:
-            raise DataError("slope matrix must be invertible")
+        if not np.all(np.isfinite(b)) or np.linalg.matrix_rank(b) < k:
+            raise DataError("slope matrix must be finite and invertible")
         object.__setattr__(self, "intercepts", a)
         object.__setattr__(self, "slope", b)
         object.__setattr__(self, "supply", s)

@@ -33,11 +33,13 @@ lottery, one baseline sweep (from c+ for a draw the oracle measures, from
 turns them into pivotal records, and those records are what
 ``simulate_run`` and ``simulate_and_oracles`` return (``SimulationOutput``):
 the rows are stacked into a Dataset only when a caller reads them, and a
-fit reads the records' moment object, built one cluster at a time.
+fit reads the records' moment object, which the records' one row writer
+fills a cluster at a time.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import warnings
@@ -45,7 +47,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import Dataset, _mapped, _Moments
+from .data import Dataset, _block_writer, _mapped, _Moments
 from .estimator import _sandwich
 from .errors import (
     DataError,
@@ -576,14 +578,13 @@ class SimulationOutput:
 
     A record holds the replication, the program, the members (population
     rows), their luck and their assignment (as ``np.min_scalar_type(K)``): 17
-    bytes a member, where a stacked row takes about 150 at K = 5. The rows are
-    made from the records one group at a time, on first read: ``dataset``
-    stacks them, ``applicants`` gives each row's population row and
-    ``covariates`` is built from it. The moment object of ``dataset`` without
-    its group label is built cluster by cluster, bit for bit, without the
-    rows; with the Dataset's sizes (``n_obs``, ``n_clusters``,
-    ``n_treatments``, ``n_controls``) it is all ``estimate_all`` reads, so
-    ``estimate_all(run)`` fits the records and leaves ``run.dataset`` unbuilt.
+    bytes a member, where a stacked row takes about 150 at K = 5. One row
+    writer, ``_write``, stacks ``dataset`` on first read and fills the moment
+    object, with the members' group labels, so ``_moments`` is ``dataset``'s,
+    bit for bit, built without the rows. With the Dataset's sizes it is all
+    that the fits, the group fits and the bootstrap read, so ``run`` stands
+    in for ``run.dataset`` and leaves it unbuilt. ``applicants`` gives each
+    row's population row, and ``covariates`` is built from it.
     """
 
     def __init__(self, pop: Population, cfg: MechanismConfig, reps: int, master_seed: int,
@@ -628,19 +629,43 @@ class SimulationOutput:
         self._names = [f"r{r}:p{prog}" for r, prog, *_ in records]
         self.population, self._label, self._records = pop, label, records
         self.events = np.concatenate(events)
-        self.n_obs, self.n_clusters = int(self._sizes.sum()), len(records)
+        self._bounds = [0, *np.cumsum(self._sizes).tolist()]  # record i: rows bounds[i:i + 2]
+        self.n_obs, self.n_clusters = self._bounds[-1], len(records)
         self.n_treatments, self.n_controls = k, 1 + len(self._dummy)
 
-    def _write(self, i: int, y, a, z, x):
-        """Record i's rows of y, a, z and x, into zeroed arrays."""
-        _, prog, idx, luck, assignment = self._records[i]
-        y[:] = _outcomes(self.population.po[idx], assignment)
-        held = np.flatnonzero(assignment)
-        a[held, assignment[held] - 1] = 1.0
-        z[:, prog - 1] = luck
-        x[:, 0] = 1.0
-        if prog in self._dummy:
-            x[:, self._dummy[prog]] = 1.0
+    def _write(self, rows, out):
+        """Rows ``rows`` (a slice or an ascending index array) of W = [x, z,
+        a, y] into the zeroed ``out``, a record at a time: a slice is cut at
+        the records' bounds, so it takes no index array."""
+        p, k, bounds = self.n_controls, self.n_treatments, self._bounds
+        if isinstance(rows, slice):  # (record, its rows, their part of out)
+            lo, hi, _ = rows.indices(self.n_obs)
+            first, last = bisect.bisect_right(bounds, lo) - 1, bisect.bisect_left(bounds, hi)
+            cuts = [lo, *bounds[first + 1 : last], hi]
+            parts = [(i, slice(c0 - bounds[i], c1 - bounds[i]), out[c0 - lo : c1 - lo])
+                     for i, c0, c1 in zip(range(first, last), cuts, cuts[1:])]
+        else:
+            first, last = (bisect.bisect_right(bounds, r) for r in (rows[0], rows[-1]))
+            cuts = [0, *np.searchsorted(rows, bounds[first:last]).tolist(), rows.size]
+            parts = [(i, rows[c0:c1] - bounds[i], out[c0:c1])
+                     for i, c0, c1 in zip(range(first - 1, last), cuts, cuts[1:])]
+        for i, mine, w in parts:
+            _, prog, idx, luck, assignment = self._records[i]
+            assignment = assignment[mine]
+            w[:, -1] = _outcomes(self.population.po[idx[mine]], assignment)
+            held = np.flatnonzero(assignment)
+            w[:, p + k : -1][held, assignment[held] - 1] = 1.0
+            w[:, p + prog - 1] = luck[mine]
+            w[:, 0] = 1.0
+            if prog in self._dummy:
+                w[:, self._dummy[prog]] = 1.0
+
+    def _group_labels(self) -> np.ndarray | None:
+        """Each row's group label, gathered record by record; None without a label."""
+        if self._label is None:
+            return None
+        labels = np.asarray(self.population.labels[self._label])
+        return np.concatenate([labels[idx] for _, _, idx, *_ in self._records])
 
     @functools.cached_property
     def applicants(self) -> np.ndarray:
@@ -649,19 +674,14 @@ class SimulationOutput:
 
     @functools.cached_property
     def dataset(self) -> Dataset:
-        """The stacked rows, record after record: each array is allocated
-        once, at its final size and in a memory map of its own
-        (``data._mapped``), and filled record by record."""
-        n, k, p = self.n_obs, self.n_treatments, self.n_controls
-        y, a, z, x = _mapped(n), _mapped((n, k)), _mapped((n, k)), _mapped((n, p))
-        cluster = _mapped(n, f"<U{max(map(len, self._names))}")
-        ends = np.cumsum(self._sizes).tolist()
-        for i, (lo, hi, name) in enumerate(zip([0, *ends], ends, self._names)):
-            self._write(i, y[lo:hi], a[lo:hi], z[lo:hi], x[lo:hi])
-            cluster[lo:hi] = name
-        group_label = (None if self._label is None
-                       else np.asarray(self.population.labels[self._label])[self.applicants])
-        return Dataset(y=y, a=a, z=z, x=x, cluster=cluster, group_label=group_label)
+        """The stacked rows, written by ``_write`` into one column-major W in a
+        memory map (``data._mapped``), whose contiguous column blocks it views."""
+        p, k = self.n_controls, self.n_treatments
+        w = _mapped((p + 2 * k + 1, self.n_obs)).T
+        self._write(slice(None), w)
+        return Dataset(y=w[:, -1], a=w[:, p + k : -1], z=w[:, p : p + k], x=w[:, :p],
+                       cluster=np.repeat(np.array(self._names), self._sizes),
+                       group_label=self._group_labels())
 
     @functools.cached_property
     def covariates(self) -> dict:
@@ -679,14 +699,11 @@ class SimulationOutput:
 
     @functools.cached_property
     def _moments(self) -> _Moments:
-        """``dataset``'s moment object without its group label, built cluster by cluster."""
-        p, k = self.n_controls, self.n_treatments
-        codes = np.unique(np.array(self._names), return_inverse=True)[1]  # as the Dataset codes them
-
-        def fill(i, w):
-            self._write(i, w[:, -1], w[:, p + k : -1], w[:, p : p + k], w[:, :p])
-
-        return _Moments.of_clusters(codes, self._sizes, p + 2 * k + 1, fill)
+        """``dataset``'s moment object, written from the records by ``_write``."""
+        codes = np.unique(np.array(self._names), return_inverse=True)[1]  # as the Dataset's
+        codes = np.repeat(codes.astype(np.min_scalar_type(self.n_clusters - 1)), self._sizes)
+        return _Moments(codes, self.n_controls + 2 * self.n_treatments + 1, self._write,
+                        self._group_labels())
 
 
 def simulate_run(
@@ -898,6 +915,8 @@ def balance_check(data: Dataset, covariates: np.ndarray, names=None) -> BalanceR
     """
     import scipy.special
 
+    if not isinstance(data, Dataset):
+        raise DataError("balance_check reads the rows: pass a simulation's run.dataset")
     cov = np.atleast_2d(np.asarray(covariates, dtype=float))
     if cov.shape[0] != data.n_obs:
         cov = cov.T
@@ -910,7 +929,8 @@ def balance_check(data: Dataset, covariates: np.ndarray, names=None) -> BalanceR
     # centred columns keep the Schur step below free of cancellation
     luck = pooled_luck(data)
     luck -= luck.mean()
-    mom = _Moments((np.broadcast_to(1.0, data.n_obs), luck, cov - cov.mean(axis=0)), codes)
+    blocks = (np.broadcast_to(1.0, data.n_obs), luck, cov - cov.mean(axis=0))
+    mom = _Moments(codes, *_block_writer(blocks))
     gram = mom.grams(np.ones(mom.g, dtype=np.intp))[0][0]
     e = np.vstack([-gram[0, 1:] / gram[0, 0], np.eye(m + 1)])  # the rows net of 1: W E
     s = e.T @ gram @ e

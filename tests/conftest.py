@@ -69,20 +69,16 @@ def take_rows(data, rows):
 
 @contextlib.contextmanager
 def counting_moment_builds():
-    """Counts the moment objects built, from a Dataset's rows or a
-    simulation's records (``_Moments.of_clusters``), and the codings of a
-    Dataset's cluster ids (its one ``np.unique`` of them)."""
+    """Counts the moment objects built (``_Moments`` has one constructor,
+    whether a Dataset's rows or a simulation's records write them) and the
+    codings of a Dataset's cluster ids (its one ``np.unique`` of them)."""
     counts = {"built": 0, "coded": 0}
-    init, of_clusters = _Moments.__init__, _Moments.of_clusters.__func__
+    init = _Moments.__init__
     coding = Dataset._coding.func
 
     def built(self, *args, **kwargs):
         counts["built"] += 1
         init(self, *args, **kwargs)
-
-    def built_from_clusters(cls, *args, **kwargs):
-        counts["built"] += 1
-        return of_clusters(cls, *args, **kwargs)
 
     def coded(self):
         counts["coded"] += 1
@@ -91,7 +87,6 @@ def counting_moment_builds():
     counted = functools.cached_property(coded)
     counted.__set_name__(Dataset, "_coding")
     with mock.patch.object(_Moments, "__init__", built), \
-            mock.patch.object(_Moments, "of_clusters", classmethod(built_from_clusters)), \
             mock.patch.object(Dataset, "_coding", counted):
         yield counts
 

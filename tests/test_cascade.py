@@ -183,6 +183,16 @@ def test_neumann_max_rounds():
         neumann_solve(vm, np.ones(2), tol=1e-12, max_rounds=5)
 
 
+@pytest.mark.parametrize("tol, max_rounds", [(np.inf, 10), (np.nan, 10), (0.0, 10), (-1e-10, 10),
+                                             (1e-10, 0), (1e-10, -3)])
+def test_neumann_refuses_a_tolerance_or_round_cap_it_cannot_meet(tol, max_rounds):
+    # an infinite tolerance would stop after one round at T = W, a nan one
+    # never, and a cap below one round could only fail
+    vm = VacancyMatrix.from_first_stage(FirstStage(np.array([[0.5, -0.1], [-0.2, 0.4]])))
+    with pytest.raises(DataError, match="finite tol > 0 and max_rounds >= 1"):
+        neumann_solve(vm, np.array([0.2, 0.5]), tol=tol, max_rounds=max_rounds)
+
+
 # ---------------------------------------------------------------------------
 # spectral_radius
 # ---------------------------------------------------------------------------

@@ -216,6 +216,19 @@ def test_cascade_command_numerical_error_exit_code(tmp_path, capsys):
     assert err["error"]["code"] == "DivergentCascade"
 
 
+@pytest.mark.parametrize("option", [["--tol", "inf"], ["--tol", "nan"], ["--tol", "0"],
+                                    ["--max-rounds", "0"], ["--max-rounds", "-3"]])
+def test_cascade_tolerance_and_round_cap_are_checked(tmp_path, capsys, option):
+    (tmp_path / "pi.csv").write_text("0.5,-0.1\n-0.2,0.4\n")
+    (tmp_path / "rf.csv").write_text("0.1,0.2\n")
+    code = run(["cascade", "--pi", tmp_path / "pi.csv", "--rf", tmp_path / "rf.csv",
+                *option, "--out", tmp_path / "out"])
+    assert code == 3
+    err = _last_error(capsys)
+    assert err["code"] == "DataError"
+    assert ("tol" if option[0] == "--tol" else "max_rounds") in err["message"]
+
+
 def test_cascade_reduced_form_of_another_length_is_a_data_error(tmp_path, capsys):
     (tmp_path / "pi.csv").write_text("0.4,-0.05\n-0.04,0.3\n")
     (tmp_path / "rf.csv").write_text("0.2,0.15,0.1\n")

@@ -439,8 +439,26 @@ def test_bootstrap_failure_policy(monkeypatch):
     assert res.n_failed == 2
     assert res.estimates.shape[0] == 38
     monkeypatch.setitem(_FIT_STATISTICS, "flaky", flaky(10))
-    with pytest.raises(StatisticFailedInReplication):
+    with pytest.raises(StatisticFailedInReplication, match=r"10 of 40 .*\(> 10% ceiling\)"):
         cluster_bootstrap(d, "flaky", reps=40, seed=5)  # 25%: over the ceiling
+    # the message names the share the call allowed
+    monkeypatch.setitem(_FIT_STATISTICS, "flaky", flaky(21))
+    with pytest.raises(StatisticFailedInReplication, match=r"21 of 40 .*\(> 50% ceiling\)"):
+        cluster_bootstrap(d, "flaky", reps=40, seed=5, max_failure_share=0.5)
+    monkeypatch.setitem(_FIT_STATISTICS, "flaky", flaky(40))
+    with pytest.raises(StatisticFailedInReplication, match=r"40 of 40 .*\(none succeeded\)"):
+        cluster_bootstrap(d, "flaky", reps=40, seed=5, max_failure_share=1.0)
+
+
+def test_cluster_robust_se_needs_more_rows_than_parameters():
+    # N = K + p leaves the small-sample factor (N-1)/(N-K-p) undefined,
+    # though the fit itself is exact
+    z = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    d = Dataset(y=np.array([0.5, 1.0, -1.0]), a=z, z=z, x=np.ones((3, 1)), cluster=np.arange(3))
+    assert np.allclose(fit_2sls(d), [0.5, -1.5])
+    for which in ("beta", "rf"):
+        with pytest.raises(DataError, match="needs N > 3 observations"):
+            cluster_robust_se(d, which)
 
 
 def test_bootstrap_rejects_bad_inputs():
@@ -464,6 +482,16 @@ def test_bootstrap_conditional_entrant_components():
         "T_1|f", "T_2|f", "T_1|m", "T_2|m", "dT_1", "dT_2"
     )
     assert np.all(res.se > 0)
+
+
+def test_bootstrap_conditional_entrant_of_one_level_has_no_difference():
+    # one level: its effects alone, each replication the by-group fit of
+    # its draw, and no dT components
+    d = bernoulli_iv_data(65, n=2000, k=2, n_clusters=30)
+    d = replace(d, group_label=np.full(d.n_obs, "f"))
+    res = cluster_bootstrap(d, "conditional_entrant", reps=10, seed=3)
+    assert res.components == ("T_1|f", "T_2|f")
+    assert res.estimates.shape == (10, 2) and res.n_failed == 0
 
 
 def test_bootstrap_first_stage_components():

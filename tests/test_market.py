@@ -76,6 +76,26 @@ def test_no_equilibrium_on_near_singular_slope():
         market_clearing_prices(cfg)
 
 
+def test_a_well_conditioned_slope_of_any_scale_is_accepted():
+    # the invertibility check is a rank test, so it does not scale with the
+    # slope: -1e-6 I has determinant -1e-18 and condition number 1
+    rng = np.random.default_rng(8)
+    n = 50
+    cfg = MarketConfig(
+        intercepts=rng.uniform(5, 8, (n, 3)),
+        slope=-1e-6 * np.eye(3),
+        supply=np.array([10.0, 10.0, 10.0]),
+        outcome_coefs=rng.uniform(0, 1, (n, 3)),
+    )
+    p = market_clearing_prices(cfg)
+    agg = cfg.intercepts.sum(axis=0) + n * (cfg.slope @ p)
+    assert_allclose(agg, cfg.supply, rtol=1e-9)
+    # a slope with a nan has no rank to test
+    with pytest.raises(DataError, match="finite and invertible"):
+        MarketConfig(intercepts=cfg.intercepts, slope=np.diag([-1.0, np.nan, -1.0]),
+                     supply=cfg.supply, outcome_coefs=cfg.outcome_coefs)
+
+
 def test_config_validation():
     rng = np.random.default_rng(7)
     with pytest.raises(DataError):

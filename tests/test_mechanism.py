@@ -1,11 +1,12 @@
 import dataclasses
+import functools
 import itertools
 import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -14,8 +15,12 @@ from cascadeiv import (
     Population,
     SynthConfig,
     balance_check,
+    cluster_bootstrap,
+    cluster_robust_se,
+    conditional_entrant_by_group,
     estimate_all,
     generate_population,
+    group_outcome_decomposition,
     luck_variable,
     run_clearing,
     simulate_and_oracles,
@@ -47,9 +52,10 @@ from cascadeiv.mechanism import (
     pooled_luck,
     realized_outcomes,
 )
+from cascadeiv.estimator import first_stage_f
 from cascadeiv.seeds import derive_seed
 
-from conftest import assert_same_sweep, counting_sweeps
+from conftest import assert_same_sweep, counting_moment_builds, counting_sweeps
 
 
 def small_pop(merits, prefs, gains=None, k=None):
@@ -1374,17 +1380,162 @@ def test_verify_records_match_the_stacked_dataset(k, caps, brackets, tensor):
 
 
 def test_fitting_a_simulation_leaves_its_rows_unstacked():
-    # with a label the records fit as the stacked rows without it; reading
-    # the rows afterwards gives them with the label
+    # with a label the records fit with it, as the stacked rows do: the
+    # same bits, and the rows stay unstacked until they are read
     pop = homogeneous_pop(3000, 2, np.array([0.1, 0.2]), seed=7)
     pop = replace(pop, labels={"group": np.arange(3000) % 2})
     cfg = MechanismConfig(capacities=(200, 200), lottery_seed=0)
     run = simulate_run(pop, cfg, reps=4, master_seed=1, label="group")
     est = estimate_all(run)
     assert vars(run).keys().isdisjoint({"dataset", "applicants", "covariates"})
-    assert run.dataset.group_label is not None
-    assert_same_estimates(est, estimate_all(replace(run.dataset, group_label=None)))
+    assert run._moments.levels.tolist() == [0, 1]
+    assert_same_estimates(est, estimate_all(run.dataset))
     assert (est.n_obs, est.n_clusters) == (run.n_obs, run.n_clusters)
+
+
+MOMENT_FITS = {
+    "estimate_all": estimate_all,
+    **{f"se_{which}": functools.partial(cluster_robust_se, which=which)
+       for which in ("beta", "rf", "wald", "delta")},
+    "first_stage_f": first_stage_f,
+    **{f"bootstrap_{name}": functools.partial(cluster_bootstrap, statistic=name, reps=4, seed=3)
+       for name in ("beta", "wald", "cascade_delta", "first_stage", "conditional_entrant")},
+    "group_outcome_decomposition": group_outcome_decomposition,
+    "conditional_entrant_by_group": conditional_entrant_by_group,
+}
+
+
+def moment_fits(data) -> dict:
+    """Each of ``MOMENT_FITS`` on ``data``, or the class and message of the
+    package error it raises."""
+    out = {}
+    for name, fit in MOMENT_FITS.items():
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            try:
+                out[name] = fit(data)
+            except CascadeIVError as exc:
+                out[name] = (type(exc), str(exc))
+    return out
+
+
+def assert_same_result(got, want):
+    """Equal results, every float array bit for bit."""
+    if dataclasses.is_dataclass(want):
+        assert type(got) is type(want)
+        for f in dataclasses.fields(want):
+            assert_same_result(getattr(got, f.name), getattr(want, f.name))
+    elif isinstance(want, dict):
+        assert list(got) == list(want)
+        for key in want:
+            assert_same_result(got[key], want[key])
+    elif isinstance(want, np.ndarray) and want.dtype.kind == "f":
+        assert same_bits(got, want)
+    else:
+        assert np.array_equal(got, want) if isinstance(want, np.ndarray) else got == want
+
+
+def assert_records_fit_with_their_label(run, label):
+    """Every fit that reads the moment object gives the same bits, or the
+    same error, on the run's records as on its stacked rows, and the
+    records' fits leave ``dataset`` and ``covariates`` unbuilt; the rows
+    carry each member's ``label``. Returns whether the records' moment
+    object took the tensor form."""
+    got = moment_fits(run)
+    assert not {"dataset", "covariates"} & set(vars(run))
+    data = run.dataset
+    if label is None:
+        assert data.group_label is None and run._moments.levels is None
+    else:
+        assert np.array_equal(data.group_label, run.population.labels[label][run.applicants])
+    assert_same_result(got, moment_fits(data))
+    return run._moments.m is not None
+
+
+@st.composite
+def crowded_markets(draw):
+    """n <= 12, K <= 2, two merit brackets, nonempty lists and at most n/2
+    seats a program, so most draws have a pivotal group; each applicant
+    gets one of one to three group labels. A group of d = p + 2K + 1 members
+    or more can keep the tensor form, and a smaller one keeps the rows."""
+    k = draw(st.integers(1, 2))
+    n = draw(st.integers(2, 12))
+    merits = draw(st.lists(st.integers(1, 2), min_size=n, max_size=n))
+    prefs = [tuple(draw(st.permutations(range(1, k + 1)))[: draw(st.integers(1, k))])
+             for _ in range(n)]
+    caps = tuple(draw(st.lists(st.integers(1, n // 2), min_size=k, max_size=k)))
+    levels = ["f", "m", "x"][: draw(st.integers(1, 3))]
+    labels = draw(st.lists(st.sampled_from(levels), min_size=n, max_size=n))
+    seed = draw(st.integers(0, 2**32 - 1))
+    po = np.random.default_rng(seed).standard_normal((n, k + 1))
+    pop = Population(merit=np.asarray(merits, dtype=np.int64), prefs=prefs, po=po,
+                     labels={"group": np.array(labels)})
+    return pop, MechanismConfig(capacities=caps, lottery_seed=seed)
+
+
+@settings(max_examples=150, deadline=None)
+@given(crowded_markets(), st.integers(1, 3), st.sampled_from([None, "group"]))
+def test_records_fit_as_their_rows_with_or_without_a_label_on_tiny_markets(market, reps, label):
+    pop, cfg = market
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", NoPivotalProgramWarning)
+        try:
+            run = simulate_run(pop, cfg, reps, cfg.lottery_seed, label=label)
+        except NoPivotalVariation:
+            return
+    tensor = assert_records_fit_with_their_label(run, label)
+    event(f"{'tensor' if tensor else 'rows'} form, {'with' if label else 'without'} a label")
+    n_levels = 1 if label is None else run._moments.levels.size
+    d = run.n_controls + 2 * run.n_treatments + 1
+    assert tensor == (run.n_clusters * n_levels * d <= run.n_obs)
+
+
+@pytest.mark.parametrize("label", [None, "group"])
+@pytest.mark.parametrize("brackets, reps, tensor", [(5, 4, True), (600, 4, False), (5, 60, True)])
+def test_records_fit_as_their_rows_with_or_without_a_label(label, brackets, reps, tensor):
+    # pivotal groups of hundreds keep the per-cell tensor; 600 merit
+    # brackets leave groups of 5 to 7, fewer than d = 10, which keep the
+    # rows; 60 replications make 180 clusters, whose one-byte codes times
+    # two levels pass 255
+    pop = generate_population(SynthConfig(n=3000, k=3, seed=4, n_merit_brackets=brackets,
+                                          het_scale=0.5, effects=(0.2, -0.1, 0.05),
+                                          label_share=0.5))
+    cfg = MechanismConfig(capacities=(200,) * 3, lottery_seed=0)
+    run = simulate_run(pop, cfg, reps=reps, master_seed=2, label=label)
+    assert assert_records_fit_with_their_label(run, label) == tensor
+    assert run.n_clusters == 3 * reps
+
+
+def test_a_labelled_run_builds_one_moment_object_for_every_fit():
+    # the point estimates, both group fits and a group bootstrap all read
+    # the one moment object of the records, and no Dataset is coded
+    pop = homogeneous_pop(3000, 2, np.array([0.1, 0.2]), seed=7)
+    pop = replace(pop, labels={"group": np.arange(3000) % 2})
+    cfg = MechanismConfig(capacities=(200, 200), lottery_seed=0)
+    run = simulate_run(pop, cfg, reps=4, master_seed=1, label="group")
+    with counting_moment_builds() as counts:
+        estimate_all(run)
+        group_outcome_decomposition(run)
+        conditional_entrant_by_group(run)
+        cluster_bootstrap(run, "conditional_entrant", reps=5, seed=2)
+    assert counts == {"built": 1, "coded": 0}
+    assert "dataset" not in vars(run)
+
+
+def test_row_level_calls_on_a_run_name_its_dataset():
+    # a balance check and a partition read rows, which the records do not
+    # hold: each refuses the run and points at run.dataset
+    pop = homogeneous_pop(3000, 2, np.array([0.1, 0.2]), seed=7)
+    cfg = MechanismConfig(capacities=(200, 200), lottery_seed=0)
+    run = simulate_run(pop, cfg, reps=4, master_seed=1)
+    cov = np.ones((run.n_obs, 1))
+    with pytest.raises(DataError, match=r"run\.dataset"):
+        balance_check(run, cov)
+    with pytest.raises(DataError, match=r"run\.dataset"):
+        group_outcome_decomposition(run, partition=np.arange(run.n_obs) % 2)
+    assert "dataset" not in vars(run)
+    balance_check(run.dataset, run.covariates["merit"])
+    group_outcome_decomposition(run.dataset, partition=np.arange(run.n_obs) % 2)
 
 
 def stack_clearings(pop, clearings):
