@@ -62,7 +62,9 @@ def cmd_simulate(args) -> int:
     )
     out = _out_dir(args)
     iomod.write_dataset_csv(out / "dataset.csv", run.dataset, "simulate", args.seed)
+    iomod.write_companion(out / "dataset.csv", run.dataset)
     iomod.write_covariates_csv(out / "covariates.csv", run.covariates, "simulate", args.seed)
+    iomod.write_companion(out / "covariates.csv", run.covariates)
     if args.events:
         iomod.write_events_jsonl(out / "events.jsonl", run.events)
     else:  # a log of an earlier run would not belong to this dataset
@@ -83,7 +85,7 @@ def cmd_estimate(args) -> int:
     out = _out_dir(args)
     iomod.write_estimates_csv(out / "estimates.csv", est, "estimate", None)
     table = iomod.format_estimates_table(est)
-    (out / "estimates.txt").write_text(table)
+    (out / "estimates.txt").write_text(table, encoding="utf-8")
     print(table, end="")
     if args.blocks:
         spec = _parse_blocks(args.blocks, data.n_treatments)
@@ -232,9 +234,11 @@ def cmd_fixtures(_args) -> int:
 def _parse_blocks(spec: str, k: int) -> BlockSpec:
     inline = spec.lstrip()[:1] in ("{", "[")  # else a file, whatever its length
     try:
-        raw = json.loads(spec if inline else Path(spec).read_text())
+        raw = json.loads(spec if inline else Path(spec).read_text(encoding="utf-8-sig"))
     except json.JSONDecodeError as exc:
         raise DataError(f"--blocks is not valid JSON: {exc}") from None
+    except UnicodeDecodeError:
+        raise DataError(f"--blocks {spec}: the file is not UTF-8 text") from None
     if not isinstance(raw, dict):
         raise DataError("--blocks must be a JSON object {name: [program ids]}")
     for name, members in raw.items():

@@ -4,33 +4,40 @@ Tabular data is CSV with ``\n`` line endings, ``.`` decimals, and no
 thousands separators; configs and error payloads are JSON; event logs are
 JSON lines. Every output CSV starts with a provenance comment line
 (``# cascadeiv <version> command=<cmd> seed=<seed>``) so reruns are
-byte-comparable.
+byte-comparable. Files are written as UTF-8 and read as UTF-8 with an
+optional byte-order mark; a byte that is not UTF-8 is a ParseError.
 
 Every table is written by ``write_table``, a column at a time: in each
 block of ``WRITE_BLOCK_ROWS`` rows, each distinct value of a column is
 formatted once (``repr`` of a float, told apart by its bits; ``str`` of an
 id, label or preformatted cell) and, where it could need quotes, quoted
-once by the ``csv`` module. Every table is read by ``_read_rows``: the
-file's lines stream past, and each block of ``READ_BLOCK_ROWS`` data lines
-goes through one pass of numpy's C text reader, its columns copied into
-arrays allocated once for the whole file. So a loader holds the parsed
-columns and one block of lines, never the file's lines. Both give the same
-bytes and values as formatting and parsing row by row with the ``csv``
-module.
+once by the ``csv`` module. Every table is read by ``_read_rows``. One
+pass over the file's bytes counts its lines and takes its SHA-256. If the
+file's companion (``<file>.arrays``, written by ``write_companion``) holds
+that digest, its arrays are copied into the loader's arrays and the text
+is not parsed. Otherwise the file's lines stream past, and each block of
+``READ_BLOCK_ROWS`` data lines goes through one pass of numpy's C text
+reader, its columns copied into arrays allocated once for the whole file.
+So a loader holds the parsed columns and one block of lines, never the
+file's lines. Both give the same bytes and values as formatting and
+parsing row by row with the ``csv`` module.
 """
 
 from __future__ import annotations
 
 import collections
+import contextlib
 import csv
+import hashlib
 import io as _io
 import itertools
 import json
+import os
 import re
 
 import numpy as np
 
-from .data import Dataset, _mapped
+from .data import Dataset, _factorize, _mapped
 from .errors import ParseError, SchemaError
 from .estimator import EstimateSet
 
@@ -73,8 +80,8 @@ def text_cells(col) -> tuple[list[str], np.ndarray]:
     preformatted column, and the index of each entry among them."""
     if isinstance(col, np.ndarray) and col.dtype == np.float64:
         return float_cells(col)  # str of a float64 is repr of the float
-    if isinstance(col, np.ndarray) and col.dtype.kind in "USiub":
-        keys, inverse = np.unique(col, return_inverse=True)
+    if isinstance(col, np.ndarray) and col.dtype.kind in "USiub" and col.size:
+        keys, inverse = _factorize(col)  # np.unique's keys and inverse, sorting only run starts
         return list(map(str, keys)), inverse
     # other entries (Python objects; floats, where -0.0 == 0.0) by their text
     cells = [str(v) for v in col]
@@ -110,7 +117,7 @@ def write_table(path, command: str, seed, header: list[str], columns: list):
     """
     n = len(columns[0][0])
     lone = len(header) == 1
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(provenance_line(command, seed) + "\n")
         fh.write(",".join(_csv_cells(header, lone)) + "\n")
         for lo in range(0, n, WRITE_BLOCK_ROWS):
@@ -125,6 +132,11 @@ def write_table(path, command: str, seed, header: list[str], columns: list):
 
 
 def write_dataset_csv(path, data: Dataset, command: str = "write", seed: int | None = None):
+    write_table(path, command, seed, *_dataset_table(data))
+
+
+def _dataset_table(data: Dataset) -> tuple[list[str], list]:
+    """The header and the ``write_table`` columns of a dataset CSV."""
     k = data.n_treatments
     p = data.x.shape[1]
     header = (
@@ -141,7 +153,7 @@ def write_dataset_csv(path, data: Dataset, command: str = "write", seed: int | N
     if data.group_label is not None:
         header.append("group")
         columns.append((data.group_label, text_cells))
-    write_table(path, command, seed, header, columns)
+    return header, columns
 
 
 def _header_layout(header: list[str]) -> dict:
@@ -217,18 +229,45 @@ def _table(path, fh):
     return [h.strip() for h in _fields(found[0][1])], found[1]
 
 
-def _line_bound(path) -> int:
-    """More than the file's lines: one more than its line breaks."""
-    bound = 1
+def _scan(path) -> tuple[int, bytes]:
+    """One pass over the file's bytes: more than its lines (one more than
+    its line breaks), and the SHA-256 of the bytes."""
+    bound, digest = 1, hashlib.sha256()
     with open(path, "rb") as fh:
         while chunk := fh.read(1 << 20):
-            bound += chunk.count(b"\n") + chunk.count(b"\r")
-    return bound
+            octets = np.frombuffer(chunk, np.uint8)
+            bound += np.count_nonzero(octets == 10) + np.count_nonzero(octets == 13)
+            digest.update(chunk)
+    return int(bound), digest.digest()
+
+
+@contextlib.contextmanager
+def _open_csv(path):
+    """A CSV file open for reading as UTF-8, a leading byte-order mark
+    skipped; a byte that is not UTF-8 is a ParseError naming its file line."""
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            yield fh
+    except UnicodeDecodeError:
+        raise ParseError("not UTF-8 text", _undecodable_line(path)) from None
+
+
+def _undecodable_line(path) -> int | None:
+    """The file line (as a text reader splits lines) of the first byte that
+    is not UTF-8."""
+    with open(path, "rb") as fh:
+        lines = fh.read().splitlines()
+    for no, line in enumerate(lines, start=1):
+        try:
+            line.decode("utf-8")
+        except UnicodeDecodeError:
+            return no
+    return None
 
 
 def _row_line(path, i: int) -> int:
     """The file line of data row ``i`` (0-based; the header is not a row)."""
-    with open(path, newline="") as fh:
+    with _open_csv(path) as fh:
         return _first_lines(fh, i + 2)[-1][0]
 
 
@@ -307,23 +346,47 @@ def _parse_block(lines, start, header, numeric, text, codes, width):
 
 
 def _read_rows(path, fh, first, header, columns, numeric, text=(), width="header"):
-    """The data lines of an open CSV file, read ``READ_BLOCK_ROWS`` lines at
-    a time and parsed into their final arrays.
+    """The data rows of an open CSV file, in their final arrays: from the
+    file's companion if it holds the SHA-256 of the file's bytes
+    (``_read_companion``), else parsed (``_parse_rows``).
 
     ``first`` is the first data line after the header, as ``_data_lines``
     gives it, and ``fh`` is left after it. ``columns`` lists the float
     arrays to fill: a position gives the (n,) array of that column, a list
     of positions the (n, len) array of those columns. Each array is
-    allocated once, for more rows than the file has lines (``_line_bound``;
-    ``_mapped``, so the rows never read take no memory), filled block by
-    block as ``_parse_block`` parses the block, and cut to the rows read.
-    Blocks are parsed in file order and each block reports its first
-    fault, so the first fault of the file is the one raised. Returns the
-    arrays, and one string array per ``text`` column.
+    allocated once, for more rows than the file has lines (``_scan``;
+    ``_mapped``, so the rows never read take no memory), filled column by
+    column, and cut to the rows read. Returns the arrays, and one string
+    array per ``text`` column, as wide as its longest string.
     """
-    bound = _line_bound(path)
+    bound, digest = _scan(path)
     outs = [_mapped(bound if isinstance(c, int) else (bound, len(c))) for c in columns]
+    targets = {}
+    for out, cols in zip(outs, columns):
+        targets.update({cols: out} if isinstance(cols, int) else zip(cols, out.T))
     text = list(text)
+    n, cells, codes = (
+        _read_companion(path, digest, len(header), targets, text)
+        or _parse_rows(fh, first, header, numeric, text, width, targets, bound)
+    )
+    labels = []
+    for pos in text:
+        out = _mapped(n, cells[pos].dtype)
+        np.take(cells[pos], codes[pos][:n], out=out, mode="clip")  # "raise" would buffer
+        labels.append(out)
+    return [out[:n] for out in outs], labels
+
+
+def _parse_rows(fh, first, header, numeric, text, width, targets, bound):
+    """The data lines of an open CSV file (``first`` and the lines after it,
+    fewer than ``bound``), read ``READ_BLOCK_ROWS`` lines at a time.
+
+    Each block is parsed by ``_parse_block`` and its float columns copied
+    into their ``targets[pos]`` arrays. Blocks are parsed in file order and
+    each block reports its first fault, so the first fault of the file is
+    the one raised. Returns the rows read, and each ``text`` column's
+    distinct strings (a string array) and each row's code among them.
+    """
     text_codes = _mapped((bound, len(text)), np.intp)
     # one table per text column (string -> code), so each column's strings
     # take the width of its own longest one
@@ -335,22 +398,17 @@ def _read_rows(path, fh, first, header, columns, numeric, text=(), width="header
         values = _parse_block(block, start, header, numeric, text, codes, width)
         start += len(block)
         m = len(values)
-        for out, cols in zip(outs, columns):
-            out[n : n + m] = values[:, cols]
+        for pos, target in targets.items():
+            target[n : n + m] = values[:, pos]
         text_codes[n : n + m] = values[:, text]
         n += m
-    labels = []
-    for j, pos in enumerate(text):
-        strings = np.array(list(codes[pos]), dtype=str)
-        out = _mapped(n, strings.dtype)
-        np.take(strings, text_codes[:n, j], out=out, mode="clip")  # "raise" would buffer
-        labels.append(out)
-    return [out[:n] for out in outs], labels
+    cells = {pos: np.array(list(codes[pos]), dtype=str) for pos in text}
+    return n, cells, dict(zip(text, text_codes.T))
 
 
 def load_dataset_csv(path) -> Dataset:
     """Read and validate a dataset CSV; K is inferred from the header."""
-    with open(path, newline="") as fh:
+    with _open_csv(path) as fh:
         header, first = _table(path, fh)
         layout = _header_layout(header)
         k = len(layout["a"])
@@ -405,7 +463,7 @@ def load_population_csv(path):
     """Read a population CSV; every column but the ``po_*`` ones is text."""
     from .mechanism import Population
 
-    with open(path, newline="") as fh:
+    with _open_csv(path) as fh:
         header, first = _table(path, fh)
         if header[:2] != ["merit", "prefs"]:
             raise SchemaError("population CSV must start with merit,prefs columns")
@@ -434,16 +492,102 @@ def load_population_csv(path):
 
 
 def write_covariates_csv(path, covariates: dict, command: str = "write", seed=None):
-    columns = [(col, float_cells) for col in covariates.values()]
-    write_table(path, command, seed, list(covariates), columns)
+    write_table(path, command, seed, *_covariates_table(covariates))
+
+
+def _covariates_table(covariates: dict) -> tuple[list[str], list]:
+    """The header and the ``write_table`` columns of a covariates CSV."""
+    return list(covariates), [(col, float_cells) for col in covariates.values()]
 
 
 def load_covariates_csv(path) -> tuple[np.ndarray, tuple]:
-    with open(path, newline="") as fh:
+    with _open_csv(path) as fh:
         names, first = _table(path, fh)
         cols = list(range(len(names)))
         (values,), _ = _read_rows(path, fh, first, names, [cols], cols)
     return values, tuple(names)
+
+
+# ---------------------------------------------------------------------------
+# Companion arrays (``<csv>.arrays``): a CSV's rows, for loads that skip the parser
+# ---------------------------------------------------------------------------
+
+
+COMPANION_SUFFIX = ".arrays"
+# a companion's first bytes, before the SHA-256 of its CSV's bytes
+_COMPANION_TAG = b"cascadeiv companion arrays 1\n"
+
+
+def write_companion(path, table):
+    """Beside the CSV at ``path``, just written from ``table`` (a Dataset or
+    a dict of covariate columns), its companion ``<path>.arrays``: what the
+    CSV's loader parses, for loads that skip the parser.
+
+    The companion is a sequence of ``np.save`` arrays: the tag and the
+    SHA-256 of the CSV's bytes as one uint8 array, then each column in file
+    order. A float column is uint8 where every entry's bits come back from
+    it (0/1 and small integers), else float64, each NaN as the parser's
+    ``float("nan")``. A text column is its distinct cells as ``text_cells``
+    writes them, then each row's code among them in the narrowest unsigned
+    type. It is written under a temporary name and renamed into place, so a
+    reader finds a whole companion or none, and it holds no time, so reruns
+    give the same bytes. Text cells must hold no line break (the parser
+    reads each line as a row); no table ``simulate`` writes has one.
+    """
+    _, columns = (_dataset_table(table) if isinstance(table, Dataset)
+                  else _covariates_table(table))
+    companion = f"{path}{COMPANION_SUFFIX}"
+    with open(companion + ".tmp", "wb") as fh:
+        np.save(fh, np.frombuffer(_COMPANION_TAG + _scan(path)[1], np.uint8))
+        for col, cells in columns:
+            if cells is float_cells:
+                np.save(fh, _stored_floats(np.asarray(col, dtype=float)))
+                continue
+            distinct, codes = cells(col)
+            np.save(fh, np.array(distinct, dtype=str))
+            np.save(fh, codes.astype(np.min_scalar_type(len(distinct))))
+    os.replace(companion + ".tmp", companion)
+
+
+def _stored_floats(col: np.ndarray) -> np.ndarray:
+    """A float column as uint8 if every entry's bits come back from it, else
+    as float64 with each NaN as ``float("nan")``, the NaN the parser reads."""
+    with np.errstate(invalid="ignore"):  # an entry out of range casts to another's bits
+        narrow = col.astype(np.uint8)
+    if (narrow.astype(float).view(np.int64) == col.view(np.int64)).all():
+        return narrow
+    nan = np.isnan(col)
+    return np.where(nan, np.nan, col) if nan.any() else col
+
+
+def _read_companion(path, digest: bytes, width: int, targets: dict, text: list):
+    """The rows of the CSV at ``path`` (``width`` columns) from its
+    companion, if that holds ``digest``, the SHA-256 of the CSV's bytes:
+    each float column copied into its ``targets[pos]`` array, each ``text``
+    column's distinct strings and row codes, as ``_parse_rows`` returns
+    them. None when there is no companion, or it holds another tag or
+    digest, or it is not whole; then the CSV is parsed."""
+    load = np.lib.format.read_array  # one array, never a pickle
+    try:
+        with open(f"{path}{COMPANION_SUFFIX}", "rb") as fh:
+            if load(fh).tobytes() != _COMPANION_TAG + digest:
+                return None
+            n, cells, codes = None, {}, {}
+            for pos in range(width):
+                if pos in text:
+                    cells[pos], col = load(fh), load(fh)
+                    codes[pos] = col
+                else:
+                    col = load(fh)
+                    targets[pos][: len(col)] = col
+                if n not in (None, len(col)):
+                    return None
+                n = len(col)
+            if fh.read(1):  # more arrays than columns
+                return None
+    except (OSError, ValueError, EOFError):
+        return None
+    return n, cells, codes
 
 
 # ---------------------------------------------------------------------------
@@ -510,7 +654,7 @@ def format_estimates_table(est: EstimateSet) -> str:
 def load_matrix_csv(path) -> np.ndarray:
     """A headerless table of numbers; the first row sets the width, and the
     columns are named by their 1-based position in errors."""
-    with open(path, newline="") as fh:
+    with _open_csv(path) as fh:
         found = _first_lines(fh, 1)
         if not found:
             raise SchemaError(f"{path}: empty matrix file")
@@ -533,7 +677,7 @@ def write_events_jsonl(path, events: np.ndarray):
     sorted order: the bytes of ``json.dumps(record, sort_keys=True)``."""
     names = sorted(events.dtype.names)
     line = "{" + ", ".join(f'"{name}": %d' for name in names) + "}\n"
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         for lo in range(0, events.size, WRITE_BLOCK_ROWS):
             block = events[lo : lo + WRITE_BLOCK_ROWS]
             fh.writelines(map(line.__mod__, zip(*(block[f].tolist() for f in names))))
@@ -541,10 +685,12 @@ def write_events_jsonl(path, events: np.ndarray):
 
 def load_run_config(path) -> dict:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             cfg = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON config: {exc}") from None
+    except UnicodeDecodeError:
+        raise ParseError(f"{path}: the config is not UTF-8 text") from None
     if not isinstance(cfg, dict):
         raise SchemaError("run config must be a JSON object")
     return cfg

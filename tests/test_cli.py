@@ -51,6 +51,12 @@ def config_path(tmp_path):
     return p
 
 
+# what a plain simulate writes: three CSVs, and the companion arrays of the
+# two that later commands read
+SIMULATE_FILES = ["covariates.csv", "covariates.csv.arrays", "dataset.csv",
+                  "dataset.csv.arrays", "population.csv"]
+
+
 def run(args):
     return main([str(a) for a in args])
 
@@ -158,8 +164,8 @@ def test_simulate_byte_identical_reruns(tmp_path, config_path):
     for out in (out1, out2):
         assert run(["simulate", "--config", config_path, "--seed", 11,
                     "--reps", 6, "--out", out, "--events"]) == 0
-    assert (out1 / "dataset.csv").read_bytes() == (out2 / "dataset.csv").read_bytes()
-    assert (out1 / "events.jsonl").read_bytes() == (out2 / "events.jsonl").read_bytes()
+    for name in ("dataset.csv", "dataset.csv.arrays", "covariates.csv.arrays", "events.jsonl"):
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
 
 
 def test_simulate_writes_the_event_log_only_on_request(tmp_path, config_path):
@@ -169,10 +175,38 @@ def test_simulate_writes_the_event_log_only_on_request(tmp_path, config_path):
                     "--reps", 6, "--out", out, *flags]) == 0
     assert not (plain / "events.jsonl").exists()
     assert (logged / "events.jsonl").stat().st_size > 0
-    assert sorted(p.name for p in plain.iterdir()) == [
-        "covariates.csv", "dataset.csv", "population.csv"]
-    for name in ("covariates.csv", "dataset.csv", "population.csv"):
+    assert sorted(p.name for p in plain.iterdir()) == SIMULATE_FILES
+    for name in SIMULATE_FILES:
         assert (plain / name).read_bytes() == (logged / name).read_bytes(), name
+
+
+def test_commands_read_the_same_with_and_without_companions(tmp_path, simulated, capsys):
+    sim = simulated.parent
+    for name in ("dataset.csv", "covariates.csv"):
+        assert (sim / f"{name}.arrays").stat().st_size <= (sim / name).stat().st_size
+    commands = {
+        "estimate": ["estimate", "--data", simulated, "--group-col", "group"],
+        "cascade": ["cascade", "--data", simulated],
+        "balance": ["balance", "--data", simulated, "--covariates", sim / "covariates.csv"],
+        **{f"bootstrap_{stat}": ["bootstrap", "--data", simulated, "--statistic", stat,
+                                 "--bootstrap-reps", 5, "--seed", 2]
+           for stat in ("cascade_delta", "conditional_entrant")},
+    }
+    outputs = {}
+    for side in ("with", "without"):
+        if side == "without":
+            for name in ("dataset.csv", "covariates.csv"):
+                (sim / f"{name}.arrays").unlink()
+        for name, argv in commands.items():
+            out = tmp_path / side / name
+            capsys.readouterr()
+            with mock.patch.object(iomod, "_parse_rows", wraps=iomod._parse_rows) as parse:
+                assert run([*argv, "--out", out]) == 0
+            assert parse.called == (side == "without"), (side, name)
+            files = {p.name: p.read_bytes() for p in out.iterdir()}
+            outputs[side, name] = capsys.readouterr().out, files
+    for name in commands:
+        assert outputs["with", name] == outputs["without", name], name
 
 
 def test_plain_simulate_removes_an_earlier_event_log(tmp_path, config_path):
@@ -182,8 +216,7 @@ def test_plain_simulate_removes_an_earlier_event_log(tmp_path, config_path):
     assert (out / "events.jsonl").exists()
     assert run(["simulate", "--config", config_path, "--seed", 2, "--reps", 5,
                 "--out", out]) == 0
-    assert sorted(p.name for p in out.iterdir()) == [
-        "covariates.csv", "dataset.csv", "population.csv"]
+    assert sorted(p.name for p in out.iterdir()) == SIMULATE_FILES
 
 
 def test_simulate_unknown_group_col_names_the_labels(tmp_path, config_path, capsys):
@@ -500,6 +533,29 @@ def test_data_error_exit_code(tmp_path, capsys):
     assert code == 3
     err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert err["error"]["code"] == "SchemaError"
+
+
+def test_a_csv_byte_that_is_not_utf8_is_a_parse_error(tmp_path, capsys):
+    d = bernoulli_iv_data(35, n=40, k=2)
+    groups = np.array(["a", "b"] * 20, dtype=object)
+    groups[3] = "café"
+    path = tmp_path / "d.csv"
+    write_dataset_csv(path, Dataset(y=d.y, a=d.a, z=d.z, x=d.x, cluster=d.cluster,
+                                    group_label=groups), "test", 0)
+    path.write_bytes(path.read_bytes().replace("café".encode(), "café".encode("latin-1")))
+    assert run(["estimate", "--data", path, "--out", tmp_path / "out"]) == 3
+    err = _last_error(capsys)
+    assert err["code"] == "ParseError"
+    assert err["message"] == "line 6: not UTF-8 text"  # row 3, after provenance and header
+
+
+def test_a_config_that_is_not_utf8_is_a_parse_error(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_bytes(json.dumps(dict(CONFIG, label="café"), ensure_ascii=False).encode("latin-1"))
+    assert run(["simulate", "--config", path, "--seed", 1, "--out", tmp_path / "out"]) == 3
+    err = _last_error(capsys)
+    assert err["code"] == "ParseError"
+    assert err["message"] == f"{path}: the config is not UTF-8 text"
 
 
 def _table(path):

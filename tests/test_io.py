@@ -1,8 +1,12 @@
+import codecs
 import csv
 import io
 import itertools
 import json
+import os
 import re
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -25,6 +29,7 @@ from cascadeiv.io import (
     load_dataset_csv,
     load_matrix_csv,
     load_population_csv,
+    load_run_config,
     provenance_line,
     write_covariates_csv,
     write_dataset_csv,
@@ -884,3 +889,156 @@ def test_population_faults_report_file_line(tmp_path, monkeypatch, provenance):
             load_population_csv(path)
         if error is ParseError:
             assert exc.value.line == want
+
+
+# ---------------------------------------------------------------------------
+# companion arrays: a load from one equals the parse, array by array
+# ---------------------------------------------------------------------------
+
+
+def dataset_arrays(d):
+    return [d.y, d.a, d.z, d.x, d.cluster, d.group_label]
+
+
+def assert_same_arrays(got, want):
+    """Same dtype (string widths included), same shape and same bits."""
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        if w is None:
+            assert g is None
+            continue
+        assert (g.dtype, g.shape) == (w.dtype, w.shape)
+        assert np.ascontiguousarray(g).tobytes() == np.ascontiguousarray(w).tobytes()
+
+
+def load_with_and_without_companion(path, table, load):
+    """``load(path)`` from the companion written from ``table``, then parsed
+    once the companion is deleted."""
+    iomod.write_companion(path, table)
+    with mock.patch.object(iomod, "_parse_rows", side_effect=AssertionError("parsed")):
+        stored = load(path)
+    Path(f"{path}{iomod.COMPANION_SUFFIX}").unlink()
+    return stored, load(path)
+
+
+LABELS = st.sampled_from(AWKWARD_IDS) | st.text(ID_CHARS, min_size=1, max_size=6)
+# uint8 entries beside entries whose bits a uint8 would not keep
+STORED_FLOATS = st.sampled_from([0.0, -0.0, 1.0, 2.0, 255.0, 256.0, 0.5, -1.0]) | FINITE
+
+
+@st.composite
+def companion_datasets(draw):
+    n = draw(st.integers(1, 12))
+    k = draw(st.integers(1, 3))
+
+    def floats(*shape):
+        return np.array(draw(st.lists(STORED_FLOATS, min_size=n * k, max_size=n * k)))[
+            : int(np.prod(shape))].reshape(shape)
+
+    x = np.column_stack([np.ones(n), floats(n)])
+    x[0, 1] = 0.0  # so the constant column stays the only nonzero constant one
+    a = np.array(draw(st.lists(st.sampled_from([0.0, 1.0]), min_size=n * k, max_size=n * k)))
+    group = draw(st.none() | st.lists(LABELS | st.just(""), min_size=n, max_size=n))
+    return Dataset(
+        y=floats(n), a=a.reshape(n, k), z=floats(n, k), x=x,
+        cluster=np.array(draw(st.lists(LABELS, min_size=n, max_size=n)), dtype=object),
+        group_label=None if group is None else np.array(group, dtype=object),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(companion_datasets())
+def test_dataset_companion_loads_as_the_parser_does(d):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "dataset.csv"
+        write_dataset_csv(path, d, "simulate", 1)
+        stored, parsed = load_with_and_without_companion(path, d, load_dataset_csv)
+        assert_same_arrays(dataset_arrays(stored), dataset_arrays(parsed))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.text(ID_CHARS, max_size=5), min_size=1, max_size=4, unique=True),
+    st.integers(1, 10),
+    st.data(),
+)
+def test_covariates_companion_loads_as_the_parser_does(names, n, data):
+    assume(all(name.strip() == name for name in names))  # the loader strips names
+    assume(not names[0].startswith("#") and any(names))  # else not a header line
+    entries = STORED_FLOATS | st.floats()  # NaNs of any sign and payload, infinities
+    cov = {name: data.draw(st.lists(entries, min_size=n, max_size=n)) for name in names}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "covariates.csv"
+        write_covariates_csv(path, cov, "simulate", 1)
+        (mat, got), (ref, want) = load_with_and_without_companion(path, cov, load_covariates_csv)
+        assert got == want
+        assert_same_arrays([mat], [ref])
+
+
+def _change_a_digit(text: str, start: int) -> str:
+    """``text`` with its first digit from ``start`` on replaced by another."""
+    at = next(i for i in range(start, len(text)) if text[i].isdigit())
+    return text[:at] + str((int(text[at]) + 1) % 10) + text[at + 1 :]
+
+
+@pytest.mark.parametrize("damage", [
+    "missing", "another_tag", "cut_in_half", "cut_by_one_byte", "cut_after_the_digest",
+    "stale_provenance", "stale_cell",
+])
+def test_a_companion_that_does_not_match_is_ignored(tmp_path, damage):
+    d = awkward_dataset(40)
+    path = tmp_path / "dataset.csv"
+    write_dataset_csv(path, d, "simulate", 1)
+    iomod.write_companion(path, d)
+    companion = Path(f"{path}{iomod.COMPANION_SUFFIX}")
+    raw, text = companion.read_bytes(), path.read_text(encoding="utf-8")
+    tag = iomod._COMPANION_TAG
+    if damage == "missing":
+        companion.unlink()
+    elif damage == "another_tag":
+        companion.write_bytes(raw.replace(tag, tag.replace(b"1", b"2"), 1))
+    elif damage.startswith("cut"):
+        head = raw.index(tag) + len(tag) + 32  # the tag and the digest
+        cut = {"cut_in_half": len(raw) // 2, "cut_by_one_byte": len(raw) - 1}.get(damage, head)
+        companion.write_bytes(raw[:cut])
+    else:  # one byte of the CSV changed: of its provenance line, or of a cell
+        start = 0 if damage == "stale_provenance" else text.index("\n", text.index("\n") + 1)
+        path.write_text(_change_a_digit(text, start), encoding="utf-8")
+    with mock.patch.object(iomod, "_parse_rows", wraps=iomod._parse_rows) as parse:
+        loaded = load_dataset_csv(path)
+    assert parse.called
+    companion.unlink(missing_ok=True)
+    assert_same_arrays(dataset_arrays(loaded), dataset_arrays(load_dataset_csv(path)))
+
+
+def test_a_byte_order_mark_is_skipped(tmp_path):
+    d = awkward_dataset(30)
+    cov = {"merit": np.arange(30.0), "attr": np.linspace(-1.0, 1.0, 30)}
+    write_dataset_csv(tmp_path / "d.csv", d, "simulate", 1)
+    write_covariates_csv(tmp_path / "c.csv", cov, "simulate", 1)
+    (tmp_path / "m.csv").write_text("0.4,-0.05\n-0.04,0.3\n")
+    (tmp_path / "config.json").write_text(json.dumps({"synth": {"n": 10}, "capacities": [2]}))
+    loads = {"d.csv": lambda p: dataset_arrays(load_dataset_csv(p)),
+             "c.csv": lambda p: list(load_covariates_csv(p)[0:1]),
+             "m.csv": lambda p: [load_matrix_csv(p)],
+             "config.json": load_run_config}
+    for name, load in loads.items():
+        path = tmp_path / name
+        plain = load(path)
+        path.write_bytes(codecs.BOM_UTF8 + path.read_bytes())
+        if name == "config.json":
+            assert load(path) == plain
+        else:
+            assert_same_arrays(load(path), plain)
+
+
+def test_tables_are_written_as_utf8_whatever_the_locale(tmp_path):
+    # an ASCII locale, with neither UTF-8 mode nor locale coercion
+    env = dict(os.environ, PYTHONPATH=str(Path(iomod.__file__).parents[1]), LC_ALL="C",
+               PYTHONUTF8="0", PYTHONCOERCECLOCALE="0")
+    script = ("import sys\nfrom cascadeiv.io import text_cells, write_table\n"  # ASCII source
+              "labels = ['caf\\u00e9', '\\u6f22\\u5b57']\n"
+              "write_table(sys.argv[1], 'test', None, ['label'], [(labels, text_cells)])\n")
+    path = tmp_path / "t.csv"
+    subprocess.run([sys.executable, "-c", script, str(path)], env=env, check=True)
+    assert path.read_bytes().decode("utf-8").splitlines()[1:] == ["label", "café", "漢字"]
