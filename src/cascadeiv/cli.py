@@ -9,7 +9,10 @@ outputs.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import os
+import pickle
 import sys
 from pathlib import Path
 
@@ -61,19 +64,56 @@ def cmd_simulate(args) -> int:
         pop, mech, reps=args.reps, master_seed=args.seed, label=label, log_events=args.events
     )
     out = _out_dir(args)
-    iomod.write_dataset_csv(out / "dataset.csv", run.dataset, "simulate", args.seed)
-    iomod.write_companion(out / "dataset.csv", run.dataset)
-    iomod.write_covariates_csv(out / "covariates.csv", run.covariates, "simulate", args.seed)
-    iomod.write_companion(out / "covariates.csv", run.covariates)
-    if args.events:
-        iomod.write_events_jsonl(out / "events.jsonl", run.events)
-    else:  # a log of an earlier run would not belong to this dataset
-        (out / "events.jsonl").unlink(missing_ok=True)
-    done = f"wrote {run.n_obs} rows ({run.n_clusters} clusters) to {out / 'dataset.csv'}"
-    del run  # its rows go back to the system before population.csv is formatted
-    iomod.write_population_csv(out / "population.csv", pop, "simulate", args.seed)
-    print(done)
+    # population.csv does not depend on the draws: a child writes it while
+    # this process writes the tables of the records
+    with _forked(iomod.write_population_csv, out / "population.csv", pop, "simulate", args.seed):
+        iomod.write_simulation_csvs(out, run, "simulate", args.seed)
+        if args.events:
+            iomod.write_events_jsonl(out / "events.jsonl", run.events)
+        else:  # a log of an earlier run would not belong to this dataset
+            (out / "events.jsonl").unlink(missing_ok=True)
+    print(f"wrote {run.n_obs} rows ({run.n_clusters} clusters) to {out / 'dataset.csv'}")
     return EXIT_OK
+
+
+@contextlib.contextmanager
+def _forked(write, *args):
+    """Runs ``write(*args)`` in a forked child while the body runs here.
+
+    On leaving, this process waits for the child. An error of the body is
+    raised as it is; else an error of the child is raised here with its
+    type and message, and a child that ends with no error sent (killed by
+    a signal) is a ChildProcessError. Where ``os.fork`` is missing,
+    ``write`` runs after the body, in this process.
+    """
+    if not hasattr(os, "fork"):
+        yield
+        write(*args)
+        return
+    read_end, write_end = os.pipe()
+    pid = os.fork()
+    if pid == 0:  # the child never returns into its caller
+        status = 0
+        try:
+            os.close(read_end)
+            write(*args)
+        except BaseException as exc:  # noqa: BLE001 - every error goes to the parent
+            status = 1
+            with os.fdopen(write_end, "wb") as fh:
+                fh.write(pickle.dumps(exc))
+        finally:
+            os._exit(status)
+    os.close(write_end)
+    try:
+        yield
+    finally:
+        with os.fdopen(read_end, "rb") as fh:
+            error = fh.read()
+        _, status = os.waitpid(pid, 0)
+    if error:
+        raise pickle.loads(error)
+    if status:
+        raise ChildProcessError(f"the writer of {args[0]} ended with wait status {status}")
 
 
 def cmd_estimate(args) -> int:

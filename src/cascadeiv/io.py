@@ -7,15 +7,21 @@ JSON lines. Every output CSV starts with a provenance comment line
 byte-comparable. Files are written as UTF-8 and read as UTF-8 with an
 optional byte-order mark; a byte that is not UTF-8 is a ParseError.
 
-Every table is written by ``write_table``, a column at a time: in each
+Every CSV is opened by one function, ``write_csv``: it writes the
+provenance line and the header, then blocks of rows from one of two
+sources, encodes them as UTF-8 and takes the SHA-256 of the bytes as it
+writes them. ``write_table`` is one source, a column at a time: in each
 block of ``WRITE_BLOCK_ROWS`` rows, each distinct value of a column is
 formatted once (``repr`` of a float, told apart by its bits; ``str`` of an
 id, label or preformatted cell) and, where it could need quotes, quoted
-once by the ``csv`` module. Every table is read by ``_read_rows``. One
-pass over the file's bytes counts its lines and takes its SHA-256. If the
-file's companion (``<file>.arrays``, written by ``write_companion``) holds
-that digest, its arrays are copied into the loader's arrays and the text
-is not parsed. Otherwise the file's lines stream past, and each block of
+once by the ``csv`` module. ``write_simulation_csvs`` is the other: it
+writes a simulation's dataset and covariates from its pivotal records,
+each distinct outcome and each record's constant cells formatted once per
+run, with the bytes of ``write_table`` of the stacked rows. Every table is read by
+``_read_rows``. One pass over the file's bytes counts its lines and takes
+its SHA-256. If the file's companion (``<file>.arrays``, written with the
+digest its CSV's writer returned) holds that digest, its arrays are copied
+into the loader's arrays and the text is not parsed. Otherwise the file's lines stream past, and each block of
 ``READ_BLOCK_ROWS`` data lines goes through one pass of numpy's C text
 reader, its columns copied into arrays allocated once for the whole file.
 So a loader holds the parsed columns and one block of lines, never the
@@ -25,6 +31,7 @@ parsing row by row with the ``csv`` module.
 
 from __future__ import annotations
 
+import codecs
 import collections
 import contextlib
 import csv
@@ -47,6 +54,8 @@ DATASET_COLUMNS = "y, a_1..a_K, z_1..z_K, x_*, cluster, optional group"
 WRITE_BLOCK_ROWS = 8192
 # Lines parsed per read: bounds the lines alive at once
 READ_BLOCK_ROWS = 8192
+# Bytes decoded at a time when looking for a byte that is not UTF-8
+DECODE_CHUNK_BYTES = 1 << 20
 
 # numpy's text reader, splitting fields the way csv.reader does
 _CSV_READ = dict(delimiter=",", quotechar='"', comments=None, ndmin=2)
@@ -107,53 +116,71 @@ def _csv_cells(cells: list[str], lone: bool) -> list[str]:
     return quoted
 
 
-def write_table(path, command: str, seed, header: list[str], columns: list):
-    """Provenance line, header, then one row per entry of the columns.
+def write_csv(path, command: str, seed, header: list[str], blocks) -> bytes:
+    """The one CSV opener: the provenance line, the header, then each block
+    of rows of ``blocks`` (strings of whole lines), each encoded as UTF-8
+    and hashed as it is written. Returns the SHA-256 of the file's bytes."""
+    head = provenance_line(command, seed) + "\n" + ",".join(_csv_cells(header, len(header) == 1))
+    digest = hashlib.sha256()
+    with open(path, "wb") as fh:
+        for text in itertools.chain([head + "\n"], blocks):
+            octets = text.encode("utf-8")
+            digest.update(octets)
+            fh.write(octets)
+    return digest.digest()
+
+
+def write_table(path, command: str, seed, header: list[str], columns: list) -> bytes:
+    """Provenance line, header, then one row per entry of the columns;
+    returns the SHA-256 of the bytes written (``write_csv``).
 
     ``columns`` are (column, cells) pairs: ``cells`` (``float_cells`` or
     ``text_cells``) formats the distinct entries of a block of rows of its
     column. Rows go out in blocks of ``WRITE_BLOCK_ROWS``, so each distinct
     value is formatted and quoted once per block.
     """
-    n = len(columns[0][0])
-    lone = len(header) == 1
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(provenance_line(command, seed) + "\n")
-        fh.write(",".join(_csv_cells(header, lone)) + "\n")
-        for lo in range(0, n, WRITE_BLOCK_ROWS):
-            block = slice(lo, lo + WRITE_BLOCK_ROWS)
-            texts = [cells(col[block]) for col, cells in columns]
-            texts = [(_csv_cells(distinct, lone), inverse) for distinct, inverse in texts]
-            # a row's line end rides on its last cell, so each row is one join
-            last, inverse = texts[-1]
-            texts[-1] = ([cell + "\n" for cell in last], inverse)
-            rows = zip(*(np.array(d, dtype=object)[i].tolist() for d, i in texts))
-            fh.writelines(map(",".join, rows))
+    return write_csv(path, command, seed, header, _column_blocks(columns, len(header) == 1))
 
 
-def write_dataset_csv(path, data: Dataset, command: str = "write", seed: int | None = None):
-    write_table(path, command, seed, *_dataset_table(data))
+def _column_blocks(columns: list, lone: bool):
+    """The text of each block of ``WRITE_BLOCK_ROWS`` rows of the columns."""
+    for lo in range(0, len(columns[0][0]), WRITE_BLOCK_ROWS):
+        block = slice(lo, lo + WRITE_BLOCK_ROWS)
+        texts = [cells(col[block]) for col, cells in columns]
+        texts = [(_csv_cells(distinct, lone), inverse) for distinct, inverse in texts]
+        # a row's line end rides on its last cell, so each row is one join
+        last, inverse = texts[-1]
+        texts[-1] = ([cell + "\n" for cell in last], inverse)
+        rows = zip(*(np.array(d, dtype=object)[i].tolist() for d, i in texts))
+        yield "".join(map(",".join, rows))
+
+
+def write_dataset_csv(path, data: Dataset, command: str = "write", seed: int | None = None) -> bytes:
+    return write_table(path, command, seed, *_dataset_table(data))
 
 
 def _dataset_table(data: Dataset) -> tuple[list[str], list]:
     """The header and the ``write_table`` columns of a dataset CSV."""
     k = data.n_treatments
     p = data.x.shape[1]
-    header = (
-        ["y"]
-        + [f"a_{j + 1}" for j in range(k)]
-        + [f"z_{j + 1}" for j in range(k)]
-        + [f"x_{j + 1}" for j in range(p)]
-        + ["cluster"]
-    )
     columns = [(data.y, float_cells)]
     columns += [(block[:, j], float_cells) for block in (data.a, data.z, data.x)
                 for j in range(block.shape[1])]
     columns.append((data.cluster, text_cells))
     if data.group_label is not None:
-        header.append("group")
         columns.append((data.group_label, text_cells))
-    return header, columns
+    return _dataset_header(k, p, data.group_label is not None), columns
+
+
+def _dataset_header(k: int, p: int, grouped: bool) -> list[str]:
+    return (
+        ["y"]
+        + [f"a_{j + 1}" for j in range(k)]
+        + [f"z_{j + 1}" for j in range(k)]
+        + [f"x_{j + 1}" for j in range(p)]
+        + ["cluster"]
+        + ["group"] * grouped
+    )
 
 
 def _header_layout(header: list[str]) -> dict:
@@ -253,16 +280,32 @@ def _open_csv(path):
 
 
 def _undecodable_line(path) -> int | None:
-    """The file line (as a text reader splits lines) of the first byte that
-    is not UTF-8."""
+    """The file line of the first byte that is not UTF-8, lines split as a
+    text reader splits them (at ``\n``, ``\r`` and ``\r\n``). The file goes
+    ``DECODE_CHUNK_BYTES`` at a time through an incremental decoder, so a
+    sequence or a ``\r\n`` cut by a chunk's end is read whole."""
+    decoder = codecs.getincrementaldecoder("utf-8")()
+    breaks, after_cr = 0, False  # line breaks so far; whether the bytes so far end in \r
     with open(path, "rb") as fh:
-        lines = fh.read().splitlines()
-    for no, line in enumerate(lines, start=1):
-        try:
-            line.decode("utf-8")
-        except UnicodeDecodeError:
-            return no
-    return None
+        while True:
+            chunk = fh.read(DECODE_CHUNK_BYTES)
+            try:
+                decoder.decode(chunk, final=not chunk)
+            except UnicodeDecodeError as exc:
+                # exc.object is the chunk after the bytes held back from the
+                # last one, an unfinished sequence, which holds no line break
+                return 1 + breaks + _line_breaks(exc.object[: exc.start], after_cr)
+            if not chunk:
+                return None
+            breaks += _line_breaks(chunk, after_cr)
+            after_cr = chunk.endswith(b"\r")
+
+
+def _line_breaks(octets: bytes, after_cr: bool) -> int:
+    """The line breaks that start in ``octets``: each ``\n``, ``\r`` and
+    ``\r\n`` once; a leading ``\n`` after a ``\r`` ends that ``\r``'s break."""
+    count = octets.count(b"\n") + octets.count(b"\r") - octets.count(b"\r\n")
+    return count - (after_cr and octets.startswith(b"\n"))
 
 
 def _row_line(path, i: int) -> int:
@@ -491,8 +534,8 @@ def load_population_csv(path):
 # ---------------------------------------------------------------------------
 
 
-def write_covariates_csv(path, covariates: dict, command: str = "write", seed=None):
-    write_table(path, command, seed, *_covariates_table(covariates))
+def write_covariates_csv(path, covariates: dict, command: str = "write", seed=None) -> bytes:
+    return write_table(path, command, seed, *_covariates_table(covariates))
 
 
 def _covariates_table(covariates: dict) -> tuple[list[str], list]:
@@ -518,15 +561,16 @@ COMPANION_SUFFIX = ".arrays"
 _COMPANION_TAG = b"cascadeiv companion arrays 1\n"
 
 
-def write_companion(path, table):
+def write_companion(path, table, digest: bytes):
     """Beside the CSV at ``path``, just written from ``table`` (a Dataset or
-    a dict of covariate columns), its companion ``<path>.arrays``: what the
-    CSV's loader parses, for loads that skip the parser.
+    a dict of covariate columns) with SHA-256 ``digest`` (as its writer
+    returns it), its companion ``<path>.arrays``: what the CSV's loader
+    parses, for loads that skip the parser.
 
-    The companion is a sequence of ``np.save`` arrays: the tag and the
-    SHA-256 of the CSV's bytes as one uint8 array, then each column in file
-    order. A float column is uint8 where every entry's bits come back from
-    it (0/1 and small integers), else float64, each NaN as the parser's
+    The companion is a sequence of ``np.save`` arrays: the tag and
+    ``digest`` as one uint8 array, then each column in file order. A float
+    column is uint8 where every entry's bits come back from it (0/1 and
+    small integers), else float64, each NaN as the parser's
     ``float("nan")``. A text column is its distinct cells as ``text_cells``
     writes them, then each row's code among them in the narrowest unsigned
     type. It is written under a temporary name and renamed into place, so a
@@ -536,9 +580,15 @@ def write_companion(path, table):
     """
     _, columns = (_dataset_table(table) if isinstance(table, Dataset)
                   else _covariates_table(table))
+    _save_columns(path, columns, digest)
+
+
+def _save_columns(path, columns, digest: bytes):
+    """``write_companion``'s arrays, of ``columns``: (column, cells) pairs
+    as ``write_table`` takes them, in file order."""
     companion = f"{path}{COMPANION_SUFFIX}"
     with open(companion + ".tmp", "wb") as fh:
-        np.save(fh, np.frombuffer(_COMPANION_TAG + _scan(path)[1], np.uint8))
+        np.save(fh, np.frombuffer(_COMPANION_TAG + digest, np.uint8))
         for col, cells in columns:
             if cells is float_cells:
                 np.save(fh, _stored_floats(np.asarray(col, dtype=float)))
@@ -588,6 +638,116 @@ def _read_companion(path, digest: bytes, width: int, targets: dict, text: list):
     except (OSError, ValueError, EOFError):
         return None
     return n, cells, codes
+
+
+# ---------------------------------------------------------------------------
+# A simulation's tables, written from its pivotal records
+# ---------------------------------------------------------------------------
+
+
+def write_simulation_csvs(out, run, command: str, seed) -> None:
+    """``dataset.csv`` and ``covariates.csv`` in the directory ``out``, each
+    followed by its companion, written from the pivotal records of ``run``
+    (a ``SimulationOutput``): the bytes of ``write_dataset_csv`` of
+    ``run.dataset`` and ``write_covariates_csv`` of ``run.covariates``, and
+    of their companions, with neither table built.
+
+    Each distinct outcome of the run is formatted once, and so is each
+    record's text that is the same on all its rows (the z cells after its
+    program's, the x dummies and the cluster name) and each (program,
+    assignment) pair's a and leading z cells; lucks, nearly all distinct,
+    are formatted a block at a time. A covariates line is formatted once
+    per distinct applicant.
+    """
+    for name, (header, blocks, columns) in (("dataset.csv", _record_dataset(run)),
+                                            ("covariates.csv", _record_covariates(run))):
+        path = os.path.join(out, name)
+        _save_columns(path, columns, write_csv(path, command, seed, header, blocks))
+
+
+def _record_dataset(run):
+    """The header, the body blocks and the companion columns (made one at a
+    time) of ``run``'s dataset CSV."""
+    k, p = run.n_treatments, run.n_controls
+    names, progs, dummies, lucks, assignments, ys = zip(*run.record_rows())
+    sizes = [len(luck) for luck in lucks]
+    record = np.repeat(np.arange(len(sizes)), sizes)
+    prog = np.array(progs)[record]
+    luck, assignment, y = (np.concatenate(part) for part in (lucks, assignments, ys))
+    labels = run.group_labels()
+
+    def flags(j):
+        return ",".join("1.0" if i == j else "0.0" for i in range(1, k + 1))
+
+    # a row is its y, its (program, assignment) text, its luck, its record's
+    # text and its group label
+    end = "" if labels is None else ","
+    mids = [f",{flags(s)},{'0.0,' * (prog - 1)}" for prog in range(1, k + 1) for s in range(k + 1)]
+    x_cells = [",".join("1.0" if c in (0, dummy) else "0.0" for c in range(p)) for dummy in dummies]
+    tails = [f"{',0.0' * (k - prog)},{x},{name}{end}" for prog, x, name in
+             zip(progs, x_cells, _csv_cells(list(names), False))]
+    pieces = [_coded(*float_cells(y)), _coded(mids, (prog - 1) * (k + 1) + assignment),
+              _block_floats(luck), _coded(tails, record)]
+    if labels is not None:
+        distinct, codes = text_cells(labels)
+        pieces.append(_coded(_csv_cells(distinct, False), codes))
+    blocks = _row_blocks(pieces, len(y))
+
+    def columns():
+        yield y, float_cells
+        for j in range(1, k + 1):
+            yield (assignment == j).astype(float), float_cells
+        for j in range(1, k + 1):
+            z, on = np.zeros(len(y)), prog == j
+            z[on] = luck[on]
+            yield z, float_cells
+        yield np.ones(len(y)), float_cells  # the constant
+        dummy = np.array([0 if d is None else d for d in dummies])[record]
+        for c in range(1, p):
+            yield (dummy == c).astype(float), float_cells
+        yield np.repeat(np.array(names), sizes), text_cells
+        if labels is not None:
+            yield labels, text_cells
+
+    return _dataset_header(k, p, labels is not None), blocks, columns()
+
+
+def _record_covariates(run):
+    """The header, the body blocks and the companion columns (made one at a
+    time) of ``run``'s covariates CSV: each distinct applicant's line is
+    formatted once from ``member_covariates`` and gathered by
+    ``applicants``."""
+    table, rows = run.member_covariates(), run.applicants
+    members, codes = np.unique(rows, return_inverse=True)
+    lone = len(table) == 1
+    texts = []
+    for col in table.values():
+        distinct, inverse = float_cells(col[members])
+        texts.append(np.array(_csv_cells(distinct, lone), dtype=object)[inverse].tolist())
+    lines = [",".join(cells) for cells in zip(*texts)]
+    columns = ((col[rows], float_cells) for col in table.values())
+    return list(table), _row_blocks([_coded(lines, codes)], len(rows)), columns
+
+
+def _coded(texts: list[str], codes: np.ndarray):
+    """The piece of a row whose text is ``texts[codes[row]]``."""
+    texts = np.array(texts, dtype=object)
+    return lambda block: texts[codes[block]].tolist()
+
+
+def _block_floats(col: np.ndarray):
+    """The piece of a row whose text is its entry of ``col``, the distinct
+    entries of each block formatted once (``float_cells``)."""
+    return lambda block: _coded(*float_cells(col[block]))(slice(None))
+
+
+def _row_blocks(pieces, n: int):
+    """The text of each block of ``WRITE_BLOCK_ROWS`` of ``n`` rows, a row
+    being the concatenation of its text of each piece, then a line end: a
+    piece gives the texts of a block (a slice) of rows."""
+    for lo in range(0, n, WRITE_BLOCK_ROWS):
+        block = slice(lo, lo + WRITE_BLOCK_ROWS)
+        yield "".join(map("".join, zip(*(piece(block) for piece in pieces), itertools.repeat("\n"))))
 
 
 # ---------------------------------------------------------------------------

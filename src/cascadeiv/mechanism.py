@@ -584,7 +584,9 @@ class SimulationOutput:
     bit for bit, built without the rows. With the Dataset's sizes it is all
     that the fits, the group fits and the bootstrap read, so ``run`` stands
     in for ``run.dataset`` and leaves it unbuilt. ``applicants`` gives each
-    row's population row, and ``covariates`` is built from it.
+    row's population row, and ``covariates`` gathers its rows by it from
+    ``member_covariates``. ``record_rows`` and ``group_labels`` give the
+    rows' parts record by record, for writers that skip ``dataset``.
     """
 
     def __init__(self, pop: Population, cfg: MechanismConfig, reps: int, master_seed: int,
@@ -660,7 +662,16 @@ class SimulationOutput:
             if prog in self._dummy:
                 w[:, self._dummy[prog]] = 1.0
 
-    def _group_labels(self) -> np.ndarray | None:
+    def record_rows(self):
+        """Each record's parts as its stacked rows hold them: the cluster
+        name, the program, the x column of the program's margin dummy (None
+        at the baseline margin), and the members' luck, assignment and
+        outcome (``_write``'s y)."""
+        po = self.population.po
+        for (_, prog, idx, luck, assignment), name in zip(self._records, self._names):
+            yield name, prog, self._dummy.get(prog), luck, assignment, _outcomes(po[idx], assignment)
+
+    def group_labels(self) -> np.ndarray | None:
         """Each row's group label, gathered record by record; None without a label."""
         if self._label is None:
             return None
@@ -681,20 +692,26 @@ class SimulationOutput:
         self._write(slice(None), w)
         return Dataset(y=w[:, -1], a=w[:, p + k : -1], z=w[:, p : p + k], x=w[:, :p],
                        cluster=np.repeat(np.array(self._names), self._sizes),
-                       group_label=self._group_labels())
+                       group_label=self.group_labels())
 
     @functools.cached_property
     def covariates(self) -> dict:
+        """``member_covariates`` of each row's applicant."""
+        rows = self.applicants
+        return {name: col[rows] for name, col in self.member_covariates().items()}
+
+    def member_covariates(self) -> dict:
         """Merit, first choice (0 for an empty list) and every population
-        label (coded by sorted level if not numeric) of each row, as floats."""
-        pop, rows = self.population, self.applicants
-        covariates = {"merit": pop.merit[rows].astype(float)}
-        covariates["first_choice"] = pop.pref_array()[rows, 0].astype(float)
+        label (coded by sorted level if not numeric) of each population
+        member, as floats."""
+        pop = self.population
+        covariates = {"merit": pop.merit.astype(float)}
+        covariates["first_choice"] = pop.pref_array()[:, 0].astype(float)
         for name, arr in pop.labels.items():
             arr = np.asarray(arr)
             if arr.dtype.kind not in "fiub":
                 _, arr = np.unique(arr, return_inverse=True)
-            covariates[name] = arr[rows].astype(float)
+            covariates[name] = arr.astype(float)
         return covariates
 
     @functools.cached_property
@@ -703,7 +720,7 @@ class SimulationOutput:
         codes = np.unique(np.array(self._names), return_inverse=True)[1]  # as the Dataset's
         codes = np.repeat(codes.astype(np.min_scalar_type(self.n_clusters - 1)), self._sizes)
         return _Moments(codes, self.n_controls + 2 * self.n_treatments + 1, self._write,
-                        self._group_labels())
+                        self.group_labels())
 
 
 def simulate_run(

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -598,12 +599,15 @@ def test_labels_and_names_are_quoted_in_every_table(tmp_path, capsys):
 
 
 def test_every_csv_goes_through_the_one_writer(tmp_path, config_path, capsys):
-    written = []
-    write_table = iomod.write_table
+    # each call appends its path to a file, so the calls of simulate's
+    # forked population writer are counted too
+    log = tmp_path / "written.txt"
+    write_csv = iomod.write_csv
 
     def recording(path, *args):
-        written.append(str(path))
-        return write_table(path, *args)
+        with open(log, "a", encoding="utf-8") as fh:
+            fh.write(f"{path}\n")
+        return write_csv(path, *args)
 
     (tmp_path / "pi.csv").write_text("0.4,-0.05\n-0.04,0.3\n")
     (tmp_path / "rf.csv").write_text("0.2,0.15\n")
@@ -620,13 +624,77 @@ def test_every_csv_goes_through_the_one_writer(tmp_path, config_path, capsys):
                             "--bootstrap-reps", 5, "--seed", 2]
            for stat in ("beta", "wald", "cascade_delta", "conditional_entrant")},
     }
-    with mock.patch.object(iomod, "write_table", recording):
+    with mock.patch.object(iomod, "write_csv", recording):
         for out, argv in commands.items():
             assert run([*argv, "--out", tmp_path / out]) == 0, out
         assert run(["fixtures"]) == 0
     csvs = sorted(str(p) for out in commands for p in (tmp_path / out).glob("*.csv"))
     assert len(csvs) == 17  # every table of every command
-    assert sorted(written) == csvs
+    assert sorted(log.read_text(encoding="utf-8").splitlines()) == csvs
+
+
+def assert_no_child_is_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("blocked", ["population.csv", "dataset.csv"])
+def test_simulate_reports_a_failed_writer_and_reaps_the_child(tmp_path, config_path, capsys,
+                                                              blocked):
+    # population.csv is written by a forked child, dataset.csv here; either
+    # error is reported as the writer raised it, and the child is reaped
+    out = tmp_path / "out"
+    (out / blocked).mkdir(parents=True)
+    code = run(["simulate", "--config", config_path, "--seed", 3, "--reps", 2, "--out", out])
+    assert code == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"] == {
+        "code": "IsADirectoryError", "module": "builtins",
+        "message": f"[Errno 21] Is a directory: '{out / blocked}'",
+    }
+    assert_no_child_is_left()
+
+
+def test_simulate_reports_a_killed_writer(tmp_path, config_path, capsys):
+    def killed(*args):
+        os.kill(os.getpid(), signal.SIGKILL)
+
+    with mock.patch.object(iomod, "write_population_csv", killed):
+        code = run(["simulate", "--config", config_path, "--seed", 3, "--reps", 2,
+                    "--out", tmp_path / "out"])
+    assert code == 3
+    err = _last_error(capsys)
+    assert err["code"] == "ChildProcessError"
+    assert "population.csv" in err["message"]
+    assert_no_child_is_left()
+
+
+def test_simulate_without_fork_writes_the_same_files(tmp_path, config_path, monkeypatch):
+    with monkeypatch.context() as patched:
+        patched.delattr(os, "fork")  # as on a platform without fork
+        assert run(["simulate", "--config", config_path, "--seed", 3, "--reps", 2,
+                    "--out", tmp_path / "inline"]) == 0
+    assert run(["simulate", "--config", config_path, "--seed", 3, "--reps", 2,
+                "--out", tmp_path / "forked"]) == 0
+    for name in SIMULATE_FILES:
+        assert (tmp_path / "inline" / name).read_bytes() == \
+            (tmp_path / "forked" / name).read_bytes(), name
+    assert_no_child_is_left()
+
+
+def test_simulate_forks_nothing_when_the_clearing_raises(tmp_path, capsys):
+    # every seat is free: no program is oversubscribed, so no pivotal group
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(dict(CONFIG, capacities=[5000, 5000])))
+    with mock.patch.object(os, "fork", wraps=os.fork) as fork:
+        code = run(["simulate", "--config", path, "--seed", 3, "--reps", 2,
+                    "--out", tmp_path / "out"])
+    assert code == 4
+    assert _last_error(capsys)["code"] == "NoPivotalVariation"
+    assert not fork.called
+    assert not (tmp_path / "out").exists()
+    assert_no_child_is_left()
 
 
 def test_importing_the_cli_does_not_import_scipy_stats():

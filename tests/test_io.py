@@ -8,18 +8,25 @@ import re
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import cascadeiv.io as iomod
 from cascadeiv import Dataset, estimate_all
-from cascadeiv.errors import DataError, ParseError, SchemaError
+from cascadeiv.errors import (
+    DataError,
+    NoPivotalProgramWarning,
+    NoPivotalVariation,
+    ParseError,
+    SchemaError,
+)
 from cascadeiv.io import (
     READ_BLOCK_ROWS,
     WRITE_BLOCK_ROWS,
@@ -37,7 +44,8 @@ from cascadeiv.io import (
     write_events_jsonl,
     write_population_csv,
 )
-from cascadeiv.mechanism import SIMULATION_EVENT_DTYPE, Population
+from cascadeiv.mechanism import SIMULATION_EVENT_DTYPE, MechanismConfig, Population, simulate_run
+from cascadeiv.synth import SynthConfig, generate_population
 
 from conftest import bernoulli_iv_data
 
@@ -911,10 +919,12 @@ def assert_same_arrays(got, want):
         assert np.ascontiguousarray(g).tobytes() == np.ascontiguousarray(w).tobytes()
 
 
-def load_with_and_without_companion(path, table, load):
-    """``load(path)`` from the companion written from ``table``, then parsed
-    once the companion is deleted."""
-    iomod.write_companion(path, table)
+def load_with_and_without_companion(path, table, digest, load):
+    """``load(path)`` from the companion written from ``table`` with the
+    ``digest`` its writer returned, then parsed once the companion is
+    deleted."""
+    assert digest == iomod._scan(path)[1]  # the SHA-256 of the bytes written
+    iomod.write_companion(path, table, digest)
     with mock.patch.object(iomod, "_parse_rows", side_effect=AssertionError("parsed")):
         stored = load(path)
     Path(f"{path}{iomod.COMPANION_SUFFIX}").unlink()
@@ -951,8 +961,8 @@ def companion_datasets(draw):
 def test_dataset_companion_loads_as_the_parser_does(d):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "dataset.csv"
-        write_dataset_csv(path, d, "simulate", 1)
-        stored, parsed = load_with_and_without_companion(path, d, load_dataset_csv)
+        digest = write_dataset_csv(path, d, "simulate", 1)
+        stored, parsed = load_with_and_without_companion(path, d, digest, load_dataset_csv)
         assert_same_arrays(dataset_arrays(stored), dataset_arrays(parsed))
 
 
@@ -969,8 +979,9 @@ def test_covariates_companion_loads_as_the_parser_does(names, n, data):
     cov = {name: data.draw(st.lists(entries, min_size=n, max_size=n)) for name in names}
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "covariates.csv"
-        write_covariates_csv(path, cov, "simulate", 1)
-        (mat, got), (ref, want) = load_with_and_without_companion(path, cov, load_covariates_csv)
+        digest = write_covariates_csv(path, cov, "simulate", 1)
+        (mat, got), (ref, want) = load_with_and_without_companion(path, cov, digest,
+                                                                  load_covariates_csv)
         assert got == want
         assert_same_arrays([mat], [ref])
 
@@ -988,8 +999,7 @@ def _change_a_digit(text: str, start: int) -> str:
 def test_a_companion_that_does_not_match_is_ignored(tmp_path, damage):
     d = awkward_dataset(40)
     path = tmp_path / "dataset.csv"
-    write_dataset_csv(path, d, "simulate", 1)
-    iomod.write_companion(path, d)
+    iomod.write_companion(path, d, write_dataset_csv(path, d, "simulate", 1))
     companion = Path(f"{path}{iomod.COMPANION_SUFFIX}")
     raw, text = companion.read_bytes(), path.read_text(encoding="utf-8")
     tag = iomod._COMPANION_TAG
@@ -1042,3 +1052,125 @@ def test_tables_are_written_as_utf8_whatever_the_locale(tmp_path):
     path = tmp_path / "t.csv"
     subprocess.run([sys.executable, "-c", script, str(path)], env=env, check=True)
     assert path.read_bytes().decode("utf-8").splitlines()[1:] == ["label", "café", "漢字"]
+
+
+# ---------------------------------------------------------------------------
+# a simulation's tables, written from its records
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def labelled_markets(draw):
+    """n <= 12, K from 1 to 4, two merit brackets, nonempty lists and at
+    most n/2 seats a program, so most draws have a pivotal group; a
+    ``group`` label, one of whose levels holds a comma and a quote."""
+    k = draw(st.integers(1, 4))
+    n = draw(st.integers(2, 12))
+    merits = draw(st.lists(st.integers(1, 2), min_size=n, max_size=n))
+    prefs = [tuple(draw(st.permutations(range(1, k + 1)))[: draw(st.integers(1, k))])
+             for _ in range(n)]
+    caps = tuple(draw(st.lists(st.integers(1, n // 2), min_size=k, max_size=k)))
+    seed = draw(st.integers(0, 2**32 - 1))
+    po = np.random.default_rng(seed).standard_normal((n, k + 1))
+    po[0, 0] = -0.0  # an outcome whose sign the stacked rows drop
+    levels = ['say "a,b"', "plain", "ünï"]
+    labels = {"attr": np.random.default_rng(seed + 1).standard_normal(n),
+              "group": np.array(draw(st.lists(st.sampled_from(levels), min_size=n,
+                                              max_size=n)))}
+    pop = Population(merit=np.asarray(merits, dtype=np.int64), prefs=prefs, po=po,
+                     labels=labels)
+    return pop, MechanismConfig(capacities=caps, lottery_seed=seed)
+
+
+def cut_to_one_row(run):
+    """``run`` with each record cut to its first member: a pivotal group has
+    two members or more, so only a cut run has one-row records."""
+    run._records = [(r, prog, idx[:1], luck[:1], asg[:1])
+                    for r, prog, idx, luck, asg in run._records]
+    run._sizes = np.ones(run.n_clusters, dtype=int)
+    run._bounds = list(range(run.n_clusters + 1))
+    run.n_obs = run.n_clusters
+    return run
+
+
+@settings(max_examples=150, deadline=None)
+@given(labelled_markets(), st.integers(1, 3), st.sampled_from([None, "group"]),
+       st.sampled_from([1, 3, WRITE_BLOCK_ROWS]), st.booleans())
+def test_records_write_the_bytes_of_the_stacked_tables(market, reps, label, block, one_row):
+    pop, cfg = market
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", NoPivotalProgramWarning)
+        try:
+            run = simulate_run(pop, cfg, reps, cfg.lottery_seed, label=label)
+        except NoPivotalVariation:
+            return
+    if one_row:
+        run = cut_to_one_row(run)
+    event(f"K = {run.n_treatments}, {'with' if label else 'without'} a label")
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.object(iomod, "WRITE_BLOCK_ROWS", block):  # blocks that cut records
+        got, want = Path(tmp) / "got", Path(tmp) / "want"
+        got.mkdir()
+        want.mkdir()
+        digests, write_csv = {}, iomod.write_csv
+
+        def hashing(path, *args):
+            digests[path] = write_csv(path, *args)
+            return digests[path]
+
+        with mock.patch.object(iomod, "write_csv", hashing):
+            iomod.write_simulation_csvs(got, run, "simulate", 5)
+        assert not {"dataset", "covariates"} & set(vars(run))
+        assert len(digests) == 2
+        for path, digest in digests.items():
+            assert digest == iomod._scan(path)[1]
+        for name, table, write in (("dataset.csv", run.dataset, write_dataset_csv),
+                                   ("covariates.csv", run.covariates, write_covariates_csv)):
+            iomod.write_companion(want / name, table, write(want / name, table, "simulate", 5))
+        for name in ("dataset.csv", "covariates.csv"):
+            for file in (name, name + iomod.COMPANION_SUFFIX):
+                assert (got / file).read_bytes() == (want / file).read_bytes(), file
+
+
+def test_simulation_tables_hold_no_stacked_rows():
+    pop = generate_population(SynthConfig(n=2000, k=3, seed=2, label_share=0.5))
+    run = simulate_run(pop, MechanismConfig(capacities=(150, 150, 150), lottery_seed=0), 3, 4,
+                       label="group")
+    with tempfile.TemporaryDirectory() as tmp:
+        iomod.write_simulation_csvs(tmp, run, "simulate", 4)
+        assert not {"dataset", "covariates"} & set(vars(run))
+        lines = (Path(tmp) / "dataset.csv").read_text(encoding="utf-8").splitlines()
+    assert len(lines) == 2 + run.n_obs
+
+
+def reference_undecodable_line(raw: bytes) -> int | None:
+    """The first line, as ``bytes.splitlines`` splits them, that is not UTF-8."""
+    for no, line in enumerate(raw.splitlines(), start=1):
+        try:
+            line.decode("utf-8")
+        except UnicodeDecodeError:
+            return no
+    return None
+
+
+@pytest.mark.parametrize("bad", [b"\xff", b"\xe2\x82", b"caf\xe9"])
+def test_undecodable_line_streams_past_mixed_line_endings(tmp_path, bad):
+    # \n, \r and \r\n breaks and a sequence of three bytes before the bad
+    # one; every chunk size from 1 byte up cuts a \r\n, or the sequence, or
+    # the bad bytes somewhere
+    head, tail = b"# c\r\ny,x\r1,\xe2\x82\xac\n\r\n2,3\r\r\n4,", b"\r\n5,6\n"
+    raw = head + bad + tail
+    path = tmp_path / "bad.csv"
+    path.write_bytes(raw)
+    want = reference_undecodable_line(raw)
+    assert want == 7
+    for size in range(1, len(raw) + 2):
+        with mock.patch.object(iomod, "DECODE_CHUNK_BYTES", size):
+            assert iomod._undecodable_line(path) == want, size
+    path.write_bytes(raw + b"7,\xe2\x82")  # cut at the end of the file
+    (tmp_path / "ok.csv").write_bytes(head + b"8" + tail)
+    with mock.patch.object(iomod, "DECODE_CHUNK_BYTES", 4):
+        assert iomod._undecodable_line(path) == want
+        assert iomod._undecodable_line(tmp_path / "ok.csv") is None
+    path.write_bytes(head + b"8" + tail + b"7,\xe2\x82")
+    assert iomod._undecodable_line(path) == reference_undecodable_line(path.read_bytes()) == 9

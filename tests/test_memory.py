@@ -32,10 +32,16 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 # it started the interpreter. ru_maxrss survives exec, so it would report the
 # test process's resident set whenever that is the larger: the whole suite's
 # pytest process outgrows every command here, so both sizes read its size.
+# simulate writes population.csv in a forked child, whose peak counts its
+# share of the parent's pages at the fork; the children's ru_maxrss starts
+# at 0 in a fresh process, so the larger of the two is the command's peak.
 PEAK = (
+    "import resource\n"
     "with open('/proc/self/status') as status:\n"
     "    peak = next(line.split()[1] for line in status if line.startswith('VmHWM:'))\n"
-    "print('peak_kib', peak, file=sys.stderr)\n"
+    "child = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss\n"
+    "print('child_kib', child, file=sys.stderr)\n"
+    "print('peak_kib', max(int(peak), child), file=sys.stderr)\n"
 )
 RUN = "import sys\nfrom cascadeiv.cli import main\nrc = main(sys.argv[1:])\n" + PEAK + "sys.exit(rc)\n"
 # the library path of the README's quick start on CONFIG's population,
