@@ -99,22 +99,28 @@ class BlockSpec:
     weights: dict[str, np.ndarray] | None = None
 
     def __post_init__(self):
-        seen: set[int] = set()
-        for name, members in self.blocks.items():
-            if not members:
-                raise DataError(f"block {name!r} is empty")
-            for m in members:
-                if not 0 <= m < self.k:
-                    raise DataError(
-                        f"block {name!r} references program {m}; "
-                        f"valid indices are 0..{self.k - 1}"
-                    )
-                if m in seen:
-                    raise DataError(f"program {m} appears in more than one block")
-                seen.add(m)
-        if seen != set(range(self.k)):
-            missing = sorted(set(range(self.k)) - seen)
-            raise DataError(f"blocks must partition the programs; missing {missing}")
+        _check_partition(self.blocks, range(self.k))
+
+
+def _check_partition(blocks: dict, ids: range):
+    """A DataError, naming ids as ``ids`` numbers them, unless ``blocks``
+    (name -> member ids) puts each of ``ids`` in exactly one block."""
+    seen: set[int] = set()
+    for name, members in blocks.items():
+        if not members:
+            raise DataError(f"block {name!r} is empty")
+        for m in members:
+            if m not in ids:
+                raise DataError(
+                    f"block {name!r} references program {m}; "
+                    f"valid programs are {ids[0]}..{ids[-1]}"
+                )
+            if m in seen:
+                raise DataError(f"program {m} appears in more than one block")
+            seen.add(m)
+    if seen != set(ids):
+        missing = sorted(set(ids) - seen)
+        raise DataError(f"blocks must partition the programs; missing {missing}")
 
 
 # ---------------------------------------------------------------------------

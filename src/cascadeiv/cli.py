@@ -27,6 +27,7 @@ from .cascade import (
     conditional_entrant_by_group,
     group_outcome_decomposition,
     neumann_solve,
+    _check_partition,
 )
 from .errors import CascadeIVError, DataError, FixtureMismatch, NumericalError
 from .estimator import (
@@ -121,15 +122,19 @@ def cmd_estimate(args) -> int:
     if args.group_col and data.group_label is None:
         raise DataError(f"--group-col {args.group_col}: {args.data} has no "
                         f"{args.group_col!r} column")
+    # every fit runs before any file is written, so a failing one leaves none
     est = estimate_all(data)
+    if args.blocks:
+        weighted = block_weights(est.first_stage, _parse_blocks(args.blocks, data.n_treatments))
+    if data.group_label is not None:
+        parts = group_outcome_decomposition(data)
+        entrant = conditional_entrant_by_group(data, beta_full=est.beta)
     out = _out_dir(args)
     iomod.write_estimates_csv(out / "estimates.csv", est, "estimate", None)
     table = iomod.format_estimates_table(est)
     (out / "estimates.txt").write_text(table, encoding="utf-8")
     print(table, end="")
     if args.blocks:
-        spec = _parse_blocks(args.blocks, data.n_treatments)
-        weighted = block_weights(est.first_stage, spec)
         # one row per block member; the block's implied coefficient repeats
         members = [(name, m) for name, ms in weighted.blocks.items() for m in ms]
         implied = {name: weighted.weights[name] @ est.beta[list(ms)]
@@ -142,8 +147,6 @@ def cmd_estimate(args) -> int:
              ([implied[name] for name, _ in members], FLOAT)],
         )
     if data.group_label is not None:
-        parts = group_outcome_decomposition(data)
-        entrant = conditional_entrant_by_group(data, beta_full=est.beta)
         k = data.n_treatments
         iomod.write_table(
             out / "groups.csv", "estimate", None,
@@ -285,8 +288,9 @@ def _parse_blocks(spec: str, k: int) -> BlockSpec:
         # bool is an int subclass, and 1.5 must not pass as program 1
         if not isinstance(members, list) or any(type(m) is not int for m in members):
             raise DataError(f"block {name!r} must be a list of integer program ids")
-    blocks = {name: tuple(m - 1 for m in members) for name, members in raw.items()}
-    return BlockSpec(blocks=blocks, k=k)
+    _check_partition(raw, range(1, k + 1))  # its faults name the ids as typed
+    return BlockSpec(blocks={name: tuple(m - 1 for m in members) for name, members in raw.items()},
+                     k=k)
 
 
 def build_parser() -> argparse.ArgumentParser:

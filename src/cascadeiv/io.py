@@ -17,16 +17,22 @@ id, label or preformatted cell) and, where it could need quotes, quoted
 once by the ``csv`` module. ``write_simulation_csvs`` is the other: it
 writes a simulation's dataset and covariates from its pivotal records,
 each distinct outcome and each record's constant cells formatted once per
-run, with the bytes of ``write_table`` of the stacked rows. Every table is read by
-``_read_rows``. One pass over the file's bytes counts its lines and takes
-its SHA-256. If the file's companion (``<file>.arrays``, written with the
-digest its CSV's writer returned) holds that digest, its arrays are copied
-into the loader's arrays and the text is not parsed. Otherwise the file's lines stream past, and each block of
-``READ_BLOCK_ROWS`` data lines goes through one pass of numpy's C text
-reader, its columns copied into arrays allocated once for the whole file.
-So a loader holds the parsed columns and one block of lines, never the
-file's lines. Both give the same bytes and values as formatting and
-parsing row by row with the ``csv`` module.
+run, with the bytes of ``write_table`` of the stacked rows, and beside
+each of its two CSVs a companion (``<file>.arrays``) of what it wrote it
+from, with the digest ``write_csv`` returned: the dataset's pivotal
+records, and the covariates of each distinct applicant.
+
+Every table is read by ``_read_rows``: the file's lines stream past, and
+each block of ``READ_BLOCK_ROWS`` data lines goes through one pass of
+numpy's C text reader, its columns copied into arrays allocated once for
+the whole file. So a loader holds the parsed columns and one block of
+lines, never the file's lines. One pass over the file's bytes first counts
+its lines and takes its SHA-256; if the dataset's or the covariates'
+companion holds that digest, the loader builds its arrays from the
+companion instead (the dataset by the records' one row writer,
+``SimulationOutput._write``) and the text is not parsed. Each way gives
+the same bytes and values as formatting and parsing row by row with the
+``csv`` module.
 """
 
 from __future__ import annotations
@@ -156,20 +162,14 @@ def _column_blocks(columns: list, lone: bool):
 
 
 def write_dataset_csv(path, data: Dataset, command: str = "write", seed: int | None = None) -> bytes:
-    return write_table(path, command, seed, *_dataset_table(data))
-
-
-def _dataset_table(data: Dataset) -> tuple[list[str], list]:
-    """The header and the ``write_table`` columns of a dataset CSV."""
-    k = data.n_treatments
-    p = data.x.shape[1]
     columns = [(data.y, float_cells)]
     columns += [(block[:, j], float_cells) for block in (data.a, data.z, data.x)
                 for j in range(block.shape[1])]
     columns.append((data.cluster, text_cells))
     if data.group_label is not None:
         columns.append((data.group_label, text_cells))
-    return _dataset_header(k, p, data.group_label is not None), columns
+    header = _dataset_header(data.n_treatments, data.x.shape[1], data.group_label is not None)
+    return write_table(path, command, seed, header, columns)
 
 
 def _dataset_header(k: int, p: int, grouped: bool) -> list[str]:
@@ -388,30 +388,25 @@ def _parse_block(lines, start, header, numeric, text, codes, width):
     return _scan_rows(rows, linenos, header, numeric, text, codes, width)
 
 
-def _read_rows(path, fh, first, header, columns, numeric, text=(), width="header"):
-    """The data rows of an open CSV file, in their final arrays: from the
-    file's companion if it holds the SHA-256 of the file's bytes
-    (``_read_companion``), else parsed (``_parse_rows``).
+def _read_rows(fh, bound, first, header, columns, numeric, text=(), width="header"):
+    """The data rows of an open CSV file of fewer than ``bound`` lines
+    (``_scan``), parsed (``_parse_rows``) into their final arrays.
 
     ``first`` is the first data line after the header, as ``_data_lines``
     gives it, and ``fh`` is left after it. ``columns`` lists the float
     arrays to fill: a position gives the (n,) array of that column, a list
     of positions the (n, len) array of those columns. Each array is
-    allocated once, for more rows than the file has lines (``_scan``;
-    ``_mapped``, so the rows never read take no memory), filled column by
-    column, and cut to the rows read. Returns the arrays, and one string
-    array per ``text`` column, as wide as its longest string.
+    allocated once, for ``bound`` rows (``_mapped``, so the rows never read
+    take no memory), filled column by column, and cut to the rows read.
+    Returns the arrays, and one string array per ``text`` column, as wide
+    as its longest string.
     """
-    bound, digest = _scan(path)
     outs = [_mapped(bound if isinstance(c, int) else (bound, len(c))) for c in columns]
     targets = {}
     for out, cols in zip(outs, columns):
         targets.update({cols: out} if isinstance(cols, int) else zip(cols, out.T))
     text = list(text)
-    n, cells, codes = (
-        _read_companion(path, digest, len(header), targets, text)
-        or _parse_rows(fh, first, header, numeric, text, width, targets, bound)
-    )
+    n, cells, codes = _parse_rows(fh, first, header, numeric, text, width, targets, bound)
     labels = []
     for pos in text:
         out = _mapped(n, cells[pos].dtype)
@@ -450,11 +445,19 @@ def _parse_rows(fh, first, header, numeric, text, width, targets, bound):
 
 
 def load_dataset_csv(path) -> Dataset:
-    """Read and validate a dataset CSV; K is inferred from the header."""
+    """Read and validate a dataset CSV; K is inferred from the header. A
+    CSV that ``simulate`` wrote is stacked from the records in its
+    companion if that holds the SHA-256 of the CSV's bytes."""
+    from .mechanism import SimulationOutput
+
     with _open_csv(path) as fh:
         header, first = _table(path, fh)
         layout = _header_layout(header)
         k = len(layout["a"])
+        bound, digest = _scan(path)
+        stored = _read_companion(path, digest, 4 if layout["group"] is None else 6)
+        if stored is not None:
+            return SimulationOutput.from_record_arrays(k, *stored).dataset
         a_pos = [layout["a"][j + 1] for j in range(k)]
         z_pos = [layout["z"][j + 1] for j in range(k)]
         text = [layout["cluster"]]
@@ -462,7 +465,7 @@ def load_dataset_csv(path) -> Dataset:
             text.append(layout["group"])
         numeric = [layout["y"], *itertools.chain(*zip(a_pos, z_pos)), *layout["x"]]
         (y, a, z, x), labels = _read_rows(
-            path, fh, first, header, [layout["y"], a_pos, z_pos, layout["x"]], numeric, text
+            fh, bound, first, header, [layout["y"], a_pos, z_pos, layout["x"]], numeric, text
         )
     return Dataset(
         y=y, a=a, z=z, x=x, cluster=labels[0],
@@ -514,7 +517,7 @@ def load_population_csv(path):
         if [header[pos] for pos in po_pos] != [f"po_{j}" for j in range(len(po_pos))]:
             raise SchemaError("po_* columns must be po_0..po_K in order")
         text = [pos for pos in range(len(header)) if pos not in po_pos]
-        (po,), cells = _read_rows(path, fh, first, header, [po_pos], po_pos, text)
+        (po,), cells = _read_rows(fh, _scan(path)[0], first, header, [po_pos], po_pos, text)
     merit, prefs = [], []
     for i, row in enumerate(zip(cells[0].tolist(), cells[1].tolist())):
         for parse, cell, column, out in zip((int, _program_ids), row, header, (merit, prefs)):
@@ -535,109 +538,69 @@ def load_population_csv(path):
 
 
 def write_covariates_csv(path, covariates: dict, command: str = "write", seed=None) -> bytes:
-    return write_table(path, command, seed, *_covariates_table(covariates))
-
-
-def _covariates_table(covariates: dict) -> tuple[list[str], list]:
-    """The header and the ``write_table`` columns of a covariates CSV."""
-    return list(covariates), [(col, float_cells) for col in covariates.values()]
+    columns = [(col, float_cells) for col in covariates.values()]
+    return write_table(path, command, seed, list(covariates), columns)
 
 
 def load_covariates_csv(path) -> tuple[np.ndarray, tuple]:
+    """The covariates and their names. A CSV that ``simulate`` wrote is
+    gathered from the distinct applicants' rows in its companion if that
+    holds the SHA-256 of the CSV's bytes."""
     with _open_csv(path) as fh:
         names, first = _table(path, fh)
-        cols = list(range(len(names)))
-        (values,), _ = _read_rows(path, fh, first, names, [cols], cols)
+        bound, digest = _scan(path)
+        stored = _read_companion(path, digest, 2)
+        if stored is None:
+            cols = list(range(len(names)))
+            (values,), _ = _read_rows(fh, bound, first, names, [cols], cols)
+        else:
+            distinct, codes = stored
+            values = _mapped((codes.size, len(names)))
+            np.take(distinct, codes, axis=0, out=values, mode="clip")  # "raise" would buffer
     return values, tuple(names)
 
 
 # ---------------------------------------------------------------------------
-# Companion arrays (``<csv>.arrays``): a CSV's rows, for loads that skip the parser
+# Companions (``<csv>.arrays``): what ``simulate`` wrote a CSV from
 # ---------------------------------------------------------------------------
 
 
 COMPANION_SUFFIX = ".arrays"
 # a companion's first bytes, before the SHA-256 of its CSV's bytes
-_COMPANION_TAG = b"cascadeiv companion arrays 1\n"
+_COMPANION_TAG = b"cascadeiv companion records 2\n"
 
 
-def write_companion(path, table, digest: bytes):
-    """Beside the CSV at ``path``, just written from ``table`` (a Dataset or
-    a dict of covariate columns) with SHA-256 ``digest`` (as its writer
-    returns it), its companion ``<path>.arrays``: what the CSV's loader
-    parses, for loads that skip the parser.
-
-    The companion is a sequence of ``np.save`` arrays: the tag and
-    ``digest`` as one uint8 array, then each column in file order. A float
-    column is uint8 where every entry's bits come back from it (0/1 and
-    small integers), else float64, each NaN as the parser's
-    ``float("nan")``. A text column is its distinct cells as ``text_cells``
-    writes them, then each row's code among them in the narrowest unsigned
-    type. It is written under a temporary name and renamed into place, so a
-    reader finds a whole companion or none, and it holds no time, so reruns
-    give the same bytes. Text cells must hold no line break (the parser
-    reads each line as a row); no table ``simulate`` writes has one.
-    """
-    _, columns = (_dataset_table(table) if isinstance(table, Dataset)
-                  else _covariates_table(table))
-    _save_columns(path, columns, digest)
-
-
-def _save_columns(path, columns, digest: bytes):
-    """``write_companion``'s arrays, of ``columns``: (column, cells) pairs
-    as ``write_table`` takes them, in file order."""
+def _save_companion(path, digest: bytes, arrays: list):
+    """Beside the CSV at ``path``, just written with SHA-256 ``digest`` (as
+    its writer returns it), its companion ``<path>.arrays``: a sequence of
+    ``np.save`` arrays, the tag and ``digest`` as one uint8 array, then
+    ``arrays``. It is written under a temporary name and renamed into
+    place, so a reader finds a whole companion or none, and it holds no
+    time, so reruns give the same bytes."""
     companion = f"{path}{COMPANION_SUFFIX}"
     with open(companion + ".tmp", "wb") as fh:
         np.save(fh, np.frombuffer(_COMPANION_TAG + digest, np.uint8))
-        for col, cells in columns:
-            if cells is float_cells:
-                np.save(fh, _stored_floats(np.asarray(col, dtype=float)))
-                continue
-            distinct, codes = cells(col)
-            np.save(fh, np.array(distinct, dtype=str))
-            np.save(fh, codes.astype(np.min_scalar_type(len(distinct))))
+        for arr in arrays:
+            np.save(fh, arr)
     os.replace(companion + ".tmp", companion)
 
 
-def _stored_floats(col: np.ndarray) -> np.ndarray:
-    """A float column as uint8 if every entry's bits come back from it, else
-    as float64 with each NaN as ``float("nan")``, the NaN the parser reads."""
-    with np.errstate(invalid="ignore"):  # an entry out of range casts to another's bits
-        narrow = col.astype(np.uint8)
-    if (narrow.astype(float).view(np.int64) == col.view(np.int64)).all():
-        return narrow
-    nan = np.isnan(col)
-    return np.where(nan, np.nan, col) if nan.any() else col
-
-
-def _read_companion(path, digest: bytes, width: int, targets: dict, text: list):
-    """The rows of the CSV at ``path`` (``width`` columns) from its
-    companion, if that holds ``digest``, the SHA-256 of the CSV's bytes:
-    each float column copied into its ``targets[pos]`` array, each ``text``
-    column's distinct strings and row codes, as ``_parse_rows`` returns
-    them. None when there is no companion, or it holds another tag or
-    digest, or it is not whole; then the CSV is parsed."""
+def _read_companion(path, digest: bytes, count: int):
+    """The ``count`` arrays after the tag in the companion of the CSV at
+    ``path``, if it holds ``digest``, the SHA-256 of the CSV's bytes. None
+    when there is no companion, or it holds another tag or digest, or
+    another number of arrays, or it is not whole; then the CSV is parsed."""
     load = np.lib.format.read_array  # one array, never a pickle
     try:
         with open(f"{path}{COMPANION_SUFFIX}", "rb") as fh:
             if load(fh).tobytes() != _COMPANION_TAG + digest:
                 return None
-            n, cells, codes = None, {}, {}
-            for pos in range(width):
-                if pos in text:
-                    cells[pos], col = load(fh), load(fh)
-                    codes[pos] = col
-                else:
-                    col = load(fh)
-                    targets[pos][: len(col)] = col
-                if n not in (None, len(col)):
-                    return None
-                n = len(col)
-            if fh.read(1):  # more arrays than columns
+            arrays = [load(fh) for _ in range(count)]
+            if fh.read(1):  # more arrays than asked for
                 return None
     except (OSError, ValueError, EOFError):
         return None
-    return n, cells, codes
+    return arrays
 
 
 # ---------------------------------------------------------------------------
@@ -649,8 +612,8 @@ def write_simulation_csvs(out, run, command: str, seed) -> None:
     """``dataset.csv`` and ``covariates.csv`` in the directory ``out``, each
     followed by its companion, written from the pivotal records of ``run``
     (a ``SimulationOutput``): the bytes of ``write_dataset_csv`` of
-    ``run.dataset`` and ``write_covariates_csv`` of ``run.covariates``, and
-    of their companions, with neither table built.
+    ``run.dataset`` and ``write_covariates_csv`` of ``run.covariates``,
+    with neither table built.
 
     Each distinct outcome of the run is formatted once, and so is each
     record's text that is the same on all its rows (the z cells after its
@@ -658,22 +621,26 @@ def write_simulation_csvs(out, run, command: str, seed) -> None:
     assignment) pair's a and leading z cells; lucks, nearly all distinct,
     are formatted a block at a time. A covariates line is formatted once
     per distinct applicant.
+
+    The companions hold the records (``record_arrays``) and each distinct
+    label's text, and the distinct applicants' covariates (each NaN as the
+    parser's ``float("nan")``), each with every row's code among them. Text
+    cells must hold no line break (the parser reads each line as a row).
     """
-    for name, (header, blocks, columns) in (("dataset.csv", _record_dataset(run)),
-                                            ("covariates.csv", _record_covariates(run))):
+    for name, (header, blocks, arrays) in (("dataset.csv", _record_dataset(run)),
+                                           ("covariates.csv", _record_covariates(run))):
         path = os.path.join(out, name)
-        _save_columns(path, columns, write_csv(path, command, seed, header, blocks))
+        _save_companion(path, write_csv(path, command, seed, header, blocks), arrays)
 
 
 def _record_dataset(run):
-    """The header, the body blocks and the companion columns (made one at a
-    time) of ``run``'s dataset CSV."""
+    """The header, the body blocks and the companion arrays of ``run``'s
+    dataset CSV."""
     k, p = run.n_treatments, run.n_controls
-    names, progs, dummies, lucks, assignments, ys = zip(*run.record_rows())
-    sizes = [len(luck) for luck in lucks]
-    record = np.repeat(np.arange(len(sizes)), sizes)
-    prog = np.array(progs)[record]
-    luck, assignment, y = (np.concatenate(part) for part in (lucks, assignments, ys))
+    table, luck, y, assignment = run.record_arrays()
+    names, dummies = zip(*run.record_layout())
+    progs = table[:, 1]
+    record = np.repeat(np.arange(len(table)), table[:, 2])
     labels = run.group_labels()
 
     def flags(j):
@@ -685,48 +652,33 @@ def _record_dataset(run):
     mids = [f",{flags(s)},{'0.0,' * (prog - 1)}" for prog in range(1, k + 1) for s in range(k + 1)]
     x_cells = [",".join("1.0" if c in (0, dummy) else "0.0" for c in range(p)) for dummy in dummies]
     tails = [f"{',0.0' * (k - prog)},{x},{name}{end}" for prog, x, name in
-             zip(progs, x_cells, _csv_cells(list(names), False))]
-    pieces = [_coded(*float_cells(y)), _coded(mids, (prog - 1) * (k + 1) + assignment),
+             zip(progs.tolist(), x_cells, _csv_cells(list(names), False))]
+    pieces = [_coded(*float_cells(y)), _coded(mids, (progs[record] - 1) * (k + 1) + assignment),
               _block_floats(luck), _coded(tails, record)]
+    arrays = [table, luck, y, assignment]
     if labels is not None:
         distinct, codes = text_cells(labels)
         pieces.append(_coded(_csv_cells(distinct, False), codes))
-    blocks = _row_blocks(pieces, len(y))
-
-    def columns():
-        yield y, float_cells
-        for j in range(1, k + 1):
-            yield (assignment == j).astype(float), float_cells
-        for j in range(1, k + 1):
-            z, on = np.zeros(len(y)), prog == j
-            z[on] = luck[on]
-            yield z, float_cells
-        yield np.ones(len(y)), float_cells  # the constant
-        dummy = np.array([0 if d is None else d for d in dummies])[record]
-        for c in range(1, p):
-            yield (dummy == c).astype(float), float_cells
-        yield np.repeat(np.array(names), sizes), text_cells
-        if labels is not None:
-            yield labels, text_cells
-
-    return _dataset_header(k, p, labels is not None), blocks, columns()
+        arrays += [np.array(distinct, dtype=str), codes.astype(np.min_scalar_type(len(distinct)))]
+    return _dataset_header(k, p, labels is not None), _row_blocks(pieces, len(y)), arrays
 
 
 def _record_covariates(run):
-    """The header, the body blocks and the companion columns (made one at a
-    time) of ``run``'s covariates CSV: each distinct applicant's line is
-    formatted once from ``member_covariates`` and gathered by
-    ``applicants``."""
+    """The header, the body blocks and the companion arrays of ``run``'s
+    covariates CSV: each distinct applicant's line is formatted once from
+    ``member_covariates`` and gathered by ``applicants``."""
     table, rows = run.member_covariates(), run.applicants
     members, codes = np.unique(rows, return_inverse=True)
+    distinct = np.column_stack([col[members] for col in table.values()])
+    distinct[np.isnan(distinct)] = np.nan  # as the parser reads every NaN
     lone = len(table) == 1
     texts = []
-    for col in table.values():
-        distinct, inverse = float_cells(col[members])
-        texts.append(np.array(_csv_cells(distinct, lone), dtype=object)[inverse].tolist())
+    for col in distinct.T:
+        cells, inverse = float_cells(col)
+        texts.append(np.array(_csv_cells(cells, lone), dtype=object)[inverse].tolist())
     lines = [",".join(cells) for cells in zip(*texts)]
-    columns = ((col[rows], float_cells) for col in table.values())
-    return list(table), _row_blocks([_coded(lines, codes)], len(rows)), columns
+    arrays = [distinct, codes.astype(np.min_scalar_type(len(members)))]
+    return list(table), _row_blocks([_coded(lines, codes)], len(rows)), arrays
 
 
 def _coded(texts: list[str], codes: np.ndarray):
@@ -820,7 +772,8 @@ def load_matrix_csv(path) -> np.ndarray:
             raise SchemaError(f"{path}: empty matrix file")
         cols = list(range(len(_fields(found[0][1]))))
         names = [str(j + 1) for j in cols]
-        (values,), _ = _read_rows(path, fh, found[0], names, [cols], cols, width="the first row")
+        (values,), _ = _read_rows(fh, _scan(path)[0], found[0], names, [cols], cols,
+                                  width="the first row")
     return values
 
 

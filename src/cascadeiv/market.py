@@ -6,6 +6,13 @@ transmitted through prices exactly as slot expansions are transmitted
 through cutoffs, so the slot-expansion identity carries over: the 2SLS
 coefficients on allocations, instrumented by prices, equal the per-unit
 supply-expansion effects.
+
+What the variant can show: every consumer shares the one slope B, so a
+supply change moves every bundle by the same dq = B dp, and with linear
+outcomes both the supply-expansion effect T_k and the 2SLS beta_k equal
+the mean k-th outcome coefficient. Acceptance criterion 9 therefore
+passes any estimator that returns that mean: the variant illustrates the
+algebra, and it does not test the identity.
 """
 
 from __future__ import annotations

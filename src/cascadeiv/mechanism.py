@@ -573,67 +573,61 @@ def _replications(
 class SimulationOutput:
     """The pivotal groups of a simulation's replications, one compact record
     each, and the sweep log (``events``, a ``SIMULATION_EVENT_DTYPE`` array,
-    empty unless ``log_events``); ``oracle``, if given, sweeps its draws and
-    measures their slot expansions on the way (``_replications``).
+    empty unless logged); built by ``_simulate`` or, from a companion
+    (``io``), by ``from_record_arrays``.
 
-    A record holds the replication, the program, the members (population
-    rows), their luck and their assignment (as ``np.min_scalar_type(K)``): 17
-    bytes a member, where a stacked row takes about 150 at K = 5. One row
-    writer, ``_write``, stacks ``dataset`` on first read and fills the moment
-    object, with the members' group labels, so ``_moments`` is ``dataset``'s,
-    bit for bit, built without the rows. With the Dataset's sizes it is all
-    that the fits, the group fits and the bootstrap read, so ``run`` stands
-    in for ``run.dataset`` and leaves it unbuilt. ``applicants`` gives each
-    row's population row, and ``covariates`` gathers its rows by it from
-    ``member_covariates``. ``record_rows`` and ``group_labels`` give the
-    rows' parts record by record, for writers that skip ``dataset``.
+    A record is (replication, program, luck, assignment, outcome), the
+    assignment as ``np.min_scalar_type(K)`` and the outcome computed once
+    from ``po``: 17 bytes a member, where a stacked row takes about 150 at
+    K = 5. A row's group label is ``values[rows]`` of ``group``, (values,
+    rows) with ``rows`` concatenated. One row writer, ``_write``, stacks
+    ``dataset`` on first read and fills the moment object, with the group
+    labels, so ``_moments`` is ``dataset``'s, bit for bit, built without
+    the rows: ``run`` stands in for ``run.dataset`` in the fits, the group
+    fits and the bootstrap. A simulation also keeps each record's
+    ``members`` (population rows, 8 bytes a member) for ``applicants`` and
+    ``covariates``.
     """
 
-    def __init__(self, pop: Population, cfg: MechanismConfig, reps: int, master_seed: int,
-                 label: str | None = None, log_events: bool = False,
-                 oracle: _SlotOracles | None = None):
-        if reps < 1:
-            raise DataError("reps must be >= 1")
-        if label is not None and label not in pop.labels:
-            raise DataError(
-                f"label {label!r} is not in the population; its labels are {sorted(pop.labels)}"
-            )
-        k = pop.n_programs
-        asg_type = np.min_scalar_type(k)
-        records = []  # (rep, program, members, luck, assignment) per pivotal group
-        events: list = [np.empty(0, dtype=SIMULATION_EVENT_DTYPE)]
-        caps = _capacities(pop, cfg)
-        for r, res in _replications(pop, caps, reps, master_seed, log_events, oracle):
-            if log_events:
-                moves = np.empty(res.events.size, dtype=SIMULATION_EVENT_DTYPE)
-                for name in CLEARING_EVENT_DTYPE.names:
-                    moves[name] = res.events[name]
-                moves["replication"] = r
-                events.append(moves)
-            for prog, idx in sorted(res.pivotal_groups.items()):
-                records.append((r, prog, idx, res.luck[prog], res.assignment[idx].astype(asg_type)))
-        if not records:
-            raise NoPivotalVariation("no program was oversubscribed in any replication")
+    def __init__(self, k: int, records: list, group=None, members=None, population=None,
+                 events=None):
         progs = np.array([rec[1] for rec in records])
         self._sizes = np.array([rec[2].size for rec in records])
         counts = np.bincount(progs - 1, weights=self._sizes, minlength=k)
-        if not counts.all():
-            missing = [int(j) + 1 for j in np.flatnonzero(counts == 0)]
-            warnings.warn(
-                f"programs {missing} produced no pivotal group in any replication; "
-                "their instrument columns are identically zero",
-                NoPivotalProgramWarning,
-                stacklevel=3,
-            )
         baseline = int(np.argmax(counts))  # the modal margin anchors the dummies
         margins = [j + 1 for j in range(k) if j != baseline and counts[j] > 0]
         self._dummy = {prog: col for col, prog in enumerate(margins, start=1)}  # x column
         self._names = [f"r{r}:p{prog}" for r, prog, *_ in records]
-        self.population, self._label, self._records = pop, label, records
-        self.events = np.concatenate(events)
+        self._records, self._group, self._members = records, group, members
+        self.population = population
+        self.events = np.empty(0, dtype=SIMULATION_EVENT_DTYPE) if events is None else events
         self._bounds = [0, *np.cumsum(self._sizes).tolist()]  # record i: rows bounds[i:i + 2]
         self.n_obs, self.n_clusters = self._bounds[-1], len(records)
         self.n_treatments, self.n_controls = k, 1 + len(self._dummy)
+
+    @classmethod
+    def from_record_arrays(cls, k: int, table, luck, outcome, assignment, labels=None,
+                           codes=None):
+        """The records ``record_arrays`` gave; each row's group label, if
+        any, is its code's entry of ``labels``."""
+        parts = zip(*(np.split(col, np.cumsum(table[:, 2])[:-1])
+                      for col in (luck, assignment, outcome)))
+        records = [(r, prog, *part) for (r, prog, _), part in zip(table.tolist(), parts)]
+        return cls(k, records, None if labels is None else (labels, [codes]))
+
+    def record_arrays(self):
+        """The records as a companion holds them: an (R, 3) int64 table of
+        each record's replication, program and size, then each row's luck,
+        outcome and assignment, record after record."""
+        reps, progs, lucks, assignments, outcomes = zip(*self._records)
+        table = np.column_stack([reps, progs, self._sizes]).astype(np.int64)
+        return table, np.concatenate(lucks), np.concatenate(outcomes), np.concatenate(assignments)
+
+    def record_layout(self):
+        """Each record's cluster name and the x column of its program's
+        margin dummy (None at the baseline margin)."""
+        return [(name, self._dummy.get(prog)) for name, (_, prog, *_) in
+                zip(self._names, self._records)]
 
     def _write(self, rows, out):
         """Rows ``rows`` (a slice or an ascending index array) of W = [x, z,
@@ -652,9 +646,9 @@ class SimulationOutput:
             parts = [(i, rows[c0:c1] - bounds[i], out[c0:c1])
                      for i, c0, c1 in zip(range(first - 1, last), cuts, cuts[1:])]
         for i, mine, w in parts:
-            _, prog, idx, luck, assignment = self._records[i]
+            _, prog, luck, assignment, outcome = self._records[i]
             assignment = assignment[mine]
-            w[:, -1] = _outcomes(self.population.po[idx[mine]], assignment)
+            w[:, -1] = outcome[mine]
             held = np.flatnonzero(assignment)
             w[:, p + k : -1][held, assignment[held] - 1] = 1.0
             w[:, p + prog - 1] = luck[mine]
@@ -662,26 +656,17 @@ class SimulationOutput:
             if prog in self._dummy:
                 w[:, self._dummy[prog]] = 1.0
 
-    def record_rows(self):
-        """Each record's parts as its stacked rows hold them: the cluster
-        name, the program, the x column of the program's margin dummy (None
-        at the baseline margin), and the members' luck, assignment and
-        outcome (``_write``'s y)."""
-        po = self.population.po
-        for (_, prog, idx, luck, assignment), name in zip(self._records, self._names):
-            yield name, prog, self._dummy.get(prog), luck, assignment, _outcomes(po[idx], assignment)
-
     def group_labels(self) -> np.ndarray | None:
-        """Each row's group label, gathered record by record; None without a label."""
-        if self._label is None:
+        """Each row's group label; None without a label."""
+        if self._group is None:
             return None
-        labels = np.asarray(self.population.labels[self._label])
-        return np.concatenate([labels[idx] for _, _, idx, *_ in self._records])
+        values, rows = self._group
+        return np.concatenate([values[r] for r in rows])
 
     @functools.cached_property
     def applicants(self) -> np.ndarray:
-        """The population row of each stacked row."""
-        return np.concatenate([idx for _, _, idx, *_ in self._records], dtype=np.int64)
+        """The population row of each stacked row (a simulation's)."""
+        return np.concatenate(self._members, dtype=np.int64)
 
     @functools.cached_property
     def dataset(self) -> Dataset:
@@ -723,6 +708,48 @@ class SimulationOutput:
                         self.group_labels())
 
 
+def _simulate(pop: Population, cfg: MechanismConfig, reps: int, master_seed: int,
+              label: str | None = None, log_events: bool = False,
+              oracle: _SlotOracles | None = None) -> SimulationOutput:
+    """The pivotal records of the first ``reps`` replications, and their
+    sweep logs with ``log_events``; ``oracle``, if given, sweeps its draws
+    and measures their slot expansions on the way (``_replications``)."""
+    if reps < 1:
+        raise DataError("reps must be >= 1")
+    if label is not None and label not in pop.labels:
+        raise DataError(
+            f"label {label!r} is not in the population; its labels are {sorted(pop.labels)}"
+        )
+    k = pop.n_programs
+    asg_type = np.min_scalar_type(k)
+    records, members = [], []  # (rep, program, luck, assignment, outcome) per pivotal group
+    events: list = [np.empty(0, dtype=SIMULATION_EVENT_DTYPE)]
+    caps = _capacities(pop, cfg)
+    for r, res in _replications(pop, caps, reps, master_seed, log_events, oracle):
+        if log_events:
+            moves = np.empty(res.events.size, dtype=SIMULATION_EVENT_DTYPE)
+            for name in CLEARING_EVENT_DTYPE.names:
+                moves[name] = res.events[name]
+            moves["replication"] = r
+            events.append(moves)
+        for prog, idx in sorted(res.pivotal_groups.items()):
+            assignment = res.assignment[idx].astype(asg_type)
+            records.append((r, prog, res.luck[prog], assignment, _outcomes(pop.po[idx], assignment)))
+            members.append(idx)
+    if not records:
+        raise NoPivotalVariation("no program was oversubscribed in any replication")
+    missing = sorted(set(range(1, k + 1)) - {prog for _, prog, *_ in records})
+    if missing:
+        warnings.warn(
+            f"programs {missing} produced no pivotal group in any replication; "
+            "their instrument columns are identically zero",
+            NoPivotalProgramWarning,
+            stacklevel=3,
+        )
+    group = None if label is None else (np.asarray(pop.labels[label]), members)
+    return SimulationOutput(k, records, group, members, pop, np.concatenate(events))
+
+
 def simulate_run(
     pop: Population,
     cfg: MechanismConfig,
@@ -747,7 +774,7 @@ def simulate_run(
     one compact record, and the rows are stacked when first read
     (``SimulationOutput``).
     """
-    return SimulationOutput(pop, cfg, reps, master_seed, label, log_events)
+    return _simulate(pop, cfg, reps, master_seed, label, log_events)
 
 
 # ---------------------------------------------------------------------------
@@ -896,7 +923,7 @@ def simulate_and_oracles(
     holds the stacked rows.
     """
     oracle = _SlotOracles(pop, cfg, programs, oracle_reps)
-    return SimulationOutput(pop, cfg, reps, master_seed, oracle=oracle), oracle.results()
+    return _simulate(pop, cfg, reps, master_seed, oracle=oracle), oracle.results()
 
 
 # ---------------------------------------------------------------------------

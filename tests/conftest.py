@@ -1,6 +1,8 @@
 import contextlib
+import dataclasses
 import functools
 import inspect
+import warnings
 from dataclasses import dataclass, replace
 from unittest import mock
 
@@ -8,10 +10,18 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from cascadeiv import Dataset
-from cascadeiv import mechanism
+from cascadeiv import (
+    Dataset,
+    cluster_bootstrap,
+    cluster_robust_se,
+    conditional_entrant_by_group,
+    estimate_all,
+    group_outcome_decomposition,
+    mechanism,
+)
 from cascadeiv.data import _Moments
-from cascadeiv.errors import RankDeficientControls, SingularInstrumentGram
+from cascadeiv.errors import CascadeIVError, RankDeficientControls, SingularInstrumentGram
+from cascadeiv.estimator import first_stage_f
 
 
 def default_pi(k):
@@ -193,3 +203,52 @@ def reference_fit(data):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+def same_bits(got, want):
+    """Equal float arrays, bit for bit: signed zeros differ."""
+    return got.dtype == want.dtype and np.array_equal(
+        np.ascontiguousarray(got).view(np.int64), np.ascontiguousarray(want).view(np.int64)
+    )
+
+
+MOMENT_FITS = {
+    "estimate_all": estimate_all,
+    **{f"se_{which}": functools.partial(cluster_robust_se, which=which)
+       for which in ("beta", "rf", "wald", "delta")},
+    "first_stage_f": first_stage_f,
+    **{f"bootstrap_{name}": functools.partial(cluster_bootstrap, statistic=name, reps=4, seed=3)
+       for name in ("beta", "wald", "cascade_delta", "first_stage", "conditional_entrant")},
+    "group_outcome_decomposition": group_outcome_decomposition,
+    "conditional_entrant_by_group": conditional_entrant_by_group,
+}
+
+
+def moment_fits(data) -> dict:
+    """Each of ``MOMENT_FITS`` on ``data``, or the class and message of the
+    package error it raises."""
+    out = {}
+    for name, fit in MOMENT_FITS.items():
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            try:
+                out[name] = fit(data)
+            except CascadeIVError as exc:
+                out[name] = (type(exc), str(exc))
+    return out
+
+
+def assert_same_result(got, want):
+    """Equal results, every float array bit for bit."""
+    if dataclasses.is_dataclass(want):
+        assert type(got) is type(want)
+        for f in dataclasses.fields(want):
+            assert_same_result(getattr(got, f.name), getattr(want, f.name))
+    elif isinstance(want, dict):
+        assert list(got) == list(want)
+        for key in want:
+            assert_same_result(got[key], want[key])
+    elif isinstance(want, np.ndarray) and want.dtype.kind == "f":
+        assert same_bits(got, want)
+    else:
+        assert np.array_equal(got, want) if isinstance(want, np.ndarray) else got == want

@@ -378,16 +378,40 @@ def test_auto_capacities_come_from_the_three_program_scenario():
     ('{"A": 3}', "block 'A' must be a list of integer program ids"),
     ('{"A": [1.5], "B": [2]}', "block 'A' must be a list of integer program ids"),
     ("[1, 2]", "--blocks must be a JSON object"),
+    # programs are named by the 1-based ids the spec uses
+    ('{"A": [0, 7]}', "block 'A' references program 0; valid programs are 1..3"),
+    ('{"A": [1, 2, 3, 4]}', "block 'A' references program 4; valid programs are 1..3"),
+    ('{"A": [1, 2], "B": [2, 3]}', "program 2 appears in more than one block"),
+    ('{"A": [2], "B": [3]}', "blocks must partition the programs; missing [1]"),
 ])
 def test_estimate_bad_blocks_is_a_data_error(tmp_path, capsys, spec, message):
-    d = bernoulli_iv_data(35, n=300, k=2)
+    d = bernoulli_iv_data(35, n=300, k=3)
     write_dataset_csv(tmp_path / "d.csv", d, "test", 0)
+    capsys.readouterr()
     code = run(["estimate", "--data", tmp_path / "d.csv", "--blocks", spec,
                 "--out", tmp_path / "out"])
     assert code == 3
-    err = _last_error(capsys)
+    captured = capsys.readouterr()
+    assert captured.out == ""  # the spec is checked before anything is printed
+    err = json.loads(captured.err.strip().splitlines()[-1])["error"]
     assert err["code"] == "DataError"
     assert err["message"].startswith(message)
+    assert not (tmp_path / "out").exists()
+
+
+def test_estimate_failing_group_fit_writes_nothing(tmp_path, config_path, capsys):
+    # a float label has a level for nearly every row, so the group fits
+    # fail after the pooled fit has passed
+    sim = tmp_path / "sim"
+    assert run(["simulate", "--config", config_path, "--seed", 3, "--reps", 4,
+                "--group-col", "attr", "--out", sim]) == 0
+    capsys.readouterr()
+    assert run(["estimate", "--data", sim / "dataset.csv", "--out", tmp_path / "out"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    code = json.loads(captured.err)["error"]["code"]  # which one depends on the draws
+    assert issubclass(getattr(cascadeiv.errors, code), cascadeiv.errors.NumericalError)
+    assert not (tmp_path / "out").exists()
 
 
 def test_estimate_long_inline_blocks_spec(tmp_path):

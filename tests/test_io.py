@@ -44,10 +44,16 @@ from cascadeiv.io import (
     write_events_jsonl,
     write_population_csv,
 )
-from cascadeiv.mechanism import SIMULATION_EVENT_DTYPE, MechanismConfig, Population, simulate_run
+from cascadeiv.mechanism import (
+    SIMULATION_EVENT_DTYPE,
+    MechanismConfig,
+    Population,
+    SimulationOutput,
+    simulate_run,
+)
 from cascadeiv.synth import SynthConfig, generate_population
 
-from conftest import bernoulli_iv_data
+from conftest import assert_same_result, bernoulli_iv_data, moment_fits
 
 
 # ---------------------------------------------------------------------------
@@ -919,106 +925,66 @@ def assert_same_arrays(got, want):
         assert np.ascontiguousarray(g).tobytes() == np.ascontiguousarray(w).tobytes()
 
 
-def load_with_and_without_companion(path, table, digest, load):
-    """``load(path)`` from the companion written from ``table`` with the
-    ``digest`` its writer returned, then parsed once the companion is
-    deleted."""
-    assert digest == iomod._scan(path)[1]  # the SHA-256 of the bytes written
-    iomod.write_companion(path, table, digest)
-    with mock.patch.object(iomod, "_parse_rows", side_effect=AssertionError("parsed")):
-        stored = load(path)
-    Path(f"{path}{iomod.COMPANION_SUFFIX}").unlink()
-    return stored, load(path)
-
-
-LABELS = st.sampled_from(AWKWARD_IDS) | st.text(ID_CHARS, min_size=1, max_size=6)
-# uint8 entries beside entries whose bits a uint8 would not keep
-STORED_FLOATS = st.sampled_from([0.0, -0.0, 1.0, 2.0, 255.0, 256.0, 0.5, -1.0]) | FINITE
-
-
-@st.composite
-def companion_datasets(draw):
-    n = draw(st.integers(1, 12))
-    k = draw(st.integers(1, 3))
-
-    def floats(*shape):
-        return np.array(draw(st.lists(STORED_FLOATS, min_size=n * k, max_size=n * k)))[
-            : int(np.prod(shape))].reshape(shape)
-
-    x = np.column_stack([np.ones(n), floats(n)])
-    x[0, 1] = 0.0  # so the constant column stays the only nonzero constant one
-    a = np.array(draw(st.lists(st.sampled_from([0.0, 1.0]), min_size=n * k, max_size=n * k)))
-    group = draw(st.none() | st.lists(LABELS | st.just(""), min_size=n, max_size=n))
-    return Dataset(
-        y=floats(n), a=a.reshape(n, k), z=floats(n, k), x=x,
-        cluster=np.array(draw(st.lists(LABELS, min_size=n, max_size=n)), dtype=object),
-        group_label=None if group is None else np.array(group, dtype=object),
-    )
-
-
-@settings(max_examples=150, deadline=None)
-@given(companion_datasets())
-def test_dataset_companion_loads_as_the_parser_does(d):
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "dataset.csv"
-        digest = write_dataset_csv(path, d, "simulate", 1)
-        stored, parsed = load_with_and_without_companion(path, d, digest, load_dataset_csv)
-        assert_same_arrays(dataset_arrays(stored), dataset_arrays(parsed))
-
-
-@settings(max_examples=100, deadline=None)
-@given(
-    st.lists(st.text(ID_CHARS, max_size=5), min_size=1, max_size=4, unique=True),
-    st.integers(1, 10),
-    st.data(),
-)
-def test_covariates_companion_loads_as_the_parser_does(names, n, data):
-    assume(all(name.strip() == name for name in names))  # the loader strips names
-    assume(not names[0].startswith("#") and any(names))  # else not a header line
-    entries = STORED_FLOATS | st.floats()  # NaNs of any sign and payload, infinities
-    cov = {name: data.draw(st.lists(entries, min_size=n, max_size=n)) for name in names}
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "covariates.csv"
-        digest = write_covariates_csv(path, cov, "simulate", 1)
-        (mat, got), (ref, want) = load_with_and_without_companion(path, cov, digest,
-                                                                  load_covariates_csv)
-        assert got == want
-        assert_same_arrays([mat], [ref])
-
-
 def _change_a_digit(text: str, start: int) -> str:
     """``text`` with its first digit from ``start`` on replaced by another."""
     at = next(i for i in range(start, len(text)) if text[i].isdigit())
     return text[:at] + str((int(text[at]) + 1) % 10) + text[at + 1 :]
 
 
+@pytest.fixture(scope="module")
+def simulated_files(tmp_path_factory):
+    """A real ``simulate`` run's directory, with a group label."""
+    from cascadeiv.cli import main
+
+    out = tmp_path_factory.mktemp("sim")
+    config = {"synth": {"n": 2000, "k": 3, "seed": 2, "label_share": 0.5},
+              "capacities": [150, 150, 150], "label": "group"}
+    (out / "config.json").write_text(json.dumps(config))
+    assert main(["simulate", "--config", str(out / "config.json"), "--seed", "4",
+                 "--reps", "3", "--out", str(out)]) == 0
+    return out
+
+
+COMPANION_LOADS = {"dataset.csv": lambda p: dataset_arrays(load_dataset_csv(p)),
+                   "covariates.csv": lambda p: [load_covariates_csv(p)[0]]}
+
+
 @pytest.mark.parametrize("damage", [
     "missing", "another_tag", "cut_in_half", "cut_by_one_byte", "cut_after_the_digest",
     "stale_provenance", "stale_cell",
 ])
-def test_a_companion_that_does_not_match_is_ignored(tmp_path, damage):
-    d = awkward_dataset(40)
-    path = tmp_path / "dataset.csv"
-    iomod.write_companion(path, d, write_dataset_csv(path, d, "simulate", 1))
-    companion = Path(f"{path}{iomod.COMPANION_SUFFIX}")
-    raw, text = companion.read_bytes(), path.read_text(encoding="utf-8")
-    tag = iomod._COMPANION_TAG
-    if damage == "missing":
-        companion.unlink()
-    elif damage == "another_tag":
-        companion.write_bytes(raw.replace(tag, tag.replace(b"1", b"2"), 1))
-    elif damage.startswith("cut"):
-        head = raw.index(tag) + len(tag) + 32  # the tag and the digest
-        cut = {"cut_in_half": len(raw) // 2, "cut_by_one_byte": len(raw) - 1}.get(damage, head)
-        companion.write_bytes(raw[:cut])
-    else:  # one byte of the CSV changed: of its provenance line, or of a cell
-        start = 0 if damage == "stale_provenance" else text.index("\n", text.index("\n") + 1)
-        path.write_text(_change_a_digit(text, start), encoding="utf-8")
-    with mock.patch.object(iomod, "_parse_rows", wraps=iomod._parse_rows) as parse:
-        loaded = load_dataset_csv(path)
-    assert parse.called
-    companion.unlink(missing_ok=True)
-    assert_same_arrays(dataset_arrays(loaded), dataset_arrays(load_dataset_csv(path)))
+def test_a_companion_that_does_not_match_is_ignored(tmp_path, simulated_files, damage):
+    for name, load in COMPANION_LOADS.items():
+        path = tmp_path / name
+        path.write_bytes((simulated_files / name).read_bytes())
+        companion = Path(f"{path}{iomod.COMPANION_SUFFIX}")
+        raw = Path(f"{simulated_files / name}{iomod.COMPANION_SUFFIX}").read_bytes()
+        companion.write_bytes(raw)
+        with mock.patch.object(iomod, "_parse_rows", side_effect=AssertionError("parsed")):
+            whole = load(path)  # the undamaged companion is read
+        text, tag = path.read_text(encoding="utf-8"), iomod._COMPANION_TAG
+        if damage == "missing":
+            companion.unlink()
+        elif damage == "another_tag":  # the tag of the per-column companions, the digest kept
+            rest, head = io.BytesIO(raw), io.BytesIO()
+            np.lib.format.read_array(rest)
+            np.save(head, np.frombuffer(b"cascadeiv companion arrays 1\n" + iomod._scan(path)[1],
+                                        np.uint8))
+            companion.write_bytes(head.getvalue() + rest.read())
+        elif damage.startswith("cut"):
+            head = raw.index(tag) + len(tag) + 32  # the tag and the digest
+            cut = {"cut_in_half": len(raw) // 2, "cut_by_one_byte": len(raw) - 1}.get(damage, head)
+            companion.write_bytes(raw[:cut])
+        else:  # one byte of the CSV changed: of its provenance line, or of a cell
+            start = 0 if damage == "stale_provenance" else text.index("\n", text.index("\n") + 1)
+            path.write_text(_change_a_digit(text, start), encoding="utf-8")
+        with mock.patch.object(iomod, "_parse_rows", wraps=iomod._parse_rows) as parse:
+            loaded = load(path)
+        assert parse.called, name
+        companion.unlink(missing_ok=True)
+        assert_same_arrays(loaded, load(path))
+        if not damage.startswith("stale"):
+            assert_same_arrays(loaded, whole)
 
 
 def test_a_byte_order_mark_is_skipped(tmp_path):
@@ -1063,7 +1029,9 @@ def test_tables_are_written_as_utf8_whatever_the_locale(tmp_path):
 def labelled_markets(draw):
     """n <= 12, K from 1 to 4, two merit brackets, nonempty lists and at
     most n/2 seats a program, so most draws have a pivotal group; a
-    ``group`` label, one of whose levels holds a comma and a quote."""
+    ``group`` label, one of whose levels holds a comma and a quote, and a
+    float ``attr`` label that may hold -0.0, NaNs of both signs and
+    infinities."""
     k = draw(st.integers(1, 4))
     n = draw(st.integers(2, 12))
     merits = draw(st.lists(st.integers(1, 2), min_size=n, max_size=n))
@@ -1074,7 +1042,11 @@ def labelled_markets(draw):
     po = np.random.default_rng(seed).standard_normal((n, k + 1))
     po[0, 0] = -0.0  # an outcome whose sign the stacked rows drop
     levels = ['say "a,b"', "plain", "ünï"]
-    labels = {"attr": np.random.default_rng(seed + 1).standard_normal(n),
+    attr = np.random.default_rng(seed + 1).standard_normal(n)
+    specials = [-0.0, np.nan, np.copysign(np.nan, -1.0), np.inf, -np.inf]
+    for i in draw(st.lists(st.integers(0, n - 1), max_size=n, unique=True)):
+        attr[i] = draw(st.sampled_from(specials))
+    labels = {"attr": attr,
               "group": np.array(draw(st.lists(st.sampled_from(levels), min_size=n,
                                               max_size=n)))}
     pop = Population(merit=np.asarray(merits, dtype=np.int64), prefs=prefs, po=po,
@@ -1082,31 +1054,33 @@ def labelled_markets(draw):
     return pop, MechanismConfig(capacities=caps, lottery_seed=seed)
 
 
-def cut_to_one_row(run):
-    """``run`` with each record cut to its first member: a pivotal group has
-    two members or more, so only a cut run has one-row records."""
-    run._records = [(r, prog, idx[:1], luck[:1], asg[:1])
-                    for r, prog, idx, luck, asg in run._records]
-    run._sizes = np.ones(run.n_clusters, dtype=int)
-    run._bounds = list(range(run.n_clusters + 1))
-    run.n_obs = run.n_clusters
-    return run
-
-
-@settings(max_examples=150, deadline=None)
-@given(labelled_markets(), st.integers(1, 3), st.sampled_from([None, "group"]),
-       st.sampled_from([1, 3, WRITE_BLOCK_ROWS]), st.booleans())
-def test_records_write_the_bytes_of_the_stacked_tables(market, reps, label, block, one_row):
+def simulated_market(market, reps, label, one_row):
+    """The run of ``reps`` draws of ``market``, each record cut to its first
+    member if ``one_row`` (a pivotal group has two members or more, so only
+    a cut run has one-row records); None if no draw has a pivotal group."""
     pop, cfg = market
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", NoPivotalProgramWarning)
         try:
             run = simulate_run(pop, cfg, reps, cfg.lottery_seed, label=label)
         except NoPivotalVariation:
-            return
-    if one_row:
-        run = cut_to_one_row(run)
-    event(f"K = {run.n_treatments}, {'with' if label else 'without'} a label")
+            return None
+    if not one_row:
+        return run
+    records = [(r, prog, luck[:1], asg[:1], y[:1]) for r, prog, luck, asg, y in run._records]
+    members = [idx[:1] for idx in run._members]
+    group = None if label is None else (run._group[0], members)
+    return SimulationOutput(run.n_treatments, records, group, members, pop)
+
+
+@settings(max_examples=150, deadline=None)
+@given(labelled_markets(), st.integers(1, 3), st.sampled_from([None, "group", "attr"]),
+       st.sampled_from([1, 3, WRITE_BLOCK_ROWS]), st.booleans())
+def test_records_write_the_bytes_of_the_stacked_tables(market, reps, label, block, one_row):
+    run = simulated_market(market, reps, label, one_row)
+    if run is None:
+        return
+    event(f"K = {run.n_treatments}, label {label}")
     with tempfile.TemporaryDirectory() as tmp, \
             mock.patch.object(iomod, "WRITE_BLOCK_ROWS", block):  # blocks that cut records
         got, want = Path(tmp) / "got", Path(tmp) / "want"
@@ -1124,12 +1098,54 @@ def test_records_write_the_bytes_of_the_stacked_tables(market, reps, label, bloc
         assert len(digests) == 2
         for path, digest in digests.items():
             assert digest == iomod._scan(path)[1]
-        for name, table, write in (("dataset.csv", run.dataset, write_dataset_csv),
-                                   ("covariates.csv", run.covariates, write_covariates_csv)):
-            iomod.write_companion(want / name, table, write(want / name, table, "simulate", 5))
+        write_dataset_csv(want / "dataset.csv", run.dataset, "simulate", 5)
+        write_covariates_csv(want / "covariates.csv", run.covariates, "simulate", 5)
         for name in ("dataset.csv", "covariates.csv"):
-            for file in (name, name + iomod.COMPANION_SUFFIX):
-                assert (got / file).read_bytes() == (want / file).read_bytes(), file
+            assert (got / name).read_bytes() == (want / name).read_bytes(), name
+
+
+def companion_and_parse(run, name, load):
+    """``load`` of the ``name`` that ``write_simulation_csvs`` writes for
+    ``run``, from its companion (the parser is not called), then parsed
+    once the companion is deleted."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / name
+        iomod.write_simulation_csvs(tmp, run, "simulate", 5)
+        with mock.patch.object(iomod, "_parse_rows", side_effect=AssertionError("parsed")):
+            stored = load(path)
+        Path(f"{path}{iomod.COMPANION_SUFFIX}").unlink()
+        return stored, load(path)
+
+
+@settings(max_examples=150, deadline=None)
+@given(labelled_markets(), st.integers(1, 3), st.sampled_from([None, "group", "attr"]),
+       st.booleans())
+def test_dataset_companion_loads_as_the_parser_does(market, reps, label, one_row):
+    run = simulated_market(market, reps, label, one_row)
+    if run is None:
+        return
+    event(f"K = {run.n_treatments}, label {label}")
+    data, parsed = companion_and_parse(run, "dataset.csv", load_dataset_csv)
+    assert_same_arrays(dataset_arrays(data), dataset_arrays(parsed))
+    # a float label's levels are its text once written, and the moments
+    # are summed per (cluster, level) cell, so its fits differ in the last bits
+    if label != "attr":
+        assert_same_result(moment_fits(data), moment_fits(run))
+
+
+@settings(max_examples=100, deadline=None)
+@given(labelled_markets(), st.integers(1, 3), st.sampled_from([None, "group", "attr"]),
+       st.booleans())
+def test_covariates_companion_loads_as_the_parser_does(market, reps, label, one_row):
+    # the ``attr`` label, a covariate whatever the grouping label, may hold
+    # -0.0, NaNs of both signs and infinities
+    run = simulated_market(market, reps, label, one_row)
+    if run is None:
+        return
+    event(f"K = {run.n_treatments}, label {label}")
+    (mat, names), (ref, want) = companion_and_parse(run, "covariates.csv", load_covariates_csv)
+    assert names == want
+    assert_same_arrays([mat], [ref])
 
 
 def test_simulation_tables_hold_no_stacked_rows():

@@ -1,5 +1,4 @@
 import dataclasses
-import functools
 import itertools
 import warnings
 from dataclasses import replace
@@ -16,7 +15,6 @@ from cascadeiv import (
     SynthConfig,
     balance_check,
     cluster_bootstrap,
-    cluster_robust_se,
     conditional_entrant_by_group,
     estimate_all,
     generate_population,
@@ -52,10 +50,16 @@ from cascadeiv.mechanism import (
     pooled_luck,
     realized_outcomes,
 )
-from cascadeiv.estimator import first_stage_f
 from cascadeiv.seeds import derive_seed
 
-from conftest import assert_same_sweep, counting_moment_builds, counting_sweeps
+from conftest import (
+    assert_same_result,
+    assert_same_sweep,
+    counting_moment_builds,
+    counting_sweeps,
+    moment_fits,
+    same_bits,
+)
 
 
 def small_pop(merits, prefs, gains=None, k=None):
@@ -1243,13 +1247,6 @@ def reference_outcomes(po, admitted):
     return po[:, 0] + (gains * admitted).sum(axis=1)
 
 
-def same_bits(got, want):
-    """Equal float arrays, bit for bit: signed zeros differ."""
-    return got.dtype == want.dtype and np.array_equal(
-        np.ascontiguousarray(got).view(np.int64), np.ascontiguousarray(want).view(np.int64)
-    )
-
-
 @settings(max_examples=200, deadline=None)
 @given(tiny_markets(), st.integers(0, 2), st.integers(-3, 3))
 def test_slot_priorities_match_the_priority_matrix_gather(market, extra, shift):
@@ -1391,48 +1388,6 @@ def test_fitting_a_simulation_leaves_its_rows_unstacked():
     assert run._moments.levels.tolist() == [0, 1]
     assert_same_estimates(est, estimate_all(run.dataset))
     assert (est.n_obs, est.n_clusters) == (run.n_obs, run.n_clusters)
-
-
-MOMENT_FITS = {
-    "estimate_all": estimate_all,
-    **{f"se_{which}": functools.partial(cluster_robust_se, which=which)
-       for which in ("beta", "rf", "wald", "delta")},
-    "first_stage_f": first_stage_f,
-    **{f"bootstrap_{name}": functools.partial(cluster_bootstrap, statistic=name, reps=4, seed=3)
-       for name in ("beta", "wald", "cascade_delta", "first_stage", "conditional_entrant")},
-    "group_outcome_decomposition": group_outcome_decomposition,
-    "conditional_entrant_by_group": conditional_entrant_by_group,
-}
-
-
-def moment_fits(data) -> dict:
-    """Each of ``MOMENT_FITS`` on ``data``, or the class and message of the
-    package error it raises."""
-    out = {}
-    for name, fit in MOMENT_FITS.items():
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            try:
-                out[name] = fit(data)
-            except CascadeIVError as exc:
-                out[name] = (type(exc), str(exc))
-    return out
-
-
-def assert_same_result(got, want):
-    """Equal results, every float array bit for bit."""
-    if dataclasses.is_dataclass(want):
-        assert type(got) is type(want)
-        for f in dataclasses.fields(want):
-            assert_same_result(getattr(got, f.name), getattr(want, f.name))
-    elif isinstance(want, dict):
-        assert list(got) == list(want)
-        for key in want:
-            assert_same_result(got[key], want[key])
-    elif isinstance(want, np.ndarray) and want.dtype.kind == "f":
-        assert same_bits(got, want)
-    else:
-        assert np.array_equal(got, want) if isinstance(want, np.ndarray) else got == want
 
 
 def assert_records_fit_with_their_label(run, label):
