@@ -118,15 +118,16 @@ def _forked(write, *args):
 
 
 def cmd_estimate(args) -> int:
-    data = iomod.load_dataset_csv(args.data)
-    if args.group_col and data.group_label is None:
+    data = iomod.load_dataset_records(args.data)  # a simulation's records are never stacked
+    labelled = data._moments.levels is not None
+    if args.group_col and not labelled:
         raise DataError(f"--group-col {args.group_col}: {args.data} has no "
                         f"{args.group_col!r} column")
     # every fit runs before any file is written, so a failing one leaves none
     est = estimate_all(data)
     if args.blocks:
         weighted = block_weights(est.first_stage, _parse_blocks(args.blocks, data.n_treatments))
-    if data.group_label is not None:
+    if labelled:
         parts = group_outcome_decomposition(data)
         entrant = conditional_entrant_by_group(data, beta_full=est.beta)
     out = _out_dir(args)
@@ -146,7 +147,7 @@ def cmd_estimate(args) -> int:
              (np.concatenate([weighted.weights[n] for n in weighted.blocks]), FLOAT),
              ([implied[name] for name, _ in members], FLOAT)],
         )
-    if data.group_label is not None:
+    if labelled:
         k = data.n_treatments
         iomod.write_table(
             out / "groups.csv", "estimate", None,
@@ -161,7 +162,7 @@ def cmd_estimate(args) -> int:
 
 def cmd_cascade(args) -> int:
     if args.data:
-        data = iomod.load_dataset_csv(args.data)
+        data = iomod.load_dataset_records(args.data)
         fs, rf = fit_first_stage(data), fit_reduced_form(data)
     elif args.pi and args.rf:
         fs = FirstStage(iomod.load_matrix_csv(args.pi))
@@ -225,7 +226,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_bootstrap(args) -> int:
-    data = iomod.load_dataset_csv(args.data)
+    data = iomod.load_dataset_records(args.data)
     res = cluster_bootstrap(data, args.statistic, reps=args.bootstrap_reps, seed=args.seed)
     out = _out_dir(args)
     if args.statistic in ("beta", "wald", "cascade_delta"):
@@ -248,9 +249,9 @@ def cmd_bootstrap(args) -> int:
 
 
 def cmd_balance(args) -> int:
-    data = iomod.load_dataset_csv(args.data)
-    cov, names = iomod.load_covariates_csv(args.covariates)
-    res = balance_check(data, cov, names)
+    data = iomod.load_dataset_records(args.data)
+    cov, codes, names = iomod.load_covariates_records(args.covariates)
+    res = balance_check(data, cov, names, codes)
     out = _out_dir(args)
     # the joint test's row: F under coef, p under t, no standard error
     iomod.write_table(

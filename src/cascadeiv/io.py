@@ -26,13 +26,19 @@ Every table is read by ``_read_rows``: the file's lines stream past, and
 each block of ``READ_BLOCK_ROWS`` data lines goes through one pass of
 numpy's C text reader, its columns copied into arrays allocated once for
 the whole file. So a loader holds the parsed columns and one block of
-lines, never the file's lines. One pass over the file's bytes first counts
-its lines and takes its SHA-256; if the dataset's or the covariates'
-companion holds that digest, the loader builds its arrays from the
-companion instead (the dataset by the records' one row writer,
-``SimulationOutput._write``) and the text is not parsed. Each way gives
-the same bytes and values as formatting and parsing row by row with the
-``csv`` module.
+lines, never the file's lines. A pass over the file's bytes first counts
+its lines, to allocate those arrays.
+
+A dataset or covariates CSV is first hashed instead: if its companion
+holds the SHA-256 of its bytes, its lines are neither counted nor parsed.
+``load_dataset_records`` then gives the pivotal records in the companion
+(a ``SimulationOutput``), which the fits read without stacking them, and
+``load_covariates_records`` the distinct applicants' rows and each row's
+code among them, which ``balance_check`` reads without gathering them.
+``load_dataset_csv`` and ``load_covariates_csv`` stack the same rows, the
+dataset by the records' one row writer (``SimulationOutput._write``).
+Each way gives the same bytes and values as formatting and parsing row by
+row with the ``csv`` module.
 """
 
 from __future__ import annotations
@@ -256,16 +262,29 @@ def _table(path, fh):
     return [h.strip() for h in _fields(found[0][1])], found[1]
 
 
-def _scan(path) -> tuple[int, bytes]:
-    """One pass over the file's bytes: more than its lines (one more than
-    its line breaks), and the SHA-256 of the bytes."""
-    bound, digest = 1, hashlib.sha256()
+def _chunks(path):
+    """The file's bytes, 1 MiB at a time."""
     with open(path, "rb") as fh:
         while chunk := fh.read(1 << 20):
-            octets = np.frombuffer(chunk, np.uint8)
-            bound += np.count_nonzero(octets == 10) + np.count_nonzero(octets == 13)
-            digest.update(chunk)
-    return int(bound), digest.digest()
+            yield chunk
+
+
+def _line_bound(path) -> int:
+    """More than the file's lines: one more than its line breaks. A parser
+    allocates its arrays for this many rows."""
+    bound = 1
+    for chunk in _chunks(path):
+        octets = np.frombuffer(chunk, np.uint8)
+        bound += np.count_nonzero(octets == 10) + np.count_nonzero(octets == 13)
+    return int(bound)
+
+
+def _digest(path) -> bytes:
+    """The SHA-256 of the file's bytes, which a companion must hold."""
+    digest = hashlib.sha256()
+    for chunk in _chunks(path):
+        digest.update(chunk)
+    return digest.digest()
 
 
 @contextlib.contextmanager
@@ -390,7 +409,7 @@ def _parse_block(lines, start, header, numeric, text, codes, width):
 
 def _read_rows(fh, bound, first, header, columns, numeric, text=(), width="header"):
     """The data rows of an open CSV file of fewer than ``bound`` lines
-    (``_scan``), parsed (``_parse_rows``) into their final arrays.
+    (``_line_bound``), parsed (``_parse_rows``) into their final arrays.
 
     ``first`` is the first data line after the header, as ``_data_lines``
     gives it, and ``fh`` is left after it. ``columns`` lists the float
@@ -444,20 +463,22 @@ def _parse_rows(fh, first, header, numeric, text, width, targets, bound):
     return n, cells, dict(zip(text, text_codes.T))
 
 
-def load_dataset_csv(path) -> Dataset:
-    """Read and validate a dataset CSV; K is inferred from the header. A
-    CSV that ``simulate`` wrote is stacked from the records in its
-    companion if that holds the SHA-256 of the CSV's bytes."""
+def load_dataset_records(path):
+    """The dataset CSV at ``path`` as the fits read it; K is inferred from
+    the header. A CSV that ``simulate`` wrote, whose companion holds the
+    SHA-256 of its bytes, is the ``mechanism.SimulationOutput`` of the
+    pivotal records in the companion: every fit, group fit, bootstrap and
+    balance check reads it with the bits of the stacked rows, which are
+    never built. Any other CSV is parsed and validated into a Dataset."""
     from .mechanism import SimulationOutput
 
     with _open_csv(path) as fh:
         header, first = _table(path, fh)
         layout = _header_layout(header)
         k = len(layout["a"])
-        bound, digest = _scan(path)
-        stored = _read_companion(path, digest, 4 if layout["group"] is None else 6)
+        stored = _read_companion(path, _digest(path), 4 if layout["group"] is None else 6)
         if stored is not None:
-            return SimulationOutput.from_record_arrays(k, *stored).dataset
+            return SimulationOutput.from_record_arrays(k, *stored)
         a_pos = [layout["a"][j + 1] for j in range(k)]
         z_pos = [layout["z"][j + 1] for j in range(k)]
         text = [layout["cluster"]]
@@ -465,12 +486,21 @@ def load_dataset_csv(path) -> Dataset:
             text.append(layout["group"])
         numeric = [layout["y"], *itertools.chain(*zip(a_pos, z_pos)), *layout["x"]]
         (y, a, z, x), labels = _read_rows(
-            fh, bound, first, header, [layout["y"], a_pos, z_pos, layout["x"]], numeric, text
+            fh, _line_bound(path), first, header, [layout["y"], a_pos, z_pos, layout["x"]],
+            numeric, text,
         )
     return Dataset(
         y=y, a=a, z=z, x=x, cluster=labels[0],
         group_label=labels[1] if len(labels) == 2 else None,
     )
+
+
+def load_dataset_csv(path) -> Dataset:
+    """Read and validate a dataset CSV into a Dataset: a CSV that
+    ``simulate`` wrote is stacked from the records in its companion
+    (``load_dataset_records``) by their one row writer."""
+    data = load_dataset_records(path)
+    return data if isinstance(data, Dataset) else data.dataset
 
 
 # ---------------------------------------------------------------------------
@@ -517,7 +547,7 @@ def load_population_csv(path):
         if [header[pos] for pos in po_pos] != [f"po_{j}" for j in range(len(po_pos))]:
             raise SchemaError("po_* columns must be po_0..po_K in order")
         text = [pos for pos in range(len(header)) if pos not in po_pos]
-        (po,), cells = _read_rows(fh, _scan(path)[0], first, header, [po_pos], po_pos, text)
+        (po,), cells = _read_rows(fh, _line_bound(path), first, header, [po_pos], po_pos, text)
     merit, prefs = [], []
     for i, row in enumerate(zip(cells[0].tolist(), cells[1].tolist())):
         for parse, cell, column, out in zip((int, _program_ids), row, header, (merit, prefs)):
@@ -542,22 +572,31 @@ def write_covariates_csv(path, covariates: dict, command: str = "write", seed=No
     return write_table(path, command, seed, list(covariates), columns)
 
 
-def load_covariates_csv(path) -> tuple[np.ndarray, tuple]:
-    """The covariates and their names. A CSV that ``simulate`` wrote is
-    gathered from the distinct applicants' rows in its companion if that
-    holds the SHA-256 of the CSV's bytes."""
+def load_covariates_records(path) -> tuple[np.ndarray, np.ndarray | None, tuple]:
+    """The covariates, each row's code among them, and their names, as
+    ``balance_check`` reads them. A CSV that ``simulate`` wrote, whose
+    companion holds the SHA-256 of its bytes, gives the distinct
+    applicants' rows and each row's code among them; any other CSV is
+    parsed into one row per line, with codes None."""
     with _open_csv(path) as fh:
         names, first = _table(path, fh)
-        bound, digest = _scan(path)
-        stored = _read_companion(path, digest, 2)
+        stored = _read_companion(path, _digest(path), 2)
         if stored is None:
             cols = list(range(len(names)))
-            (values,), _ = _read_rows(fh, bound, first, names, [cols], cols)
-        else:
-            distinct, codes = stored
-            values = _mapped((codes.size, len(names)))
-            np.take(distinct, codes, axis=0, out=values, mode="clip")  # "raise" would buffer
-    return values, tuple(names)
+            (values,), _ = _read_rows(fh, _line_bound(path), first, names, [cols], cols)
+            return values, None, tuple(names)
+    return stored[0], stored[1], tuple(names)
+
+
+def load_covariates_csv(path) -> tuple[np.ndarray, tuple]:
+    """The covariates, one row per line, and their names: a CSV that
+    ``simulate`` wrote is gathered from the distinct applicants' rows in
+    its companion (``load_covariates_records``) into one mapped array."""
+    values, codes, names = load_covariates_records(path)
+    if codes is not None:
+        distinct, values = values, _mapped((codes.size, len(names)))
+        np.take(distinct, codes, axis=0, out=values, mode="clip")  # "raise" would buffer
+    return values, names
 
 
 # ---------------------------------------------------------------------------
@@ -666,9 +705,9 @@ def _record_dataset(run):
 def _record_covariates(run):
     """The header, the body blocks and the companion arrays of ``run``'s
     covariates CSV: each distinct applicant's line is formatted once from
-    ``member_covariates`` and gathered by ``applicants``."""
-    table, rows = run.member_covariates(), run.applicants
-    members, codes = np.unique(rows, return_inverse=True)
+    ``member_covariates`` and gathered by its code (``distinct_applicants``)."""
+    table = run.member_covariates()
+    members, codes = run.distinct_applicants()
     distinct = np.column_stack([col[members] for col in table.values()])
     distinct[np.isnan(distinct)] = np.nan  # as the parser reads every NaN
     lone = len(table) == 1
@@ -677,8 +716,7 @@ def _record_covariates(run):
         cells, inverse = float_cells(col)
         texts.append(np.array(_csv_cells(cells, lone), dtype=object)[inverse].tolist())
     lines = [",".join(cells) for cells in zip(*texts)]
-    arrays = [distinct, codes.astype(np.min_scalar_type(len(members)))]
-    return list(table), _row_blocks([_coded(lines, codes)], len(rows)), arrays
+    return list(table), _row_blocks([_coded(lines, codes)], codes.size), [distinct, codes]
 
 
 def _coded(texts: list[str], codes: np.ndarray):
@@ -772,7 +810,7 @@ def load_matrix_csv(path) -> np.ndarray:
             raise SchemaError(f"{path}: empty matrix file")
         cols = list(range(len(_fields(found[0][1]))))
         names = [str(j + 1) for j in cols]
-        (values,), _ = _read_rows(fh, _scan(path)[0], found[0], names, [cols], cols,
+        (values,), _ = _read_rows(fh, _line_bound(path), found[0], names, [cols], cols,
                                   width="the first row")
     return values
 

@@ -47,7 +47,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import Dataset, _block_writer, _mapped, _Moments
+from .data import Dataset, _mapped, _Moments
 from .estimator import _sandwich
 from .errors import (
     DataError,
@@ -584,9 +584,10 @@ class SimulationOutput:
     ``dataset`` on first read and fills the moment object, with the group
     labels, so ``_moments`` is ``dataset``'s, bit for bit, built without
     the rows: ``run`` stands in for ``run.dataset`` in the fits, the group
-    fits and the bootstrap. A simulation also keeps each record's
-    ``members`` (population rows, 8 bytes a member) for ``applicants`` and
-    ``covariates``.
+    fits, the bootstrap and, through its luck and ``cluster_codes``, the
+    balance check. A simulation also keeps each record's ``members``
+    (population rows, 8 bytes a member) for ``applicants``,
+    ``distinct_applicants`` and ``covariates``.
     """
 
     def __init__(self, k: int, records: list, group=None, members=None, population=None,
@@ -663,10 +664,25 @@ class SimulationOutput:
         values, rows = self._group
         return np.concatenate([values[r] for r in rows])
 
-    @functools.cached_property
+    @property
     def applicants(self) -> np.ndarray:
-        """The population row of each stacked row (a simulation's)."""
+        """The population row of each stacked row (a simulation's), made on
+        each read: nothing holds it."""
         return np.concatenate(self._members, dtype=np.int64)
+
+    def distinct_applicants(self) -> tuple[np.ndarray, np.ndarray]:
+        """The population rows that hold a stacked row, ascending, and each
+        row's index among them, as ``np.unique(applicants,
+        return_inverse=True)`` gives them, the index in
+        ``np.min_scalar_type`` of their count: found by one mask over the
+        population, so no per-row array is made but the index."""
+        held = np.zeros(self.population.n, dtype=bool)
+        for idx in self._members:
+            held[idx] = True
+        members = np.flatnonzero(held)
+        index = np.zeros(held.size, dtype=np.min_scalar_type(members.size))
+        index[members] = np.arange(members.size)
+        return members, np.concatenate([index[idx] for idx in self._members])
 
     @functools.cached_property
     def dataset(self) -> Dataset:
@@ -699,13 +715,18 @@ class SimulationOutput:
             covariates[name] = arr.astype(float)
         return covariates
 
+    def cluster_codes(self) -> np.ndarray:
+        """Each row's cluster code, as ``dataset.cluster_codes()`` gives it
+        (the cluster names' sorted order), in ``np.min_scalar_type`` of the
+        largest."""
+        codes = np.unique(np.array(self._names), return_inverse=True)[1]
+        return np.repeat(codes.astype(np.min_scalar_type(self.n_clusters - 1)), self._sizes)
+
     @functools.cached_property
     def _moments(self) -> _Moments:
         """``dataset``'s moment object, written from the records by ``_write``."""
-        codes = np.unique(np.array(self._names), return_inverse=True)[1]  # as the Dataset's
-        codes = np.repeat(codes.astype(np.min_scalar_type(self.n_clusters - 1)), self._sizes)
-        return _Moments(codes, self.n_controls + 2 * self.n_treatments + 1, self._write,
-                        self.group_labels())
+        return _Moments(self.cluster_codes(), self.n_controls + 2 * self.n_treatments + 1,
+                        self._write, self.group_labels())
 
 
 def _simulate(pop: Population, cfg: MechanismConfig, reps: int, master_seed: int,
@@ -931,6 +952,10 @@ def simulate_and_oracles(
 # ---------------------------------------------------------------------------
 
 
+# Rows gathered at a time when a balance check sums coded covariate rows
+SUM_BLOCK_ROWS = 8192
+
+
 @dataclass(frozen=True)
 class BalanceResult:
     names: tuple
@@ -944,13 +969,30 @@ class BalanceResult:
     n_clusters: int
 
 
-def pooled_luck(data: Dataset) -> np.ndarray:
-    """Per-row luck: each record carries one margin's lottery rank."""
+def pooled_luck(data) -> np.ndarray:
+    """Per-row luck: each record carries one margin's lottery rank. A
+    Dataset's rows hold it in their z row; a simulation's records
+    (``SimulationOutput``) hold it as it is."""
+    if isinstance(data, SimulationOutput):
+        return np.concatenate([luck for _, _, luck, *_ in data._records])
     return data.z.sum(axis=1)
 
 
-def balance_check(data: Dataset, covariates: np.ndarray, names=None) -> BalanceResult:
+def balance_check(data, covariates, names=None, codes=None) -> BalanceResult:
     """Regress each predetermined covariate on the pooled luck variable.
+
+    ``data`` is a Dataset or a simulation's pivotal records (a
+    ``SimulationOutput``, as ``simulate_run`` or
+    ``io.load_dataset_records`` gives it): only its luck, its cluster codes
+    and its row count are read, so the records are never stacked.
+    ``covariates`` holds one row per observation, (N, c) or (c, N); with
+    ``codes``, it is an (m, c) table of distinct rows and row i is
+    ``covariates[codes[i]]``, as a covariates companion holds them
+    (``io.load_covariates_records``). Either way the same rows give the
+    same bits. The moment object's writer writes each cell's rows centred,
+    so no centred copy is made; with ``codes`` the centring means and the
+    scale sums add the rows a block at a time, in the order in which numpy
+    sums the (N, c) matrix, so neither that matrix nor its square is made.
 
     Slopes, from one moment object over [1, luck, covariates], use
     cluster-robust standard errors; the joint test stacks the per-covariate
@@ -959,22 +1001,40 @@ def balance_check(data: Dataset, covariates: np.ndarray, names=None) -> BalanceR
     """
     import scipy.special
 
-    if not isinstance(data, Dataset):
-        raise DataError("balance_check reads the rows: pass a simulation's run.dataset")
-    cov = np.atleast_2d(np.asarray(covariates, dtype=float))
-    if cov.shape[0] != data.n_obs:
-        cov = cov.T
-    if cov.shape[0] != data.n_obs:
-        raise DataError("covariates must have one row per observation")
-    m = cov.shape[1]
+    table = np.asarray(covariates, dtype=float)
+    if codes is None:
+        table = np.atleast_2d(table)
+        if table.shape[0] != data.n_obs:
+            table = table.T
+        rows = table.shape[0]
+    else:
+        table, codes = table.reshape(len(table), -1), np.asarray(codes)
+        if codes.ndim != 1 or codes.dtype.kind not in "iu" or (
+                codes.size and not 0 <= codes.min() <= codes.max() < len(table)):
+            raise DataError("covariate codes must be a vector of indices into the "
+                            f"{len(table)} rows of the covariate table")
+        rows = codes.size
+    if rows != data.n_obs:
+        raise DataError(f"covariates have {rows} rows and the data {data.n_obs}: "
+                        "balance needs one covariate row per observation")
+    m = table.shape[1]
     if names is None:
         names = tuple(f"cov_{j + 1}" for j in range(m))
-    codes = data.cluster_codes()  # coded before the centred copies are made
+    if codes is None:
+        mean, squares = table.mean(axis=0), (table**2).sum(axis=0)
+    else:
+        mean, squares = _gathered_sums(table, codes) / rows, _gathered_sums(table, codes, True)
     # centred columns keep the Schur step below free of cancellation
     luck = pooled_luck(data)
     luck -= luck.mean()
-    blocks = (np.broadcast_to(1.0, data.n_obs), luck, cov - cov.mean(axis=0))
-    mom = _Moments(codes, *_block_writer(blocks))
+
+    def write(at, out):
+        out[:, 0] = 1.0
+        out[:, 1] = luck[at]
+        out[:, 2:] = table[at if codes is None else codes[at]]
+        out[:, 2:] -= mean
+
+    mom = _Moments(data.cluster_codes(), 2 + m, write)
     gram = mom.grams(np.ones(mom.g, dtype=np.intp))[0][0]
     e = np.vstack([-gram[0, 1:] / gram[0, 0], np.eye(m + 1)])  # the rows net of 1: W E
     s = e.T @ gram @ e
@@ -985,7 +1045,7 @@ def balance_check(data: Dataset, covariates: np.ndarray, names=None) -> BalanceR
     # cluster-constant covariates give exact balance; zero them instead of
     # reporting t-statistics that are ratios of rounding noise. The bound is
     # relative to |luck| * |covariate|, so rescaling a covariate moves it too
-    scale = np.sqrt(sll) * np.sqrt((cov**2).sum(axis=0))
+    scale = np.sqrt(sll) * np.sqrt(squares)
     cross = np.where(np.abs(cross) <= 1e-9 * scale, 0.0, cross)
     coefs = cross / sll
     # row i's scores: luck_i (cov_i - luck_i coefs) / sll, net of the constant
@@ -1012,6 +1072,23 @@ def balance_check(data: Dataset, covariates: np.ndarray, names=None) -> BalanceR
         p_value=p,
         n_clusters=mom.g,
     )
+
+
+def _gathered_sums(table: np.ndarray, codes: np.ndarray, square: bool = False) -> np.ndarray:
+    """The column sums of the rows ``table[codes]`` (squared with
+    ``square``), bit for bit as numpy sums that C-ordered (N, c) matrix,
+    which is not made. numpy adds the rows of two or more columns one after
+    another, so each block of ``SUM_BLOCK_ROWS`` rows is added on to the
+    running sums; a single column is contiguous, and numpy sums it
+    pairwise, so it is gathered whole."""
+    step = codes.size if table.shape[1] == 1 else SUM_BLOCK_ROWS
+    total = None
+    for lo in range(0, codes.size, step):
+        block = table[codes[lo : lo + step]]
+        if square:
+            block = block**2
+        total = np.add.reduce(block if total is None else np.vstack([total, block]), axis=0)
+    return total
 
 
 # ---------------------------------------------------------------------------

@@ -187,27 +187,31 @@ def test_commands_read_the_same_with_and_without_companions(tmp_path, simulated,
         assert (sim / f"{name}.arrays").stat().st_size <= (sim / name).stat().st_size
     commands = {
         "estimate": ["estimate", "--data", simulated, "--group-col", "group"],
+        "estimate_blocks": ["estimate", "--data", simulated, "--blocks", '{"A": [1], "B": [2]}'],
         "cascade": ["cascade", "--data", simulated],
         "balance": ["balance", "--data", simulated, "--covariates", sim / "covariates.csv"],
         **{f"bootstrap_{stat}": ["bootstrap", "--data", simulated, "--statistic", stat,
                                  "--bootstrap-reps", 5, "--seed", 2]
-           for stat in ("cascade_delta", "conditional_entrant")},
+           for stat in ("beta", "wald", "cascade_delta", "conditional_entrant")},
     }
     outputs = {}
-    for side in ("with", "without"):
-        if side == "without":
-            for name in ("dataset.csv", "covariates.csv"):
-                (sim / f"{name}.arrays").unlink()
+    # both companions, then the dataset's alone, then none
+    for side, deleted in (("with", []), ("dataset_only", ["covariates.csv"]),
+                          ("without", ["dataset.csv"])):
+        for name in deleted:
+            (sim / f"{name}.arrays").unlink()
         for name, argv in commands.items():
             out = tmp_path / side / name
             capsys.readouterr()
             with mock.patch.object(iomod, "_parse_rows", wraps=iomod._parse_rows) as parse:
                 assert run([*argv, "--out", out]) == 0
-            assert parse.called == (side == "without"), (side, name)
+            parsed = side == "without" or side == "dataset_only" and name == "balance"
+            assert parse.called == parsed, (side, name)
             files = {p.name: p.read_bytes() for p in out.iterdir()}
             outputs[side, name] = capsys.readouterr().out, files
     for name in commands:
         assert outputs["with", name] == outputs["without", name], name
+        assert outputs["dataset_only", name] == outputs["without", name], name
 
 
 def test_plain_simulate_removes_an_earlier_event_log(tmp_path, config_path):
@@ -448,9 +452,9 @@ def test_estimate_group_col_names_only_the_group_column(tmp_path, capsys):
 
 @pytest.mark.parametrize("command", ["estimate", "bootstrap", "cascade", "verify", "balance"])
 def test_each_command_builds_one_moment_object(tmp_path, simulated, config_path, command):
-    # one coding of the cluster ids and one moment object per Dataset, which
-    # every fit, standard error, group fit and bootstrap of the command reads;
-    # balance builds only its own, over its own columns
+    # one moment object, which every fit, standard error, group fit and
+    # bootstrap of the command reads; balance builds only its own, over its
+    # own columns
     argv = {
         "estimate": ["estimate", "--data", simulated, "--group-col", "group",
                      "--blocks", '{"A": [1], "B": [2]}'],
@@ -463,9 +467,10 @@ def test_each_command_builds_one_moment_object(tmp_path, simulated, config_path,
     }[command]
     with counting_moment_builds() as counts:
         assert run([*argv, "--out", tmp_path / "out"]) == 0
-    # verify fits the simulation's pivotal records: it makes no Dataset, so
-    # it codes no Dataset's cluster ids
-    assert counts == {"built": 1, "coded": 0 if command == "verify" else 1}
+    # verify fits the simulation's pivotal records, and the others the
+    # records in simulate's companion: none makes a Dataset, so none codes a
+    # Dataset's cluster ids
+    assert counts == {"built": 1, "coded": 0}
 
 
 def test_bootstrap_command(tmp_path, capsys):

@@ -21,6 +21,7 @@ from numpy.testing import assert_allclose
 import cascadeiv.io as iomod
 from cascadeiv import Dataset, estimate_all
 from cascadeiv.errors import (
+    CascadeIVError,
     DataError,
     NoPivotalProgramWarning,
     NoPivotalVariation,
@@ -33,7 +34,9 @@ from cascadeiv.io import (
     _header_layout,
     fmt_float,
     load_covariates_csv,
+    load_covariates_records,
     load_dataset_csv,
+    load_dataset_records,
     load_matrix_csv,
     load_population_csv,
     load_run_config,
@@ -49,6 +52,7 @@ from cascadeiv.mechanism import (
     MechanismConfig,
     Population,
     SimulationOutput,
+    balance_check,
     simulate_run,
 )
 from cascadeiv.synth import SynthConfig, generate_population
@@ -968,7 +972,7 @@ def test_a_companion_that_does_not_match_is_ignored(tmp_path, simulated_files, d
         elif damage == "another_tag":  # the tag of the per-column companions, the digest kept
             rest, head = io.BytesIO(raw), io.BytesIO()
             np.lib.format.read_array(rest)
-            np.save(head, np.frombuffer(b"cascadeiv companion arrays 1\n" + iomod._scan(path)[1],
+            np.save(head, np.frombuffer(b"cascadeiv companion arrays 1\n" + iomod._digest(path),
                                         np.uint8))
             companion.write_bytes(head.getvalue() + rest.read())
         elif damage.startswith("cut"):
@@ -985,6 +989,28 @@ def test_a_companion_that_does_not_match_is_ignored(tmp_path, simulated_files, d
         assert_same_arrays(loaded, load(path))
         if not damage.startswith("stale"):
             assert_same_arrays(loaded, whole)
+
+
+def test_each_loader_reads_the_file_only_for_what_it_uses(simulated_files):
+    # a companion hit hashes the CSV and counts no lines; a population or
+    # matrix load counts lines and hashes nothing; a parse does both
+    loads = {**{name: (load, True) for name, load in COMPANION_LOADS.items()},
+             "population.csv": (load_population_csv, False)}
+    for name, (load, hit) in loads.items():
+        with mock.patch.object(iomod.hashlib, "sha256", wraps=iomod.hashlib.sha256) as sha, \
+                mock.patch.object(iomod, "_line_bound", wraps=iomod._line_bound) as lines:
+            load(simulated_files / name)
+        assert (sha.called, lines.called) == (hit, not hit), name
+    with tempfile.TemporaryDirectory() as tmp:
+        matrix, csv_file = Path(tmp) / "m.csv", Path(tmp) / "dataset.csv"
+        matrix.write_text("0.4,-0.05\n-0.04,0.3\n")
+        csv_file.write_bytes((simulated_files / "dataset.csv").read_bytes())  # no companion
+        for load, hashed in ((load_matrix_csv, False), (load_dataset_csv, True)):
+            path = matrix if load is load_matrix_csv else csv_file
+            with mock.patch.object(iomod.hashlib, "sha256", wraps=iomod.hashlib.sha256) as sha, \
+                    mock.patch.object(iomod, "_line_bound", wraps=iomod._line_bound) as lines:
+                load(path)
+            assert (sha.called, lines.called) == (hashed, True), path.name
 
 
 def test_a_byte_order_mark_is_skipped(tmp_path):
@@ -1097,7 +1123,7 @@ def test_records_write_the_bytes_of_the_stacked_tables(market, reps, label, bloc
         assert not {"dataset", "covariates"} & set(vars(run))
         assert len(digests) == 2
         for path, digest in digests.items():
-            assert digest == iomod._scan(path)[1]
+            assert digest == iomod._digest(path)
         write_dataset_csv(want / "dataset.csv", run.dataset, "simulate", 5)
         write_covariates_csv(want / "covariates.csv", run.covariates, "simulate", 5)
         for name in ("dataset.csv", "covariates.csv"):
@@ -1117,6 +1143,17 @@ def companion_and_parse(run, name, load):
         return stored, load(path)
 
 
+def balance_or_error(data, covariates, codes, names):
+    """``balance_check``, or the class and message of the package error it
+    raises (or of numpy's, which a NaN covariate gives)."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        try:
+            return balance_check(data, covariates, names, codes)
+        except (CascadeIVError, np.linalg.LinAlgError) as exc:
+            return type(exc), str(exc)
+
+
 @settings(max_examples=150, deadline=None)
 @given(labelled_markets(), st.integers(1, 3), st.sampled_from([None, "group", "attr"]),
        st.booleans())
@@ -1127,6 +1164,12 @@ def test_dataset_companion_loads_as_the_parser_does(market, reps, label, one_row
     event(f"K = {run.n_treatments}, label {label}")
     data, parsed = companion_and_parse(run, "dataset.csv", load_dataset_csv)
     assert_same_arrays(dataset_arrays(data), dataset_arrays(parsed))
+    # the records a command fits, never stacked, fit as the parsed rows do:
+    # every fit, group fit and bootstrap statistic, bit for bit
+    records, parsed = companion_and_parse(run, "dataset.csv", load_dataset_records)
+    assert isinstance(records, SimulationOutput) and isinstance(parsed, Dataset)
+    assert_same_result(moment_fits(records), moment_fits(parsed))
+    assert "dataset" not in vars(records)
     # a float label's levels are its text once written, and the moments
     # are summed per (cluster, level) cell, so its fits differ in the last bits
     if label != "attr":
@@ -1146,6 +1189,25 @@ def test_covariates_companion_loads_as_the_parser_does(market, reps, label, one_
     (mat, names), (ref, want) = companion_and_parse(run, "covariates.csv", load_covariates_csv)
     assert names == want
     assert_same_arrays([mat], [ref])
+    # a balance check of each form of each file, both companions present,
+    # one of them or none, gives the bits of the parsed files'
+    with tempfile.TemporaryDirectory() as tmp:
+        iomod.write_simulation_csvs(tmp, run, "simulate", 5)
+        files = [Path(tmp) / name for name in ("dataset.csv", "covariates.csv")]
+        with mock.patch.object(iomod, "_parse_rows", side_effect=AssertionError("parsed")):
+            records, (table, codes, names) = (load_dataset_records(files[0]),
+                                              load_covariates_records(files[1]))
+        for path in files:
+            Path(f"{path}{iomod.COMPANION_SUFFIX}").unlink()
+        data, (rows, no_codes, parsed_names) = (load_dataset_records(files[0]),
+                                                load_covariates_records(files[1]))
+    assert isinstance(data, Dataset) and no_codes is None and parsed_names == names
+    assert codes is not None and table.shape[0] <= codes.size == data.n_obs
+    want = balance_or_error(data, rows, None, names)
+    for got in (records, data):
+        for covariates in ((table, codes), (rows, None)):
+            assert_same_result(balance_or_error(got, *covariates, names), want)
+    assert "dataset" not in vars(records)
 
 
 def test_simulation_tables_hold_no_stacked_rows():

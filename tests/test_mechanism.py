@@ -35,6 +35,7 @@ from cascadeiv.errors import (
     TooFewClusters,
     UnresolvedPriorityTie,
 )
+from cascadeiv import mechanism
 from cascadeiv.mechanism import (
     CLEARING_EVENT_DTYPE,
     SIMULATION_EVENT_DTYPE,
@@ -1477,20 +1478,48 @@ def test_a_labelled_run_builds_one_moment_object_for_every_fit():
     assert "dataset" not in vars(run)
 
 
-def test_row_level_calls_on_a_run_name_its_dataset():
-    # a balance check and a partition read rows, which the records do not
-    # hold: each refuses the run and points at run.dataset
+def test_a_partition_of_a_run_names_its_dataset():
+    # a partition labels rows, which the records do not hold: it refuses
+    # the run and points at run.dataset
     pop = homogeneous_pop(3000, 2, np.array([0.1, 0.2]), seed=7)
     cfg = MechanismConfig(capacities=(200, 200), lottery_seed=0)
     run = simulate_run(pop, cfg, reps=4, master_seed=1)
-    cov = np.ones((run.n_obs, 1))
-    with pytest.raises(DataError, match=r"run\.dataset"):
-        balance_check(run, cov)
     with pytest.raises(DataError, match=r"run\.dataset"):
         group_outcome_decomposition(run, partition=np.arange(run.n_obs) % 2)
     assert "dataset" not in vars(run)
-    balance_check(run.dataset, run.covariates["merit"])
     group_outcome_decomposition(run.dataset, partition=np.arange(run.n_obs) % 2)
+
+
+@pytest.mark.parametrize("names", [("attr",), ("merit", "attr"), ("attr", "flag", "merit")])
+def test_balance_of_records_and_coded_rows_has_the_bits_of_the_stacked_rows(names):
+    # a run for the Dataset, and the distinct applicants' rows with each
+    # row's code for the (N, c) rows: every pairing gives the bits of the
+    # stacked rows, one column (which numpy sums pairwise) included, across
+    # several blocks of summed rows, and the records are never stacked
+    run = _sim_with_covariates(24, n=6000, reps=12)
+    assert run.n_obs > 2 * mechanism.SUM_BLOCK_ROWS
+    members, codes = run.distinct_applicants()
+    table = run.member_covariates()
+    distinct = np.column_stack([table[name][members] for name in names])
+    rows = distinct[codes]
+    assert np.array_equal(members[codes], run.applicants)
+    for data in (run, run.dataset):
+        for cov, kwargs in ((rows, {}), (distinct, {"codes": codes})):
+            got = balance_check(data, cov, names, **kwargs)
+            assert_same_result(got, balance_check(run.dataset, rows, names))
+    fresh = _sim_with_covariates(24, n=6000, reps=12)
+    balance_check(fresh, distinct, names, codes=codes)
+    assert not {"dataset", "covariates"} & set(vars(fresh))
+
+
+def test_balance_codes_must_index_the_table():
+    run = _sim_with_covariates(25)
+    members, codes = run.distinct_applicants()
+    table = np.ones((members.size, 2))
+    for bad in (codes[:-1], codes.astype(float), np.r_[codes[1:], members.size],
+                np.r_[codes[1:].astype(np.int64), -1], codes[:, None]):
+        with pytest.raises(DataError):
+            balance_check(run, table, codes=bad)
 
 
 def stack_clearings(pop, clearings):

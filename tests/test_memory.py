@@ -11,6 +11,10 @@ cores. ``verify`` fits each replication's compact pivotal-group records
 and never stacks the rows, so from 10 to 40 replications its peak may
 grow by at most ``VERIFY_MARGIN_MB``; so may the library's, for
 ``simulate_and_oracles`` and ``estimate_all`` of the records it returns.
+``estimate``, ``bootstrap`` and ``balance`` fit the records in
+``simulate``'s companion and never stack them either: from 10 to 40
+replications each peak may grow by at most ``BOUND`` times the growth of
+``RECORD_ROW_BYTES`` a row.
 """
 
 import json
@@ -21,12 +25,18 @@ from pathlib import Path
 
 import numpy as np
 
-from cascadeiv.io import load_covariates_csv, load_dataset_csv
+from cascadeiv.io import load_covariates_csv, load_dataset_csv, load_dataset_records
 
 BOUND = 1.75  # fixed; a command that needs more holds its rows more than once
 # fixed before the test first ran: the records of 30 more replications take
 # about 11 MB, their stacked rows about 125 MB
 VERIFY_MARGIN_MB = 25
+# fixed before the test first ran: a command that fits the records holds
+# them, 18 B a row (luck and outcome as float64, assignment and group code
+# as uint8), and while it builds the labelled moment object four intp
+# arrays of the rows' codes (each row's level, its cell key, the keys'
+# stable sort order and the sorted keys), 32 B a row
+RECORD_ROW_BYTES = 18 + 4 * 8
 SRC = Path(__file__).resolve().parents[1] / "src"
 # The peak is VmHWM, the high-water mark of the process's own memory since
 # it started the interpreter. ru_maxrss survives exec, so it would report the
@@ -138,3 +148,20 @@ def test_library_fit_of_a_simulation_is_flat_in_reps(tmp_path):
     growth_mb = (peaks[40] - peaks[10]) / 2**20
     print(f"library peak growth from 10 to 40 replications: {growth_mb:.1f} MB")
     assert growth_mb <= VERIFY_MARGIN_MB
+
+
+def test_commands_that_fit_records_are_flat_in_reps(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(CONFIG))
+    runs = {reps: commands(config, tmp_path / f"reps{reps}", reps) for reps in (10, 40)}
+    peak_bytes({reps: argv["simulate"] for reps, argv in runs.items()})
+    rows = {reps: load_dataset_records(tmp_path / f"reps{reps}" / "sim" / "dataset.csv").n_obs
+            for reps in runs}
+    held = RECORD_ROW_BYTES * (rows[40] - rows[10])
+    growth = {}
+    for name in ("estimate", "bootstrap", "balance"):
+        peaks = peak_bytes({reps: argv[name] for reps, argv in runs.items()})
+        growth[name] = peaks[40] - peaks[10]
+    print({name: f"{g / 2**20:.1f} MB" for name, g in growth.items()},
+          f"bound {BOUND * held / 2**20:.1f} MB")
+    assert max(growth.values()) <= BOUND * held, growth
